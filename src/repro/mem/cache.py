@@ -8,6 +8,8 @@ which owns the caches and orchestrates accesses between them.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -17,6 +19,12 @@ from repro.errors import MemorySystemError
 from repro.mem.lines import CacheLine, LineState
 
 _BY_LAST_TOUCH = attrgetter("last_touch")
+_LINE_ADDR = attrgetter("line_addr")
+_STATE = attrgetter("state")
+_DIRTY = attrgetter("dirty")
+_COHERENT = attrgetter("coherent")
+_STATES = tuple(LineState)
+_STATE_CODES = {state: code for code, state in enumerate(_STATES)}
 
 
 class SetAssociativeCache:
@@ -208,6 +216,53 @@ class SetAssociativeCache:
         self._sets.clear()
         self._lines.clear()
         return dropped
+
+    # ------------------------------------------------------------------ #
+    # Snapshots
+    # ------------------------------------------------------------------ #
+
+    def snapshot(self) -> tuple:
+        """A packed, immutable copy of the contents, LRU clock and counters.
+
+        Lines are stored field by field in flat arrays, set by set in the
+        sets' own order (empty sets included), so :meth:`restore` rebuilds
+        the exact iteration and replacement order.
+        """
+        lines = list(chain.from_iterable(map(dict.values, self._sets.values())))
+        return (
+            array("q", self._sets),
+            array("q", map(len, self._sets.values())),
+            array("q", map(_LINE_ADDR, lines)),
+            array("q", map(_BY_LAST_TOUCH, lines)),
+            bytes(map(_STATE_CODES.__getitem__, map(_STATE, lines))),
+            bytes(map(_DIRTY, lines)),
+            bytes(map(_COHERENT, lines)),
+            self._touch_counter,
+            tuple(self._counts.items()),
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Rebuild, in place, the state a :meth:`snapshot` recorded."""
+        indices, sizes, addrs, touches, states, dirty, coherent, touch_counter, counts = snapshot
+        lines = list(
+            map(
+                CacheLine,
+                addrs,
+                map(_STATES.__getitem__, states),
+                map(bool, dirty),
+                map(bool, coherent),
+                touches,
+            )
+        )
+        self._lines.clear()
+        self._lines.update(zip(addrs, lines))
+        self._sets.clear()
+        remaining = zip(addrs, lines)
+        for index, size in zip(indices, sizes):
+            self._sets[index] = dict(islice(remaining, size))
+        self._touch_counter = touch_counter
+        self._counts.clear()
+        self._counts.update(counts)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -15,13 +15,15 @@ requests.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Dict, Optional, Set
 
 from repro.common.stats import StatSet
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Tracking state for one line."""
 
@@ -155,6 +157,38 @@ class Directory:
                 entry.owner = None
             entry.sharers.discard(core_id)
         return touched
+
+    def snapshot(self) -> tuple:
+        """A packed, immutable copy of every entry and counter (see :meth:`restore`)."""
+        entries = list(self._entries.values())
+        return (
+            array("q", self._entries),
+            array("i", [-1 if entry.owner is None else entry.owner for entry in entries]),
+            array("i", [len(entry.sharers) for entry in entries]),
+            array("i", chain.from_iterable(entry.sharers for entry in entries)),
+            tuple(self._counts.items()),
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Rebuild, in place, the entries and counters a :meth:`snapshot` recorded."""
+        lines, owners, sharer_counts, sharer_ids, counts = snapshot
+        remaining = iter(sharer_ids)
+        self._entries.clear()
+        self._entries.update(
+            zip(
+                lines,
+                map(
+                    DirectoryEntry,
+                    [None if owner < 0 else owner for owner in owners],
+                    [
+                        {next(remaining)} if count == 1 else set(islice(remaining, count))
+                        for count in sharer_counts
+                    ],
+                ),
+            )
+        )
+        self._counts.clear()
+        self._counts.update(counts)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -39,11 +39,11 @@ from typing import List, Optional
 from repro.common.stats import StatSet
 from repro.config.system import SystemConfig
 from repro.errors import MemorySystemError
-from repro.mem.cache import SetAssociativeCache
-from repro.mem.directory import Directory
+from repro.mem.cache import _BY_LAST_TOUCH, SetAssociativeCache
+from repro.mem.directory import Directory, DirectoryEntry
 from repro.mem.dram import MainMemory
 from repro.mem.interconnect import Interconnect
-from repro.mem.lines import LineState
+from repro.mem.lines import CacheLine, LineState
 
 
 @dataclass(slots=True)
@@ -101,6 +101,7 @@ class MemoryHierarchy:
         # place, so the miss paths can consult it directly (addresses reaching
         # them are already line-aligned, making peek()'s alignment a no-op).
         self._dir_entries = self.directory._entries
+        self._dir_counts = self.directory._counts
         self._l1d_hit_latency = config.l1d.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
         self._l3_hit_latency = config.l3.hit_latency
@@ -129,42 +130,98 @@ class MemoryHierarchy:
                 f"core {core_id} outside the configured {self.num_cores}-core chip"
             )
 
-    def _line(self, address: int) -> int:
-        return address & self._line_neg_mask
+    def _fill_l2(
+        self, core_id: int, line_addr: int, state: LineState, dirty: bool, coherent: bool
+    ) -> None:
+        """Fill a line the core's L2 has just missed on, pushing its victim down.
 
-    def _victimise_l2_line(self, core_id: int, victim) -> None:
-        """Handle an L2 eviction: victim goes to the exclusive L3 if coherent."""
+        One flat pass doing what ``SetAssociativeCache.insert`` on the L2, the
+        inclusive-L1 invalidation of the LRU victim, the victim's directory
+        eviction and its insert into the exclusive L3 did as separate calls:
+        cache contents, LRU stamps, directory state and every counter evolve
+        exactly as through them.  Every caller has just missed in this L2, so
+        the line is never already resident.  A coherent victim's line object
+        becomes the L3 line (it is unreachable once evicted, so the reuse is
+        unobservable), as ``fill_shared`` recycles L1 victims; an incoherent
+        (mute-fetched) victim is dropped.
+        """
+        l2 = self.l2[core_id]
+        l2._touch_counter = counter = l2._touch_counter + 1
+        tag = line_addr >> l2._line_shift
+        mask = l2._set_mask
+        index = tag & mask if mask is not None else tag % l2._num_sets
+        cache_set = l2._sets.get(index)
+        if cache_set is None:
+            cache_set = l2._sets[index] = {}
+        l2_lines = l2._lines
+        l2_counts = l2._counts
+        victim = None
+        if len(cache_set) >= l2._associativity:
+            victim = min(cache_set.values(), key=_BY_LAST_TOUCH)
+            del cache_set[victim.line_addr]
+            del l2_lines[victim.line_addr]
+            l2_counts["evictions"] += 1
+        cache_set[line_addr] = l2_lines[line_addr] = CacheLine(
+            line_addr, state, dirty, coherent, counter
+        )
+        l2_counts["fills"] += 1
+        if victim is None:
+            return
+
+        # Keep the L1s inclusive in the L2.  The L1D shares the L2's line
+        # size; the L1I's is not constrained, so its key is re-aligned.
+        victim_addr = victim.line_addr
+        l1d = self.l1d[core_id]
+        if victim_addr in l1d._lines:
+            l1d.invalidate(victim_addr)
+        l1i = self.l1i[core_id]
+        if (victim_addr & l1i._line_neg_mask) in l1i._lines:
+            l1i.invalidate(victim_addr)
+
+        entry = self._dir_entries.get(victim_addr)
+        if entry is not None:
+            if entry.owner == core_id:
+                entry.owner = None
+            entry.sharers.discard(core_id)
+            self._dir_counts["evictions"] += 1
+
         counts = self._counts
-        self.directory.record_eviction(victim.line_addr, core_id)
         if not victim.coherent:
             counts["l2.incoherent_victims_dropped"] += 1
             return
-        l3_victim = self.l3.insert(
-            victim.line_addr,
-            state=victim.state if victim.state is not LineState.INVALID else LineState.SHARED,
-            dirty=victim.dirty,
-            coherent=True,
-        )
+        l3 = self.l3
+        l3._touch_counter = l3_counter = l3._touch_counter + 1
+        l3_lines = l3._lines
+        existing = l3_lines.get(victim_addr)
+        if existing is not None:
+            # A clean copy forwarded to another L2 can still sit in the L3.
+            existing.state = victim.state
+            existing.dirty = existing.dirty or victim.dirty
+            existing.coherent = True
+            existing.last_touch = l3_counter
+            counts["l2.victims_to_l3"] += 1
+            return
+        tag = victim_addr >> l3._line_shift
+        mask = l3._set_mask
+        index = tag & mask if mask is not None else tag % l3._num_sets
+        l3_set = l3._sets.get(index)
+        if l3_set is None:
+            l3_set = l3._sets[index] = {}
+        l3_counts = l3._counts
+        l3_victim = None
+        if len(l3_set) >= l3._associativity:
+            l3_victim = min(l3_set.values(), key=_BY_LAST_TOUCH)
+            del l3_set[l3_victim.line_addr]
+            del l3_lines[l3_victim.line_addr]
+            l3_counts["evictions"] += 1
+        victim.last_touch = l3_counter
+        l3_set[victim_addr] = l3_lines[victim_addr] = victim
+        l3_counts["fills"] += 1
         counts["l2.victims_to_l3"] += 1
         if l3_victim is not None and l3_victim.needs_writeback:
             self.interconnect.record_offchip_transfer()
             self.memory.writeback_latency(self.interconnect.offchip_contention_factor())
             counts["l3.writebacks"] += 1
-
-    def _fill_l2(
-        self, core_id: int, line_addr: int, state: LineState, dirty: bool, coherent: bool
-    ) -> None:
-        victim = self.l2[core_id].insert(line_addr, state, dirty, coherent)
-        if victim is not None:
-            # Keep the L1 consistent with the L2 (inclusive L1/L2 assumption).
-            self.l1d[core_id].invalidate(victim.line_addr)
-            self.l1i[core_id].invalidate(victim.line_addr)
-            self._victimise_l2_line(core_id, victim)
-
-    def _fill_l1(self, core_id: int, line_addr: int, coherent: bool) -> None:
-        # The write-through L1 never holds dirty data, so victims are dropped
-        # (and their line objects recycled by the specialised fill).
-        self.l1d[core_id].fill_shared(line_addr, coherent)
 
     def _invalidate_remote_copies(self, line_addr: int, cores: set[int]) -> None:
         counts = self._counts
@@ -206,7 +263,8 @@ class MemoryHierarchy:
         """
         counts = self._counts
         l3_latency = self._l3_hit_latency
-        owner = self._remote_holder(line_addr, core_id)
+        entry = self._dir_entries.get(line_addr)
+        owner = None if entry is None else self._remote_holder(line_addr, core_id)
         invalidations = 0
 
         if owner is not None:
@@ -227,45 +285,57 @@ class MemoryHierarchy:
             self.l1d[core_id].fill_shared(line_addr, True)
             return (latency, "c2c", True, False, invalidations)
 
-        l3_line = self.l3.touch(line_addr)
+        # No remote copy: an L3 hit moves the line up (the L3 is exclusive),
+        # otherwise it is fetched off-chip.  The L3 touch/invalidate pair is
+        # inlined; its state and counters evolve exactly as through the calls.
+        l3 = self.l3
+        l3_counts = l3._counts
+        l3_line = l3._lines.pop(line_addr, None)
         if l3_line is not None:
-            # Exclusive L3: the line moves from the L3 into the requester's L2.
-            latency = l3_latency
-            dirty = l3_line.dirty
-            self.l3.invalidate(line_addr)
+            l3._touch_counter += 1
+            l3_counts["hits"] += 1
+            tag = line_addr >> l3._line_shift
+            mask = l3._set_mask
+            del l3._sets[tag & mask if mask is not None else tag % l3._num_sets][line_addr]
+            l3_counts["invalidations"] += 1
             counts["l3.hits"] += 1
-            if is_store:
-                targets = self.directory.record_exclusive_fetch(line_addr, core_id)
-                invalidations = len(targets)
-                if invalidations:
-                    latency += self._inv_latency
-                self._invalidate_remote_copies(line_addr, targets)
-                self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
-            else:
-                self.directory.record_shared_fetch(line_addr, core_id)
-                state = LineState.OWNED if dirty else LineState.SHARED
-                self._fill_l2(core_id, line_addr, state, dirty=dirty, coherent=True)
-            self.l1d[core_id].fill_shared(line_addr, True)
-            return (latency, "l3", False, False, invalidations)
-
-        # Off-chip access.
-        counts["l3.misses"] += 1
-        self.interconnect.record_offchip_transfer()
-        latency = l3_latency + self.memory.access_latency(
-            self.interconnect.offchip_contention_factor()
-        )
+            latency = l3_latency
+            level = "l3"
+            offchip = False
+            dirty = l3_line.dirty
+        else:
+            l3_counts["misses"] += 1
+            counts["l3.misses"] += 1
+            self.interconnect.record_offchip_transfer()
+            latency = l3_latency + self.memory.access_latency(
+                self.interconnect.offchip_contention_factor()
+            )
+            level = "memory"
+            offchip = True
+            dirty = False
         if is_store:
             targets = self.directory.record_exclusive_fetch(line_addr, core_id)
             invalidations = len(targets)
             if invalidations:
                 latency += self._inv_latency
             self._invalidate_remote_copies(line_addr, targets)
-            self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
+            self._fill_l2(core_id, line_addr, LineState.MODIFIED, True, True)
         else:
-            self.directory.record_shared_fetch(line_addr, core_id)
-            self._fill_l2(core_id, line_addr, LineState.SHARED, dirty=False, coherent=True)
+            # Directory.record_shared_fetch, inlined.
+            if entry is None:
+                entry = self._dir_entries[line_addr] = DirectoryEntry()
+            if entry.owner != core_id:
+                entry.sharers.add(core_id)
+            self._dir_counts["shared_fetches"] += 1
+            self._fill_l2(
+                core_id,
+                line_addr,
+                LineState.OWNED if dirty else LineState.SHARED,
+                dirty,
+                True,
+            )
         self.l1d[core_id].fill_shared(line_addr, True)
-        return (latency, "memory", False, True, invalidations)
+        return (latency, level, False, offchip, invalidations)
 
     def _coherent_load(self, core_id: int, address: int):
         # The L1/L2 hit checks inline SetAssociativeCache.touch (flat-map get
@@ -295,7 +365,7 @@ class MemoryHierarchy:
             return (self._l2_hit_latency, "l2", False, False, 0)
         l2._counts["misses"] += 1
         counts["l2.misses"] += 1
-        return self._coherent_miss_fill(core_id, line_addr, is_store=False)
+        return self._coherent_miss_fill(core_id, line_addr, False)
 
     def _coherent_store(self, core_id: int, address: int):
         line_addr = address & self._line_neg_mask
@@ -327,7 +397,7 @@ class MemoryHierarchy:
             return (latency, "l2", False, False, invalidations)
         l2._counts["misses"] += 1
         counts["l2.misses"] += 1
-        return self._coherent_miss_fill(core_id, line_addr, is_store=True)
+        return self._coherent_miss_fill(core_id, line_addr, True)
 
     # ------------------------------------------------------------------ #
     # Incoherent (mute) access path
@@ -557,6 +627,250 @@ class MemoryHierarchy:
                     cache.invalidate(line.line_addr)
                     dropped += 1
         return dropped
+
+    # ------------------------------------------------------------------ #
+    # Reference implementation
+    # ------------------------------------------------------------------ #
+
+    def warm_reference(
+        self, core_id: int, addresses, secondary_core: Optional[int] = None
+    ) -> int:
+        """Reference implementation of :meth:`warm`: one load per address.
+
+        Kept, with :meth:`access_reference`, as the executable specification
+        of the access paths: :meth:`warm` and :meth:`access_raw` must leave
+        every cache, the directory, every counter and the off-chip window
+        bit-identical to these (``tests/test_warm_parity.py``).
+        """
+        count = 0
+        for address in addresses:
+            self.access_reference(core_id, address, False)
+            if secondary_core is not None:
+                self.access_reference(secondary_core, address, False, coherent=False)
+            count += 1
+        return count
+
+    def access_reference(
+        self, core_id: int, address: int, is_store: bool, coherent: bool = True
+    ):
+        """Reference implementation of :meth:`access_raw`.
+
+        Built only from the per-level primitives, one call per step:
+        ``touch``, ``lookup``, ``insert``, ``invalidate`` and ``fill_shared``
+        on the caches, the directory's ``record_*`` transitions, the
+        interconnect and the DRAM model.
+        """
+        self._check_core(core_id)
+        if address < 0:
+            raise MemorySystemError(f"negative physical address {address}")
+        line_addr = address & self._line_neg_mask
+        counts = self._counts
+        l1 = self.l1d[core_id]
+        l2 = self.l2[core_id]
+        directory = self.directory
+        prefix = "" if coherent else "mute."
+
+        # L1: loads and mute accesses only (coherent stores write through).
+        if not (coherent and is_store):
+            if l1.touch(line_addr) is not None:
+                counts[prefix + "l1d.hits"] += 1
+                if is_store:
+                    line = l2.lookup(line_addr)
+                    if line is not None:
+                        line.dirty = True
+                        line.coherent = False
+                return (self._l1d_hit_latency, "l1", False, False, 0)
+            if coherent:
+                counts["l1d.misses"] += 1
+
+        # L2 hit: a mute store dirties its incoherent copy, a coherent
+        # store upgrades the line to MODIFIED and takes ownership.
+        line = l2.touch(line_addr)
+        if line is not None and not coherent:
+            counts["mute.l2.hits"] += 1
+            if is_store:
+                line.dirty = True
+                line.coherent = False
+            return (self._l2_hit_latency, "l2", False, False, 0)
+        if line is not None and not is_store:
+            l1.fill_shared(line_addr, line.coherent)
+            counts["l2.hits"] += 1
+            return (self._l2_hit_latency, "l2", False, False, 0)
+        if line is not None:
+            counts["l2.hits"] += 1
+            latency = self._l2_hit_latency
+            invalidations = 0
+            if line.state in (LineState.SHARED, LineState.OWNED):
+                targets = directory.record_exclusive_fetch(line_addr, core_id)
+                targets.discard(core_id)
+                invalidations = len(targets)
+                if invalidations:
+                    latency += self._inv_latency
+                self._invalidate_remote_copies(line_addr, targets)
+            line.state = LineState.MODIFIED
+            line.dirty = True
+            if directory.owner_of(line_addr) != core_id:
+                directory.record_exclusive_fetch(line_addr, core_id)
+            return (latency, "l2", False, False, invalidations)
+        counts[prefix + "l2.misses"] += 1
+
+        # L2 miss: a remote L2 holding the line (the owner first) serves it.
+        holder = None
+        entry = directory.peek(line_addr)
+        if entry is not None:
+            candidates = [entry.owner] if entry.owner is not None else []
+            for candidate in candidates + sorted(entry.sharers):
+                if candidate != core_id and self.l2[candidate].contains(line_addr):
+                    holder = candidate
+                    break
+
+        # A mute miss reads without changing the L3 or the directory and
+        # fills an incoherent line.
+        if not coherent:
+            if holder is not None:
+                latency, level, offchip = self._c2c_latency, "c2c", False
+                counts["c2c_transfers"] += 1
+                counts["mute.c2c_transfers"] += 1
+            elif self.l3.lookup(line_addr) is not None:
+                latency, level, offchip = self._l3_hit_latency, "l3", False
+                counts["mute.l3_hits"] += 1
+            else:
+                self.interconnect.record_offchip_transfer()
+                latency = self._l3_hit_latency + self.memory.access_latency(
+                    self.interconnect.offchip_contention_factor()
+                )
+                level, offchip = "memory", True
+                counts["mute.memory_accesses"] += 1
+            state = LineState.MODIFIED if is_store else LineState.SHARED
+            self._fill_l2_reference(core_id, line_addr, state, is_store, False)
+            l1.fill_shared(line_addr, False)
+            return (latency, level, holder is not None, offchip, 0)
+
+        # A coherent miss: cache-to-cache, else the exclusive L3 (the line
+        # moves up), else memory; then the directory transition and fill.
+        dirty = False
+        if holder is not None:
+            latency, level, offchip = self._c2c_latency, "c2c", False
+            counts["c2c_transfers"] += 1
+        else:
+            l3_line = self.l3.touch(line_addr)
+            if l3_line is not None:
+                latency, level, offchip = self._l3_hit_latency, "l3", False
+                dirty = l3_line.dirty
+                self.l3.invalidate(line_addr)
+                counts["l3.hits"] += 1
+            else:
+                counts["l3.misses"] += 1
+                self.interconnect.record_offchip_transfer()
+                latency = self._l3_hit_latency + self.memory.access_latency(
+                    self.interconnect.offchip_contention_factor()
+                )
+                level, offchip = "memory", True
+        invalidations = 0
+        if is_store:
+            targets = directory.record_exclusive_fetch(line_addr, core_id)
+            invalidations = len(targets)
+            if invalidations:
+                latency += self._inv_latency
+            self._invalidate_remote_copies(line_addr, targets)
+            self._fill_l2_reference(core_id, line_addr, LineState.MODIFIED, True, True)
+        else:
+            if holder is not None:
+                directory.record_downgrade(line_addr, holder)
+            directory.record_shared_fetch(line_addr, core_id)
+            state = LineState.OWNED if dirty else LineState.SHARED
+            self._fill_l2_reference(core_id, line_addr, state, dirty, True)
+        l1.fill_shared(line_addr, True)
+        return (latency, level, holder is not None, offchip, invalidations)
+
+    def _fill_l2_reference(
+        self, core_id: int, line_addr: int, state: LineState, dirty: bool, coherent: bool
+    ) -> None:
+        """Reference implementation of :meth:`_fill_l2`, one primitive per step."""
+        victim = self.l2[core_id].insert(line_addr, state, dirty, coherent)
+        if victim is None:
+            return
+        self.l1d[core_id].invalidate(victim.line_addr)
+        self.l1i[core_id].invalidate(victim.line_addr)
+        self.directory.record_eviction(victim.line_addr, core_id)
+        if not victim.coherent:
+            self._counts["l2.incoherent_victims_dropped"] += 1
+            return
+        l3_victim = self.l3.insert(victim.line_addr, victim.state, victim.dirty, True)
+        self._counts["l2.victims_to_l3"] += 1
+        if l3_victim is not None and l3_victim.needs_writeback:
+            self.interconnect.record_offchip_transfer()
+            self.memory.writeback_latency(self.interconnect.offchip_contention_factor())
+            self._counts["l3.writebacks"] += 1
+
+    # ------------------------------------------------------------------ #
+    # Snapshots (functional-warm checkpoints)
+    # ------------------------------------------------------------------ #
+
+    def _caches(self) -> List[SetAssociativeCache]:
+        return [*self.l1d, *self.l1i, *self.l2, self.l3]
+
+    def is_pristine(self) -> bool:
+        """Whether the hierarchy is still in the state it was built in.
+
+        True while every cache is empty with its LRU clock unstarted, the
+        directory holds no entry, no counter has been touched and the
+        off-chip window is the untouched default one.
+        """
+        interconnect = self.interconnect
+        return (
+            not any(
+                cache._sets or cache._touch_counter or cache._counts
+                for cache in self._caches()
+            )
+            and not self._dir_entries
+            and not self._dir_counts
+            and not self._counts
+            and not interconnect._counts
+            and not self.memory._counts
+            and interconnect._window_offchip_bytes == 0
+            and interconnect._window_cycles == Interconnect.DEFAULT_WINDOW_CYCLES
+        )
+
+    def snapshot(self) -> tuple:
+        """A packed, immutable copy of the whole hierarchy state.
+
+        Covers every cache, the directory, every counter (the hierarchy's,
+        the interconnect's and the DRAM's) and the off-chip window.
+        """
+        interconnect = self.interconnect
+        return (
+            tuple(cache.snapshot() for cache in self._caches()),
+            self.directory.snapshot(),
+            tuple(self._counts.items()),
+            tuple(interconnect._counts.items()),
+            tuple(self.memory._counts.items()),
+            (
+                interconnect._window_cycles,
+                interconnect._window_offchip_bytes,
+                interconnect._window_capacity,
+            ),
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Rebuild, in place, the state a :meth:`snapshot` recorded."""
+        caches, directory, counts, interconnect_counts, memory_counts, window = snapshot
+        for cache, cache_snapshot in zip(self._caches(), caches):
+            cache.restore(cache_snapshot)
+        self.directory.restore(directory)
+        interconnect = self.interconnect
+        for live, saved in (
+            (self._counts, counts),
+            (interconnect._counts, interconnect_counts),
+            (self.memory._counts, memory_counts),
+        ):
+            live.clear()
+            live.update(saved)
+        (
+            interconnect._window_cycles,
+            interconnect._window_offchip_bytes,
+            interconnect._window_capacity,
+        ) = window
 
     # ------------------------------------------------------------------ #
     # Introspection helpers

@@ -24,6 +24,11 @@ from repro.config.system import InterconnectConfig, MemoryConfig
 class Interconnect:
     """Latency and bandwidth bookkeeping for the on-chip fabric and DRAM link."""
 
+    #: Window length before the first ``begin_window``: generous, so that
+    #: users who never call it (unit tests, ad-hoc experiments) do not
+    #: observe spurious bandwidth saturation.
+    DEFAULT_WINDOW_CYCLES = 10_000
+
     def __init__(
         self, config: InterconnectConfig, memory_config: MemoryConfig, line_bytes: int = 64
     ) -> None:
@@ -34,10 +39,7 @@ class Interconnect:
         # Hot-path binding: record_offchip_transfer runs once per off-chip
         # access and bumps the counter dict directly.
         self._counts = self.stats.counters
-        # A generous default window so that users who never call
-        # ``begin_window`` (unit tests, ad-hoc experiments) do not observe
-        # spurious bandwidth saturation.
-        self._window_cycles = 10_000
+        self._window_cycles = self.DEFAULT_WINDOW_CYCLES
         self._window_offchip_bytes = 0
         self._window_capacity = memory_config.bytes_per_cycle() * self._window_cycles
 

@@ -42,6 +42,10 @@ trimmed.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -64,6 +68,17 @@ from repro.sim.timeline import (
 )
 from repro.virt.scheduler import GangScheduler, MappingPlan, VcpuPlacement
 from repro.virt.vcpu import ReliabilityMode, VirtualCPU
+
+#: How many functional-warm checkpoints to keep (least recently used out).
+#: The ``run-all --quick`` batch makes 39 ``Simulator.run`` calls over 19
+#: functional-warm shapes; 1, 2, 4 and unbounded entries give 8, 17, 18 and
+#: 20 hits.  The hits come from pab reusing figure6's mmm-tp machine,
+#: ablation and degradation reusing figure5's reunion machine, and fleet
+#: alternating two machine shapes.
+_WARM_CHECKPOINT_SLOTS = 2
+#: Checkpoint key -> the packed hierarchy state after functional warm.
+_warm_checkpoints: "OrderedDict[bytes, tuple]" = OrderedDict()
+_warm_checkpoints_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -331,15 +346,78 @@ class Simulator:
         would have amortised long ago.  Deferred VMs are warmed too: by the
         time a ``VmArrived`` event admits one, a real long-running guest
         would have its steady-state footprint resident as well.
+
+        Warming a pristine hierarchy is a checkpoint: the warmed state is a
+        pure function of the hierarchy's config and the ordered warm calls,
+        so a run whose key matches a kept checkpoint restores that state
+        instead of replaying the calls.  The policy still plans every VM
+        (it may be stateful); planning never reads the hierarchy.
         """
         machine = self.machine
+        plans = []
         for vm in machine.vms:
             machine.allocator.reset()
-            plan = machine.policy.plan_quantum(
-                vm.vcpus, machine.allocator, machine.pair_factory
+            plans.append(
+                machine.policy.plan_quantum(vm.vcpus, machine.allocator, machine.pair_factory)
             )
-            self._warm_vm_plan(plan)
         machine.allocator.reset()
+        hierarchy = machine.hierarchy
+        key = self._warm_checkpoint_key(plans) if hierarchy.is_pristine() else None
+        if key is not None:
+            with _warm_checkpoints_lock:
+                snapshot = _warm_checkpoints.get(key)
+                if snapshot is not None:
+                    _warm_checkpoints.move_to_end(key)
+            if snapshot is not None:
+                hierarchy.restore(snapshot)
+                return
+        for plan in plans:
+            self._warm_vm_plan(plan)
+        if key is not None:
+            snapshot = hierarchy.snapshot()
+            with _warm_checkpoints_lock:
+                _warm_checkpoints[key] = snapshot
+                _warm_checkpoints.move_to_end(key)
+                while len(_warm_checkpoints) > _WARM_CHECKPOINT_SLOTS:
+                    _warm_checkpoints.popitem(last=False)
+
+    def _warm_checkpoint_key(self, plans: List[MappingPlan]) -> bytes:
+        """Digest of everything functional warm of a pristine hierarchy reads.
+
+        That is the hierarchy's part of the config and, in order, each warm
+        call's cores and addresses.  The seed is not hashed: whatever it
+        shapes reaches the key through the addresses, and the workloads'
+        working sets do not depend on it, so the seeds of one machine shape
+        share a key.
+        """
+        machine = self.machine
+        config = machine.config
+        digest = hashlib.sha256(
+            repr(
+                (
+                    config.num_cores,
+                    config.l1d,
+                    config.l1i,
+                    config.l2,
+                    config.l3,
+                    config.memory,
+                    config.interconnect,
+                )
+            ).encode()
+        )
+        for plan in plans:
+            for placement in plan.placements:
+                assignment = placement.assignment
+                addresses = machine.vcpus[
+                    placement.vcpu_id
+                ].workload.address_model.warm_addresses()
+                digest.update(
+                    repr(
+                        (assignment.primary_core, assignment.secondary_core, len(addresses))
+                    ).encode()
+                )
+                digest.update(array("q", addresses).tobytes())
+        return digest.digest()
 
     def _warm_vm_plan(self, plan: MappingPlan) -> None:
         machine = self.machine

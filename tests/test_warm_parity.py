@@ -1,0 +1,249 @@
+"""Exact-parity tests for the fused cache-fill paths.
+
+``MemoryHierarchy.warm`` and ``access_raw`` run through one flat L2-miss
+fill (``_fill_l2``) and an inlined L3/memory load path.  The straightforward
+versions, built only from the per-level primitives, are retained as
+``MemoryHierarchy.warm_reference`` and ``access_reference`` -- the
+executable specification.  These tests drive *two* hierarchies built from
+one config through the same seeded random sequence -- warms with and
+without a DMR mute, repeated and unaligned addresses, interleaved loads,
+stores and mute accesses -- one through the fast paths and one through the
+reference, and after every step require bit-identical state: per-set line
+order and every line field, each LRU clock, the directory, every counter
+dict (zero-valued keys and key order included) and the off-chip window.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.config.presets import small_system_config
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.sim.jobs import figure6_machine
+from repro.sim.settings import ExperimentSettings
+
+CONFIGS = {
+    "quick": ExperimentSettings.quick().config(),
+    "small": small_system_config(),
+}
+
+
+def hierarchy_state(hierarchy: MemoryHierarchy):
+    """Everything a later access can observe, in comparable form."""
+    caches = []
+    for cache in hierarchy._caches():
+        caches.append(
+            (
+                [
+                    (
+                        index,
+                        [
+                            (line.line_addr, line.state, line.dirty, line.coherent, line.last_touch)
+                            for line in cache_set.values()
+                        ],
+                    )
+                    for index, cache_set in cache._sets.items()
+                ],
+                sorted(cache._lines),
+                cache._touch_counter,
+                list(cache._counts.items()),
+            )
+        )
+        # The flat map must mirror the sets, object for object.
+        assert all(
+            cache._lines[line.line_addr] is line for line in cache.lines()
+        ), cache.config.name
+        assert len(cache._lines) == sum(len(s) for s in cache._sets.values())
+    directory = hierarchy.directory
+    interconnect = hierarchy.interconnect
+    return (
+        caches,
+        [(line, entry.owner, sorted(entry.sharers)) for line, entry in directory._entries.items()],
+        list(directory._counts.items()),
+        list(hierarchy._counts.items()),
+        list(interconnect._counts.items()),
+        list(hierarchy.memory._counts.items()),
+        (
+            interconnect._window_cycles,
+            interconnect._window_offchip_bytes,
+            interconnect._window_capacity,
+        ),
+    )
+
+
+class Twins:
+    """A fast-path hierarchy and a reference one, driven in lock step."""
+
+    def __init__(self, config) -> None:
+        self.fast = MemoryHierarchy(config)
+        self.ref = MemoryHierarchy(config)
+        # Count reference L3 inserts that find the line already resident
+        # (a clean copy forwarded to another L2 stayed in the L3).
+        self.l3_updates = 0
+        insert = self.ref.l3.insert
+
+        def counting_insert(address, *args, **kwargs):
+            if self.ref.l3.lookup(address) is not None:
+                self.l3_updates += 1
+            return insert(address, *args, **kwargs)
+
+        self.ref.l3.insert = counting_insert
+
+    def check(self) -> None:
+        assert hierarchy_state(self.fast) == hierarchy_state(self.ref)
+
+    def access(self, core, address, is_store, coherent) -> None:
+        got = self.fast.access_raw(core, address, is_store, coherent)
+        want = self.ref.access_reference(core, address, is_store, coherent)
+        assert got == want
+        self.check()
+
+    def warm(self, core, addresses, secondary=None) -> None:
+        got = self.fast.warm(core, addresses, secondary_core=secondary)
+        want = self.ref.warm_reference(core, addresses, secondary_core=secondary)
+        assert got == want == len(addresses)
+        self.check()
+
+    def flush(self, core) -> None:
+        assert self.fast.flush_l2(core) == self.ref.flush_l2(core)
+        self.check()
+
+    def counter(self, name: str) -> float:
+        return self.ref.merged_stats().get(name)
+
+
+def _address_pool(config, rng: random.Random):
+    """Lines crowding a few L3 sets, so every level keeps evicting."""
+    l3_sets = config.l3.num_sets
+    line_bytes = config.l2.line_bytes
+    sets = rng.sample(range(l3_sets), 6)
+    depth = 3 * config.l3.associativity
+    return [(index + way * l3_sets) * line_bytes for index in sets for way in range(depth)]
+
+
+def _address(pool, rng: random.Random) -> int:
+    # Unaligned half the time: every path must line-align first.
+    return rng.choice(pool) + (rng.randrange(64) if rng.random() < 0.5 else 0)
+
+
+def _prepare(twins: Twins, pool, cores, rng: random.Random) -> None:
+    """Dirty lines in the L3 (flushed L2s) and remote owners and sharers."""
+    for core in cores:
+        for _ in range(40):
+            twins.access(core, _address(pool, rng), True, True)
+    twins.flush(cores[0])
+    for core in cores:
+        for _ in range(20):
+            twins.access(core, _address(pool, rng), rng.random() < 0.5, True)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_sequences_match_the_reference(config_name, seed):
+    config = CONFIGS[config_name]
+    rng = random.Random(f"{config_name}:{seed}")
+    twins = Twins(config)
+    pool = _address_pool(config, rng)
+    cores = list(range(min(4, config.num_cores)))
+    _prepare(twins, pool, cores, rng)
+    for _ in range(250):
+        roll = rng.random()
+        core = rng.choice(cores)
+        if roll < 0.35:
+            addresses = [_address(pool, rng) for _ in range(rng.randrange(1, 40))]
+            # Repeats: some sweeps touch the same lines twice.
+            addresses += addresses[: rng.randrange(len(addresses) + 1)]
+            secondary = None
+            if rng.random() < 0.5:
+                secondary = rng.choice([other for other in cores if other != core])
+            twins.warm(core, addresses, secondary)
+        elif roll < 0.98:
+            coherent = rng.random() < 0.75
+            twins.access(core, _address(pool, rng), rng.random() < 0.3, coherent)
+        else:
+            twins.flush(core)
+    # The sequences reach every branch of the fused paths.
+    for name in (
+        "l3.hits",
+        "l3.misses",
+        "l3.writebacks",
+        "c2c_transfers",
+        "l2.victims_to_l3",
+        "l2.incoherent_victims_dropped",
+        "remote_invalidations",
+        "mute.c2c_transfers",
+        "mute.l3_hits",
+        "mute.memory_accesses",
+    ):
+        assert twins.counter(name) > 0, name
+    assert twins.l3_updates > 0
+
+
+def test_functional_warm_and_rewarm_of_a_machine_match_the_reference():
+    """A real machine's warm calls: every VCPU's working set, twice over."""
+    settings = ExperimentSettings.quick()
+    machine = figure6_machine(settings, "apache", "mmm-tp", 0)
+    calls = []
+    for vm in machine.vms:
+        machine.allocator.reset()
+        plan = machine.policy.plan_quantum(vm.vcpus, machine.allocator, machine.pair_factory)
+        for placement in plan.placements:
+            calls.append(
+                (
+                    placement.assignment.primary_core,
+                    machine.vcpus[placement.vcpu_id].workload.address_model.warm_addresses(),
+                    placement.assignment.secondary_core,
+                )
+            )
+    assert any(secondary is not None for _, _, secondary in calls)
+    twins = Twins(machine.config)
+    for _ in range(2):
+        for core, addresses, secondary in calls:
+            assert twins.fast.warm(core, addresses, secondary) == twins.ref.warm_reference(
+                core, addresses, secondary
+            )
+    twins.check()
+    assert twins.counter("l3.hits") > 0 and twins.counter("l2.victims_to_l3") > 0
+
+
+def test_snapshot_restores_an_identical_hierarchy():
+    config = CONFIGS["small"]
+    rng = random.Random("snapshot")
+    twins = Twins(config)
+    pool = _address_pool(config, rng)
+    cores = list(range(config.num_cores))
+    _prepare(twins, pool, cores, rng)
+    restored = MemoryHierarchy(config)
+    assert restored.is_pristine()
+    restored.restore(twins.fast.snapshot())
+    assert not restored.is_pristine()
+    assert hierarchy_state(restored) == hierarchy_state(twins.fast)
+    # The restored copy behaves like the original from here on.
+    for _ in range(300):
+        core = rng.choice(cores)
+        address = _address(pool, rng)
+        is_store = rng.random() < 0.3
+        coherent = rng.random() < 0.75
+        assert restored.access_raw(core, address, is_store, coherent) == twins.fast.access_raw(
+            core, address, is_store, coherent
+        )
+    assert hierarchy_state(restored) == hierarchy_state(twins.fast)
+
+
+def test_any_touch_leaves_the_pristine_state():
+    config = CONFIGS["small"]
+    assert MemoryHierarchy(config).is_pristine()
+    touches = [
+        lambda h: h.load(0, 0x1000),
+        lambda h: h.store(1, 0x1000),
+        lambda h: h.load(2, 0x2000, coherent=False),
+        lambda h: h.warm(0, (0x40,)),
+        lambda h: h.flush_l2(3),
+        lambda h: h.begin_window(500),
+    ]
+    for touch in touches:
+        hierarchy = MemoryHierarchy(config)
+        touch(hierarchy)
+        assert not hierarchy.is_pristine()

@@ -33,14 +33,29 @@ a :class:`~repro.sim.runner.RunnerBackend`.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import typing
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import repro
 from repro.common.stats import mean
@@ -50,10 +65,10 @@ from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.transitions import TransitionFlavor
 from repro.cpu.fastpath import FastTimingModel
 from repro.cpu.timing import CoreAssignment, ExecutionMode
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.sim.results import SimulationResult
 from repro.sim.settings import ExperimentSettings
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationOptions, Simulator
 from repro.sim.timeline import Timeline
 from repro.virt.vcpu import ReliabilityMode
 
@@ -364,12 +379,18 @@ def execute_job(job: ExperimentJob) -> Dict[str, object]:
 # Machine builders
 # ===================================================================== #
 
+#: What a machine is built from besides its seed: the configuration, the
+#: guest VMs and the name of the mapping policy.
+MachineParts = Tuple[SystemConfig, Tuple[VmSpec, ...], str]
 
-def figure5_machine(
-    settings: ExperimentSettings, workload: str, configuration: str, seed: int
-) -> MixedModeMachine:
-    """The single-VM machine of one Figure 5 configuration."""
-    config = settings.config()
+
+def _figure5_parts(
+    settings: ExperimentSettings,
+    workload: str,
+    configuration: str,
+    config: Optional[SystemConfig] = None,
+) -> MachineParts:
+    config = config if config is not None else settings.config()
     if configuration == "no-dmr-2x":
         num_vcpus, policy = config.num_cores, "no-dmr"
     elif configuration == "no-dmr":
@@ -386,7 +407,14 @@ def figure5_machine(
         phase_scale=settings.phase_scale,
         footprint_scale=settings.footprint_scale,
     )
-    return MixedModeMachine(config=config, vm_specs=[spec], policy=policy, seed=seed)
+    return config, (spec,), policy
+
+
+def figure5_machine(
+    settings: ExperimentSettings, workload: str, configuration: str, seed: int
+) -> MixedModeMachine:
+    """The single-VM machine of one Figure 5 configuration."""
+    return MixedModeMachine(*_figure5_parts(settings, workload, configuration), seed=seed)
 
 
 def consolidated_server_specs(
@@ -422,14 +450,12 @@ def consolidated_server_specs(
     ]
 
 
-def figure6_machine(
+def _figure6_parts(
     settings: ExperimentSettings,
     workload: str,
     configuration: str,
-    seed: int,
     config: Optional[SystemConfig] = None,
-) -> MixedModeMachine:
-    """The two-VM consolidated server of one Figure 6 configuration."""
+) -> MachineParts:
     config = config if config is not None else settings.config()
     if configuration == "dmr-base":
         policy, perf_vcpus, perf_mode = "dmr-base", config.num_cores // 2, ReliabilityMode.RELIABLE
@@ -440,34 +466,25 @@ def figure6_machine(
     else:
         raise ExperimentError(f"unknown Figure 6 configuration {configuration!r}")
     specs = consolidated_server_specs(settings, workload, config, perf_vcpus, perf_mode)
-    return MixedModeMachine(config=config, vm_specs=specs, policy=policy, seed=seed)
+    return config, tuple(specs), policy
 
 
-def _ablation_machine(
-    settings: ExperimentSettings, workload: str, variant: str, seed: int
-) -> MixedModeMachine:
-    try:
-        window, consistency = ABLATION_VARIANTS[variant]
-    except KeyError:
-        raise ExperimentError(f"unknown ablation variant {variant!r}") from None
-    config = settings.config().with_window_entries(window).with_consistency(consistency)
-    spec = VmSpec(
-        name="baseline",
-        workload=workload,
-        num_vcpus=config.num_cores // 2,
-        reliability=ReliabilityMode.RELIABLE,
-        phase_scale=settings.phase_scale,
-        footprint_scale=settings.footprint_scale,
-    )
-    return MixedModeMachine(config=config, vm_specs=[spec], policy="dmr-base", seed=seed)
-
-
-def churn_machine(
+def figure6_machine(
     settings: ExperimentSettings,
     workload: str,
-    extra_vms: int,
+    configuration: str,
     seed: int,
+    config: Optional[SystemConfig] = None,
 ) -> MixedModeMachine:
+    """The two-VM consolidated server of one Figure 6 configuration."""
+    return MixedModeMachine(
+        *_figure6_parts(settings, workload, configuration, config), seed=seed
+    )
+
+
+def _churn_parts(
+    settings: ExperimentSettings, workload: str, extra_vms: int
+) -> MachineParts:
     """The consolidated server plus ``extra_vms`` deferred performance VMs.
 
     The base machine is the Figure 6 ``mmm-tp`` consolidated server; the
@@ -475,23 +492,52 @@ def churn_machine(
     (``present_at_start=False``) so the job's timeline can admit and drain
     them mid-run with ``VmArrived``/``VmDeparted`` events.
     """
-    config = settings.config()
-    specs = consolidated_server_specs(
-        settings, workload, config, config.num_cores, ReliabilityMode.PERFORMANCE
-    )
-    for index in range(extra_vms):
-        specs.append(
-            VmSpec(
-                name=f"burst{index}",
-                workload=workload,
-                num_vcpus=max(1, config.num_cores // 4),
-                reliability=ReliabilityMode.PERFORMANCE,
-                phase_scale=settings.phase_scale,
-                footprint_scale=settings.footprint_scale,
-                present_at_start=False,
-            )
+    config, specs, policy = _figure6_parts(settings, workload, "mmm-tp")
+    burst = tuple(
+        VmSpec(
+            name=f"burst{index}",
+            workload=workload,
+            num_vcpus=max(1, config.num_cores // 4),
+            reliability=ReliabilityMode.PERFORMANCE,
+            phase_scale=settings.phase_scale,
+            footprint_scale=settings.footprint_scale,
+            present_at_start=False,
         )
-    return MixedModeMachine(config=config, vm_specs=specs, policy="mmm-tp", seed=seed)
+        for index in range(extra_vms)
+    )
+    return config, specs + burst, policy
+
+
+def _ablation_config(settings: ExperimentSettings, variant: str) -> SystemConfig:
+    try:
+        window, consistency = ABLATION_VARIANTS[variant]
+    except KeyError:
+        raise ExperimentError(f"unknown ablation variant {variant!r}") from None
+    return settings.config().with_window_entries(window).with_consistency(consistency)
+
+
+#: How each Simulator-driven kind describes the machine of one of its cells.
+_CELL_MACHINES: Dict[str, Callable[[ExperimentSettings, ExperimentJob], MachineParts]] = {
+    "figure5": lambda settings, job: _figure5_parts(settings, job.workload, job.variant),
+    "figure6": lambda settings, job: _figure6_parts(settings, job.workload, job.variant),
+    # Figure 6's MMM-TP server with the cell's PAB lookup mode.
+    "pab": lambda settings, job: _figure6_parts(
+        settings,
+        job.workload,
+        "mmm-tp",
+        settings.config().with_pab_lookup(PabLookupMode(job.variant)),
+    ),
+    # Figure 5's Reunion machine with the variant's window and consistency.
+    "ablation": lambda settings, job: _figure5_parts(
+        settings, job.workload, "reunion", _ablation_config(settings, job.variant)
+    ),
+    # Figure 5's Reunion machine; its cores fail on the schedule carried by
+    # the job's timeline.
+    "degradation": lambda settings, job: _figure5_parts(settings, job.workload, "reunion"),
+    "churn": lambda settings, job: _churn_parts(
+        settings, job.workload, int(job.param("extra_vms", 0))
+    ),
+}
 
 
 def _require_settings(job: ExperimentJob) -> ExperimentSettings:
@@ -513,41 +559,158 @@ def job_timeline(job: ExperimentJob) -> Optional[Timeline]:
     return Timeline.from_json(str(serialized))
 
 
+# ===================================================================== #
+# Simulation identities and batch sharing
+# ===================================================================== #
+
+
+class SimulationIdentity(NamedTuple):
+    """Everything the run of one Simulator-driven cell is built from.
+
+    Cells of different kinds can build the same run -- the ablation's
+    ``window128-sc`` variant and the degradation sweep's ``fail0`` point are
+    Figure 5's Reunion machine, the PAB study's ``parallel`` point is
+    Figure 6's MMM-TP server -- and then share one identity.  The tuple is
+    hashable, so it is itself the key under which a batch shares the run.
+    """
+
+    config: SystemConfig
+    vm_specs: Tuple[VmSpec, ...]
+    policy: str
+    seed: int
+    options: SimulationOptions
+    #: The canonical JSON of the job's event timeline (``None``: no events).
+    timeline: Optional[str]
+    fidelity: str
+
+
+def simulation_identity(job: ExperimentJob) -> Optional[SimulationIdentity]:
+    """The identity of the run a cell builds, or ``None`` when the cell's
+    kind does not run through :func:`simulate_cell` (``table1``,
+    ``table2``, ``faults``, ``fleet``, ``fuzz``).
+
+    Cheap: it describes the machine without building it.
+    """
+    describe = _CELL_MACHINES.get(job.kind)
+    if describe is None:
+        return None
+    settings = _require_settings(job)
+    config, vm_specs, policy = describe(settings, job)
+    timeline = job.param("timeline")
+    return SimulationIdentity(
+        config=config,
+        vm_specs=vm_specs,
+        policy=policy,
+        seed=job.seed,
+        options=settings.options(),
+        timeline=str(timeline) if timeline else None,
+        fidelity=settings.fidelity,
+    )
+
+
+def _simulate(identity: SimulationIdentity) -> SimulationResult:
+    """Build and run the machine ``identity`` describes."""
+    machine = MixedModeMachine(
+        config=identity.config,
+        vm_specs=identity.vm_specs,
+        policy=identity.policy,
+        seed=identity.seed,
+    )
+    if identity.fidelity == "fast":
+        machine.timing_model = FastTimingModel(machine.timing_model)
+    timeline = Timeline.from_json(identity.timeline) if identity.timeline else None
+    return Simulator(machine, identity.options, timeline=timeline).run()
+
+
 def simulate_cell(job: ExperimentJob) -> SimulationResult:
     """Build and run the machine of one Simulator-driven cell.
 
     Used by the cell executors below and directly by the determinism tests:
     the returned :class:`SimulationResult` (not just the extracted metrics)
-    must be identical whether the cell runs in-process or in a pool worker.
+    must be identical whether the cell runs in-process or in a pool worker,
+    and whether or not a batch-mate shared its run (see
+    :func:`shared_simulations`).
     """
-    settings = _require_settings(job)
-    if job.kind == "figure5":
-        machine = figure5_machine(settings, job.workload, job.variant, job.seed)
-    elif job.kind == "figure6":
-        machine = figure6_machine(settings, job.workload, job.variant, job.seed)
-    elif job.kind == "pab":
-        machine = figure6_machine(
-            settings,
-            job.workload,
-            "mmm-tp",
-            job.seed,
-            config=settings.config().with_pab_lookup(PabLookupMode(job.variant)),
-        )
-    elif job.kind == "ablation":
-        machine = _ablation_machine(settings, job.workload, job.variant, job.seed)
-    elif job.kind == "degradation":
-        # The Reunion single-VM machine of Figure 5; the cores fail on the
-        # schedule carried by the job's timeline.
-        machine = figure5_machine(settings, job.workload, "reunion", job.seed)
-    elif job.kind == "churn":
-        machine = churn_machine(
-            settings, job.workload, int(job.param("extra_vms", 0)), job.seed
-        )
-    else:
+    identity = simulation_identity(job)
+    if identity is None:
         raise ExperimentError(f"{job.kind!r} cells are not Simulator-driven")
-    if settings.fidelity == "fast":
-        machine.timing_model = FastTimingModel(machine.timing_model)
-    return Simulator(machine, settings.options(), timeline=job_timeline(job)).run()
+    sharing = _SHARING.get()
+    if sharing is None:
+        return _simulate(identity)
+    return sharing.result(identity)
+
+
+class SharedSimulations:
+    """One batch's runs, each simulated once for every cell that builds it.
+
+    Consumers are counted on the first request, so a batch whose cells
+    never reach :func:`simulate_cell` in this context (they run in pool
+    workers, or are of other kinds) costs nothing.  Identities with a
+    single consumer bypass the store; a shared run is kept only until its
+    last consumer has it, and every consumer gets its own copy, because a
+    :class:`SimulationResult` is mutable.
+    """
+
+    def __init__(self, pending: Sequence[ExperimentJob]) -> None:
+        self._pending = pending
+        self._consumers: Optional[Dict[SimulationIdentity, int]] = None
+        self._results: Dict[SimulationIdentity, SimulationResult] = {}
+        #: Cells served a run a batch-mate simulated.
+        self.served = 0
+
+    def result(self, identity: SimulationIdentity) -> SimulationResult:
+        """One consumer's own result of the run ``identity`` describes."""
+        if self._consumers is None:
+            counts = Counter(filter(None, map(_identity_or_none, self._pending)))
+            self._consumers = {key: count for key, count in counts.items() if count > 1}
+        left = self._consumers.pop(identity, 0) - 1
+        if left < 0:
+            return _simulate(identity)
+        result = self._results.pop(identity, None)
+        if result is None:
+            result = _simulate(identity)
+        else:
+            self.served += 1
+        if not left:
+            return result
+        self._consumers[identity] = left
+        self._results[identity] = result
+        return copy.deepcopy(result)
+
+    def retained(self) -> int:
+        """How many runs are held for consumers still to come."""
+        return len(self._results)
+
+
+def _identity_or_none(job: ExperimentJob) -> Optional[SimulationIdentity]:
+    try:
+        return simulation_identity(job)
+    except (ReproError, ValueError):
+        # A malformed cell shares nothing; it raises when it runs.
+        return None
+
+
+#: The batch whose cells share their runs, inside :func:`shared_simulations`.
+#: Pool threads start from an empty context, so they never see it.
+_SHARING: ContextVar[Optional[SharedSimulations]] = ContextVar(
+    "repro_shared_simulations", default=None
+)
+
+
+@contextmanager
+def shared_simulations(pending: Sequence[ExperimentJob]) -> Iterator[SharedSimulations]:
+    """Within the block, cells of ``pending`` that build the same run in
+    this context simulate it once (see :class:`SharedSimulations`).
+
+    Nothing outlives the block, also when a cell raises.
+    """
+    sharing = SharedSimulations(pending)
+    token = _SHARING.set(sharing)
+    try:
+        yield sharing
+    finally:
+        _SHARING.reset(token)
+        sharing._results.clear()
 
 
 # ===================================================================== #

@@ -40,6 +40,10 @@ Results are memoised twice:
   the ``repro`` package's source code, so results simulated by different
   code can never be served as current.
 
+Distinct cells can still build the same machine (the ablation's baseline
+window is Figure 5's Reunion run); cells executed in the calling thread
+share such a run within the batch (:func:`repro.sim.jobs.shared_simulations`).
+
 ``runner.stats`` records how many cells were executed versus served from the
 caches; the warm-cache tests assert ``executed == 0`` on a second run.
 """
@@ -66,7 +70,12 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
-from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob, execute_job
+from repro.sim.jobs import (
+    CACHE_SCHEMA_VERSION,
+    ExperimentJob,
+    execute_job,
+    shared_simulations,
+)
 
 # Result stores live in repro.sim.store; re-exported here because this
 # module has always been their import location.
@@ -99,6 +108,9 @@ class RunnerStats:
     cached: int = 0
     #: Cells served from the runner's in-memory memo (duplicates included).
     memoized: int = 0
+    #: Executed cells whose simulation a batch-mate that builds the same
+    #: machine ran (see :func:`repro.sim.jobs.shared_simulations`).
+    shared: int = 0
     #: Wall-clock seconds spent in timed engine phases (they are sequential,
     #: so this is the engine's end-to-end wall time).
     wall_seconds: float = 0.0
@@ -146,6 +158,7 @@ class RunnerStats:
             "executed": self.executed,
             "cached": self.cached,
             "memoized": self.memoized,
+            "shared": self.shared,
             "total": self.total,
             "wall_seconds": round(self.wall_seconds, 6),
             "phases": {
@@ -446,9 +459,11 @@ class ExperimentRunner:
         # cells completes, not after the whole batch: an interrupted or
         # partially failed sweep keeps everything that finished (the
         # ``finally`` flushes the in-flight chunk), so the re-run only
-        # executes the remaining cells.
+        # executes the remaining cells.  Cells executed in this thread
+        # (the serial backend) that build the same machine share one
+        # simulation; pool and remote workers never see the sharing.
         if pending:
-            with self.stats.phase("execute"):
+            with self.stats.phase("execute"), shared_simulations(pending) as sharing:
                 chunk: List[Tuple[ExperimentJob, Metrics]] = []
                 try:
                     for job, metrics in self._execute(pending):
@@ -460,6 +475,7 @@ class ExperimentRunner:
                                 self.cache.store_many(chunk)
                                 chunk = []
                 finally:
+                    self.stats.shared += sharing.served
                     if self.cache is not None:
                         if chunk:
                             self.cache.store_many(chunk)

@@ -70,11 +70,13 @@ from repro.virt.scheduler import GangScheduler, MappingPlan, VcpuPlacement
 from repro.virt.vcpu import ReliabilityMode, VirtualCPU
 
 #: How many functional-warm checkpoints to keep (least recently used out).
-#: The ``run-all --quick`` batch makes 39 ``Simulator.run`` calls over 19
-#: functional-warm shapes; 1, 2, 4 and unbounded entries give 8, 17, 18 and
-#: 20 hits.  The hits come from pab reusing figure6's mmm-tp machine,
-#: ablation and degradation reusing figure5's reunion machine, and fleet
-#: alternating two machine shapes.
+#: The ``run-all --quick`` batch makes 33 ``Simulator.run`` calls (cells
+#: that build the same machine share one run); 1, 2, 4 and unbounded
+#: entries give 2, 11, 12 and 14 hits.  With 2 entries the hits are pab's
+#: pmake ``serial`` point (an mmm-tp warm), ablation's ``window256-tso``
+#: and degradation's ``fail2`` points (a reunion warm: window, consistency
+#: and core failures do not change it), and fleet alternating two machine
+#: shapes.
 _WARM_CHECKPOINT_SLOTS = 2
 #: Checkpoint key -> the packed hierarchy state after functional warm.
 _warm_checkpoints: "OrderedDict[bytes, tuple]" = OrderedDict()

@@ -1,14 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark module regenerates one of the paper's tables or figures and
-prints it next to the paper's reported numbers so the shapes can be compared
-directly (see EXPERIMENTS.md for the recorded comparison).
-
-The underlying experiments are expensive (tens of simulated runs), so results
-are cached at session scope: the benchmark that *first* needs an experiment
-times its execution; sibling benchmarks that present another view of the same
-data (e.g. Figure 5(b) after Figure 5(a)) reuse the cached result and only
-time the analysis step.
+``benchmarks/bench_paper.py`` regenerates the paper's tables and figures, one
+registered spec per case, and prints each next to the shape the paper reports
+so the two can be compared directly.  The harness runner installed below is
+the session's default runner, and its in-memory memo serves any cell a later
+case shares with an earlier one (the ``single-os`` case reuses the Table 1
+and Table 2 cells).
 
 Set ``REPRO_BENCH_QUICK=1`` to run the whole harness on a heavily scaled
 configuration with two workloads (useful for smoke-testing the harness
@@ -33,7 +30,7 @@ import pytest
 from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner, set_default_runner
 
-#: Workloads in the paper's figure order.
+
 def _quick() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
 
@@ -67,61 +64,6 @@ def bench_settings() -> ExperimentSettings:
     seeds = tuple(range(max(1, int(os.environ.get("REPRO_BENCH_SEEDS", "1") or "1"))))
     base = ExperimentSettings.quick() if _quick() else ExperimentSettings()
     return base.with_seeds(seeds)
-
-
-class _ExperimentCache:
-    """Lazily computed, session-cached experiment results."""
-
-    def __init__(self, settings: ExperimentSettings) -> None:
-        self.settings = settings
-        self._results = {}
-
-    def get(self, key: str, compute):
-        if key not in self._results:
-            self._results[key] = compute()
-        return self._results[key]
-
-    def peek(self, key: str):
-        return self._results.get(key)
-
-
-#: The session's cache, kept in a module global so the terminal-summary hook
-#: can render every reproduced table after the benchmark table.
-_ACTIVE_CACHE: _ExperimentCache | None = None
-
-
-@pytest.fixture(scope="session")
-def experiment_cache(bench_settings) -> _ExperimentCache:
-    """Session-wide cache of experiment results."""
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = _ExperimentCache(bench_settings)
-    return _ACTIVE_CACHE
-
-
-#: (cache key, attribute or callable) pairs rendered by the summary hook.
-_REPORT_SECTIONS = (
-    ("figure5", "format_ipc_table"),
-    ("figure5", "format_throughput_table"),
-    ("figure6", "format_ipc_table"),
-    ("figure6", "format_throughput_table"),
-    ("pab", "format_table"),
-    ("table1", "format_table"),
-    ("table2", "format_table"),
-    ("ablation", "format_table"),
-)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print every reproduced table so the run log doubles as the report."""
-    if _ACTIVE_CACHE is None:
-        return
-    terminalreporter.write_sep("=", "reproduced tables and figures")
-    for key, formatter in _REPORT_SECTIONS:
-        result = _ACTIVE_CACHE.peek(key)
-        if result is None:
-            continue
-        terminalreporter.write_line("")
-        terminalreporter.write_line(getattr(result, formatter)())
 
 
 def run_once(benchmark, fn):

@@ -87,10 +87,10 @@ def main() -> None:
     runner = ExperimentRunner(jobs=4)
     settings = ExperimentSettings.quick().with_seeds((0, 1, 2))
     frame = SPEC.run(settings, runner=runner)
-    print(SPEC.to_table(frame))
+    print(frame.to_table())
     print()
     print("as CSV:")
-    print(SPEC.to_csv(frame))
+    print(frame.to_csv())
     print(f"grid: {SPEC.grid(SPEC.request(settings)).describe()}")
     print(f"engine: {runner.stats.summary()}")
 

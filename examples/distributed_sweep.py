@@ -37,8 +37,9 @@ from repro.sim.distributed import (
     DistributedBackend,
     run_worker,
 )
-from repro.sim.experiments import ExperimentSettings, run_dmr_overhead_experiment
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner
+from repro.sim.specs import experiment
 
 #: A seeded multi-workload grid; every cell is deterministic in its seed.
 SETTINGS = replace(
@@ -78,17 +79,17 @@ def main() -> None:
         jobs=WORKERS, use_cache=False, backend=DistributedBackend(server.url)
     )
     started = time.perf_counter()
-    distributed = run_dmr_overhead_experiment(SETTINGS, runner=runner)
-    print(distributed.format_ipc_table())
+    distributed = experiment("figure5").run(SETTINGS, runner=runner)
+    print(distributed.to_table())
     print(f"\ndistributed: {runner.stats.summary()} "
           f"in {time.perf_counter() - started:.1f}s")
 
     # Determinism: the remote fleet produced exactly the serial numbers.
-    serial = run_dmr_overhead_experiment(
+    serial = experiment("figure5").run(
         SETTINGS, runner=ExperimentRunner(jobs=1, use_cache=False)
     )
-    assert (
-        distributed.format_ipc_table() == serial.format_ipc_table()
+    assert json.dumps(distributed.to_json(), sort_keys=True) == json.dumps(
+        serial.to_json(), sort_keys=True
     ), "distributed results must be byte-identical to serial"
     print("byte-identical to the serial run: OK")
 

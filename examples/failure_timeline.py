@@ -24,10 +24,12 @@ Run with::
 
 from __future__ import annotations
 
+from repro.analysis.metrics import normalize_to
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.config.presets import evaluation_system_config
-from repro.sim.experiments import ExperimentSettings, run_degradation_experiment
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.simulator import SimulationOptions, Simulator
+from repro.sim.specs import experiment
 from repro.sim.timeline import CoreFailed, PolicyChanged, Timeline
 from repro.virt.vcpu import ReliabilityMode
 
@@ -75,13 +77,16 @@ def main() -> None:
     print("2. The same scenario as a sweep (the `degradation` spec)")
     print("-" * 58)
     settings = ExperimentSettings.quick().with_workloads(("oltp",))
-    sweep = run_degradation_experiment(settings, failures=(0, 2, 4, 6))
-    print(sweep.format_table())
-    row = sweep.row("oltp")
-    normalized = row.normalized_throughput()
+    sweep = experiment("degradation").run(settings, failures=(0, 2, 4, 6))
+    print(sweep.to_table())
+    throughput = {
+        failed: sweep.mean_of("throughput", workload="oltp", failed_cores=failed)
+        for failed in sweep.axis_values("failed_cores")
+    }
+    num_cores = settings.config().num_cores
     print()
-    for failed, fraction in normalized.items():
-        survivors = sweep.num_cores - failed
+    for failed, fraction in normalize_to(throughput, min(throughput)).items():
+        survivors = num_cores - failed
         print(f"  {survivors:2d} surviving cores -> {fraction:6.1%} of full throughput")
 
 

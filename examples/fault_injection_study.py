@@ -31,22 +31,24 @@ from __future__ import annotations
 
 from repro import FaultRates, MixedModeMulticore
 from repro.config.presets import evaluation_system_config
-from repro.sim.experiments import (
-    run_fault_coverage_experiment,
-    run_fault_rate_sweep,
-)
+from repro.faults.cells import assemble_campaign_reports
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner
+from repro.sim.specs import experiment
 
 
 def coverage_campaign() -> None:
     print("=== Functional fault-injection campaign (100 faults per class) ===")
     runner = ExperimentRunner(jobs=4, use_cache=False)
-    result = run_fault_coverage_experiment(
-        trials_per_site=100, seeds=(0, 1, 2, 3, 4), runner=runner
+    run = experiment("faults").execute(
+        ExperimentSettings().with_seeds((0, 1, 2, 3, 4)), runner=runner, trials=100
     )
-    print(result.format_table())
+    print(run.frame().to_table())
     print()
-    for report in result.reports():
+    # The frame aggregates coverage per seed; the per-trial records behind
+    # it come from the run's raw cells.
+    reports, _ = assemble_campaign_reports(run.jobs, run.results)
+    for report in reports.values():
         print(f"--- outcome breakdown: {report.configuration}")
         for outcome, count, fraction in report.summary_rows():
             print(f"    {outcome:34s}{count:6d}  ({fraction:5.1%})")
@@ -57,10 +59,14 @@ def coverage_campaign() -> None:
 def fault_space_sweep() -> None:
     print("=== Fault-space sweep: silent corruption vs fault-rate scale ===")
     runner = ExperimentRunner(jobs=4, use_cache=False)
-    sweep = run_fault_rate_sweep(
-        fault_rates=(0.1, 0.5, 1.0), trials_per_site=100, runner=runner
+    sweep = experiment("faults").run(
+        ExperimentSettings(),
+        runner=runner,
+        trials=100,
+        sweep_rates=(0.1, 0.5, 1.0),
+        all_configurations=True,
     )
-    print(sweep.format_table())
+    print(sweep.to_table())
     print(f"engine: {runner.stats.summary()} across {runner.jobs} workers")
     print()
 

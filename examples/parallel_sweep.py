@@ -27,12 +27,9 @@ import os
 import time
 from dataclasses import replace
 
-from repro.sim.experiments import (
-    ExperimentSettings,
-    run_dmr_overhead_experiment,
-    run_mixed_mode_experiment,
-)
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner
+from repro.sim.specs import experiment
 
 #: Three seeds per cell so the confidence intervals have spread to report.
 SETTINGS = replace(
@@ -47,11 +44,11 @@ BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "process")
 
 
 def sweep(runner: ExperimentRunner) -> None:
-    figure5 = run_dmr_overhead_experiment(SETTINGS, runner=runner)
-    figure6 = run_mixed_mode_experiment(SETTINGS, runner=runner)
-    print(figure5.format_ipc_table())
+    figure5 = experiment("figure5").run(SETTINGS, runner=runner)
+    figure6 = experiment("figure6").run(SETTINGS, runner=runner)
+    print(figure5.to_table())
     print()
-    print(figure6.format_throughput_table())
+    print(figure6.to_table())
 
 
 def main() -> None:

@@ -10,8 +10,9 @@ keep reliable applications safe from faults striking performance-mode cores.
 Typical entry points:
 
 * :class:`repro.MixedModeMulticore` -- build and run a system in a few lines,
-* :mod:`repro.sim.experiments` -- regenerate each of the paper's tables and
-  figures,
+* :func:`repro.sim.experiment` -- regenerate each of the paper's tables and
+  figures: ``experiment("figure5").run(settings)`` returns its
+  ``ResultFrame`` (``repro list`` names them all),
 * :class:`repro.faults.FaultInjectionCampaign` -- fault-coverage studies.
 """
 

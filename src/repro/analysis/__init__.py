@@ -1,6 +1,6 @@
-"""Result analysis helpers: normalisation, speedups, text tables."""
+"""Result analysis helpers: normalisation and text tables."""
 
-from repro.analysis.metrics import normalize_to, percent_change, speedup
+from repro.analysis.metrics import normalize_to
 from repro.analysis.tables import TextTable, format_series
 
-__all__ = ["normalize_to", "percent_change", "speedup", "TextTable", "format_series"]
+__all__ = ["normalize_to", "TextTable", "format_series"]

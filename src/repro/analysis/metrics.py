@@ -1,4 +1,4 @@
-"""Small metric helpers shared by the experiment and reporting code."""
+"""Small metric helpers for reading experiment results off their frames."""
 
 from __future__ import annotations
 
@@ -16,16 +16,3 @@ def normalize_to(values: Mapping[str, float], baseline_key: str) -> Dict[str, fl
         return {key: 0.0 for key in values}
     return {key: value / baseline for key, value in values.items()}
 
-
-def speedup(new_value: float, old_value: float) -> float:
-    """``new / old`` (0 when the old value is 0)."""
-    if old_value == 0.0:
-        return 0.0
-    return new_value / old_value
-
-
-def percent_change(new_value: float, old_value: float) -> float:
-    """Percentage change from ``old_value`` to ``new_value``."""
-    if old_value == 0.0:
-        return 0.0
-    return (new_value - old_value) / old_value * 100.0

@@ -17,8 +17,7 @@ Three groups of subcommands:
   canonical multi-frame document (settings embedded), ``repro export
   --format csv|json`` exports frames for downstream analysis, and ``repro
   diff <baseline.json>`` re-runs a baseline's evaluation and exits non-zero
-  on metric drift beyond ``--rtol``/``--atol`` -- the regression check CI
-  runs against a committed baseline;
+  on metric drift beyond ``--rtol``/``--atol``;
 * housekeeping: ``list`` prints the spec registry, ``list-workloads`` the
   calibrated workload profiles, and ``cache stats`` / ``cache clear`` /
   ``cache prune`` / ``cache compact`` / ``cache migrate`` inspect and
@@ -75,7 +74,6 @@ from repro.sim.frames import (
     frames_to_csv,
 )
 from repro.sim.jobs import registered_job_kinds
-from repro.sim.reporting import full_report
 from repro.sim.runner import (
     CacheKindStats,
     ExperimentRunner,
@@ -265,15 +263,15 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         explicit_workloads=bool(getattr(args, "workloads", None)),
         **options,
     )
-    result = spec.run(runner=runner, request=request)
+    frame = spec.run(runner=runner, request=request)
     if args.json:
-        document = spec.to_json(result)
+        document = spec.to_json(frame)
         document["grid"] = jsonify(
             {name: list(values) for name, values in spec.grid(request).axes}
         )
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print(spec.to_table(result))
+        print(frame.to_table())
     _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
@@ -304,7 +302,7 @@ def _run_fuzz(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         **options,
     )
     run = spec.execute(runner=runner, request=request)
-    frame = run.result()
+    frame = run.frame()
     if args.json:
         document = spec.to_json(frame)
         document["grid"] = jsonify(
@@ -312,7 +310,7 @@ def _run_fuzz(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         )
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print(spec.to_table(frame))
+        print(frame.to_table())
     failing = [
         (job, metrics)
         for job, metrics in run.results.items()
@@ -635,29 +633,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
+    everything = run_all_experiments(
+        _settings_from_args(args),
+        runner=runner,
+        include_switching=not args.skip_switching,
+        include_ablation=not args.skip_ablation,
+        include_faults=not args.skip_faults,
+    )
     if args.json:
         # The canonical results document: frames keyed by experiment, with
         # the settings embedded so `repro diff <file>` can re-run it.
-        everything = run_all_experiments(
-            _settings_from_args(args),
-            runner=runner,
-            include_switching=not args.skip_switching,
-            include_ablation=not args.skip_ablation,
-            include_faults=not args.skip_faults,
-        )
         print(json.dumps(everything.to_document(), indent=2, sort_keys=True))
-        _print_engine_stats(runner, to_stderr=True)
-        return 0
-    print(
-        full_report(
-            _settings_from_args(args),
-            include_switching=not args.skip_switching,
-            include_ablation=not args.skip_ablation,
-            include_faults=not args.skip_faults,
-            runner=runner,
-        )
-    )
-    _print_engine_stats(runner)
+    else:
+        print(everything.render())
+    _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
 
@@ -678,8 +667,7 @@ def _frame_names_from_args(args: argparse.Namespace) -> list:
     return [
         name
         for name, spec in EXPERIMENTS.items()
-        if spec.schema is not None
-        and not (spec.run_all_group is not None and skipped.get(spec.run_all_group))
+        if not (spec.run_all_group is not None and skipped.get(spec.run_all_group))
     ]
 
 
@@ -764,16 +752,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     # The baseline's frames define the comparison scope (partial baselines,
     # e.g. from `repro export --experiments`, are legitimate).  A baseline
-    # frame this build can no longer reproduce -- its spec was deleted,
-    # renamed or lost its schema -- is therefore *drift*, not a skip:
-    # silently passing would let a vanished experiment through the gate.
+    # frame this build can no longer reproduce -- its spec was deleted or
+    # renamed -- is therefore *drift*, not a skip: silently passing would
+    # let a vanished experiment through the gate.
     from repro.sim.frames import FrameDrift
 
     drifts = []
     known = []
     for name in baseline:
-        spec = EXPERIMENTS.get(name)
-        if spec is None or spec.schema is None:
+        if name not in EXPERIMENTS:
             drifts.append(
                 FrameDrift(
                     frame=name,

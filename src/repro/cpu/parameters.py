@@ -9,8 +9,9 @@ They are deliberately collected in one frozen dataclass so that:
   "Comparison to Prior Work" discussion covers (window size, store buffer).
 
 The default values were calibrated so that the reproduction's *relative*
-results land in the ranges the paper reports (see EXPERIMENTS.md); they are
-not claimed to be cycle-accurate for any real machine.
+results land in the ranges the paper reports (``repro run-all`` prints every
+table, and ``benchmarks/bench_paper.py`` checks their shapes); they are not
+claimed to be cycle-accurate for any real machine.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ process-pool workers rely on.
 At the experiment layer, the campaign is declared as the ``faults``
 :class:`~repro.sim.specs.ExperimentSpec` (see :mod:`repro.sim.specs`),
 whose ``--sweep-rates`` option turns the coverage comparison into the
-fault-space sweep; both legacy entry points in
-:mod:`repro.sim.experiments` are thin wrappers over that spec.
+fault-space sweep.  The spec's frame carries the aggregate coverage
+columns; callers that need the per-trial records run
+``experiment("faults").execute(...)`` and pass the run's ``jobs`` and
+``results`` to :func:`assemble_campaign_reports`.
 """
 
 from __future__ import annotations
@@ -145,8 +147,7 @@ def assemble_campaign_reports(
     they executed, so serial, parallel and warm-cache runs of the same sweep
     produce byte-identical reports; each cell's records are deserialized
     once and shared between the two views.  The per-seed view feeds the
-    multi-seed confidence intervals of
-    :func:`repro.sim.experiments.run_fault_coverage_experiment`.
+    multi-seed confidence intervals of the ``faults`` spec's frame.
     """
     merged: Dict[str, CoverageReport] = {}
     per_seed: Dict[Tuple[str, int], CoverageReport] = {}

@@ -1,4 +1,4 @@
-"""Simulation driver, results, experiment engine and reporting.
+"""Simulation driver, results and experiment engine.
 
 * :mod:`repro.sim.simulator` -- the event-driven, quantum-based simulation loop,
 * :mod:`repro.sim.timeline` -- mid-run machine-reshaping event schedules,
@@ -9,10 +9,11 @@
 * :mod:`repro.sim.settings` -- the shared experiment settings value,
 * :mod:`repro.sim.jobs` -- the picklable per-cell job model,
 * :mod:`repro.sim.runner` -- pluggable-backend job execution with caching,
-* :mod:`repro.sim.experiments` -- one entry point per paper table/figure,
-* :mod:`repro.sim.specs` -- declarative experiment specs and the central
-  ``EXPERIMENTS`` registry,
-* :mod:`repro.sim.reporting` -- plain-text rendering of the results.
+* :mod:`repro.sim.specs` -- declarative experiment specs (one per paper
+  table/figure) and the central ``EXPERIMENTS`` registry; running a spec
+  returns its ``ResultFrame``,
+* :mod:`repro.sim.experiments` -- the specs' job enumerators and timeline
+  builders, and ``run_all_experiments`` (every spec in one batch).
 """
 
 from repro.sim.frames import (

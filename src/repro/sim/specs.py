@@ -15,9 +15,9 @@ the frame, aggregating over seeds in one place, and ``to_table`` /
 Specs are registered in the module-level :data:`EXPERIMENTS` registry, which
 is the single source of truth the rest of the system iterates:
 
-* the ``run_*`` entry points of :mod:`repro.sim.experiments` are thin
-  wrappers over :meth:`ExperimentSpec.run` that re-shape the frame into the
-  legacy result dataclasses (views over the frame);
+* :meth:`ExperimentSpec.run` returns the spec's frame, and
+  :meth:`ExperimentSpec.execute` keeps the raw ``{job: metrics}`` results
+  alongside it;
 * ``run_all_experiments`` enumerates every registered spec's cells into one
   job batch and returns one frame per spec;
 * the CLI generates one subcommand per spec -- flags, help text and
@@ -29,9 +29,7 @@ Adding a new scenario is therefore a ~30-line spec: declare a grid, an
 enumerator mapping grid points to jobs (reusing a registered job kind, or
 registering a new one via :func:`repro.sim.jobs.register_job_kind`), a
 :class:`MetricSchema`, and call :func:`register_experiment`.  See
-``examples/custom_experiment.py`` for a worked example.  Specs without a
-schema remain supported: their ``assemble`` hook runs instead and their
-result renders through the ``tables`` hook.
+``examples/custom_experiment.py`` for a worked example.
 """
 
 from __future__ import annotations
@@ -310,9 +308,9 @@ class ExperimentSpec:
         lambda request: []
     )
     #: The declared result shape: key axes plus typed metric columns.
-    #: With a schema, running the spec returns a :class:`ResultFrame`
-    #: assembled by the generic fold of :mod:`repro.sim.frames`.
-    schema: Optional[Callable[[SpecRequest], MetricSchema]] = None
+    #: Running the spec returns a :class:`ResultFrame` assembled by the
+    #: generic fold of :mod:`repro.sim.frames`.  Required.
+    schema: Callable[[SpecRequest], MetricSchema] = field(kw_only=True)
     #: Optional override of the raw samples fed to the frame assembler;
     #: the default maps each job's key coordinates straight off the job and
     #: feeds its whole metrics dict.  Needed when samples must be computed
@@ -321,13 +319,6 @@ class ExperimentSpec:
     cell_samples: Optional[
         Callable[[SpecRequest, Sequence[ExperimentJob], JobResults], Iterable[FrameSample]]
     ] = None
-    #: Legacy assembly hook for specs *without* a schema: fold the runner's
-    #: ``{job: metrics}`` output into an arbitrary result object.
-    assemble: Callable[[SpecRequest, Sequence[ExperimentJob], JobResults], object] = (
-        lambda request, jobs, results: None
-    )
-    #: Legacy rendering hook for specs without a schema.
-    tables: Callable[[object], List[str]] = lambda result: []
     #: Experiment-specific CLI flags.
     options: Tuple[SpecOption, ...] = ()
     #: ``False`` for single-seed measurements: the request keeps only the
@@ -344,8 +335,6 @@ class ExperimentSpec:
     #: ``run_all_experiments`` skip group (``switching``, ``ablation``,
     #: ``faults``) or ``None`` for the always-on core experiments.
     run_all_group: Optional[str] = None
-    #: Names of the legacy ``run_*`` entry points this spec subsumes.
-    legacy_entry_points: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Request resolution and execution
@@ -384,8 +373,9 @@ class ExperimentSpec:
         Either pass a pre-resolved ``request`` or let ``settings`` and
         keyword options be resolved via :meth:`request`.  The returned
         :class:`SpecRun` exposes the raw ``{job: metrics}`` mapping as well
-        as the assembled :meth:`~SpecRun.frame` -- the legacy wrappers use
-        it to build their dataclass views without re-running anything.
+        as the assembled :meth:`~SpecRun.frame`, for callers that need the
+        cells themselves (e.g. per-trial fault records via
+        :func:`repro.faults.cells.assemble_campaign_reports`).
         """
         if request is None:
             request = self.request(settings, **options)
@@ -403,13 +393,9 @@ class ExperimentSpec:
         runner: Optional[ExperimentRunner] = None,
         request: Optional[SpecRequest] = None,
         **options: object,
-    ) -> object:
-        """Run this experiment and return its result.
-
-        Specs with a schema return the assembled :class:`ResultFrame`;
-        schema-less specs return whatever their ``assemble`` hook builds.
-        """
-        return self.execute(settings, runner=runner, request=request, **options).result()
+    ) -> ResultFrame:
+        """Run this experiment and return its assembled :class:`ResultFrame`."""
+        return self.execute(settings, runner=runner, request=request, **options).frame()
 
     # ------------------------------------------------------------------ #
     # Frame assembly (generic, schema-driven)
@@ -417,10 +403,6 @@ class ExperimentSpec:
 
     def metric_schema(self, request: SpecRequest) -> MetricSchema:
         """The resolved schema of one request."""
-        if self.schema is None:
-            raise ExperimentError(
-                f"experiment {self.name!r} declares no MetricSchema"
-            )
         return self.schema(request)
 
     def samples(
@@ -460,30 +442,14 @@ class ExperimentSpec:
     # Uniform result rendering (generated from the schema)
     # ------------------------------------------------------------------ #
 
-    def to_table(self, result: object) -> str:
-        """Every table of a result, joined the way the CLI prints them."""
-        if isinstance(result, ResultFrame):
-            return result.to_table()
-        return "\n\n".join(self.tables(result))
-
-    def to_json(self, result: object) -> Dict[str, object]:
-        """A JSON-safe record of a result (uniform across specs)."""
+    def to_json(self, frame: ResultFrame) -> Dict[str, object]:
+        """A JSON-safe record of a result frame (uniform across specs)."""
         return {
             "experiment": self.name,
             "title": self.title,
             "family": self.family,
-            "result": result.to_json()
-            if isinstance(result, ResultFrame)
-            else jsonify(result),
+            "result": frame.to_json(),
         }
-
-    def to_csv(self, result: object) -> str:
-        """CSV export generated from the schema (frames only)."""
-        if not isinstance(result, ResultFrame):
-            raise ExperimentError(
-                f"experiment {self.name!r} produced no frame to export as CSV"
-            )
-        return result.to_csv()
 
 
 @dataclass
@@ -513,12 +479,6 @@ class SpecRun:
                 )
         return self._frame
 
-    def result(self) -> object:
-        """The spec's result: its frame, or the legacy ``assemble`` output."""
-        if self.spec.schema is not None:
-            return self.frame()
-        return self.spec.assemble(self.request, self.jobs, self.results)
-
 
 def _job_axis_value(job: ExperimentJob, axis: str) -> object:
     """Default mapping from a schema key axis to a job's coordinate.
@@ -538,7 +498,7 @@ def _job_axis_value(job: ExperimentJob, axis: str) -> object:
 
 
 def jsonify(value: object) -> object:
-    """Recursively convert any spec result into JSON-serializable values.
+    """Recursively convert spec metadata (e.g. grid axis values) to JSON values.
 
     Dataclasses become field dicts (honouring a ``to_dict`` method when one
     exists), enums their names, mappings get string keys; anything else
@@ -646,7 +606,6 @@ register_experiment(
         grid=lambda request: _seed_grid(request, FIGURE5_CONFIGS),
         enumerate_jobs=lambda request: figure5_jobs(request.settings),
         schema=lambda request: _FIGURE5_SCHEMA,
-        legacy_entry_points=("run_dmr_overhead_experiment",),
     )
 )
 
@@ -696,7 +655,6 @@ register_experiment(
             request.settings, request.option("configurations", FIGURE6_CONFIGS)
         ),
         schema=lambda request: _FIGURE6_SCHEMA,
-        legacy_entry_points=("run_mixed_mode_experiment",),
     )
 )
 
@@ -731,7 +689,6 @@ register_experiment(
         ),
         enumerate_jobs=lambda request: pab_jobs(request.settings),
         schema=lambda request: _PAB_SCHEMA,
-        legacy_entry_points=("run_pab_latency_study",),
     )
 )
 
@@ -806,7 +763,6 @@ register_experiment(
         schema=lambda request: _TABLE1_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_switch_overhead_experiment",),
     )
 )
 
@@ -860,7 +816,6 @@ register_experiment(
         schema=lambda request: _TABLE2_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_switch_frequency_experiment",),
     )
 )
 
@@ -935,7 +890,6 @@ register_experiment(
         cell_samples=_single_os_samples,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_single_os_overhead_study",),
     )
 )
 
@@ -976,7 +930,6 @@ register_experiment(
         multi_seed=False,
         workload_limit=2,
         run_all_group="ablation",
-        legacy_entry_points=("run_window_ablation",),
     )
 )
 
@@ -1043,14 +996,13 @@ register_experiment(
             ),
         ),
         workload_limit=2,
-        legacy_entry_points=("run_degradation_experiment",),
     )
 )
 
 
 def _churn_extra_vms(request: SpecRequest) -> int:
-    # `is not None`, not truthiness: an explicit `extra_vms=0` from the
-    # library wrapper is the no-churn baseline, not "use the default".
+    # `is not None`, not truthiness: an explicit `extra_vms=0` is the
+    # no-churn baseline, not "use the default".
     explicit = request.options.get("extra_vms")
     if explicit is not None:
         return int(explicit)
@@ -1119,7 +1071,6 @@ register_experiment(
             ),
         ),
         workload_limit=2,
-        legacy_entry_points=("run_consolidation_churn_experiment",),
     )
 )
 
@@ -1224,8 +1175,8 @@ def _faults_samples(
 
     A campaign cell is one (configuration, site, seed, chunk) chunk of trial
     records; coverage is only meaningful per seed-share of the campaign, so
-    the samples are the per-seed merged reports -- the ``mean_ci``
-    aggregation over them is exactly the legacy across-seed interval."""
+    the samples are the per-seed merged reports, and the ``mean_ci``
+    aggregation over them is the across-seed interval."""
     sweeping = _faults_sweeping(request)
     seeds = tuple(request.settings.seeds)
     for rate in _faults_rates(request):
@@ -1283,10 +1234,6 @@ register_experiment(
         ),
         takes_workloads=False,
         run_all_group="faults",
-        legacy_entry_points=(
-            "run_fault_coverage_experiment",
-            "run_fault_rate_sweep",
-        ),
     )
 )
 

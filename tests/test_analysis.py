@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.metrics import normalize_to, percent_change, speedup
+from repro.analysis.metrics import normalize_to
 from repro.analysis.tables import TextTable, format_cell, format_series
 
 
@@ -17,14 +15,6 @@ def test_normalize_to_baseline():
 def test_normalize_with_missing_or_zero_baseline_returns_zeros():
     assert normalize_to({"a": 2.0}, "missing") == {"a": 0.0}
     assert normalize_to({"a": 2.0, "b": 0.0}, "b") == {"a": 0.0, "b": 0.0}
-
-
-def test_speedup_and_percent_change():
-    assert speedup(4.0, 2.0) == 2.0
-    assert speedup(4.0, 0.0) == 0.0
-    assert percent_change(110.0, 100.0) == pytest.approx(10.0)
-    assert percent_change(90.0, 100.0) == pytest.approx(-10.0)
-    assert percent_change(5.0, 0.0) == 0.0
 
 
 def test_format_cell():

@@ -30,6 +30,7 @@ from repro.faults.campaign import (
     trial_rng,
 )
 from repro.faults.cells import (
+    assemble_campaign_reports,
     assemble_coverage_reports,
     assemble_seed_coverage_reports,
     execute_fault_cell,
@@ -37,11 +38,9 @@ from repro.faults.cells import (
 )
 from repro.faults.models import FaultSite, FaultSpec
 from repro.faults.outcomes import CoverageReport, FaultOutcome, TrialRecord
-from repro.sim.experiments import (
-    run_fault_coverage_experiment,
-    run_fault_rate_sweep,
-)
 from repro.sim.runner import ExperimentRunner
+from repro.sim.settings import ExperimentSettings
+from repro.sim.specs import experiment
 
 
 def small_jobs(**overrides):
@@ -53,6 +52,13 @@ def small_jobs(**overrides):
 def fresh_runner(jobs: int = 1, **kwargs) -> ExperimentRunner:
     kwargs.setdefault("use_cache", False)
     return ExperimentRunner(jobs=jobs, **kwargs)
+
+
+def run_campaign(seeds, **options):
+    """Run the ``faults`` spec on ``seeds``, keeping the raw trial cells."""
+    return experiment("faults").execute(
+        ExperimentSettings().with_seeds(seeds), runner=fresh_runner(), **options
+    )
 
 
 def serialized_reports(reports) -> str:
@@ -197,36 +203,39 @@ class TestFaultSpace:
             campaign.run_trial(DEFAULT_CONFIGURATIONS[0], "bogus-site", 0)
 
     def test_pab_with_dmr_keeps_full_coverage(self):
-        result = run_fault_coverage_experiment(
-            trials_per_site=10, configurations=(PAB_WITH_DMR,), seeds=(0,),
-            runner=fresh_runner(),
-        )
-        row = result.row("dmr-plus-pab")
-        assert row.coverage == 1.0
-        assert row.report.count(FaultOutcome.DETECTED_DMR) > 0
+        run = run_campaign((0,), trials=10, configurations=(PAB_WITH_DMR,))
+        assert run.frame().mean_of("coverage", configuration="dmr-plus-pab") == 1.0
+        merged, _ = assemble_campaign_reports(run.jobs, run.results)
+        assert merged["dmr-plus-pab"].count(FaultOutcome.DETECTED_DMR) > 0
 
     def test_fault_rate_scales_silent_corruption(self):
-        sweep = run_fault_rate_sweep(
-            fault_rates=(0.1, 1.0), trials_per_site=20,
-            configurations=SWEEP_CONFIGURATIONS, seeds=(0, 1),
-            runner=fresh_runner(),
+        frame = run_campaign(
+            (0, 1), trials=20, configurations=SWEEP_CONFIGURATIONS,
+            sweep_rates=(0.1, 1.0),
+        ).frame()
+
+        def mean(metric, rate, configuration):
+            return frame.mean_of(metric, rate=rate, configuration=configuration)
+
+        assert mean("silent_corruption_rate", 0.1, "naive-mode-switch") < mean(
+            "silent_corruption_rate", 1.0, "naive-mode-switch"
         )
-        naive_low = sweep.by_rate[0.1].row("naive-mode-switch")
-        naive_full = sweep.by_rate[1.0].row("naive-mode-switch")
-        assert naive_low.silent_corruption_rate < naive_full.silent_corruption_rate
         # Rate-masked trials never break the protected designs.
         for rate in (0.1, 1.0):
-            assert sweep.by_rate[rate].row("mmm").coverage == 1.0
-            assert sweep.by_rate[rate].row("dmr-plus-pab").coverage == 1.0
+            assert mean("coverage", rate, "mmm") == 1.0
+            assert mean("coverage", rate, "dmr-plus-pab") == 1.0
 
     def test_multi_seed_reports_and_intervals(self):
-        result = run_fault_coverage_experiment(
-            trials_per_site=8, seeds=(0, 1, 2), runner=fresh_runner()
-        )
-        for row in result.rows:
-            assert row.report.total == 8 * len(TRIAL_SITES) * 3
-            assert set(row.coverage_by_seed) == {0, 1, 2}
-            assert row.coverage_interval.count == 3
+        run = run_campaign((0, 1, 2), trials=8)
+        frame = run.frame()
+        merged, per_seed = assemble_campaign_reports(run.jobs, run.results)
+        for configuration, report in merged.items():
+            assert report.total == 8 * len(TRIAL_SITES) * 3
+            assert frame.value("trials", configuration=configuration) == report.total
+            assert {
+                seed for name, seed in per_seed if name == configuration
+            } == {0, 1, 2}
+            assert frame.value("coverage", configuration=configuration).count == 3
 
     def test_inline_campaign_matches_engine_cells(self):
         # The legacy inline driver and the cell-shaped path are two views of

@@ -1,6 +1,6 @@
 """Tests for the schema-driven results layer (:mod:`repro.sim.frames`).
 
-Five contracts:
+Four contracts:
 
 * **assembly** -- the generic fold groups samples per key tuple and applies
   each metric column's aggregation rule (``mean_ci``/``mean``/``sum``/
@@ -9,8 +9,6 @@ Five contracts:
   byte-identically, and ``to_csv`` matches a golden rendering;
 * **schema/grid consistency** -- every registered spec declares a
   ``MetricSchema`` whose key axes are grid axes;
-* **parity** -- the legacy ``run_*`` wrappers (dataclass views) agree
-  numerically with the spec's frame, family by family;
 * **diffing** -- identical runs diff clean, perturbed metrics are flagged,
   and the ``repro diff`` CLI exits non-zero on drift.
 """
@@ -22,20 +20,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.common.stats import ConfidenceInterval
+from repro.common.stats import ConfidenceInterval, confidence_interval_95
+from repro.config.presets import paper_system_config
 from repro.errors import ExperimentError
-from repro.sim.experiments import (
-    ExperimentSettings,
-    collect_frames,
-    run_dmr_overhead_experiment,
-    run_degradation_experiment,
-    run_fault_coverage_experiment,
-    run_mixed_mode_experiment,
-    run_pab_latency_study,
-    run_switch_frequency_experiment,
-    run_switch_overhead_experiment,
-    run_window_ablation,
-)
+from repro.faults.campaign import FaultInjectionCampaign
+from repro.sim.experiments import ExperimentSettings, collect_frames
 from repro.sim.frames import (
     FRAME_SCHEMA_VERSION,
     FrameView,
@@ -216,7 +205,7 @@ class TestSerialization:
 class TestSchemaGridConsistency:
     def test_every_registered_spec_declares_a_schema(self):
         for name, spec in EXPERIMENTS.items():
-            assert spec.schema is not None, name
+            assert isinstance(spec.metric_schema(spec.request(QUICK)), MetricSchema), name
 
     def test_schema_keys_are_grid_axes(self):
         for name, spec in EXPERIMENTS.items():
@@ -236,132 +225,70 @@ class TestSchemaGridConsistency:
         assert "rate" in spec.grid(request).names()
 
 
-class TestSpecVsLegacyWrapperParity:
-    """The wrappers' dataclass views agree numerically with the frames.
+class TestFramesAgreeWithIndependentRuns:
+    """A frame equals what a separate run of the same cells reports."""
 
-    Spec and wrapper runs share one on-disk cache, so each family's cells
-    simulate exactly once."""
-
-    @pytest.fixture(scope="class")
-    def cache_dir(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("parity-cache")
-
-    def engine(self, cache_dir) -> ExperimentRunner:
-        return ExperimentRunner(jobs=1, cache_dir=cache_dir)
-
-    def test_figure5(self, cache_dir):
-        frame = EXPERIMENTS["figure5"].run(QUICK, runner=self.engine(cache_dir))
-        legacy = run_dmr_overhead_experiment(QUICK, runner=self.engine(cache_dir))
-        for row in legacy.rows:
-            for configuration in row.per_thread_ipc:
-                assert row.per_thread_ipc[configuration] == frame.value(
-                    "user_ipc", workload=row.workload, configuration=configuration
-                )
-                assert row.throughput[configuration] == frame.value(
-                    "throughput", workload=row.workload, configuration=configuration
-                )
-
-    def test_figure6(self, cache_dir):
-        frame = EXPERIMENTS["figure6"].run(QUICK, runner=self.engine(cache_dir))
-        legacy = run_mixed_mode_experiment(QUICK, runner=self.engine(cache_dir))
-        for row in legacy.rows:
-            for configuration in row.overall_throughput:
-                assert row.overall_throughput[configuration] == frame.value(
-                    "overall_throughput",
-                    workload=row.workload,
-                    configuration=configuration,
-                )
-                assert row.reliable_ipc[configuration] == frame.value(
-                    "reliable_ipc", workload=row.workload, configuration=configuration
-                )
-
-    def test_pab(self, cache_dir):
-        frame = EXPERIMENTS["pab"].run(QUICK, runner=self.engine(cache_dir))
-        legacy = run_pab_latency_study(QUICK, runner=self.engine(cache_dir))
-        (row,) = legacy.rows
-        assert row.parallel_ipc == frame.value(
-            "performance_ipc", workload=row.workload, lookup="parallel"
-        )
-        assert row.serial_ipc == frame.value(
-            "performance_ipc", workload=row.workload, lookup="serial"
-        )
-        assert row.reliable_serial_ipc == frame.value(
-            "reliable_ipc", workload=row.workload, lookup="serial"
-        )
-
-    def test_tables_and_derived_overhead(self, cache_dir):
-        table1 = run_switch_overhead_experiment(
-            workloads=("apache",), transitions_to_measure=2, warmup_cycles=2_000,
-            runner=self.engine(cache_dir),
-        )
-        table2 = run_switch_frequency_experiment(
-            workloads=("apache",), phases_to_measure=1, measurement_phase_scale=0.02,
-            runner=self.engine(cache_dir),
-        )
+    def test_single_os_overhead_derives_from_the_table_frames(self, tmp_path):
         settings = ExperimentSettings().with_workloads(("apache",)).with_seeds((0,))
-        frame1 = EXPERIMENTS["table1"].run(
-            settings, runner=self.engine(cache_dir), explicit_workloads=True,
-            transitions_to_measure=2, warmup_cycles=2_000,
+        switching = dict(transitions_to_measure=2, warmup_cycles=2_000)
+        frequency = dict(phases_to_measure=1, measurement_phase_scale=0.02)
+        table1 = EXPERIMENTS["table1"].run(
+            settings, runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
+            explicit_workloads=True, **switching,
         )
-        frame2 = EXPERIMENTS["table2"].run(
-            settings, runner=self.engine(cache_dir), explicit_workloads=True,
-            phases_to_measure=1, measurement_phase_scale=0.02,
+        table2 = EXPERIMENTS["table2"].run(
+            settings, runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
+            explicit_workloads=True, **frequency,
         )
-        assert table1.row("apache").enter_dmr_cycles == frame1.value(
-            "enter_dmr_cycles", workload="apache"
-        )
-        assert table2.row("apache").user_cycles == frame2.value(
-            "user_cycles", workload="apache"
-        )
-        # single-os: the derive column equals the dataclass property.
+        # single-os is the table1 + table2 cells: all of them come from cache.
+        warm = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         frame = EXPERIMENTS["single-os"].run(
-            settings, runner=self.engine(cache_dir), explicit_workloads=True,
-            transitions_to_measure=2, warmup_cycles=2_000,
-            phases_to_measure=1, measurement_phase_scale=0.02,
+            settings, runner=warm, explicit_workloads=True, **switching, **frequency
+        )
+        assert warm.stats.executed == 0
+        switch = table1.value("enter_dmr_cycles", workload="apache") + table1.value(
+            "leave_dmr_cycles", workload="apache"
+        )
+        round_trip = table2.value("user_cycles", workload="apache") + table2.value(
+            "os_cycles", workload="apache"
         )
         (row,) = frame.rows
-        switch = table1.row("apache").enter_dmr_cycles + table1.row("apache").leave_dmr_cycles
-        round_trip = table2.row("apache").round_trip_cycles
         assert row["switch_cycles"] == switch
+        assert row["round_trip_cycles"] == round_trip
         assert row["overhead_percent"] == pytest.approx(
             switch / (switch + round_trip) * 100.0
         )
 
-    def test_ablation(self, cache_dir):
-        frame = EXPERIMENTS["ablation"].run(QUICK, runner=self.engine(cache_dir))
-        legacy = run_window_ablation(QUICK, runner=self.engine(cache_dir))
-        for row in legacy.rows:
-            for variant, ipc in row.ipc_by_variant.items():
-                assert ipc == frame.value(
-                    "user_ipc", workload=row.workload, variant=variant
-                )
-
-    def test_degradation(self, cache_dir):
-        frame = EXPERIMENTS["degradation"].run(QUICK, runner=self.engine(cache_dir))
-        legacy = run_degradation_experiment(QUICK, runner=self.engine(cache_dir))
-        for row in legacy.rows:
-            for failed, interval in row.throughput.items():
-                assert interval == frame.value(
-                    "throughput", workload=row.workload, failed_cores=failed
-                )
-
-    def test_faults(self, cache_dir):
-        settings = ExperimentSettings().with_seeds((0, 1))
+    def test_faults_frame_matches_the_inline_campaign(self):
+        seeds = (0, 1)
         frame = EXPERIMENTS["faults"].run(
-            settings, runner=self.engine(cache_dir), trials=4
+            ExperimentSettings().with_seeds(seeds),
+            runner=ExperimentRunner(jobs=1, use_cache=False),
+            trials=4,
         )
-        legacy = run_fault_coverage_experiment(
-            trials_per_site=4, seeds=(0, 1), runner=self.engine(cache_dir)
-        )
-        for row in legacy.rows:
-            assert frame.value("trials", configuration=row.configuration) == (
-                row.report.total
+        inline = {
+            seed: {
+                report.configuration: report
+                for report in FaultInjectionCampaign(
+                    config=paper_system_config(), seed=seed
+                ).run(trials_per_site=4)
+            }
+            for seed in seeds
+        }
+        assert frame.axis_values("configuration") == tuple(inline[0])
+        for configuration in frame.axis_values("configuration"):
+            reports = [inline[seed][configuration] for seed in seeds]
+            assert frame.value("trials", configuration=configuration) == sum(
+                report.total for report in reports
             )
-            cell = frame.value("coverage", configuration=row.configuration)
-            assert cell == row.coverage_interval
-            # Equal per-seed shares: the across-seed mean equals the merged
-            # ratio the legacy row reports.
-            assert cell.mean == pytest.approx(row.coverage)
+            assert frame.value(
+                "coverage", configuration=configuration
+            ) == confidence_interval_95(report.coverage for report in reports)
+            assert frame.value(
+                "silent_corruption_rate", configuration=configuration
+            ) == confidence_interval_95(
+                report.silent_corruption_rate for report in reports
+            )
 
 
 class TestDiff:

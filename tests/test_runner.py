@@ -29,13 +29,6 @@ from repro.sim.experiments import (
     figure6_jobs,
     pab_jobs,
     run_all_experiments,
-    run_dmr_overhead_experiment,
-    run_mixed_mode_experiment,
-    run_pab_latency_study,
-    run_single_os_overhead_study,
-    run_switch_frequency_experiment,
-    run_switch_overhead_experiment,
-    run_window_ablation,
     switch_overhead_jobs,
     window_ablation_jobs,
 )
@@ -59,6 +52,7 @@ from repro.sim.runner import (
     set_default_runner,
     using_runner,
 )
+from repro.sim.specs import experiment
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
 
@@ -484,53 +478,32 @@ class TestDeterminism:
 
 
 @pytest.mark.slow
-class TestEntryPointReproducibility:
-    """Repeated runs of each run_* entry point return equal results -- the
-    contract the cache key relies on."""
+class TestSpecReproducibility:
+    """Two fresh runners running one spec produce byte-identical frames --
+    the contract the cache key relies on."""
 
-    def fresh(self) -> ExperimentRunner:
-        return ExperimentRunner(jobs=1, use_cache=False)
+    TABLE1 = dict(transitions_to_measure=2, warmup_cycles=2_000)
+    TABLE2 = dict(phases_to_measure=1, measurement_phase_scale=0.02)
+    CASES = {
+        "figure5": {},
+        "figure6": dict(configurations=("dmr-base", "mmm-tp")),
+        "pab": {},
+        "ablation": {},
+        "table1": TABLE1,
+        "table2": TABLE2,
+        "single-os": {**TABLE1, **TABLE2},
+    }
 
-    def test_figure5(self):
-        first = run_dmr_overhead_experiment(QUICK, runner=self.fresh())
-        second = run_dmr_overhead_experiment(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
-
-    def test_figure6(self):
-        configurations = ("dmr-base", "mmm-tp")
-        first = run_mixed_mode_experiment(QUICK, configurations, runner=self.fresh())
-        second = run_mixed_mode_experiment(QUICK, configurations, runner=self.fresh())
-        assert first.rows == second.rows
-
-    def test_pab(self):
-        first = run_pab_latency_study(QUICK, runner=self.fresh())
-        second = run_pab_latency_study(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
-
-    def test_ablation(self):
-        first = run_window_ablation(QUICK, runner=self.fresh())
-        second = run_window_ablation(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
-
-    def test_tables_and_single_os(self):
-        def tables(runner):
-            table1 = run_switch_overhead_experiment(
-                ("apache",), transitions_to_measure=2, warmup_cycles=2_000,
-                runner=runner,
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_two_fresh_runners_agree(self, name):
+        def run():
+            frame = experiment(name).run(
+                QUICK, runner=ExperimentRunner(jobs=1, use_cache=False),
+                **self.CASES[name],
             )
-            table2 = run_switch_frequency_experiment(
-                ("apache",), phases_to_measure=1, measurement_phase_scale=0.02,
-                runner=runner,
-            )
-            return table1, table2
+            return json.dumps(frame.to_json(), sort_keys=True)
 
-        first1, first2 = tables(self.fresh())
-        second1, second2 = tables(self.fresh())
-        assert first1.rows == second1.rows
-        assert first2.rows == second2.rows
-        study_a = run_single_os_overhead_study(first1, first2, ("apache",))
-        study_b = run_single_os_overhead_study(second1, second2, ("apache",))
-        assert study_a.rows == study_b.rows
+        assert run() == run()
 
 
 @pytest.mark.slow
@@ -562,7 +535,7 @@ class TestRunAllParity:
 
         # Re-running against the serial runner's cache simulates nothing --
         # including the fault-campaign cells, which ride the same batch.
-        assert one.faults is not None and one.faults.rows
+        assert one.frame("faults").rows
         warm = ExperimentRunner(jobs=4, cache_dir=tmp_path / "serial")
         again = run_all_experiments(settings, runner=warm)
         assert warm.stats.executed == 0
@@ -578,9 +551,25 @@ class TestRunAllParity:
                        "PAB", "Table 1", "Table 2", "Single-OS", "window size",
                        "Fault-injection coverage"):
             assert marker in report
-        assert result.single_os is not None and result.ablation is not None
-        assert result.faults is not None
-        assert result.faults.value("coverage", configuration="always-dmr").mean == 1.0
+        assert result.frame("single-os").rows and result.frame("ablation").rows
+        faults = result.frame("faults")
+        assert faults.value("coverage", configuration="always-dmr").mean == 1.0
+
+    def test_report_without_switching_and_ablation_keeps_the_core_sections(
+        self, tmp_path
+    ):
+        report = run_all_experiments(
+            ExperimentSettings.quick(),
+            runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
+            include_switching=False,
+            include_ablation=False,
+            include_faults=True,
+        ).render()
+        for marker in ("Figure 5(a)", "Figure 5(b)", "Figure 6(a)", "Figure 6(b)",
+                       "PAB", "Fault-injection coverage"):
+            assert marker in report
+        for marker in ("Table 1", "Table 2", "Single-OS", "window size"):
+            assert marker not in report
 
 
 class TestAdaptiveChunking:

@@ -2,17 +2,15 @@
 
 Four contracts:
 
-* **registry completeness** -- every legacy ``run_*`` entry point is
-  subsumed by a registered spec, and the registry drives both
-  ``run_all_experiments`` and the CLI;
-* **parity** -- running an experiment through its spec produces the same
-  result as the legacy wrapper (they share enumerators and assemblers);
+* **registry completeness** -- every spec declares a ``MetricSchema``, and
+  the registry drives both ``run_all_experiments`` and the CLI;
+* **frames from cells** -- a spec's frame is the fold of its run's raw
+  cells: derived and aggregated columns recompute from ``SpecRun.results``;
 * **backend determinism** -- ``serial``, ``process`` and ``thread``
   backends produce byte-identical results for one spec of each family
   (simulation, measurement, faults);
 * **uniform rendering** -- ``to_table``/``to_json`` are generated from the
-  spec's ``MetricSchema`` and stay consistent with the legacy dataclass
-  views (full numeric parity lives in ``tests/test_frames.py``).
+  spec's ``MetricSchema``.
 """
 
 from __future__ import annotations
@@ -21,14 +19,12 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import normalize_to
+from repro.common.stats import confidence_interval_95
 from repro.errors import ExperimentError
-from repro.sim.experiments import (
-    ExperimentSettings,
-    run_dmr_overhead_experiment,
-    run_fault_coverage_experiment,
-    run_single_os_overhead_study,
-    run_window_ablation,
-)
+from repro.faults.cells import assemble_campaign_reports
+from repro.sim.experiments import ExperimentSettings
+from repro.sim.frames import MetricColumn, MetricSchema
 from repro.sim.runner import ExperimentRunner
 from repro.sim.specs import (
     EXPERIMENTS,
@@ -42,19 +38,6 @@ from repro.sim.specs import (
 )
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
-
-#: Every legacy entry point and the spec that subsumes it.
-LEGACY_ENTRY_POINTS = {
-    "run_dmr_overhead_experiment": "figure5",
-    "run_mixed_mode_experiment": "figure6",
-    "run_pab_latency_study": "pab",
-    "run_switch_overhead_experiment": "table1",
-    "run_switch_frequency_experiment": "table2",
-    "run_single_os_overhead_study": "single-os",
-    "run_window_ablation": "ablation",
-    "run_fault_coverage_experiment": "faults",
-    "run_fault_rate_sweep": "faults",
-}
 
 
 def fresh(jobs: int = 1, backend=None) -> ExperimentRunner:
@@ -84,10 +67,9 @@ class TestParameterGrid:
 
 
 class TestRegistry:
-    def test_every_legacy_entry_point_has_a_spec(self):
-        for entry_point, name in LEGACY_ENTRY_POINTS.items():
-            assert name in EXPERIMENTS, entry_point
-            assert entry_point in EXPERIMENTS[name].legacy_entry_points
+    def test_spec_without_a_schema_is_rejected(self):
+        with pytest.raises(TypeError, match="schema"):
+            ExperimentSpec(name="no-schema", title="no schema")
 
     def test_registry_covers_exactly_the_paper_experiments(self):
         assert set(experiment_names()) >= {
@@ -138,37 +120,11 @@ class TestRequestResolution:
         assert SpecRequest(settings=QUICK, options={"x": None}).option("x", 1) == 1
 
 
-class TestSpecRunsMatchLegacyWrappers:
-    """Specs return frames; the legacy wrappers return dataclass views.
+class TestFramesMatchRawCells:
+    """A spec's frame recomputes from the raw cells of the same run."""
 
-    Full numeric spec-vs-wrapper parity for every family lives in
-    ``tests/test_frames.py``; these tests pin the contract itself."""
-
-    def test_figure5_frame_matches_wrapper_rows(self):
-        frame = EXPERIMENTS["figure5"].run(QUICK, runner=fresh())
-        legacy = run_dmr_overhead_experiment(QUICK, runner=fresh())
-        for row in legacy.rows:
-            for configuration, interval in row.per_thread_ipc.items():
-                assert interval == frame.value(
-                    "user_ipc", workload=row.workload, configuration=configuration
-                )
-
-    def test_ablation_default_restriction(self):
-        # Legacy default restricted the ablation to two workloads; the
-        # spec's workload_limit keeps that behaviour.
-        frame = EXPERIMENTS["ablation"].run(QUICK, runner=fresh())
-        legacy = run_window_ablation(QUICK, runner=fresh())
-        assert tuple(row.workload for row in legacy.rows) == frame.axis_values(
-            "workload"
-        )
-        for row in legacy.rows:
-            for variant, ipc in row.ipc_by_variant.items():
-                assert ipc == frame.value(
-                    "user_ipc", workload=row.workload, variant=variant
-                )
-
-    def test_single_os_spec_equals_composed_study(self):
-        frame = EXPERIMENTS["single-os"].run(
+    def test_single_os_overhead_derives_from_the_table_cells(self):
+        run = EXPERIMENTS["single-os"].execute(
             QUICK,
             runner=fresh(),
             transitions_to_measure=2,
@@ -176,33 +132,40 @@ class TestSpecRunsMatchLegacyWrappers:
             phases_to_measure=1,
             measurement_phase_scale=0.02,
         )
-        legacy = run_single_os_overhead_study(workloads=("apache",), runner=fresh())
-        # Different measurement knobs => different numbers; same workloads
-        # and shape, and both positive overheads.
-        assert frame.axis_values("workload") == tuple(
-            row.workload for row in legacy.rows
+        cells = {job.kind: run.results[job] for job in run.jobs}
+        switch = cells["table1"]["enter_dmr_cycles"] + cells["table1"]["leave_dmr_cycles"]
+        round_trip = cells["table2"]["user_cycles"] + cells["table2"]["os_cycles"]
+        (row,) = run.frame().rows
+        assert row["workload"] == "apache"
+        assert row["switch_cycles"] == switch
+        assert row["round_trip_cycles"] == round_trip
+        assert row["overhead_percent"] == pytest.approx(
+            switch / (switch + round_trip) * 100.0
         )
-        for row in frame.rows:
-            assert row["switch_cycles"] > 0
-            assert 0 < row["overhead_percent"] < 100
 
-    def test_faults(self):
-        frame = EXPERIMENTS["faults"].run(
+    def test_faults_coverage_matches_the_campaign_reports(self):
+        run = EXPERIMENTS["faults"].execute(
             ExperimentSettings().with_seeds((0, 1)), runner=fresh(), trials=4
         )
-        via_wrapper = run_fault_coverage_experiment(
-            trials_per_site=4, seeds=(0, 1), runner=fresh()
-        )
-        assert frame.axis_values("configuration") == tuple(
-            row.configuration for row in via_wrapper.rows
-        )
-        for row in via_wrapper.rows:
-            cell = frame.value("coverage", configuration=row.configuration)
-            assert cell.mean == pytest.approx(row.coverage)
-            assert cell == row.coverage_interval
-            assert frame.value("trials", configuration=row.configuration) == (
-                row.report.total
+        frame = run.frame()
+        merged, per_seed = assemble_campaign_reports(run.jobs, run.results)
+        assert frame.axis_values("configuration") == tuple(merged)
+        for configuration, report in merged.items():
+            assert frame.value("trials", configuration=configuration) == report.total
+            cell = frame.value("coverage", configuration=configuration)
+            assert cell == confidence_interval_95(
+                per_seed[(configuration, seed)].coverage for seed in (0, 1)
             )
+            # Equal per-seed shares: the across-seed mean equals the merged
+            # report's ratio.
+            assert cell.mean == pytest.approx(report.coverage)
+
+    def test_ablation_default_restriction(self):
+        # Without an explicit workload choice the spec's workload_limit
+        # keeps the ablation to the first two workloads.
+        three = ExperimentSettings.quick().with_workloads(("apache", "pmake", "oltp"))
+        frame = EXPERIMENTS["ablation"].run(three, runner=fresh())
+        assert frame.axis_values("workload") == ("apache", "pmake")
 
 
 @pytest.mark.slow
@@ -231,14 +194,22 @@ class TestBackendDeterminism:
 class TestUniformRendering:
     def test_to_table_is_generated_from_the_schema_views(self):
         frame = EXPERIMENTS["figure5"].run(QUICK, runner=fresh())
-        rendered = EXPERIMENTS["figure5"].to_table(frame)
+        rendered = frame.to_table()
         # Both schema views render, in order, with the paper's titles.
         assert rendered.index("Figure 5(a)") < rendered.index("Figure 5(b)")
         assert "apache" in rendered
-        # The legacy dataclass view formats the same normalised numbers.
-        legacy = run_dmr_overhead_experiment(QUICK, runner=fresh())
-        normalized = legacy.rows[0].normalized_ipc()["reunion"]
-        assert f"{normalized:.3f}" in rendered
+        # Figure 5(a) prints reunion's IPC normalised to no-dmr-2x.
+        normalized = normalize_to(
+            {
+                configuration: frame.mean_of(
+                    "user_ipc", workload="apache", configuration=configuration
+                )
+                for configuration in frame.axis_values("configuration")
+            },
+            "no-dmr-2x",
+        )["reunion"]
+        figure5a = rendered[: rendered.index("Figure 5(b)")]
+        assert f"{normalized:.3f}" in figure5a
 
     def test_to_json_is_serializable_and_tagged(self):
         spec = EXPERIMENTS["figure5"]
@@ -262,7 +233,7 @@ class TestUniformRendering:
 
 
 class TestCustomSpecIntegration:
-    def test_registered_spec_joins_run_all_extras(self, tmp_path):
+    def test_registered_spec_joins_run_all_frames(self, tmp_path):
         from repro.sim.experiments import run_all_experiments
         from repro.sim.jobs import ExperimentJob
 
@@ -277,10 +248,10 @@ class TestCustomSpecIntegration:
                 )
                 for seed in request.settings.seeds
             ],
-            assemble=lambda request, jobs, results: sorted(
-                results[job]["user_ipc"] for job in jobs
+            schema=lambda request: MetricSchema(
+                keys=("workload",),
+                metrics=(MetricColumn("user_ipc", unit="instr/cycle"),),
             ),
-            tables=lambda result: [f"extra ipcs: {result}"],
         )
         register_experiment(spec)
         try:
@@ -291,7 +262,10 @@ class TestCustomSpecIntegration:
                 include_ablation=False,
                 include_faults=False,
             )
-            assert everything.extras["spec-test-extra"]
-            assert "extra ipcs:" in everything.render()
+            frame = everything.frame("spec-test-extra")
+            assert frame.axis_values("workload") == ("apache",)
+            assert frame.value("user_ipc", workload="apache").mean > 0
+            assert frame.to_table() in everything.render()
+            assert "test extra" in everything.render()
         finally:
             del EXPERIMENTS["spec-test-extra"]

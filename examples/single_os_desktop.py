@@ -60,7 +60,7 @@ def main() -> None:
     print(f"Average Enter DMR cost: {result.average_enter_dmr_cycles:.0f} cycles; "
           f"Leave DMR cost: {result.average_leave_dmr_cycles:.0f} cycles")
     print(f"Time the media application spent switching modes: {overhead:.2f}% "
-          "(scaled run; see benchmarks/bench_single_os_overhead.py for the "
+          "(scaled run; see the single-os case of benchmarks/bench_paper.py for the "
           "full-size estimate, which the paper puts at ~8% for Apache and <5% otherwise)")
     print(f"Silent corruptions of reliable state: {result.silent_corruptions()}")
 

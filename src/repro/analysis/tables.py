@@ -57,9 +57,3 @@ def format_cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def format_series(name: str, values: Sequence[float]) -> str:
-    """One-line rendering of a named series of numbers."""
-    rendered = ", ".join(f"{value:.3f}" for value in values)
-    return f"{name}: [{rendered}]"

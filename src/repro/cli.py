@@ -20,11 +20,10 @@ Three groups of subcommands:
   on metric drift beyond ``--rtol``/``--atol``;
 * housekeeping: ``list`` prints the spec registry, ``list-workloads`` the
   calibrated workload profiles, and ``cache stats`` / ``cache clear`` /
-  ``cache prune`` / ``cache compact`` / ``cache migrate`` inspect and
-  maintain the packed on-disk result cache (:mod:`repro.sim.store`):
-  stats includes the schema-version breakdown after a format bump,
-  compact sheds superseded records, migrate packs a legacy per-file
-  cache into segments;
+  ``cache prune`` / ``cache compact`` inspect and maintain the packed
+  on-disk result cache (:mod:`repro.sim.store`): stats includes the
+  schema-version breakdown after a format bump, compact sheds superseded
+  records;
 * distributed runs: ``serve`` starts the HTTP coordinator, ``worker``
   attaches a pull-based worker to it, and any experiment subcommand
   distributes its cells with ``--backend distributed --coordinator URL``
@@ -66,7 +65,6 @@ from repro.core.mmm import MixedModeMulticore
 from repro.core.policies import available_policies
 from repro.errors import ExperimentError
 from repro.sim.experiments import ExperimentSettings, collect_frames, run_all_experiments
-from repro.sim.settings import FIDELITY_TIERS
 from repro.sim.frames import (
     diff_documents,
     document_frames,
@@ -77,8 +75,8 @@ from repro.sim.jobs import registered_job_kinds
 from repro.sim.runner import (
     CacheKindStats,
     ExperimentRunner,
+    ResultCache,
     default_cache_dir,
-    make_result_cache,
     registered_backends,
 )
 from repro.sim.specs import (
@@ -200,16 +198,6 @@ def _add_sweep_arguments(
             "so larger sweeps only pay for the new seeds)"
         ),
     )
-    parser.add_argument(
-        "--fidelity",
-        choices=FIDELITY_TIERS,
-        default=None,
-        help=(
-            "timing-model fidelity tier: 'accurate' simulates every "
-            "instruction, 'fast' extrapolates from calibrated cycle-accurate "
-            "probes (default: accurate; cache keys are tier-distinct)"
-        ),
-    )
     _add_engine_arguments(parser)
     # --json prints the machine-readable document: the spec's uniform
     # document on a spec subcommand, the canonical multi-frame results
@@ -237,8 +225,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         settings = settings.with_workloads(tuple(args.workloads))
     if getattr(args, "seeds", None):
         settings = settings.with_seeds(args.seeds)
-    if getattr(args, "fidelity", None):
-        settings = settings.with_fidelity(args.fidelity)
     return settings
 
 
@@ -419,8 +405,13 @@ def _human_bytes(size: int) -> str:
     return f"{value:.1f} GiB"
 
 
+def _cache_from_args(args: argparse.Namespace) -> ResultCache:
+    """The result cache at ``--cache-dir``, or at the default location."""
+    return ResultCache(default_cache_dir() if args.cache_dir is None else args.cache_dir)
+
+
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    cache = make_result_cache(args.cache_dir)
+    cache = _cache_from_args(args)
     stats = cache.stats()
     if not stats:
         print(f"result cache at {cache.directory}: no entries")
@@ -462,24 +453,20 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    cache = make_result_cache(args.cache_dir)
-    removed = cache.clear(kind=args.kind)
+    cache = _cache_from_args(args)
+    try:
+        removed = cache.clear(kind=args.kind)
+    except ExperimentError as error:
+        print(f"cannot clear the cache: {error}", file=sys.stderr)
+        return 2
     what = f"{args.kind!r} entries" if args.kind else "entries"
     print(f"removed {removed} cached {what} from {cache.directory}")
     return 0
 
 
-def _cmd_cache_migrate(args: argparse.Namespace) -> int:
-    """Pack legacy per-file cache entries into the segment store."""
-    cache = make_result_cache(args.cache_dir, layout="packed")
-    result = cache.migrate()
-    print(f"result cache at {cache.directory}: {result.summary()}")
-    return 0
-
-
 def _cmd_cache_compact(args: argparse.Namespace) -> int:
     """Rewrite segments to live records only, reclaiming dead bytes."""
-    cache = make_result_cache(args.cache_dir, layout="packed")
+    cache = _cache_from_args(args)
     result = cache.compact()
     print(f"result cache at {cache.directory}: {result.summary()}")
     return 0
@@ -533,7 +520,7 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = make_result_cache(args.cache_dir)
+    cache = _cache_from_args(args)
     result = cache.prune(max_age_seconds=args.max_age, max_bytes=args.max_bytes)
     print(f"result cache at {cache.directory}: {result.summary()}")
     return 0
@@ -724,30 +711,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         settings = ExperimentSettings.from_dict(payload.get("settings") or {})
     except (ExperimentError, TypeError, ValueError) as error:
         print(f"baseline has malformed settings: {error}", file=sys.stderr)
-        return 2
-    if getattr(args, "fidelity", None):
-        settings = settings.with_fidelity(args.fidelity)
-
-    # A cross-tier comparison can only report drift that is really a tier
-    # mismatch (the fast tier is calibrated, not exact), so it is refused
-    # up front -- before paying for the re-run -- with the mismatch named.
-    mismatched_tiers = sorted(
-        {
-            frame.fidelity
-            for frame in baseline.values()
-            if frame.fidelity is not None and frame.fidelity != settings.fidelity
-        }
-    )
-    if mismatched_tiers:
-        print(
-            f"fidelity tier mismatch: baseline {args.baseline!r} was simulated "
-            f"at tier {', '.join(repr(t) for t in mismatched_tiers)}, but this "
-            f"diff would re-run at tier {settings.fidelity!r}; cross-tier "
-            "numbers differ by design. Re-run with "
-            f"--fidelity {mismatched_tiers[0]} or record a new baseline at the "
-            "requested tier.",
-            file=sys.stderr,
-        )
         return 2
 
     # The baseline's frames define the comparison scope (partial baselines,
@@ -958,16 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A",
         help="absolute tolerance for numeric comparisons (default: 1e-12)",
     )
-    diff_parser.add_argument(
-        "--fidelity",
-        choices=FIDELITY_TIERS,
-        default=None,
-        help=(
-            "re-run the baseline at this fidelity tier instead of the tier "
-            "recorded in its settings (a tier mismatch with the baseline's "
-            "frames is refused with exit code 2)"
-        ),
-    )
     _add_engine_arguments(diff_parser)
     diff_parser.set_defaults(handler=_cmd_diff)
 
@@ -1044,14 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict oldest entries until the cache fits SIZE (bytes, or 512k/100m/2g)",
     )
     cache_prune.set_defaults(handler=_cmd_cache_prune)
-    cache_migrate = cache_subparsers.add_parser(
-        "migrate",
-        help=(
-            "pack legacy one-file-per-cell entries into the segment store "
-            "(invalid/stale-schema files are dropped; they load as misses)"
-        ),
-    )
-    cache_migrate.set_defaults(handler=_cmd_cache_migrate)
     cache_compact = cache_subparsers.add_parser(
         "compact",
         help=(
@@ -1060,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cache_compact.set_defaults(handler=_cmd_cache_compact)
-    for sub in (cache_stats, cache_clear, cache_prune, cache_migrate, cache_compact):
+    for sub in (cache_stats, cache_clear, cache_prune, cache_compact):
         sub.add_argument(
             "--cache-dir",
             default=None,

@@ -5,8 +5,7 @@ blocks:
 
 * :mod:`repro.common.rng` -- deterministic random number generation,
 * :mod:`repro.common.addresses` -- address, page and cache-line arithmetic,
-* :mod:`repro.common.stats` -- counters, running statistics and confidence
-  intervals,
+* :mod:`repro.common.stats` -- counters, means and confidence intervals,
 * :mod:`repro.common.events` -- a tiny discrete-event queue.
 """
 
@@ -15,19 +14,13 @@ from repro.common.addresses import (
     Region,
     align_down,
     align_up,
-    cache_line_address,
-    cache_line_index,
-    page_number,
-    page_offset,
 )
 from repro.common.events import Event, EventQueue
 from repro.common.rng import DeterministicRng
 from repro.common.stats import (
     ConfidenceInterval,
-    RunningStat,
     StatSet,
     confidence_interval_95,
-    geometric_mean,
 )
 
 __all__ = [
@@ -35,16 +28,10 @@ __all__ = [
     "Region",
     "align_down",
     "align_up",
-    "cache_line_address",
-    "cache_line_index",
-    "page_number",
-    "page_offset",
     "Event",
     "EventQueue",
     "DeterministicRng",
     "ConfidenceInterval",
-    "RunningStat",
     "StatSet",
     "confidence_interval_95",
-    "geometric_mean",
 ]

@@ -1,8 +1,8 @@
 """Address arithmetic and the simulated physical address-space layout.
 
 The simulator works with flat integer physical and virtual addresses.  This
-module provides the small helpers used everywhere (page / cache line
-extraction, alignment) and :class:`AddressSpaceLayout`, which carves the
+module provides the alignment helpers and :class:`AddressSpaceLayout`,
+which carves the
 simulated physical address space into the regions the paper relies on:
 
 * per-VM private memory (user and kernel portions),
@@ -40,26 +40,6 @@ def align_up(value: int, alignment: int) -> int:
     if remainder == 0:
         return value
     return value + alignment - remainder
-
-
-def page_number(address: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
-    """Return the page number containing ``address``."""
-    return address // page_size
-
-
-def page_offset(address: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
-    """Return the offset of ``address`` within its page."""
-    return address % page_size
-
-
-def cache_line_address(address: int, line_size: int = DEFAULT_LINE_SIZE) -> int:
-    """Return the address of the first byte of the line containing ``address``."""
-    return align_down(address, line_size)
-
-
-def cache_line_index(address: int, line_size: int = DEFAULT_LINE_SIZE) -> int:
-    """Return the line number (address divided by line size)."""
-    return address // line_size
 
 
 @dataclass(frozen=True)

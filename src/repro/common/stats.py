@@ -1,4 +1,4 @@
-"""Statistics helpers: counters, running statistics, confidence intervals.
+"""Statistics helpers: counters, means and confidence intervals.
 
 The paper reports averages over multiple runs with 95% confidence intervals;
 :func:`confidence_interval_95` provides the same summary for the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping
 
@@ -107,65 +107,6 @@ def mean(values: Iterable[float]) -> float:
     return sum(data) / len(data)
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0 if the sequence is empty)."""
-    data = [v for v in values if v > 0]
-    if not data:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in data) / len(data))
-
-
-@dataclass
-class RunningStat:
-    """Online mean/min/max/variance accumulator (Welford's algorithm)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    def record(self, value: float) -> None:
-        """Add one observation."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 with fewer than two observations)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStat") -> None:
-        """Fold another accumulator into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean = (self.mean * self.count + other.mean * other.count) / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-
 class StatSet:
     """A named bag of integer counters with a few convenience operations.
 
@@ -244,39 +185,3 @@ class StatSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.items())
         return f"StatSet({inner})"
-
-
-@dataclass
-class LatencyHistogram:
-    """A coarse histogram of latencies, used for mode-switch breakdowns."""
-
-    bucket_width: int = 100
-    buckets: Dict[int, int] = field(default_factory=dict)
-    total: int = 0
-    count: int = 0
-
-    def record(self, latency: int) -> None:
-        """Record one latency observation."""
-        bucket = int(latency) // self.bucket_width
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.total += int(latency)
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        """Average recorded latency."""
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-    def percentile(self, fraction: float) -> int:
-        """Approximate percentile (returns the bucket upper bound)."""
-        if not self.buckets:
-            return 0
-        target = max(1, math.ceil(self.count * fraction))
-        seen = 0
-        for bucket in sorted(self.buckets):
-            seen += self.buckets[bucket]
-            if seen >= target:
-                return (bucket + 1) * self.bucket_width
-        return (max(self.buckets) + 1) * self.bucket_width

@@ -769,8 +769,7 @@ class CoreTimingModel:
         One straightforward pass over :class:`Instruction` objects with a
         StatSet update per event.  Kept as the executable specification of
         the per-instruction cost model: the batched :meth:`run_quantum` must
-        return bit-identical results (``tests/test_hotpath_parity.py``), and
-        the fast-fidelity tier is calibrated against it.
+        return bit-identical results (``tests/test_hotpath_parity.py``).
         """
         if cycle_budget <= 0:
             raise SimulationError(f"cycle budget must be positive, got {cycle_budget}")

@@ -170,11 +170,3 @@ def assemble_coverage_reports(
 ) -> Dict[str, CoverageReport]:
     """One merged coverage report per configuration, in enumeration order."""
     return assemble_campaign_reports(jobs, results)[0]
-
-
-def assemble_seed_coverage_reports(
-    jobs: Sequence[ExperimentJob],
-    results: Mapping[ExperimentJob, Mapping[str, object]],
-) -> Dict[Tuple[str, int], CoverageReport]:
-    """Per-(configuration, seed) coverage reports, in enumeration order."""
-    return assemble_campaign_reports(jobs, results)[1]

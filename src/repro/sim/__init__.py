@@ -31,13 +31,11 @@ from repro.sim.jobs import ExperimentJob, execute_job
 from repro.sim.results import SimulationResult, VmResult
 from repro.sim.runner import (
     ExperimentRunner,
-    LegacyResultCache,
     ResultCache,
     RunnerBackend,
     RunnerStats,
     backend_by_name,
     default_runner,
-    make_result_cache,
     register_runner_backend,
     registered_backends,
     set_default_runner,
@@ -54,7 +52,6 @@ from repro.sim.specs import (
     SpecOption,
     SpecRequest,
     experiment,
-    experiment_names,
     register_experiment,
 )
 from repro.sim.simulator import SimulationOptions, Simulator
@@ -97,9 +94,7 @@ __all__ = [
     "ExperimentJob",
     "execute_job",
     "ExperimentRunner",
-    "LegacyResultCache",
     "ResultCache",
-    "make_result_cache",
     "RunnerBackend",
     "RunnerStats",
     "backend_by_name",
@@ -114,6 +109,5 @@ __all__ = [
     "SpecOption",
     "SpecRequest",
     "experiment",
-    "experiment_names",
     "register_experiment",
 ]

@@ -54,7 +54,7 @@ from repro.sim.distributed.protocol import (
 )
 from repro.sim.jobs import ExperimentJob, code_fingerprint
 from repro.sim.runner import Metrics, adaptive_chunk_size
-from repro.sim.store import AnyResultCache, COMPACT_SEPARATORS, make_result_cache
+from repro.sim.store import COMPACT_SEPARATORS, ResultCache
 from repro.sim.settings import ExperimentSettings
 
 #: Workers idle longer than this stop counting toward lease-chunk sizing.
@@ -111,7 +111,7 @@ class Coordinator:
 
     def __init__(
         self,
-        cache: Optional[AnyResultCache] = None,
+        cache: Optional[ResultCache] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -664,7 +664,7 @@ class CoordinatorServer:
         quiet: bool = True,
     ) -> None:
         if coordinator is None:
-            cache = make_result_cache(cache_dir) if cache_dir is not None else None
+            cache = ResultCache(cache_dir) if cache_dir is not None else None
             coordinator = Coordinator(cache=cache, lease_seconds=lease_seconds)
         self.coordinator = coordinator
         handler = type(

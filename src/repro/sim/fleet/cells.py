@@ -17,7 +17,6 @@ import json
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.core.machine import MixedModeMachine, VmSpec
-from repro.cpu.fastpath import FastTimingModel
 from repro.errors import ExperimentError
 from repro.sim.fleet.cluster import FleetTopology
 from repro.sim.fleet.scheduler import FleetPlan, FleetScheduler, MachinePlan, VmPlacement
@@ -182,8 +181,6 @@ def execute_fleet_cell(job: ExperimentJob) -> Dict[str, object]:
     if settings is None:
         raise ExperimentError(f"job {job.label} needs ExperimentSettings")
     machine = _fleet_machine(job)
-    if settings.fidelity == "fast":
-        machine.timing_model = FastTimingModel(machine.timing_model)
     run = Simulator(machine, settings.options(), timeline=job_timeline(job)).run()
     used = float(run.quantum_stats.get("core_cycles_used", 0.0))
     capacity = float(run.quantum_stats.get("core_cycles_capacity", 0.0))

@@ -71,6 +71,12 @@ __all__ = [
 #: baselines instead of mis-reading them.
 FRAME_SCHEMA_VERSION = 1
 
+#: The ``"fidelity"`` value every serialized frame and every document's
+#: settings mapping carries.  There is one timing model, so the field says
+#: nothing; it is kept so that version-1 documents keep their bytes, and
+#: goes with the next :data:`FRAME_SCHEMA_VERSION` bump.
+_FIDELITY = "accurate"
+
 #: How a metric column folds its per-cell samples into one frame cell.
 AGGREGATES = ("mean_ci", "mean", "sum", "last", "derive")
 
@@ -287,12 +293,6 @@ class ResultFrame:
     title: str
     schema: MetricSchema
     rows: List[Dict[str, CellValue]] = field(default_factory=list)
-    #: Fidelity tier the frame's cells were simulated at ("accurate" or
-    #: "fast"); ``None`` for frames predating the tier axis.  ``repro diff``
-    #: refuses to compare frames across tiers -- the fast tier is calibrated,
-    #: not bit-identical, so a cross-tier diff would report drift that is
-    #: really a tier mismatch.
-    fidelity: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Assembly (the one generic fold over runner output)
@@ -306,7 +306,6 @@ class ResultFrame:
         *,
         name: str,
         title: str = "",
-        fidelity: Optional[str] = None,
     ) -> "ResultFrame":
         """Fold ``(key tuple, values)`` samples into an aggregated frame.
 
@@ -333,7 +332,7 @@ class ResultFrame:
                 if metric in values:
                     group.setdefault(metric, []).append(values[metric])
 
-        frame = cls(name=name, title=title, schema=schema, fidelity=fidelity)
+        frame = cls(name=name, title=title, schema=schema)
         for key, batches in groups.items():
             row: Dict[str, CellValue] = dict(zip(schema.keys, key))
             derived: List[MetricColumn] = []
@@ -496,7 +495,7 @@ class ResultFrame:
         Byte-stable: ``ResultFrame.from_json(frame.to_json()).to_json()``
         serializes identically (asserted by the round-trip tests).
         """
-        payload: Dict[str, object] = {
+        return {
             "frame_version": FRAME_SCHEMA_VERSION,
             "name": self.name,
             "title": self.title,
@@ -508,12 +507,8 @@ class ResultFrame:
                 }
                 for row in self.rows
             ],
+            "fidelity": _FIDELITY,
         }
-        # Absent (not null) when unset, so documents written before the
-        # fidelity axis serialize byte-identically.
-        if self.fidelity is not None:
-            payload["fidelity"] = self.fidelity
-        return payload
 
     @classmethod
     def from_json(cls, payload: Mapping[str, object]) -> "ResultFrame":
@@ -536,12 +531,10 @@ class ResultFrame:
             schema = MetricSchema.from_dict(schema_payload)
         except (KeyError, TypeError, ValueError) as error:
             raise ExperimentError(f"malformed frame schema: {error}") from None
-        fidelity = payload.get("fidelity")
         frame = cls(
             name=str(payload.get("name", "")),
             title=str(payload.get("title", "")),
             schema=schema,
-            fidelity=str(fidelity) if fidelity is not None else None,
         )
         rows_payload = payload.get("rows", ())
         if not isinstance(rows_payload, Sequence) or isinstance(rows_payload, (str, bytes)):
@@ -668,7 +661,7 @@ class FrameDrift:
 
     frame: str
     kind: str  # missing-frame / extra-frame / schema-mismatch /
-    #           fidelity-mismatch / missing-row / extra-row / value-drift
+    #           missing-row / extra-row / value-drift
     detail: str
 
     def __str__(self) -> str:
@@ -719,26 +712,6 @@ def diff_frames(
     Returns an empty list when the frames agree.
     """
     drifts: List[FrameDrift] = []
-    if (
-        baseline.fidelity is not None
-        and current.fidelity is not None
-        and baseline.fidelity != current.fidelity
-    ):
-        # Cross-tier numbers differ by design (the fast tier is calibrated,
-        # not exact); reporting them as value drift would be misleading.
-        drifts.append(
-            FrameDrift(
-                frame=baseline.name,
-                kind="fidelity-mismatch",
-                detail=(
-                    f"baseline simulated at fidelity={baseline.fidelity!r}, "
-                    f"current at fidelity={current.fidelity!r}; re-run with "
-                    f"--fidelity {baseline.fidelity} (or record a new baseline) "
-                    "instead of comparing across tiers"
-                ),
-            )
-        )
-        return drifts
     if baseline.schema.keys != current.schema.keys or set(
         baseline.schema.metric_names()
     ) != set(current.schema.metric_names()):
@@ -827,12 +800,16 @@ def frames_document(
 
     ``settings`` (a plain JSON-safe mapping, typically
     ``dataclasses.asdict(ExperimentSettings)``) is embedded so that
-    ``repro diff`` can re-run the exact same evaluation.
+    ``repro diff`` can re-run the exact same evaluation.  ``run-all
+    --json``, ``export --format json``, the coordinator's run documents and
+    ``perfbench`` all build their document here.
     """
     return {
         "format": DOCUMENT_FORMAT,
         "frame_version": FRAME_SCHEMA_VERSION,
-        "settings": dict(settings) if settings is not None else None,
+        "settings": (
+            {**settings, "fidelity": _FIDELITY} if settings is not None else None
+        ),
         "frames": {name: frame.to_json() for name, frame in frames.items()},
     }
 

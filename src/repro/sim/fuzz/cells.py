@@ -15,7 +15,6 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.core.machine import MixedModeMachine, VmSpec
-from repro.cpu.fastpath import FastTimingModel
 from repro.errors import (
     ConfigurationError,
     ExperimentError,
@@ -110,15 +109,12 @@ def scenario_machine(
         )
         for vm in scenario.roster
     ]
-    machine = MixedModeMachine(
+    return MixedModeMachine(
         config=settings.config(),
         vm_specs=specs,
         policy=scenario.policy,
         seed=scenario.seed,
     )
-    if settings.fidelity == "fast":
-        machine.timing_model = FastTimingModel(machine.timing_model)
-    return machine
 
 
 def check_scenario(

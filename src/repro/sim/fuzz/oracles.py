@@ -12,9 +12,7 @@ timing model is about to execute).
 
 The oracles are deliberately *timing-model agnostic*: they check budget
 accounting, lifecycle conservation and plan-shape invariants, none of which
-depend on instruction-level behaviour -- so the same oracles hold on the
-accurate and the calibrated fast fidelity tier, and a fuzz cell's metrics
-are tier-stable.
+depend on instruction-level behaviour.
 """
 
 from __future__ import annotations

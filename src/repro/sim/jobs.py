@@ -63,7 +63,6 @@ from repro.config.presets import evaluation_system_config, paper_system_config
 from repro.config.system import ConsistencyModel, PabLookupMode, SystemConfig
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.transitions import TransitionFlavor
-from repro.cpu.fastpath import FastTimingModel
 from repro.cpu.timing import CoreAssignment, ExecutionMode
 from repro.errors import ExperimentError, ReproError
 from repro.sim.results import SimulationResult
@@ -85,9 +84,8 @@ from repro.virt.vcpu import ReliabilityMode
 #:
 #: Version 3: results live in the packed segment store
 #: (:mod:`repro.sim.store`): records gain ``kind``/``ts`` envelope fields
-#: and payloads are compact (no pretty-printing).  Per-file v2 entries
-#: written by older code are clean misses; ``repro cache migrate`` packs
-#: (and current-version legacy files read through) without re-executing.
+#: and payloads are compact (no pretty-printing).  Entries written under an
+#: older version are misses.
 CACHE_SCHEMA_VERSION = 3
 
 _CODE_FINGERPRINT: Optional[str] = None
@@ -581,7 +579,6 @@ class SimulationIdentity(NamedTuple):
     options: SimulationOptions
     #: The canonical JSON of the job's event timeline (``None``: no events).
     timeline: Optional[str]
-    fidelity: str
 
 
 def simulation_identity(job: ExperimentJob) -> Optional[SimulationIdentity]:
@@ -604,7 +601,6 @@ def simulation_identity(job: ExperimentJob) -> Optional[SimulationIdentity]:
         seed=job.seed,
         options=settings.options(),
         timeline=str(timeline) if timeline else None,
-        fidelity=settings.fidelity,
     )
 
 
@@ -616,8 +612,6 @@ def _simulate(identity: SimulationIdentity) -> SimulationResult:
         policy=identity.policy,
         seed=identity.seed,
     )
-    if identity.fidelity == "fast":
-        machine.timing_model = FastTimingModel(machine.timing_model)
     timeline = Timeline.from_json(identity.timeline) if identity.timeline else None
     return Simulator(machine, identity.options, timeline=timeline).run()
 

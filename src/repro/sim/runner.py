@@ -81,20 +81,14 @@ from repro.sim.jobs import (
 # module has always been their import location.
 from repro.sim.store import (  # noqa: F401  (re-exports)
     CACHE_DIR_ENV,
-    CACHE_LAYOUT_ENV,
     DEFAULT_CACHE_DIR,
-    AnyResultCache,
     CacheCompactResult,
     CacheKindStats,
-    CacheMigrateResult,
     CachePruneResult,
     JsonValue,
-    LegacyResultCache,
     Metrics,
     ResultCache,
-    _entry_schema_version,
     default_cache_dir,
-    make_result_cache,
 )
 
 
@@ -390,7 +384,7 @@ class ExperimentRunner:
         use_cache: Optional[bool] = None,
         executor: JobExecutor = execute_job,
         backend: Union[None, str, RunnerBackend] = None,
-        cache: Optional[AnyResultCache] = None,
+        cache: Optional[ResultCache] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError("an ExperimentRunner needs at least one worker")
@@ -402,17 +396,19 @@ class ExperimentRunner:
         if isinstance(backend, str):
             backend = backend_by_name(backend)
         self.backend = backend
-        #: ``cache=`` accepts a ready-made store object (any layout);
-        #: otherwise caching defaults to "on exactly when a cache directory
-        #: was given" (``use_cache=True`` enables it at the default
-        #: location), built by :func:`make_result_cache` so the layout
-        #: honours ``REPRO_CACHE_LAYOUT``.
+        #: ``cache=`` accepts a ready-made store; otherwise caching defaults
+        #: to "on exactly when a cache directory was given" (``use_cache=True``
+        #: enables it at the default location).
         if cache is not None:
-            self.cache: Optional[AnyResultCache] = cache
+            self.cache: Optional[ResultCache] = cache
         else:
             if use_cache is None:
                 use_cache = cache_dir is not None
-            self.cache = make_result_cache(cache_dir) if use_cache else None
+            self.cache = (
+                ResultCache(cache_dir if cache_dir is not None else default_cache_dir())
+                if use_cache
+                else None
+            )
         self._executor = executor
         self._memo: Dict[ExperimentJob, Metrics] = {}
         self.stats = RunnerStats()

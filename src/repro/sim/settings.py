@@ -25,9 +25,6 @@ from repro.workloads.profiles import PAPER_WORKLOAD_NAMES
 #: Timeslice assumed by the paper (1 ms at 3 GHz).
 PAPER_TIMESLICE_CYCLES = 3_000_000
 
-#: Valid values of :attr:`ExperimentSettings.fidelity`.
-FIDELITY_TIERS = ("accurate", "fast")
-
 
 @dataclass(frozen=True)
 class ExperimentSettings:
@@ -93,20 +90,6 @@ class ExperimentSettings:
     #: Generator profiles the fuzz campaign sweeps (see
     #: :data:`repro.sim.fuzz.generate.FUZZ_PROFILES`).
     fuzz_profiles: Tuple[str, ...] = ("churn-heavy", "failure-heavy", "mixed")
-    #: Timing-model fidelity tier: ``"accurate"`` runs the cycle-accurate
-    #: quantum model for every instruction; ``"fast"`` wraps it in the
-    #: calibrated probe-and-extrapolate model of :mod:`repro.cpu.fastpath`
-    #: (measurement-style cells that need exact instruction sequences always
-    #: run accurate).  The tier is part of a cell's identity, so cached
-    #: results never mix tiers.
-    fidelity: str = "accurate"
-
-    def __post_init__(self) -> None:
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ExperimentError(
-                f"unknown fidelity tier {self.fidelity!r}; "
-                f"expected one of {', '.join(FIDELITY_TIERS)}"
-            )
 
     @property
     def footprint_scale(self) -> float:
@@ -189,10 +172,6 @@ class ExperimentSettings:
     def with_seeds(self, seeds: Sequence[int]) -> "ExperimentSettings":
         """A copy sweeping the given seeds."""
         return replace(self, seeds=tuple(seeds))
-
-    def with_fidelity(self, fidelity: str) -> "ExperimentSettings":
-        """A copy running at the given fidelity tier."""
-        return replace(self, fidelity=fidelity)
 
     def cell_settings(self) -> "ExperimentSettings":
         """The settings one experiment *cell* actually depends on.

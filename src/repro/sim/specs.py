@@ -92,7 +92,6 @@ __all__ = [
     "SpecRequest",
     "SpecRun",
     "experiment",
-    "experiment_names",
     "register_experiment",
     "jsonify",
     "parse_count_list",
@@ -435,7 +434,6 @@ class ExperimentSpec:
             self.samples(request, jobs, results),
             name=self.name,
             title=self.title,
-            fidelity=request.settings.fidelity,
         )
 
     # ------------------------------------------------------------------ #
@@ -548,11 +546,6 @@ def experiment(name: str) -> ExperimentSpec:
         raise ExperimentError(
             f"unknown experiment {name!r} (registered: {known})"
         ) from None
-
-
-def experiment_names() -> Tuple[str, ...]:
-    """The registered experiment names, in presentation order."""
-    return tuple(EXPERIMENTS)
 
 
 # ===================================================================== #
@@ -693,32 +686,9 @@ register_experiment(
 )
 
 
-def _tag_fidelity(
-    jobs: List[ExperimentJob], settings: "ExperimentSettings"
-) -> List[ExperimentJob]:
-    """Stamp the fidelity tier into cells that do not embed settings.
-
-    Measurement and fault cells carry an explicit ``config`` instead of an
-    :class:`ExperimentSettings` value, so the tier would otherwise be absent
-    from their cache keys.  They run bit-identically under either tier (the
-    fast model delegates fine-grained and fault-injected quanta), but cache
-    keys must still be tier-distinct: a result computed under one requested
-    tier is never served as the other.
-    """
-    if settings.fidelity == "accurate":
-        return jobs
-    return [
-        dataclasses.replace(
-            job,
-            params=tuple(sorted(job.params + (("fidelity", settings.fidelity),))),
-        )
-        for job in jobs
-    ]
-
-
 def _table1_jobs(request: SpecRequest) -> List[ExperimentJob]:
     settings = request.settings
-    return _tag_fidelity(switch_overhead_jobs(
+    return switch_overhead_jobs(
         settings.workloads,
         transitions_to_measure=request.option(
             "transitions_to_measure", settings.switch_transitions
@@ -726,7 +696,7 @@ def _table1_jobs(request: SpecRequest) -> List[ExperimentJob]:
         warmup_cycles=request.option("warmup_cycles", settings.switch_warmup_cycles),
         config=request.option("config"),
         seed=settings.seeds[0],
-    ), settings)
+    )
 
 
 _TABLE1_SCHEMA = MetricSchema(
@@ -769,7 +739,7 @@ register_experiment(
 
 def _table2_jobs(request: SpecRequest) -> List[ExperimentJob]:
     settings = request.settings
-    return _tag_fidelity(switch_frequency_jobs(
+    return switch_frequency_jobs(
         settings.workloads,
         phases_to_measure=request.option(
             "phases_to_measure", settings.frequency_phases
@@ -779,7 +749,7 @@ def _table2_jobs(request: SpecRequest) -> List[ExperimentJob]:
         ),
         config=request.option("config"),
         seed=settings.seeds[0],
-    ), settings)
+    )
 
 
 _TABLE2_SCHEMA = MetricSchema(
@@ -1127,7 +1097,7 @@ def _faults_jobs(request: SpecRequest) -> List[ExperimentJob]:
                 request.option("trials_per_cell", DEFAULT_TRIALS_PER_CELL)
             ),
         )
-    return _tag_fidelity(jobs, request.settings)
+    return jobs
 
 
 def _faults_sweeping(request: SpecRequest) -> bool:

@@ -1,25 +1,16 @@
-"""On-disk result stores: the packed segment store and the legacy per-file one.
+"""The on-disk result store: packed, CRC-framed segment files.
 
-The experiment engine persists one JSON record per finished cell.  Two
-layouts implement the same cache interface:
-
-* :class:`ResultCache` -- the **packed segment store** (the default).
-  Records append to size-bounded *segment files* under
-  ``<cache_dir>/<kind>/segments/``, each record framed with a
-  length/CRC32 header so a torn tail from a killed writer is detected
-  and cleanly ignored.  A per-kind *manifest*
-  (``segments/manifest.json``) maps ``key -> (segment, offset, length,
-  version, ts)`` and is loaded once per process; if it is missing or
-  stale the index is rebuilt by scanning the segments' unvouched tails.
-  Batched APIs (:meth:`ResultCache.load_many`,
-  :meth:`ResultCache.store_many`) cost one append and one ``fsync`` per
-  *chunk*, not per cell -- the storage analogue of the engine's batched
-  execute path.
-* :class:`LegacyResultCache` -- the historical one-file-per-cell layout
-  (``<cache_dir>/<kind>/<key>.json``, atomic write+fsync+rename per
-  cell).  Kept for benchmarking and as a migration source: the packed
-  store *reads through* to legacy files it has no packed record for,
-  and ``repro cache migrate`` packs them.
+The experiment engine persists one JSON record per finished cell.
+:class:`ResultCache` appends records to size-bounded *segment files* under
+``<cache_dir>/<kind>/segments/``, each record framed with a length/CRC32
+header so a torn tail from a killed writer is detected and cleanly
+ignored.  A per-kind *manifest* (``segments/manifest.json``) maps ``key ->
+(segment, offset, length, version, ts)`` and is loaded once per process; if
+it is missing or stale the index is rebuilt by scanning the segments'
+unvouched tails.  Batched APIs (:meth:`ResultCache.load_many`,
+:meth:`ResultCache.store_many`) cost one append and one ``fsync`` per
+*chunk*, not per cell -- the storage analogue of the engine's batched
+execute path.
 
 Concurrent-writer safety: every writer appends only to segment files it
 created itself (``seg-<pid>-<n>.seg``, opened with ``O_EXCL``), so two
@@ -30,16 +21,16 @@ tail.  Manifest publication is deferred (:meth:`ResultCache.flush`, plus
 every :data:`PUBLISH_EVERY` records) because an unpublished record is
 still durable -- the rebuild scan finds it.
 
-:func:`make_result_cache` picks the layout (``REPRO_CACHE_LAYOUT`` or
-``layout=``); :mod:`repro.sim.runner` re-exports everything here for
-backwards compatibility.
+A job kind names a directory directly under the cache root, so a kind
+that is not exactly one plain path component is rejected before it
+becomes a path.  :mod:`repro.sim.runner` re-exports :class:`ResultCache`
+and the cache report types.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import time
 import zlib
@@ -74,9 +65,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Environment variable selecting the cache layout (``packed``/``legacy``).
-CACHE_LAYOUT_ENV = "REPRO_CACHE_LAYOUT"
 
 #: Compact JSON separators for every persisted/wire payload: cache records
 #: carry no humans-read-this requirement, and the whitespace of the default
@@ -203,55 +191,24 @@ def _record_metrics(record: Optional[Mapping[str, object]], key: str) -> Optiona
     return metrics
 
 
-def _validate_legacy_payload(payload: object, key: str) -> Optional[Metrics]:
-    """Validate one legacy per-file entry's payload; ``None`` is a miss."""
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema") != CACHE_SCHEMA_VERSION:
-        return None
-    if payload.get("key") != key:
-        return None
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
-        return None
-    return metrics
-
-
-def _load_legacy_entry(path: Path, key: str) -> Optional[Metrics]:
-    """Read-validate one legacy entry file; any failure is a miss."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return _validate_legacy_payload(payload, key)
-
-
 # ---------------------------------------------------------------------- #
 # Per-kind segment store
 # ---------------------------------------------------------------------- #
 
 
 class _KindStore:
-    """One job kind's segments, manifest, index and (lazy) legacy file set."""
+    """One job kind's segments, manifest and index."""
 
-    def __init__(
-        self,
-        root: Path,
-        kind: str,
-        max_segment_bytes: int,
-        clock: Callable[[], float],
-    ) -> None:
+    def __init__(self, root: Path, kind: str, max_segment_bytes: int) -> None:
         self.kind = kind
         self.directory = root / kind
         self.segment_dir = self.directory / SEGMENT_DIR_NAME
         self.manifest_path = self.segment_dir / MANIFEST_NAME
         self.max_segment_bytes = max_segment_bytes
-        self._clock = clock
         self._index: Optional[Dict[str, _IndexEntry]] = None
         #: Per segment, how many bytes are known-intact (own fsynced writes,
         #: or cleanly scanned).  The manifest never vouches beyond these.
         self._scanned: Dict[str, int] = {}
-        self._legacy: Optional[Set[str]] = None
         self._writer_name: Optional[str] = None
         self._handle = None
         self._dirty = 0
@@ -526,20 +483,6 @@ class _KindStore:
         """Decoded records for every indexed, intact key among ``keys``."""
         return {key: record for key, (_, record) in self._fetch(keys).items()}
 
-    # -- legacy read-through -------------------------------------------- #
-
-    def legacy_keys(self) -> Set[str]:
-        """Keys with a legacy per-file entry (globbed once per process)."""
-        if self._legacy is None:
-            self._legacy = set()
-            if self.directory.is_dir():
-                for path in self.directory.glob("*.json"):
-                    self._legacy.add(path.stem)
-        return self._legacy
-
-    def legacy_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
     # -- maintenance ---------------------------------------------------- #
 
     def segment_names(self) -> List[str]:
@@ -592,16 +535,13 @@ class _KindStore:
         return len(keep), bytes_before, self.segment_bytes()
 
     def drop_all(self) -> int:
-        """Delete every packed and legacy entry; returns entries removed."""
-        removed = len(self.index()) + len(self.legacy_keys())
+        """Delete every entry; returns how many were removed."""
+        removed = len(self.index())
         self._roll()
         if self.segment_dir.is_dir():
             shutil.rmtree(self.segment_dir, ignore_errors=True)
-        for key in list(self.legacy_keys()):
-            self.legacy_path(key).unlink(missing_ok=True)
         self._index = {}
         self._scanned = {}
-        self._legacy = set()
         self._dirty = 0
         try:
             self.directory.rmdir()
@@ -618,17 +558,15 @@ class _KindStore:
 class ResultCache:
     """Packed segment-file result store keyed by job cache keys.
 
-    The default on-disk layout: see the module docstring for the format.
-    Single-cell :meth:`load`/:meth:`store` remain for convenience; the
-    engine's hot paths use the batched :meth:`load_many`/:meth:`store_many`
-    (and their key-level twins for the distributed coordinator, which holds
-    wire descriptions rather than :class:`ExperimentJob` instances).
+    See the module docstring for the format.  Single-cell
+    :meth:`load`/:meth:`store` remain for convenience; the engine's hot
+    paths use the batched :meth:`load_many`/:meth:`store_many` (and their
+    key-level twins for the distributed coordinator, which holds wire
+    descriptions rather than :class:`ExperimentJob` instances).
 
     ``clock`` is injectable so prune-by-age tests control record ages
     without sleeping.
     """
-
-    layout = "packed"
 
     def __init__(
         self,
@@ -647,7 +585,14 @@ class ResultCache:
     def _kind(self, kind: str) -> _KindStore:
         store = self._stores.get(kind)
         if store is None:
-            store = _KindStore(self.directory, kind, self.max_segment_bytes, self._clock)
+            # The kind becomes a directory under the root: anything but one
+            # plain path component (an absolute path, "..", "a/b") would
+            # point the store -- and clear's rmtree -- outside the cache.
+            if kind in ("", ".", "..") or Path(kind).name != kind:
+                raise ExperimentError(
+                    f"invalid job kind {kind!r}: a kind is one plain name"
+                )
+            store = _KindStore(self.directory, kind, self.max_segment_bytes)
             self._stores[kind] = store
         return store
 
@@ -658,18 +603,6 @@ class ResultCache:
                 if child.is_dir():
                     names.add(child.name)
         return sorted(names)
-
-    def path_for(self, job: ExperimentJob) -> Path:
-        """Where the cell's *legacy* per-file entry would live.
-
-        Packed records live inside segment files and have no path of their
-        own; this remains the read-through and migration source location.
-        """
-        return self.path_for_key(job.kind, job.cache_key())
-
-    def path_for_key(self, kind: str, key: str) -> Path:
-        """Legacy entry location for a ``(kind, cache_key)`` pair."""
-        return self.directory / kind / f"{key}.json"
 
     # -- loads ---------------------------------------------------------- #
 
@@ -689,9 +622,7 @@ class ResultCache:
     def load_many(self, jobs: Sequence[ExperimentJob]) -> Dict[ExperimentJob, Metrics]:
         """Probe a whole batch; returns ``{job: metrics}`` for the hits.
 
-        One index lookup per cell and one file open per touched segment --
-        the warm-run fast path the per-file layout paid an ``open`` +
-        ``json.loads`` per cell for.
+        One index lookup per cell and one file open per touched segment.
         """
         keyed = [(job, job.kind, job.cache_key()) for job in jobs]
         hits = self.load_many_entries([(kind, key) for _, kind, key in keyed])
@@ -706,13 +637,9 @@ class ResultCache:
             by_kind.setdefault(kind, []).append(key)
         hits: Dict[str, Metrics] = {}
         for kind, keys in by_kind.items():
-            store = self._kind(kind)
-            records = store.get_many(keys)
-            legacy = store.legacy_keys() if len(records) < len(keys) else ()
+            records = self._kind(kind).get_many(keys)
             for key in keys:
                 metrics = _record_metrics(records.get(key), key)
-                if metrics is None and key in legacy:
-                    metrics = _load_legacy_entry(store.legacy_path(key), key)
                 if metrics is not None:
                     hits[key] = metrics
         return hits
@@ -780,7 +707,7 @@ class ResultCache:
         return tuple(
             kind
             for kind in self._kind_names()
-            if self._kind(kind).index() or self._kind(kind).legacy_keys()
+            if self._kind(kind).index()
         )
 
     def stats(self) -> Dict[str, "CacheKindStats"]:
@@ -789,18 +716,16 @@ class ResultCache:
         Served from the in-memory index -- no per-entry file reads.
         ``bytes`` counts *live* record bytes; ``disk_bytes`` the segment
         files as stored (the gap is what ``cache compact`` reclaims).  A
-        torn in-flight segment tail is excluded by the CRC scan, so --
-        unlike the legacy tail-sniff, which reported ``?`` -- a mid-write
-        record never shows up at all.  Legacy files still present report
-        their sniffed versions (``?`` for partial files, which load as
-        misses anyway).
+        torn in-flight segment tail is excluded by the CRC scan, so a
+        mid-write record never shows up at all.  Versions are the records'
+        own ``schema`` fields: a stale-version record is counted under its
+        version although it loads as a miss.
         """
         report: Dict[str, CacheKindStats] = {}
         for kind in self._kind_names():
             store = self._kind(kind)
             index = store.index()
-            legacy = store.legacy_keys()
-            if not index and not legacy:
+            if not index:
                 continue
             stats = CacheKindStats(kind=kind)
             for entry in index.values():
@@ -809,16 +734,6 @@ class ResultCache:
                 stats.versions[entry.version] = stats.versions.get(entry.version, 0) + 1
             stats.segments = len(store.segment_names())
             stats.disk_bytes = store.segment_bytes()
-            for key in sorted(legacy):
-                try:
-                    size = store.legacy_path(key).stat().st_size
-                except OSError:
-                    continue
-                stats.entries += 1
-                stats.bytes += size
-                stats.disk_bytes += size
-                version = _entry_schema_version(store.legacy_path(key), size)
-                stats.versions[version] = stats.versions.get(version, 0) + 1
             report[kind] = stats
         return report
 
@@ -848,20 +763,13 @@ class ResultCache:
         result = CachePruneResult()
         if now is None:
             now = self._clock()
-        items: List[Tuple[float, int, str, str, bool]] = []
+        items: List[Tuple[float, int, str, str]] = []
         for kind in self._kind_names():
-            store = self._kind(kind)
-            for key, entry in store.index().items():
-                items.append((entry.ts, entry.length, kind, key, False))
-            for key in sorted(store.legacy_keys()):
-                try:
-                    stat = store.legacy_path(key).stat()
-                except OSError:
-                    continue
-                items.append((stat.st_mtime, stat.st_size, kind, key, True))
+            for key, entry in self._kind(kind).index().items():
+                items.append((entry.ts, entry.length, kind, key))
         items.sort(key=lambda item: item[0])
-        doomed: List[Tuple[float, int, str, str, bool]] = []
-        survivors: List[Tuple[float, int, str, str, bool]] = []
+        doomed: List[Tuple[float, int, str, str]] = []
+        survivors: List[Tuple[float, int, str, str]] = []
         for item in items:
             if max_age_seconds is not None and now - item[0] > max_age_seconds:
                 doomed.append(item)
@@ -876,14 +784,9 @@ class ResultCache:
                 cut += 1
             survivors = survivors[cut:]
         touched_kinds: Set[str] = set()
-        for _, size, kind, key, is_legacy in doomed:
-            store = self._kind(kind)
-            if is_legacy:
-                store.legacy_path(key).unlink(missing_ok=True)
-                store.legacy_keys().discard(key)
-            else:
-                store.index().pop(key, None)
-                touched_kinds.add(kind)
+        for _, size, kind, key in doomed:
+            self._kind(kind).index().pop(key, None)
+            touched_kinds.add(kind)
             result.removed_entries += 1
             result.removed_bytes += size
         for kind in touched_kinds:
@@ -904,302 +807,6 @@ class ResultCache:
             result.entries += entries
             result.reclaimed_bytes += max(0, before - after)
         return result
-
-    def migrate(self) -> "CacheMigrateResult":
-        """Pack every legacy per-file entry into segments, then delete it.
-
-        Entries that fail validation (corrupt, stale schema version, key
-        mismatch) load as misses anyway and are dropped rather than packed.
-        Record timestamps preserve the legacy file's mtime, so prune-by-age
-        still sees the original production time.
-        """
-        result = CacheMigrateResult()
-        for kind in self._kind_names():
-            store = self._kind(kind)
-            legacy = sorted(store.legacy_keys())
-            if not legacy:
-                continue
-            result.kinds += 1
-            index = store.index()
-            records: List[Tuple[str, Dict[str, object]]] = []
-            for key in legacy:
-                path = store.legacy_path(key)
-                try:
-                    stat = path.stat()
-                    payload = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    stat = None
-                    payload = None
-                metrics = _validate_legacy_payload(payload, key)
-                if metrics is None:
-                    result.dropped += 1
-                elif key in index:
-                    result.deduped += 1
-                else:
-                    records.append(
-                        (
-                            key,
-                            {
-                                "schema": CACHE_SCHEMA_VERSION,
-                                "key": key,
-                                "kind": kind,
-                                "ts": stat.st_mtime if stat is not None else self._clock(),
-                                "job": payload.get("job") if isinstance(payload, dict) else None,
-                                "metrics": metrics,
-                            },
-                        )
-                    )
-                    result.packed += 1
-                if stat is not None:
-                    result.reclaimed_bytes += stat.st_size
-                path.unlink(missing_ok=True)
-            store.legacy_keys().clear()
-            if records:
-                store.append(records)
-            store._roll()
-        self.flush()
-        return result
-
-
-# ---------------------------------------------------------------------- #
-# The legacy per-file store
-# ---------------------------------------------------------------------- #
-
-
-class LegacyResultCache:
-    """One-JSON-file-per-cell result store keyed by the job's cache key.
-
-    The pre-packed layout, kept readable (the packed store reads through
-    to it), migratable (``repro cache migrate``) and constructible
-    (``REPRO_CACHE_LAYOUT=legacy``) -- the last mostly so
-    ``benchmarks/bench_cache.py`` can measure what the packed store buys.
-    """
-
-    layout = "legacy"
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-
-    def path_for(self, job: ExperimentJob) -> Path:
-        """Where the given cell's result lives (whether or not it exists)."""
-        return self.path_for_key(job.kind, job.cache_key())
-
-    def path_for_key(self, kind: str, key: str) -> Path:
-        """Entry location for a ``(kind, cache_key)`` pair."""
-        return self.directory / kind / f"{key}.json"
-
-    def load(self, job: ExperimentJob) -> Optional[Metrics]:
-        """Return the cached metrics for ``job``, or ``None`` on a miss."""
-        return self.load_entry(job.kind, job.cache_key())
-
-    def load_entry(self, kind: str, key: str) -> Optional[Metrics]:
-        """Return the cached metrics under ``(kind, key)``, or ``None``.
-
-        Corrupt or incompatible entries are treated as misses rather than
-        errors -- a load never raises, and the subsequent :meth:`store`
-        simply overwrites the bad file.  This covers truncated writes from a
-        run killed mid-flight, non-JSON garbage, undecodable bytes, schema
-        changes, and well-formed JSON that is not a result object at all.
-        """
-        return _load_legacy_entry(self.path_for_key(kind, key), key)
-
-    def load_many(self, jobs: Sequence[ExperimentJob]) -> Dict[ExperimentJob, Metrics]:
-        """Batch probe (one file read per cell -- the layout's cost)."""
-        hits: Dict[ExperimentJob, Metrics] = {}
-        for job in jobs:
-            metrics = self.load(job)
-            if metrics is not None:
-                hits[job] = metrics
-        return hits
-
-    def load_many_entries(
-        self, pairs: Sequence[Tuple[str, str]]
-    ) -> Dict[str, Metrics]:
-        """Key-level batch probe: ``{key: metrics}`` for the hits."""
-        hits: Dict[str, Metrics] = {}
-        for kind, key in pairs:
-            metrics = self.load_entry(kind, key)
-            if metrics is not None:
-                hits[key] = metrics
-        return hits
-
-    def store(self, job: ExperimentJob, metrics: Metrics) -> None:
-        """Persist one cell's metrics atomically (write, fsync, rename)."""
-        self.store_entry(job.kind, job.cache_key(), job.to_dict(), metrics)
-
-    def store_entry(
-        self,
-        kind: str,
-        key: str,
-        job_description: Dict[str, object],
-        metrics: Metrics,
-    ) -> None:
-        """Persist one entry under ``(kind, key)`` atomically.
-
-        The entry is written to a process-private temporary file, flushed to
-        stable storage, and only then renamed into place, so a job killed at
-        any point can never leave a partially written entry under the final
-        name (which would read as a miss -- and silently re-simulate -- on
-        every subsequent run).
-        """
-        path = self.path_for_key(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "job": job_description,
-            "metrics": metrics,
-        }
-        # Process-private name: two concurrent runs storing the same cell
-        # must never interleave writes into one temporary file.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, separators=COMPACT_SEPARATORS)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def store_many(self, items: Sequence[Tuple[ExperimentJob, Metrics]]) -> None:
-        """Batch store (one write + fsync per cell -- the layout's cost)."""
-        for job, metrics in items:
-            self.store(job, metrics)
-
-    def store_entries(
-        self, entries: Sequence[Tuple[str, str, Dict[str, object], Metrics]]
-    ) -> None:
-        """Key-level batch store."""
-        for kind, key, description, metrics in entries:
-            self.store_entry(kind, key, description, metrics)
-
-    def flush(self) -> None:
-        """No-op: every store is already durable under its final name."""
-
-    def kinds(self) -> Tuple[str, ...]:
-        """The job kinds with at least one entry on disk, sorted."""
-        if not self.directory.is_dir():
-            return ()
-        return tuple(
-            sorted(
-                child.name
-                for child in self.directory.iterdir()
-                if child.is_dir() and any(child.glob("*.json"))
-            )
-        )
-
-    def stats(self) -> Dict[str, "CacheKindStats"]:
-        """Per-kind entry counts, on-disk sizes and schema-version mix."""
-        report: Dict[str, CacheKindStats] = {}
-        for kind in self.kinds():
-            stats = report.setdefault(kind, CacheKindStats(kind=kind))
-            for path in (self.directory / kind).glob("*.json"):
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue
-                stats.entries += 1
-                stats.bytes += size
-                stats.disk_bytes += size
-                version = _entry_schema_version(path, size)
-                stats.versions[version] = stats.versions.get(version, 0) + 1
-        return report
-
-    def clear(self, kind: Optional[str] = None) -> int:
-        """Delete cached entries; return how many files were removed."""
-        removed = 0
-        if not self.directory.exists():
-            return removed
-        pattern = f"{kind}/*.json" if kind is not None else "*/*.json"
-        for path in self.directory.glob(pattern):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def prune(
-        self,
-        max_age_seconds: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> "CachePruneResult":
-        """Garbage-collect the cache by age and/or total size.
-
-        ``max_age_seconds`` removes every entry whose file modification time
-        is older than the horizon.  ``max_bytes`` then evicts the oldest
-        surviving entries until the total on-disk size fits the budget
-        (LRU-by-mtime: the cache touches entries only when storing, so age
-        approximates "least recently produced").  Either limit may be
-        ``None``; with both ``None`` this is a no-op inventory pass.  The
-        clock is injectable for tests.
-        """
-        result = CachePruneResult()
-        if not self.directory.is_dir():
-            return result
-        if now is None:
-            now = time.time()
-        entries: List[Tuple[float, int, Path]] = []
-        for path in self.directory.glob("*/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()  # oldest first
-        survivors: List[Tuple[float, int, Path]] = []
-        for mtime, size, path in entries:
-            if max_age_seconds is not None and now - mtime > max_age_seconds:
-                path.unlink(missing_ok=True)
-                result.removed_entries += 1
-                result.removed_bytes += size
-            else:
-                survivors.append((mtime, size, path))
-        if max_bytes is not None:
-            total = sum(size for _, size, _ in survivors)
-            index = 0
-            while total > max_bytes and index < len(survivors):
-                _, size, path = survivors[index]
-                path.unlink(missing_ok=True)
-                result.removed_entries += 1
-                result.removed_bytes += size
-                total -= size
-                index += 1
-            survivors = survivors[index:]
-        result.kept_entries = len(survivors)
-        result.kept_bytes = sum(size for _, size, _ in survivors)
-        return result
-
-
-#: Either store; they implement the same cache interface.
-AnyResultCache = Union[ResultCache, LegacyResultCache]
-
-#: Layout names accepted by :func:`make_result_cache` / the environment.
-CACHE_LAYOUTS = ("packed", "legacy")
-
-
-def make_result_cache(
-    directory: Union[None, str, Path] = None,
-    layout: Optional[str] = None,
-    **kwargs: object,
-) -> AnyResultCache:
-    """Build a result cache in the requested (or configured) layout.
-
-    ``layout`` falls back to :data:`CACHE_LAYOUT_ENV` and then to
-    ``packed``.  Extra keyword arguments go to the packed store
-    (``max_segment_bytes``, ``clock``); the legacy store accepts none.
-    """
-    if directory is None:
-        directory = default_cache_dir()
-    if layout is None:
-        layout = os.environ.get(CACHE_LAYOUT_ENV) or "packed"
-    layout = str(layout).strip().lower()
-    if layout == "packed":
-        return ResultCache(directory, **kwargs)  # type: ignore[arg-type]
-    if layout == "legacy":
-        return LegacyResultCache(directory)
-    raise ExperimentError(
-        f"unknown cache layout {layout!r} (expected one of: {', '.join(CACHE_LAYOUTS)})"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -1240,65 +847,19 @@ class CacheCompactResult:
 
 
 @dataclass
-class CacheMigrateResult:
-    """What :meth:`ResultCache.migrate` packed, deduped and dropped."""
-
-    kinds: int = 0
-    packed: int = 0
-    deduped: int = 0
-    dropped: int = 0
-    reclaimed_bytes: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"packed {self.packed} legacy entries across {self.kinds} kinds "
-            f"({self.deduped} already packed, {self.dropped} invalid dropped); "
-            f"removed {self.reclaimed_bytes} bytes of legacy files"
-        )
-
-
-def _entry_schema_version(path: Path, size: int) -> str:
-    """The recorded ``schema`` version of one *legacy* cache entry, cheaply.
-
-    Reads a small tail and takes the last ``"schema": N`` match instead of
-    deserializing the whole entry (fault-campaign cells can be tens of
-    kilobytes each).  The tail match is only trusted when the tail also
-    ends with the closing ``}`` of a complete dump: a zero-byte or
-    mid-write entry (a writer caught between ``open`` and flush) must
-    report ``"?"`` rather than whatever version string happens to survive
-    truncation.  Falls back to a full parse for complete files that do not
-    match (e.g. hand-edited entries), and to ``"?"`` for unreadable ones --
-    which load as misses anyway.
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(max(0, size - 256))
-            tail = handle.read().decode("utf-8", errors="replace")
-        if tail.rstrip().endswith("}"):
-            matches = re.findall(r'"schema":\s*(\d+)', tail)
-            if matches:
-                return matches[-1]
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return str(payload.get("schema", "?"))
-    except (OSError, ValueError, AttributeError):
-        return "?"
-
-
-@dataclass
 class CacheKindStats:
     """One job kind's share of the on-disk result cache."""
 
     kind: str
     entries: int = 0
-    #: Live record bytes (packed) or entry file bytes (legacy).
+    #: Live record bytes.
     bytes: int = 0
-    #: Bytes actually occupied on disk (segments + manifest + legacy
-    #: files); the gap over :attr:`bytes` is what ``compact`` reclaims.
+    #: Bytes actually occupied on disk (segments + manifest); the gap over
+    #: :attr:`bytes` is what ``compact`` reclaims.
     disk_bytes: int = 0
-    #: Segment files backing the kind (0 under the legacy layout).
+    #: Segment files backing the kind.
     segments: int = 0
-    #: Entry counts per recorded cache schema version (``"?"`` for
-    #: unreadable legacy entries -- which load as misses anyway).
+    #: Entry counts per recorded cache schema version.
     versions: Dict[str, int] = dataclass_field(default_factory=dict)
 
     def version_summary(self) -> str:

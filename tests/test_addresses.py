@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.common.addresses import (
-    DEFAULT_PAGE_SIZE,
     AddressSpaceLayout,
     Region,
     align_down,
     align_up,
-    cache_line_address,
-    cache_line_index,
-    page_number,
-    page_offset,
 )
 from repro.errors import ConfigurationError
 
@@ -30,14 +25,6 @@ def test_align_rejects_nonpositive_alignment():
         align_down(10, 0)
     with pytest.raises(ConfigurationError):
         align_up(10, -4)
-
-
-def test_page_and_line_helpers():
-    address = 3 * DEFAULT_PAGE_SIZE + 100
-    assert page_number(address) == 3
-    assert page_offset(address) == 100
-    assert cache_line_address(address) == address - (address % 64)
-    assert cache_line_index(address) == address // 64
 
 
 def test_region_contains_and_offset():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.metrics import normalize_to
-from repro.analysis.tables import TextTable, format_cell, format_series
+from repro.analysis.tables import TextTable, format_cell
 
 
 def test_normalize_to_baseline():
@@ -21,10 +21,6 @@ def test_format_cell():
     assert format_cell(1.23456) == "1.235"
     assert format_cell("text") == "text"
     assert format_cell(7) == "7"
-
-
-def test_format_series():
-    assert format_series("ipc", [1.0, 0.5]) == "ipc: [1.000, 0.500]"
 
 
 class TestTextTable:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.store import SEGMENT_DIR_NAME
 
 
 @pytest.fixture(autouse=True)
@@ -16,9 +17,9 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def cached_entries(cache_dir, kind):
     """Entry count for one kind, read through a fresh cache instance."""
-    from repro.sim.runner import make_result_cache
+    from repro.sim.runner import ResultCache
 
-    stats = make_result_cache(cache_dir).stats().get(kind)
+    stats = ResultCache(cache_dir).stats().get(kind)
     return stats.entries if stats is not None else 0
 
 
@@ -210,19 +211,48 @@ def test_cache_stats_and_clear_by_kind(capsys, isolated_cache):
 def test_cache_stats_reports_schema_version_breakdown(capsys, isolated_cache):
     import json
 
+    from repro.sim.store import _frame_record
+
     assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    # Plant a pre-redesign (version 1) entry next to the fresh ones: it
-    # must show up in the breakdown even though loads treat it as a miss.
-    stale = isolated_cache / "figure5" / "deadbeef.json"
-    stale.write_text(
-        json.dumps({"schema": 1, "key": "deadbeef", "metrics": {"user_ipc": 1.0}}),
-        encoding="utf-8",
-    )
+    # Plant a version-2 record in a segment of its own next to the fresh
+    # ones: the rebuild scan indexes it, so it must show up in the
+    # breakdown even though loads treat it as a miss.
+    stale = json.dumps(
+        {"schema": 2, "key": "deadbeef", "kind": "figure5", "ts": 0.0,
+         "metrics": {"user_ipc": 1.0}}
+    ).encode("utf-8")
+    segment = isolated_cache / "figure5" / SEGMENT_DIR_NAME / "seg-planted-0000.seg"
+    segment.write_bytes(_frame_record(stale))
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "versions" in out
-    assert "v1:1" in out and "v3:3" in out
+    assert "v2:1 v3:3" in out
+
+
+@pytest.mark.parametrize("kind", ["..", "absolute"])
+def test_cache_clear_refuses_a_kind_outside_the_cache(capsys, tmp_path, kind):
+    # A kind names one directory under the cache root.  ".." or an absolute
+    # path would aim clear at the cache's parent -- here a directory that
+    # also holds a baseline document and an unrelated segments/ folder.
+    from repro.sim.jobs import ExperimentJob
+    from repro.sim.runner import ResultCache
+
+    cache_dir = tmp_path / "cache"
+    job = ExperimentJob(kind="figure5", workload="apache")
+    ResultCache(cache_dir).store(job, {"m": 1.0})
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("{}", encoding="utf-8")
+    bystander = tmp_path / SEGMENT_DIR_NAME / "notes.txt"
+    bystander.parent.mkdir()
+    bystander.write_text("keep me", encoding="utf-8")
+
+    target = str(tmp_path) if kind == "absolute" else kind
+    assert main(["cache", "clear", "--kind", target, "--cache-dir", str(cache_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "invalid job kind" in captured.err and "removed" not in captured.out
+    assert baseline.exists() and bystander.exists()
+    assert ResultCache(cache_dir).load(job) == {"m": 1.0}
 
 
 def test_faults_subcommand(capsys):
@@ -338,24 +368,6 @@ def test_cache_prune_by_age_and_size(capsys, isolated_cache):
     # A warm re-run is gone: the next run executes again.
     assert main(["figure5", "--quick", "--workloads", "apache", "--seeds", "1"]) == 0
     assert "0 from cache" in capsys.readouterr().out
-
-
-def test_cache_migrate_packs_legacy_entries(capsys, isolated_cache, monkeypatch):
-    # Populate a legacy per-file cache, migrate it into the packed layout,
-    # then confirm a packed run serves every cell warm.
-    monkeypatch.setenv("REPRO_CACHE_LAYOUT", "legacy")
-    assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    capsys.readouterr()
-    assert len(list(isolated_cache.glob("figure5/*.json"))) == 3
-
-    monkeypatch.delenv("REPRO_CACHE_LAYOUT")
-    assert main(["cache", "migrate"]) == 0
-    out = capsys.readouterr().out
-    assert "packed 3 legacy entries across 1 kinds" in out
-    assert not list(isolated_cache.glob("figure5/*.json"))
-
-    assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    assert "0 executed, 3 from cache" in capsys.readouterr().out
 
 
 def test_cache_compact_reclaims_overwritten_records(capsys, isolated_cache):

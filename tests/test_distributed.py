@@ -436,6 +436,21 @@ class TestEndToEnd:
         local = frames_document(frames, settings=asdict(QUICK))
         assert json.dumps(document, sort_keys=True) == json.dumps(local, sort_keys=True)
 
+    def test_submitted_kind_outside_the_cache_is_refused(self, tmp_path):
+        # A kind names one directory under the shared cache, so a crafted
+        # kind must be refused before the store turns it into a path.
+        server = CoordinatorServer(port=0, cache_dir=tmp_path / "cache").start()
+        try:
+            client = CoordinatorClient(server.url)
+            for kind in ("..", str(tmp_path), "a/b"):
+                job = ExperimentJob(kind=kind, workload="w")
+                with pytest.raises(ProtocolError, match="invalid job kind") as excinfo:
+                    client.submit_jobs([job.to_wire()], code_fingerprint())
+                assert excinfo.value.status == 400
+        finally:
+            server.stop()
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_run_and_endpoint_are_404(self):
         server = CoordinatorServer(port=0).start()
         try:

@@ -32,7 +32,6 @@ from repro.faults.campaign import (
 from repro.faults.cells import (
     assemble_campaign_reports,
     assemble_coverage_reports,
-    assemble_seed_coverage_reports,
     execute_fault_cell,
     fault_campaign_jobs,
 )
@@ -265,8 +264,7 @@ class TestAssembly:
     def test_seed_assembly_partitions_the_merged_report(self):
         jobs = small_jobs(seeds=(0, 1))
         results = fresh_runner().run_jobs(jobs)
-        merged = assemble_coverage_reports(jobs, results)
-        per_seed = assemble_seed_coverage_reports(jobs, results)
+        merged, per_seed = assemble_campaign_reports(jobs, results)
         for name, report in merged.items():
             assert report.total == sum(
                 per_seed[(name, seed)].total for seed in (0, 1)

@@ -315,22 +315,17 @@ class TestDiff:
         documents = diff_documents({"a": unit_frame()}, {"b": unit_frame()})
         assert {d.kind for d in documents} == {"missing-frame", "extra-frame"}
 
-    def test_fidelity_round_trip_and_mismatch(self):
+    def test_documents_keep_the_version_1_fidelity_field(self):
+        # There is one timing model, but version-1 documents carry
+        # "fidelity": "accurate" in every frame and in the settings mapping;
+        # the field stays until the next frame_version bump.
         frame = unit_frame()
-        frame.fidelity = "fast"
+        assert frame.to_json()["fidelity"] == "accurate"
         restored = ResultFrame.from_json(json.loads(json.dumps(frame.to_json())))
-        assert restored.fidelity == "fast"
-        # Frames without a tier serialize without the key, byte-stable with
-        # documents written before the field existed.
-        legacy = unit_frame()
-        assert "fidelity" not in legacy.to_json()
-        other = unit_frame()
-        other.fidelity = "accurate"
-        drifts = diff_frames(frame, other)
-        assert [d.kind for d in drifts] == ["fidelity-mismatch"]
-        assert "fast" in drifts[0].detail
-        # A legacy (tierless) baseline still value-compares as before.
-        assert diff_frames(legacy, frame) == []
+        assert restored.to_json() == frame.to_json()
+        document = frames_document({"unit": frame}, settings={"seeds": [0]})
+        assert document["settings"] == {"seeds": [0], "fidelity": "accurate"}
+        assert frames_document({"unit": frame})["settings"] is None
 
     def test_document_round_trip_diffs_clean(self, tmp_path):
         frames = collect_frames(
@@ -370,29 +365,6 @@ class TestCliExportAndDiff:
         assert main(["diff", str(baseline)]) == 1
         out = capsys.readouterr().out
         assert "value-drift" in out and "user_ipc" in out
-
-    def test_diff_rejects_fidelity_mismatch_with_clear_message(self, capsys, tmp_path):
-        # A fast-tier baseline diffed under accurate settings is a usage
-        # error (exit 2), not drift: the tiers legitimately disagree, and
-        # re-running the other tier could never match.
-        assert main(self.BASELINE_ARGV + ["--fidelity", "fast"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        baseline = tmp_path / "fast-baseline.json"
-        baseline.write_text(json.dumps(document), encoding="utf-8")
-        # A plain diff inherits the baseline's recorded tier and passes.
-        assert main(["diff", str(baseline)]) == 0
-        capsys.readouterr()
-        # Forcing the other tier is refused before paying for the re-run.
-        assert main(["diff", str(baseline), "--fidelity", "accurate"]) == 2
-        err = capsys.readouterr().err
-        assert "fidelity tier mismatch" in err
-        assert "'fast'" in err and "--fidelity fast" in err
-        # A baseline with no recorded settings (legacy document) defaults
-        # to the accurate tier, so its fast frames are a mismatch too.
-        document.pop("settings", None)
-        baseline.write_text(json.dumps(document), encoding="utf-8")
-        assert main(["diff", str(baseline)]) == 2
-        assert "fidelity tier mismatch" in capsys.readouterr().err
 
     def test_diff_rejects_garbage(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"

@@ -33,6 +33,7 @@ from repro.sim.experiments import (
     window_ablation_jobs,
 )
 from repro.sim.jobs import (
+    CACHE_SCHEMA_VERSION,
     ExperimentJob,
     execute_job,
     register_job_kind,
@@ -41,7 +42,6 @@ from repro.sim.jobs import (
 )
 from repro.sim.runner import (
     ExperimentRunner,
-    LegacyResultCache,
     ResultCache,
     RunnerBackend,
     SerialBackend,
@@ -53,6 +53,12 @@ from repro.sim.runner import (
     using_runner,
 )
 from repro.sim.specs import experiment
+from repro.sim.store import (
+    MANIFEST_FORMAT,
+    MANIFEST_NAME,
+    SEGMENT_DIR_NAME,
+    _frame_record,
+)
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
 
@@ -62,6 +68,50 @@ def quick_job(variant: str = "no-dmr", seed: int = 0) -> ExperimentJob:
         kind="figure5", workload="apache", variant=variant, seed=seed,
         settings=QUICK.cell_settings(),
     )
+
+
+def record_payload(job: ExperimentJob, **fields: object) -> bytes:
+    """A well-formed packed record for ``job``, with ``fields`` overridden."""
+    record = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "key": job.cache_key(),
+        "kind": job.kind,
+        "ts": 0.0,
+        "job": job.to_dict(),
+        "metrics": {"user_ipc": 0.25},
+    }
+    record.update(fields)
+    return json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+def plant_frame(cache_dir, job: ExperimentJob, payload: bytes) -> None:
+    """Index one CRC-valid frame carrying ``payload`` under ``job``'s key.
+
+    The frame gets a segment of its own and a manifest that vouches for it,
+    so the store resolves ``job`` to exactly these bytes: only record
+    validation stands between whatever the payload says and a hit.
+    """
+    segment_dir = cache_dir / job.kind / SEGMENT_DIR_NAME
+    segment_dir.mkdir(parents=True, exist_ok=True)
+    frame = _frame_record(payload)
+    (segment_dir / "seg-planted-0000.seg").write_bytes(frame)
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "segments": {"seg-planted-0000.seg": len(frame)},
+        "entries": {
+            job.cache_key(): ["seg-planted-0000.seg", 0, len(frame), "?", 0.0]
+        },
+    }
+    (segment_dir / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def assert_miss_then_store_wins(cache_dir, job: ExperimentJob) -> None:
+    """``job`` loads as a miss, and storing it makes the new record the hit."""
+    cache = ResultCache(cache_dir)
+    assert cache.load(job) is None
+    cache.store(job, {"user_ipc": 0.5})
+    assert cache.load(job) == {"user_ipc": 0.5}
+    assert ResultCache(cache_dir).load(job) == {"user_ipc": 0.5}
 
 
 class TestJobModel:
@@ -182,18 +232,8 @@ class TestResultCache:
         assert cache.load(job) is None
         cache.store(job, {"user_ipc": 0.5, "throughput": 1.25})
         assert cache.load(job) == {"user_ipc": 0.5, "throughput": 1.25}
-        # The result lands in a packed segment file, not a per-key file.
+        # The result lands in a packed segment file.
         assert list((tmp_path / job.kind / "segments").glob("seg-*.seg"))
-        assert not cache.path_for(job).exists()
-
-    def test_corrupt_legacy_entries_are_misses(self, tmp_path):
-        # Per-file corruption semantics of the legacy layout (the packed
-        # layout's torn-frame handling is covered in test_store.py).
-        cache = LegacyResultCache(tmp_path)
-        job = quick_job()
-        cache.store(job, {"user_ipc": 0.5})
-        cache.path_for(job).write_text("{not json", encoding="utf-8")
-        assert cache.load(job) is None
 
     @pytest.mark.parametrize(
         "garbage",
@@ -206,49 +246,49 @@ class TestResultCache:
         ],
     )
     def test_truncated_or_malformed_entries_never_raise(self, tmp_path, garbage):
-        # A run killed mid-write must leave a cache the next run can use:
-        # the bad entry reads as a miss and the re-run simply overwrites it.
-        cache = ResultCache(tmp_path)
+        # A frame whose CRC checks out can still carry a payload that is
+        # not a record object (a writer bug, a hand edit): it must read as
+        # a miss that the re-run simply supersedes, never as an error.
         job = quick_job()
-        cache.path_for(job).parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for(job).write_bytes(garbage)
-        assert cache.load(job) is None
-        cache.store(job, {"user_ipc": 0.5})
-        assert cache.load(job) == {"user_ipc": 0.5}
+        plant_frame(tmp_path, job, garbage)
+        assert_miss_then_store_wins(tmp_path, job)
 
     def test_non_dict_metrics_is_a_miss(self, tmp_path):
         # Schema and key check out, but the metrics payload is garbage.
-        from repro.sim.jobs import CACHE_SCHEMA_VERSION
-
-        cache = ResultCache(tmp_path)
         job = quick_job()
-        path = cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"schema": CACHE_SCHEMA_VERSION, "key": job.cache_key(), "metrics": 7}
-            ),
-            encoding="utf-8",
-        )
-        assert cache.load(job) is None
+        plant_frame(tmp_path, job, record_payload(job, metrics=7))
+        assert_miss_then_store_wins(tmp_path, job)
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
-        cache = LegacyResultCache(tmp_path)
+        # The index points at a record that describes a different cell.
         job, other = quick_job(), quick_job(variant="reunion")
-        cache.store(job, {"user_ipc": 0.5})
-        # Simulate a renamed/moved entry: contents describe a different cell.
-        cache.path_for(job).replace(cache.path_for(other))
-        assert cache.load(other) is None
+        plant_frame(tmp_path, job, record_payload(other))
+        assert_miss_then_store_wins(tmp_path, job)
 
-    def test_key_mismatch_in_legacy_read_through_is_a_miss(self, tmp_path):
-        # The packed cache probes legacy per-key files on a miss; a moved
-        # legacy file whose contents describe a different cell must not hit.
-        legacy = LegacyResultCache(tmp_path)
-        job, other = quick_job(), quick_job(variant="reunion")
-        legacy.store(job, {"user_ipc": 0.5})
-        legacy.path_for(job).replace(legacy.path_for(other))
-        cache = ResultCache(tmp_path)
-        assert cache.load(other) is None
+    def test_stale_schema_is_a_miss(self, tmp_path):
+        # A record written under an older cache schema version.
+        job = quick_job()
+        plant_frame(tmp_path, job, record_payload(job, schema=CACHE_SCHEMA_VERSION - 1))
+        assert_miss_then_store_wins(tmp_path, job)
+
+    def test_well_formed_planted_record_is_a_hit(self, tmp_path):
+        # The control for the cases above: the same planting, valid fields.
+        job = quick_job()
+        plant_frame(tmp_path, job, record_payload(job))
+        assert ResultCache(tmp_path).load(job) == {"user_ipc": 0.25}
+
+    @pytest.mark.parametrize("kind", ["", ".", "..", "a/b", "/abs"])
+    def test_kind_must_be_one_plain_name(self, tmp_path, kind):
+        # A kind becomes a directory under the cache root; anything else
+        # would read, write or clear outside it.
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ExperimentError, match="invalid job kind"):
+            cache.clear(kind=kind)
+        with pytest.raises(ExperimentError, match="invalid job kind"):
+            cache.load_entry(kind, "key")
+        with pytest.raises(ExperimentError, match="invalid job kind"):
+            cache.store_entry(kind, "key", {}, {"m": 1.0})
+        assert not list(tmp_path.iterdir())
 
     def test_clear_removes_every_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -280,38 +320,6 @@ class TestResultCache:
         assert stats["figure6"].entries == 1
         for kind_stats in stats.values():
             assert kind_stats.bytes > 0
-
-    def test_stats_reports_unknown_version_for_partial_entries(self, tmp_path):
-        # A zero-byte or mid-write entry must not be counted under a real
-        # schema version: the tail sniff is only trusted for complete dumps
-        # (ending in the closing brace), otherwise a writer caught between
-        # open and flush would inflate a version bucket with an entry that
-        # loads as a miss.
-        cache = ResultCache(tmp_path)
-        cache.store(quick_job(), {"a": 1.0})
-        kind_dir = cache.path_for(quick_job()).parent
-        (kind_dir / "zero.json").write_bytes(b"")
-        # Truncated mid-write, but the tail still contains a schema match.
-        (kind_dir / "partial.json").write_bytes(b'{"metrics": {"a": 1.0}, "schema": 3')
-        stats = cache.stats()["figure5"]
-        assert stats.entries == 3
-        assert stats.versions["?"] == 2
-        known = {v: n for v, n in stats.versions.items() if v != "?"}
-        assert sum(known.values()) == 1
-
-    def test_stats_full_parse_fallback_for_unsniffable_complete_entries(self, tmp_path):
-        # Hand-edited entries (schema not last, trailing whitespace) are
-        # complete files: they fall back to a full parse, not to "?".
-        cache = ResultCache(tmp_path)
-        job = quick_job()
-        path = cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        padding = " " * 512  # push the schema field out of the 256-byte tail
-        path.write_text(
-            '{"schema": 2, "pad": "' + padding + '"}\n', encoding="utf-8"
-        )
-        stats = cache.stats()["figure5"]
-        assert stats.versions == {"2": 1}
 
     def test_store_leaves_no_temporary_files(self, tmp_path):
         # Appends and the atomic manifest publish must clean up after
@@ -674,7 +682,6 @@ class TestKeyLevelCacheApi:
         cache.store_entry(job.kind, key, job.to_dict(), {"metric": 1.5})
         assert cache.load_entry(job.kind, key) == {"metric": 1.5}
         assert cache.load(job) == {"metric": 1.5}
-        assert cache.path_for_key(job.kind, key) == cache.path_for(job)
 
 
 class TestCachePrune:

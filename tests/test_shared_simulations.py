@@ -76,7 +76,7 @@ class TestIdentity:
         assert identity.policy == "mmm-tp"
         assert [spec.name for spec in identity.vm_specs] == ["reliable", "performance"]
         assert identity.options == QUICK.options()
-        assert identity.timeline is None and identity.fidelity == "accurate"
+        assert identity.timeline is None
 
     @pytest.mark.parametrize(
         "base, changed",
@@ -110,7 +110,6 @@ class TestIdentity:
                     for name, value in base.params
                 ),
             ),
-            "fidelity": replace(base, settings=settings.with_fidelity("fast")),
         }
         identities = {name: simulation_identity(job) for name, job in variants.items()}
         identities["base"] = simulation_identity(base)

@@ -32,7 +32,6 @@ from repro.sim.specs import (
     ParameterGrid,
     SpecRequest,
     experiment,
-    experiment_names,
     jsonify,
     register_experiment,
 )
@@ -72,7 +71,7 @@ class TestRegistry:
             ExperimentSpec(name="no-schema", title="no schema")
 
     def test_registry_covers_exactly_the_paper_experiments(self):
-        assert set(experiment_names()) >= {
+        assert set(EXPERIMENTS) >= {
             "figure5", "figure6", "pab", "table1", "table2", "single-os",
             "ablation", "faults",
         }

@@ -1,4 +1,4 @@
-"""Tests for counters, running statistics and confidence intervals."""
+"""Tests for counters and confidence intervals."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import math
 
 from repro.common.stats import (
     ConfidenceInterval,
-    LatencyHistogram,
-    RunningStat,
     StatSet,
     confidence_interval_95,
-    geometric_mean,
 )
 
 
@@ -53,55 +50,6 @@ class TestConfidenceInterval:
         assert ci.high == 12.0
 
 
-def test_geometric_mean():
-    assert geometric_mean([]) == 0.0
-    assert math.isclose(geometric_mean([2, 8]), 4.0)
-    assert math.isclose(geometric_mean([5, 5, 5]), 5.0)
-    # Non-positive values are ignored rather than poisoning the result.
-    assert math.isclose(geometric_mean([0, 2, 8]), 4.0)
-
-
-class TestRunningStat:
-    def test_mean_min_max(self):
-        stat = RunningStat()
-        for value in [4.0, 8.0, 6.0]:
-            stat.record(value)
-        assert math.isclose(stat.mean, 6.0)
-        assert stat.minimum == 4.0
-        assert stat.maximum == 8.0
-        assert stat.count == 3
-
-    def test_variance_matches_textbook_formula(self):
-        stat = RunningStat()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for value in data:
-            stat.record(value)
-        mean = sum(data) / len(data)
-        expected = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-        assert math.isclose(stat.variance, expected)
-
-    def test_merge_equals_single_accumulator(self):
-        combined = RunningStat()
-        left = RunningStat()
-        right = RunningStat()
-        for index in range(20):
-            value = float(index * index % 17)
-            combined.record(value)
-            (left if index < 10 else right).record(value)
-        left.merge(right)
-        assert math.isclose(left.mean, combined.mean)
-        assert math.isclose(left.variance, combined.variance)
-        assert left.count == combined.count
-
-    def test_merge_into_empty(self):
-        empty = RunningStat()
-        other = RunningStat()
-        other.record(3.0)
-        empty.merge(other)
-        assert empty.count == 1
-        assert empty.mean == 3.0
-
-
 class TestStatSet:
     def test_add_and_get(self):
         stats = StatSet()
@@ -136,18 +84,3 @@ class TestStatSet:
         stats = StatSet({"x": 2})
         stats.set("x", 7)
         assert stats.get("x") == 7
-
-
-class TestLatencyHistogram:
-    def test_mean_and_percentile(self):
-        histogram = LatencyHistogram(bucket_width=10)
-        for latency in [5, 15, 25, 35, 95]:
-            histogram.record(latency)
-        assert math.isclose(histogram.mean, 35.0)
-        assert histogram.percentile(0.5) <= histogram.percentile(0.99)
-        assert histogram.percentile(0.99) >= 90
-
-    def test_empty_histogram(self):
-        histogram = LatencyHistogram()
-        assert histogram.mean == 0.0
-        assert histogram.percentile(0.5) == 0

@@ -13,8 +13,8 @@ Four legs:
   cache the next run can use: the torn tail reads as a miss, `stats`
   never raises, and only the torn cell re-executes;
 * **parity** -- the same sweep produces byte-identical result frames
-  across {legacy, packed} layouts x {serial, thread, process, distributed}
-  backends, cold and warm.
+  across the {serial, thread, process, distributed} backends, cold and
+  warm.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
 from repro.sim.store import (
-    CACHE_LAYOUTS,
     MANIFEST_NAME,
     SEGMENT_DIR_NAME,
-    LegacyResultCache,
     ResultCache,
     _scan_segment,
-    make_result_cache,
 )
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
@@ -181,20 +178,6 @@ class TestManifest:
         (tmp_path / "figure5" / SEGMENT_DIR_NAME / MANIFEST_NAME).unlink()
         assert ResultCache(tmp_path).load(quick_job()) == {"m": 2.0}
 
-    def test_legacy_read_through_and_migrate(self, tmp_path):
-        legacy = LegacyResultCache(tmp_path)
-        legacy.store(quick_job(seed=0), {"m": 0.0})
-        legacy.store(quick_job(seed=1), {"m": 1.0})
-        corrupt = tmp_path / "figure5" / "deadbeef.json"
-        corrupt.write_text("{not json", encoding="utf-8")
-
-        cache = ResultCache(tmp_path)
-        assert cache.load(quick_job(seed=0)) == {"m": 0.0}  # read-through
-        result = cache.migrate()
-        assert result.packed == 2 and result.dropped == 1
-        assert not list(tmp_path.glob("figure5/*.json"))
-        assert ResultCache(tmp_path).load(quick_job(seed=1)) == {"m": 1.0}
-
     def test_compact_drops_superseded_records(self, tmp_path):
         cache = ResultCache(tmp_path)
         for value in range(5):
@@ -269,7 +252,7 @@ class TestCrashSafety:
 
 
 # ===================================================================== #
-# Layout x backend parity
+# Backend parity
 # ===================================================================== #
 
 
@@ -304,24 +287,21 @@ def _run_once(backend: str, cache) -> str:
 
 
 @pytest.mark.slow
-class TestLayoutBackendParity:
-    def test_frames_byte_identical_across_layouts_and_backends(self, tmp_path):
+class TestBackendParity:
+    def test_frames_byte_identical_across_backends(self, tmp_path):
         documents = {}
-        for layout in CACHE_LAYOUTS:
-            for backend in ("serial", "thread", "process", "distributed"):
-                directory = tmp_path / f"{layout}-{backend}"
-                cache = make_result_cache(directory, layout=layout)
-                documents[(layout, backend)] = _run_once(backend, cache)
-                # A warm pass from a fresh instance serves every cell from
-                # disk and reproduces the document byte for byte.
-                warm_cache = make_result_cache(directory, layout=layout)
-                warm = ExperimentRunner(jobs=1, cache=warm_cache)
-                results = warm.run_jobs(figure5_jobs(QUICK))
-                assert warm.stats.executed == 0
-                assert warm.stats.cached == len(results)
-                warm_doc = json.dumps(
-                    {job.cache_key(): results[job] for job in figure5_jobs(QUICK)},
-                    sort_keys=True,
-                )
-                assert warm_doc == documents[(layout, backend)]
+        for backend in ("serial", "thread", "process", "distributed"):
+            directory = tmp_path / backend
+            documents[backend] = _run_once(backend, ResultCache(directory))
+            # A warm pass from a fresh instance serves every cell from disk
+            # and reproduces the document byte for byte.
+            warm = ExperimentRunner(jobs=1, cache=ResultCache(directory))
+            results = warm.run_jobs(figure5_jobs(QUICK))
+            assert warm.stats.executed == 0
+            assert warm.stats.cached == len(results)
+            warm_doc = json.dumps(
+                {job.cache_key(): results[job] for job in figure5_jobs(QUICK)},
+                sort_keys=True,
+            )
+            assert warm_doc == documents[backend]
         assert len(set(documents.values())) == 1, sorted(documents)

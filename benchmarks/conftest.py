@@ -13,8 +13,7 @@ itself; the numbers are then not meaningful).
 
 The experiments run through the experiment engine of
 :mod:`repro.sim.runner`.  Set ``REPRO_BENCH_JOBS=N`` to fan the simulation
-cells out over N workers, ``REPRO_BENCH_BACKEND=<name>`` to pick the runner
-backend (``serial``, ``process``, ``thread``), ``REPRO_BENCH_SEEDS=N`` to
+cells out over a pool of N worker processes, ``REPRO_BENCH_SEEDS=N`` to
 widen the seed sweep (default: one seed, so timings stay comparable across
 runs), and ``REPRO_BENCH_CACHE=<dir>`` to reuse the on-disk result cache
 across harness runs (off by default: a cached cell costs no simulation
@@ -39,8 +38,7 @@ def _engine_runner() -> ExperimentRunner:
     """The runner described by the REPRO_BENCH_* environment variables."""
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
     cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
-    backend = os.environ.get("REPRO_BENCH_BACKEND") or None
-    return ExperimentRunner(jobs=max(1, jobs), cache_dir=cache_dir, backend=backend)
+    return ExperimentRunner(jobs=max(1, jobs), cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="session", autouse=True)

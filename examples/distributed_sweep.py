@@ -16,8 +16,7 @@ in one process:
   byte-identical to a serial run.
 
 This example hosts all three in one process (threads stand in for the
-separate machines), then double-checks determinism against a serial run
-and fetches the same cells again through the ``repro serve`` run API.
+separate machines), then double-checks determinism against a serial run.
 
 Run with::
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from repro.sim.distributed import (
     CoordinatorClient,
@@ -67,9 +66,9 @@ def start_worker(url: str, index: int) -> threading.Thread:
 
 def main() -> None:
     # In real use these three run on different machines:
-    #   repro serve --port 8765                       # coordinator host
-    #   repro worker --coordinator http://host:8765   # each worker host
-    #   repro figure5 --backend distributed --coordinator http://host:8765
+    #   repro serve --port 8765                              # coordinator host
+    #   repro worker --coordinator http://host:8765          # each worker host
+    #   repro run-all --coordinator http://host:8765 --json  # the client
     server = CoordinatorServer(port=0).start()
     print(f"coordinator listening on {server.url}")
     workers = [start_worker(server.url, index) for index in range(WORKERS)]
@@ -93,19 +92,9 @@ def main() -> None:
     ), "distributed results must be byte-identical to serial"
     print("byte-identical to the serial run: OK")
 
-    # The run API: submit a whole evaluation, poll, fetch the document.
-    client = CoordinatorClient(server.url)
-    run_id = client.submit_run(asdict(SETTINGS), experiments=["figure5", "pab"])
-    print(f"\nsubmitted run {run_id['run']} ({run_id['cells']} cells) via the API")
-    while client.run_status(run_id["run"])["state"] != "done":
-        time.sleep(0.2)
-    document = client.run_document(run_id["run"])
-    print(f"run document: {sorted(document['frames'])} "
-          f"({len(json.dumps(document))} JSON bytes)")
-
     for thread in workers:
         thread.join(timeout=30)
-    stats = client.stats()
+    stats = CoordinatorClient(server.url).stats()
     print(f"\ncoordinator counters: {stats['submitted']} submitted, "
           f"{stats['deduped']} deduped, {stats['completed']} completed, "
           f"{stats['requeues']} requeued")

@@ -9,8 +9,9 @@ runs a multi-seed Figure 5 + Figure 6 sweep twice through an
 1. cold, fanned out over worker processes -- every cell is simulated, and
    the seed sweep is embarrassingly parallel;
 2. warm -- the second run executes *zero* simulation jobs, because every
-   cell's result is served from the on-disk cache (one JSON file per cell
-   under ``.repro-cache/<experiment>/<sha256>.json``).
+   cell's result is served from the on-disk cache (CRC-framed records in
+   segment files under ``.repro-cache/<kind>/segments/``, indexed by a
+   per-kind manifest).
 
 Multi-seed runs feed the experiments' 95% confidence intervals, which is
 exactly what the cache makes cheap: adding a seed later only simulates the
@@ -37,10 +38,9 @@ SETTINGS = replace(
 )
 
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+#: More than one worker runs the cold sweep on a process pool, like
+#: `repro --jobs N`.
 WORKERS = min(4, os.cpu_count() or 1)
-#: Runner backend for the cold sweep: "process" (default), "thread" or
-#: "serial" -- the same names `repro --backend` accepts.
-BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "process")
 
 
 def sweep(runner: ExperimentRunner) -> None:
@@ -52,11 +52,11 @@ def sweep(runner: ExperimentRunner) -> None:
 
 
 def main() -> None:
+    cold = ExperimentRunner(jobs=WORKERS, cache_dir=CACHE_DIR)
     print(
-        f"Cold sweep across {WORKERS} workers of the {BACKEND!r} backend "
-        f"(cache: {CACHE_DIR})..."
+        f"Cold sweep across {WORKERS} workers of the {cold.backend.name!r} "
+        f"backend (cache: {CACHE_DIR})..."
     )
-    cold = ExperimentRunner(jobs=WORKERS, cache_dir=CACHE_DIR, backend=BACKEND)
     started = time.perf_counter()
     sweep(cold)
     print(f"\ncold: {cold.stats.summary()} in {time.perf_counter() - started:.1f}s")

@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Three groups of subcommands:
+Five groups of subcommands:
 
 * ``run`` simulates one mixed-mode system (a consolidated server or a
   single-OS desktop) and prints a per-VM summary -- the quickest way to see
@@ -9,9 +9,8 @@ Three groups of subcommands:
   from the central ``EXPERIMENTS`` registry of :mod:`repro.sim.specs`
   (``figure5``, ``figure6``, ``pab``, ``table1``, ``table2``, ``single-os``,
   ``ablation``, ``faults``, ... -- run ``repro list`` to see them all), plus
-  ``report`` / ``run-all`` which run every registered spec as one batch.
-  Registering a new spec adds its subcommand, flags and help text with no
-  CLI change;
+  ``run-all``, which runs every registered spec as one batch.  Registering
+  a new spec adds its subcommand, flags and help text with no CLI change;
 * results plumbing: every spec's results are a schema-driven
   ``ResultFrame`` (:mod:`repro.sim.frames`); ``run-all --json`` writes the
   canonical multi-frame document (settings embedded), ``repro export
@@ -26,18 +25,18 @@ Three groups of subcommands:
   records;
 * distributed runs: ``serve`` starts the HTTP coordinator, ``worker``
   attaches a pull-based worker to it, and any experiment subcommand
-  distributes its cells with ``--backend distributed --coordinator URL``
-  (see :mod:`repro.sim.distributed`).
+  distributes its cells with ``--coordinator URL`` (see
+  :mod:`repro.sim.distributed`).
 
-The experiment subcommands share the experiment-engine flags: ``--jobs N``
-fans the experiment cells out over N workers, ``--backend`` picks the
-execution backend (``serial``, ``process``, ``thread``), ``--seeds`` widens
-or narrows the seed sweep, and results are cached on disk (``.repro-cache``
-by default) so a re-run only executes changed cells; ``--no-cache`` forces
-fresh runs and ``--cache-dir`` relocates the cache.  ``--json`` renders the
-result as the spec's uniform JSON document instead of tables.  Every
-engine-backed invocation ends with a one-line cache effectiveness summary
-(``N executed, M from cache, K memoized``).
+The experiment subcommands share the experiment-engine flags, which also
+choose how a batch runs: serially by default, on a local process pool with
+``--jobs N``, or on a worker fleet with ``--coordinator URL``.  ``--seeds``
+widens or narrows the seed sweep, and results are cached on disk
+(``.repro-cache`` by default) so a re-run only executes changed cells;
+``--no-cache`` forces fresh runs and ``--cache-dir`` relocates the cache.
+``--json`` renders the result as the spec's uniform JSON document instead
+of tables.  Every engine-backed invocation ends with a one-line cache
+effectiveness summary (``N executed, M from cache, K memoized``).
 
 Examples::
 
@@ -45,7 +44,7 @@ Examples::
     python -m repro run --policy mmm-tp --reliable oltp --performance apache
     python -m repro figure6 --workloads apache oltp --jobs 4
     python -m repro faults --trials 200 --seeds 8 --jobs 4
-    python -m repro run-all --quick --jobs 4 --backend thread
+    python -m repro run-all --quick --jobs 4
     python -m repro run-all --quick --json > baseline.json
     python -m repro diff baseline.json
     python -m repro export --format csv --experiments figure5
@@ -64,7 +63,12 @@ from repro.config.presets import evaluation_system_config
 from repro.core.mmm import MixedModeMulticore
 from repro.core.policies import available_policies
 from repro.errors import ExperimentError
-from repro.sim.experiments import ExperimentSettings, collect_frames, run_all_experiments
+from repro.sim.experiments import (
+    ExperimentSettings,
+    collect_frames,
+    run_all_experiments,
+    run_all_spec_names,
+)
 from repro.sim.frames import (
     diff_documents,
     document_frames,
@@ -77,7 +81,6 @@ from repro.sim.runner import (
     ExperimentRunner,
     ResultCache,
     default_cache_dir,
-    registered_backends,
 )
 from repro.sim.specs import (
     EXPERIMENTS,
@@ -90,15 +93,13 @@ from repro.workloads.profiles import PAPER_WORKLOAD_NAMES, PAPER_WORKLOADS
 
 
 def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
-    """Build the experiment runner the engine flags describe."""
-    backend: object = args.backend
-    coordinator = getattr(args, "coordinator", None)
-    if coordinator and backend in (None, "distributed"):
-        # --coordinator implies the distributed backend and pins its URL
-        # without going through the environment variable.
+    """Build the experiment runner the engine flags describe: the worker
+    fleet behind ``--coordinator``, else serial or a ``--jobs`` pool."""
+    backend = None
+    if args.coordinator:
         from repro.sim.distributed.backend import DistributedBackend
 
-        backend = DistributedBackend(coordinator)
+        backend = DistributedBackend(args.coordinator)
     return ExperimentRunner(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -139,15 +140,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="run experiment cells across N workers (default: 1, serial)",
     )
     parser.add_argument(
-        "--backend",
-        choices=registered_backends(),
-        default=None,
-        help=(
-            "execution backend for pending cells (default: serial for "
-            "--jobs 1, otherwise process)"
-        ),
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="do not read or write the on-disk result cache",
@@ -163,8 +155,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="URL",
         help=(
-            "coordinator URL for the distributed backend (implies "
-            "--backend distributed; start one with `repro serve`)"
+            "run the cells on the worker fleet of the coordinator at URL "
+            "(start one with `repro serve`)"
         ),
     )
 
@@ -201,7 +193,7 @@ def _add_sweep_arguments(
     _add_engine_arguments(parser)
     # --json prints the machine-readable document: the spec's uniform
     # document on a spec subcommand, the canonical multi-frame results
-    # document (the `repro diff` baseline format) on report/run-all.
+    # document (the `repro diff` baseline format) on run-all.
     # `repro export` has --format instead, so it opts out.
     if json_flag:
         parser.add_argument(
@@ -618,7 +610,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_run_all(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
     everything = run_all_experiments(
         _settings_from_args(args),
@@ -646,16 +638,11 @@ def _frame_names_from_args(args: argparse.Namespace) -> list:
                 f"unknown experiments {unknown} (see `repro list`)"
             )
         return list(args.experiments)
-    skipped = {
-        "switching": getattr(args, "skip_switching", False),
-        "ablation": getattr(args, "skip_ablation", False),
-        "faults": getattr(args, "skip_faults", False),
-    }
-    return [
-        name
-        for name, spec in EXPERIMENTS.items()
-        if not (spec.run_all_group is not None and skipped.get(spec.run_all_group))
-    ]
+    return run_all_spec_names(
+        group
+        for group in ("switching", "ablation", "faults")
+        if getattr(args, f"skip_{group}")
+    )
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
@@ -856,16 +843,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_spec_subcommands(subparsers)
 
-    for name, help_text in (
-        ("report", "run every registered experiment and print one report"),
-        ("run-all", "run every registered experiment as one (parallel) job batch"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_sweep_arguments(sub)
-        sub.add_argument("--skip-switching", action="store_true")
-        sub.add_argument("--skip-ablation", action="store_true")
-        sub.add_argument("--skip-faults", action="store_true")
-        sub.set_defaults(handler=_cmd_report)
+    run_all_parser = subparsers.add_parser(
+        "run-all", help="run every registered experiment as one (parallel) job batch"
+    )
+    _add_sweep_arguments(run_all_parser)
+    run_all_parser.add_argument("--skip-switching", action="store_true")
+    run_all_parser.add_argument("--skip-ablation", action="store_true")
+    run_all_parser.add_argument("--skip-faults", action="store_true")
+    run_all_parser.set_defaults(handler=_cmd_run_all)
 
     export_parser = subparsers.add_parser(
         "export",
@@ -1017,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help=(
             "run the distributed coordinator: queues submitted cells, leases "
-            "them to workers, and serves whole runs over its HTTP API"
+            "them to workers and collects their results over HTTP"
         ),
     )
     serve_parser.add_argument("--host", default="127.0.0.1", metavar="ADDR")

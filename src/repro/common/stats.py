@@ -157,10 +157,6 @@ class StatSet:
         for name, value in other.items():
             self.add(name, value)
 
-    def scaled(self, factor: float) -> "StatSet":
-        """Return a copy with every counter multiplied by ``factor``."""
-        return StatSet({name: value * factor for name, value in self.items()})
-
     def items(self):
         """Iterate over ``(name, value)`` pairs sorted by name."""
         return sorted(self._counters.items())

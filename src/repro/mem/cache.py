@@ -61,23 +61,6 @@ class SetAssociativeCache:
         self._counts = self.stats.counters
 
     # ------------------------------------------------------------------ #
-    # Address helpers
-    # ------------------------------------------------------------------ #
-
-    def line_address(self, address: int) -> int:
-        """Line-aligned address containing ``address``."""
-        return address & self._line_neg_mask
-
-    def _set_index(self, line_addr: int) -> int:
-        tag = line_addr >> self._line_shift
-        if self._set_mask is not None:
-            return tag & self._set_mask
-        return tag % self._num_sets
-
-    def _set_for(self, line_addr: int) -> Dict[int, CacheLine]:
-        return self._sets.setdefault(self._set_index(line_addr), {})
-
-    # ------------------------------------------------------------------ #
     # Core operations
     # ------------------------------------------------------------------ #
 

@@ -58,11 +58,6 @@ class Directory:
         # instead of calling StatSet.add once or more per coherence event.
         self._counts = self.stats.counters
 
-    def _line(self, address: int) -> int:
-        if self._line_neg_mask is not None:
-            return address & self._line_neg_mask
-        return address - (address % self._line_bytes)
-
     def entry(self, address: int) -> DirectoryEntry:
         """Return (creating if needed) the entry for the line of ``address``."""
         mask = self._line_neg_mask

@@ -8,7 +8,7 @@
   baseline diffing),
 * :mod:`repro.sim.settings` -- the shared experiment settings value,
 * :mod:`repro.sim.jobs` -- the picklable per-cell job model,
-* :mod:`repro.sim.runner` -- pluggable-backend job execution with caching,
+* :mod:`repro.sim.runner` -- serial or process-pool job execution with caching,
 * :mod:`repro.sim.specs` -- declarative experiment specs (one per paper
   table/figure) and the central ``EXPERIMENTS`` registry; running a spec
   returns its ``ResultFrame``,
@@ -34,10 +34,7 @@ from repro.sim.runner import (
     ResultCache,
     RunnerBackend,
     RunnerStats,
-    backend_by_name,
     default_runner,
-    register_runner_backend,
-    registered_backends,
     set_default_runner,
     using_runner,
 )
@@ -97,9 +94,6 @@ __all__ = [
     "ResultCache",
     "RunnerBackend",
     "RunnerStats",
-    "backend_by_name",
-    "register_runner_backend",
-    "registered_backends",
     "default_runner",
     "set_default_runner",
     "using_runner",

@@ -1,7 +1,7 @@
 """Distributed execution of experiment cells over plain HTTP.
 
-The package implements the ``distributed`` runner backend promised by the
-:func:`~repro.sim.runner.register_runner_backend` seam:
+The package implements the ``distributed`` runner backend, the third way a
+batch runs (after serial and the local process pool):
 
 * :mod:`repro.sim.distributed.coordinator` -- the in-memory job board and
   its stdlib :class:`http.server.ThreadingHTTPServer` front end.  Clients
@@ -15,8 +15,9 @@ The package implements the ``distributed`` runner backend promised by the
   execute locally (serial or a process pool), complete, repeat.
 * :mod:`repro.sim.distributed.backend` -- the client-side
   :class:`~repro.sim.runner.RunnerBackend` that makes all of this
-  transparent to the engine: ``--backend distributed --coordinator URL``
-  and nothing else changes.
+  transparent to the engine: ``--coordinator URL`` and nothing else
+  changes, so ``repro run-all --coordinator URL --json`` prints the same
+  document as a local run.
 * :mod:`repro.sim.distributed.protocol` -- the JSON-over-HTTP wire calls
   shared by all three.
 
@@ -27,23 +28,17 @@ survive a JSON round trip byte-identically, so serial, process and
 distributed runs of the same grid produce identical result documents.
 """
 
-from repro.sim.distributed.backend import (
-    COORDINATOR_ENV,
-    DistributedBackend,
-    coordinator_from_env,
-)
+from repro.sim.distributed.backend import DistributedBackend
 from repro.sim.distributed.coordinator import Coordinator, CoordinatorServer
 from repro.sim.distributed.protocol import CoordinatorClient, ProtocolError
 from repro.sim.distributed.worker import WorkerStats, run_worker
 
 __all__ = [
-    "COORDINATOR_ENV",
     "Coordinator",
     "CoordinatorClient",
     "CoordinatorServer",
     "DistributedBackend",
     "ProtocolError",
     "WorkerStats",
-    "coordinator_from_env",
     "run_worker",
 ]

@@ -8,36 +8,18 @@ pairs in arrival order.  Caching, memoisation, stats and frame assembly all
 stay on the client, untouched -- and because metrics survive the JSON round
 trip byte-identically, so do the assembled documents.
 
-The backend is registered under ``"distributed"`` in
-:mod:`repro.sim.runner`; the coordinator URL comes from ``--coordinator``
-on the CLI or the :data:`COORDINATOR_ENV` environment variable.
+The CLI builds one from ``--coordinator URL``; library callers pass
+``ExperimentRunner(backend=DistributedBackend(url))``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.sim.distributed.protocol import CoordinatorClient
 from repro.sim.jobs import ExperimentJob, code_fingerprint
 from repro.sim.runner import JobExecutor, Metrics, RunnerBackend
-
-#: Environment variable naming the coordinator URL (the registry factory
-#: reads it; ``--coordinator`` on the CLI sets it for the process).
-COORDINATOR_ENV = "REPRO_COORDINATOR"
-
-
-def coordinator_from_env() -> str:
-    """The coordinator URL from the environment, or a helpful refusal."""
-    url = os.environ.get(COORDINATOR_ENV, "").strip()
-    if not url:
-        raise ExperimentError(
-            "the distributed backend needs a coordinator URL: pass "
-            f"--coordinator URL or set {COORDINATOR_ENV} "
-            "(start one with `repro serve`)"
-        )
-    return url
 
 
 class DistributedBackend(RunnerBackend):
@@ -88,8 +70,4 @@ class DistributedBackend(RunnerBackend):
                     yield by_key[key], metrics
 
 
-__all__ = [
-    "COORDINATOR_ENV",
-    "DistributedBackend",
-    "coordinator_from_env",
-]
+__all__ = ["DistributedBackend"]

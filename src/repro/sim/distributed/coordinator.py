@@ -1,9 +1,11 @@
 """The coordinator: an in-memory job board behind a stdlib HTTP server.
 
 :class:`Coordinator` owns the state -- submitted cells keyed by their
-content-addressed cache key, a FIFO of pending keys, active leases, and
-(for ``repro serve``) whole-run records -- and exposes one method per
-protocol endpoint.  :class:`CoordinatorServer` wraps it in a
+content-addressed cache key, a FIFO of pending keys and active leases --
+and exposes one method per protocol endpoint.  It knows cells, not
+experiments: clients enumerate and assemble (``repro run-all
+--coordinator URL``), the board only queues, leases and collects.
+:class:`CoordinatorServer` wraps it in a
 :class:`http.server.ThreadingHTTPServer`, one thread per request, with all
 state guarded by a single lock/condition pair.
 
@@ -28,6 +30,9 @@ Design points:
   :func:`~repro.sim.jobs.code_fingerprint`; a mismatch is refused with
   HTTP 409, because mixing results from different code versions would
   poison the shared cache.
+* **Malformed requests are refusals.**  Every request field is decoded
+  where it arrives, and a bad one is refused with HTTP 400 naming it; a
+  500 means a fault in the coordinator itself.
 * **Injectable clock.**  ``Coordinator(clock=...)`` lets the lease-expiry
   tests advance time without sleeping.
 """
@@ -39,7 +44,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
@@ -55,7 +60,6 @@ from repro.sim.distributed.protocol import (
 from repro.sim.jobs import ExperimentJob, code_fingerprint
 from repro.sim.runner import Metrics, adaptive_chunk_size
 from repro.sim.store import COMPACT_SEPARATORS, ResultCache
-from repro.sim.settings import ExperimentSettings
 
 #: Workers idle longer than this stop counting toward lease-chunk sizing.
 WORKER_HORIZON_SECONDS = 300.0
@@ -65,7 +69,7 @@ MAX_COLLECT_SECONDS = 60.0
 
 
 class Conflict(ProtocolError):
-    """A refusal mapped to HTTP 409 (fingerprint skew, incomplete run)."""
+    """A refusal mapped to HTTP 409 (code-fingerprint skew)."""
 
     def __init__(self, message: str) -> None:
         super().__init__(message, status=409)
@@ -89,25 +93,10 @@ class JobRecord:
     error: Optional[str] = None
     lease: Optional[str] = None
     deadline: float = 0.0
-    #: How often the cell has been handed to a worker.
-    attempts: int = 0
-
-
-@dataclass
-class RunRecord:
-    """One submitted evaluation run (``repro serve``)."""
-
-    run_id: str
-    settings: ExperimentSettings
-    names: List[str]
-    requests: Dict[str, object]
-    jobs_by_spec: Dict[str, List[ExperimentJob]]
-    batch: List[ExperimentJob]
-    keys: List[str] = field(default_factory=list)
 
 
 class Coordinator:
-    """The job board: submit, lease, complete, collect, and run tracking."""
+    """The job board: submit, lease, complete and collect."""
 
     def __init__(
         self,
@@ -124,7 +113,6 @@ class Coordinator:
         self._records: Dict[str, JobRecord] = {}
         self._queue: Deque[str] = deque()
         self._workers: Dict[str, float] = {}
-        self._runs: Dict[str, RunRecord] = {}
         self._counters: Dict[str, int] = {
             "submitted": 0,
             "deduped": 0,
@@ -160,31 +148,23 @@ class Coordinator:
                 self._counters["requeues"] += 1
 
     def _probe_cache(
-        self, keyed: Sequence[Tuple[ExperimentJob, str]]
-    ) -> Dict[str, Metrics]:
-        """One batched manifest probe for every key not already on the board."""
+        self, keyed: Mapping[ExperimentJob, str]
+    ) -> Dict[ExperimentJob, Metrics]:
+        """One batched manifest probe for every cell not already on the board."""
         if self.cache is None:
             return {}
-        unknown = [
-            (job.kind, key) for job, key in keyed if key not in self._records
-        ]
+        unknown = [job for job, key in keyed.items() if key not in self._records]
         if not unknown:
             return {}
-        return self.cache.load_many_entries(unknown)
+        return self.cache.load_many(unknown)
 
-    def _enqueue(
-        self,
-        job: ExperimentJob,
-        key: str,
-        cache_hits: Mapping[str, Metrics],
-    ) -> str:
+    def _enqueue(self, job: ExperimentJob, key: str, hit: Optional[Metrics]) -> str:
         """Admit one cell; returns ``queued``/``deduped``/``cache_hit``/``done``."""
         record = self._records.get(key)
         if record is not None:
             self._counters["deduped"] += 1
             return "done" if record.status in ("done", "failed") else "deduped"
         record = JobRecord(job=job, key=key)
-        hit = cache_hits.get(key)
         if hit is not None:
             record.status = "done"
             record.metrics = hit
@@ -212,12 +192,7 @@ class Coordinator:
         """
         if self.cache is None or not finished:
             return
-        self.cache.store_entries(
-            [
-                (record.job.kind, record.key, record.job.to_dict(), record.metrics or {})
-                for record in finished
-            ]
-        )
+        self.cache.store_many([(record.job, record.metrics or {}) for record in finished])
 
     # ------------------------------------------------------------------ #
     # Protocol endpoints
@@ -231,14 +206,14 @@ class Coordinator:
         # Rebuild outside the lock: `from_wire` verifies each key, which
         # costs one digest per cell.
         jobs = [ExperimentJob.from_wire(payload) for payload in payloads]
-        keyed = [(job, job.cache_key()) for job in jobs]
+        keyed = {job: job.cache_key() for job in jobs}
         outcomes = {"queued": 0, "deduped": 0, "cache_hit": 0, "done": 0}
         with self._completed:
             now = self.clock()
             self._expire_leases(now)
             cache_hits = self._probe_cache(keyed)
-            for job, key in keyed:
-                outcomes[self._enqueue(job, key, cache_hits)] += 1
+            for job in jobs:
+                outcomes[self._enqueue(job, keyed[job], cache_hits.get(job))] += 1
             if outcomes["cache_hit"] or outcomes["done"]:
                 self._completed.notify_all()
         return {"protocol": PROTOCOL_VERSION, **outcomes}
@@ -262,7 +237,7 @@ class Coordinator:
             )
             chunk = adaptive_chunk_size(len(self._queue), max(1, active))
             if max_jobs is not None:
-                chunk = max(1, min(chunk, int(max_jobs)))
+                chunk = max(1, min(chunk, max_jobs))
             leased: List[JobRecord] = []
             lease_id = uuid.uuid4().hex
             while self._queue and len(leased) < chunk:
@@ -272,7 +247,6 @@ class Coordinator:
                 record.status = "leased"
                 record.lease = lease_id
                 record.deadline = now + self.lease_seconds
-                record.attempts += 1
                 leased.append(record)
             if leased:
                 self._counters["leases_granted"] += 1
@@ -348,7 +322,7 @@ class Coordinator:
         self, keys: Sequence[str], timeout: float = DEFAULT_COLLECT_SECONDS
     ) -> Dict[str, object]:
         """``POST /jobs/collect``: long-poll for finished cells among ``keys``."""
-        deadline = self.clock() + max(0.0, min(float(timeout), MAX_COLLECT_SECONDS))
+        deadline = self.clock() + max(0.0, min(timeout, MAX_COLLECT_SECONDS))
         wanted = [str(key) for key in keys]
         with self._completed:
             while True:
@@ -393,7 +367,6 @@ class Coordinator:
                 "jobs": by_status,
                 "queue": len(self._queue),
                 "workers": len(self._workers),
-                "runs": len(self._runs),
                 **dict(self._counters),
             }
 
@@ -401,141 +374,40 @@ class Coordinator:
         """``GET /health``: liveness probe."""
         return {"protocol": PROTOCOL_VERSION, "ok": True}
 
-    # ------------------------------------------------------------------ #
-    # Run API (``repro serve``)
-    # ------------------------------------------------------------------ #
-
-    def submit_run(
-        self,
-        settings_payload: Mapping[str, object],
-        experiments: Optional[Sequence[str]] = None,
-    ) -> Dict[str, object]:
-        """``POST /runs``: enumerate a whole evaluation and enqueue its cells.
-
-        The coordinator enumerates with exactly the machinery of
-        ``run_all_experiments`` (one shared batch, identical request
-        resolution), so the document it later assembles is byte-identical
-        to a local ``repro run-all --json`` at the same settings.
-        """
-        from repro.sim.experiments import _enumerate_spec_batch
-        from repro.sim.specs import EXPERIMENTS, experiment
-
-        settings = ExperimentSettings.from_dict(dict(settings_payload))
-        if experiments is None:
-            names = list(EXPERIMENTS)
-        else:
-            names = [experiment(str(name)).name for name in experiments]
-        requests, jobs_by_spec, batch = _enumerate_spec_batch(settings, names)
-        run = RunRecord(
-            run_id=uuid.uuid4().hex[:12],
-            settings=settings,
-            names=names,
-            requests=requests,
-            jobs_by_spec=jobs_by_spec,
-            batch=batch,
-        )
-        keyed = [(job, job.cache_key()) for job in batch]
-        with self._completed:
-            now = self.clock()
-            self._expire_leases(now)
-            cache_hits = self._probe_cache(keyed)
-            for job, key in keyed:
-                run.keys.append(key)
-                self._enqueue(job, key, cache_hits)
-            self._runs[run.run_id] = run
-            self._completed.notify_all()
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "run": run.run_id,
-            "experiments": names,
-            "cells": len(batch),
-        }
-
-    def _run(self, run_id: str) -> RunRecord:
-        run = self._runs.get(run_id)
-        if run is None:
-            raise NotFound(f"unknown run {run_id!r}")
-        return run
-
-    def run_status(self, run_id: str) -> Dict[str, object]:
-        """``GET /runs/<id>``: per-state cell counts plus queue/lease counters.
-
-        The ``counters`` block is scoped to the run's own cells: how deep
-        the run still sits in the global queue, how many leases its cells
-        have consumed, and how many of those were requeues (expired leases
-        handed out again) -- the numbers a fleet-sized sweep is monitored
-        by.
-        """
-        with self._lock:
-            self._expire_leases(self.clock())
-            run = self._run(run_id)
-            counts = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
-            lease_attempts = 0
-            requeues = 0
-            queued = set(self._queue)
-            queue_depth = 0
-            for key in run.keys:
-                record = self._records[key]
-                counts[record.status] += 1
-                lease_attempts += record.attempts
-                requeues += max(0, record.attempts - 1)
-                if key in queued:
-                    queue_depth += 1
-        state = "done" if counts["pending"] == 0 and counts["leased"] == 0 else "running"
-        if counts["failed"]:
-            state = "failed" if state == "done" else state
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "run": run_id,
-            "state": state,
-            "cells": len(run.keys),
-            **counts,
-            "counters": {
-                "queue_depth": queue_depth,
-                "lease_attempts": lease_attempts,
-                "requeues": requeues,
-            },
-        }
-
-    def run_document(self, run_id: str) -> Dict[str, object]:
-        """``GET /runs/<id>/document``: the assembled results document.
-
-        Refused with 409 while any cell is outstanding or failed -- a
-        partial document would silently misrepresent the run.
-        """
-        from repro.sim.frames import frames_document
-        from repro.sim.specs import EXPERIMENTS
-
-        with self._lock:
-            run = self._run(run_id)
-            results: Dict[ExperimentJob, Metrics] = {}
-            outstanding = 0
-            failed = 0
-            for key, job in zip(run.keys, run.batch):
-                record = self._records[key]
-                if record.status == "done":
-                    results[job] = record.metrics or {}
-                elif record.status == "failed":
-                    failed += 1
-                else:
-                    outstanding += 1
-        if outstanding or failed:
-            raise Conflict(
-                f"run {run_id} is incomplete: {outstanding} cells outstanding, "
-                f"{failed} failed"
-            )
-        frames = {
-            name: EXPERIMENTS[name].assemble_frame(
-                run.requests[name], run.jobs_by_spec[name], results
-            )
-            for name in run.names
-        }
-        return frames_document(frames, settings=asdict(run.settings))
-
 
 # ---------------------------------------------------------------------- #
 # HTTP front end
 # ---------------------------------------------------------------------- #
+
+
+def _number(
+    body: Mapping[str, object],
+    name: str,
+    convert: Callable[[object], float],
+    default: Optional[float],
+) -> Optional[float]:
+    """An optional numeric request field; a malformed one is refused (400)."""
+    value = body.get(name)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"request field {name!r} must be a number, not {value!r}", status=400
+        ) from None
+
+
+def _objects(body: Mapping[str, object], name: str) -> List[Mapping[str, object]]:
+    """An optional request field holding a list of objects (400 otherwise)."""
+    value = body.get(name)
+    if value is None:
+        return []
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ProtocolError(
+            f"request field {name!r} must be a list of objects", status=400
+        )
+    return value
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
@@ -594,12 +466,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 return coordinator.health()
             if path == "/stats":
                 return coordinator.stats()
-            if path.startswith("/runs/"):
-                parts = path.split("/")
-                if len(parts) == 3:
-                    return coordinator.run_status(parts[2])
-                if len(parts) == 4 and parts[3] == "document":
-                    return coordinator.run_document(parts[2])
             raise NotFound(f"no such endpoint: GET {self.path}")
         body = self._body()
         if path == "/jobs/submit":
@@ -608,35 +474,22 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 raise ProtocolError("submit needs a 'jobs' list", status=400)
             return coordinator.submit(jobs, body.get("fingerprint"))
         if path == "/jobs/lease":
-            max_jobs = body.get("max_jobs")
             return coordinator.lease(
                 str(body.get("worker") or "anonymous"),
                 body.get("fingerprint"),
-                int(max_jobs) if max_jobs is not None else None,
+                _number(body, "max_jobs", int, None),
             )
         if path == "/jobs/complete":
-            results = body.get("results")
-            failures = body.get("failures")
             return coordinator.complete(
                 body.get("lease"),
                 body.get("worker"),
-                results if isinstance(results, list) else [],
-                failures if isinstance(failures, list) else [],
+                _objects(body, "results"),
+                _objects(body, "failures"),
             )
         if path == "/jobs/collect":
-            timeout = body.get("timeout")
             return coordinator.collect(
                 string_list(body.get("keys")),
-                float(timeout) if timeout is not None else DEFAULT_COLLECT_SECONDS,
-            )
-        if path == "/runs":
-            settings = body.get("settings")
-            if not isinstance(settings, dict):
-                raise ProtocolError("a run submission needs 'settings'", status=400)
-            experiments = body.get("experiments")
-            return coordinator.submit_run(
-                settings,
-                string_list(experiments) if experiments is not None else None,
+                _number(body, "timeout", float, DEFAULT_COLLECT_SECONDS),
             )
         raise NotFound(f"no such endpoint: POST {self.path}")
 

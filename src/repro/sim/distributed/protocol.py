@@ -5,7 +5,8 @@ with an optional JSON body and a JSON reply.  ``POST`` endpoints mutate the
 job board, ``GET`` endpoints read it.  Errors come back as a JSON object
 with an ``error`` field; the client raises them as :class:`ProtocolError`
 carrying the HTTP status, so callers can distinguish a retryable outage
-from a hard refusal (the ``409`` code-fingerprint mismatch).
+from a hard refusal (``400`` for a malformed request, naming the bad
+field; ``409`` for a code-fingerprint mismatch).
 
 Endpoints (all rooted at the coordinator URL):
 
@@ -16,9 +17,6 @@ Endpoints (all rooted at the coordinator URL):
 ``POST /jobs/collect``   long-poll for completed cells among given keys
 ``GET  /stats``          job-board counters (pending/leased/done/requeues...)
 ``GET  /health``         liveness probe
-``POST /runs``           submit a whole evaluation run (``repro serve``)
-``GET  /runs/<id>``      run status: total/done/failed cell counts
-``GET  /runs/<id>/document``  the assembled results document (409 until done)
 =======================  ====================================================
 """
 
@@ -184,34 +182,6 @@ class CoordinatorClient:
     def health(self) -> Dict[str, object]:
         """Liveness probe."""
         return self.call("GET", "/health")
-
-    # ------------------------------------------------------------------ #
-    # Run API (``repro serve``)
-    # ------------------------------------------------------------------ #
-
-    def submit_run(
-        self,
-        settings: Mapping[str, object],
-        experiments: Optional[Sequence[str]] = None,
-    ) -> Dict[str, object]:
-        """Submit a whole evaluation run; returns its ``run`` id."""
-        return self.call(
-            "POST",
-            "/runs",
-            {
-                "protocol": PROTOCOL_VERSION,
-                "settings": dict(settings),
-                "experiments": list(experiments) if experiments is not None else None,
-            },
-        )
-
-    def run_status(self, run_id: str) -> Dict[str, object]:
-        """Cell counts of one run (``state`` is ``running`` or ``done``)."""
-        return self.call("GET", f"/runs/{run_id}")
-
-    def run_document(self, run_id: str) -> Dict[str, object]:
-        """The run's assembled results document (409 until every cell is done)."""
-        return self.call("GET", f"/runs/{run_id}/document")
 
 
 def job_result(key: str, metrics: Mapping[str, object]) -> Dict[str, object]:

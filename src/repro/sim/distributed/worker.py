@@ -17,12 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.sim.distributed.protocol import (
-    CoordinatorClient,
-    ProtocolError,
-    job_failure,
-    job_result,
-)
+from repro.sim.distributed.protocol import CoordinatorClient, job_failure, job_result
 from repro.sim.jobs import ExperimentJob, code_fingerprint, execute_job
 from repro.sim.runner import MAX_CHUNK_SIZE, ProcessBackend, SerialBackend
 
@@ -133,7 +128,3 @@ __all__ = [
     "default_worker_id",
     "run_worker",
 ]
-
-
-#: Re-exported for callers that want to surface transport failures.
-WorkerError = ProtocolError

@@ -21,8 +21,9 @@ Everything at once       :func:`run_all_experiments`
 
 This module keeps the domain pieces the specs are built from -- the job
 enumerators and the timeline builders -- plus :func:`run_all_experiments`
-and :func:`collect_frames`, which enumerate every named spec's cells into
-one runner batch and fold the shared results into one frame per spec.
+and :func:`collect_frames`, which share one batch path: enumerate every
+named spec's cells into one runner batch, run it, and fold the shared
+results into one frame per spec.
 
 All experiments share :class:`ExperimentSettings` (see
 :mod:`repro.sim.settings`), which holds the scaled-down run lengths and the
@@ -33,7 +34,7 @@ laptop while preserving the relative behaviour the paper reports.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config.presets import evaluation_system_config, paper_system_config
 from repro.config.system import PabLookupMode, SystemConfig
@@ -69,6 +70,7 @@ __all__ = [
     "churn_jobs",
     "collect_frames",
     "run_all_experiments",
+    "run_all_spec_names",
 ]
 
 
@@ -331,30 +333,50 @@ class AllExperimentsResult:
         return frames_document(self.frames, settings=asdict(self.settings))
 
 
-def _enumerate_spec_batch(settings: ExperimentSettings, names: Sequence[str]):
-    """Resolve requests and enumerate every named spec's cells into one batch.
+def run_all_spec_names(skipped_groups: Iterable[str] = ()) -> List[str]:
+    """The specs ``run-all`` covers: every registered spec, in registry
+    order, except those whose ``run_all_group`` is in ``skipped_groups``
+    (``switching``, ``ablation``, ``faults``)."""
+    from repro.sim.specs import EXPERIMENTS
 
-    The shared front half of :func:`collect_frames` and
-    :func:`run_all_experiments`: request resolution and batching must stay
-    identical between them, or ``repro export``/``repro diff`` would
-    silently diverge from the ``run-all --json`` baselines they compare
-    against.  Returns ``(requests, jobs_by_spec, batch)``.
+    skipped = set(skipped_groups)
+    return [
+        name for name, spec in EXPERIMENTS.items() if spec.run_all_group not in skipped
+    ]
+
+
+def _run_batch(
+    settings: ExperimentSettings, names: Sequence[str], runner: ExperimentRunner
+) -> Tuple[Dict[str, ResultFrame], Dict[ExperimentJob, Metrics]]:
+    """Enumerate every named spec's cells into one runner batch, run it, and
+    fold the shared results into one frame per spec.
+
+    The one batch path behind :func:`collect_frames` and
+    :func:`run_all_experiments`, so ``repro export``/``repro diff`` enumerate
+    exactly as the ``run-all --json`` baselines they compare against.
+    Returns the frames and the batch's ``{job: metrics}``.
     """
     from repro.sim.specs import experiment
 
-    requests = {}
-    jobs_by_spec: Dict[str, List[ExperimentJob]] = {}
-    batch: List[ExperimentJob] = []
-    for name in names:
-        spec = experiment(name)
-        # No per-spec options: every spec sizes itself from the settings
-        # object (the faults spec, for instance, falls back to
-        # ``settings.fault_trials_per_site``).
-        request = spec.request(settings)
-        requests[name] = request
-        jobs_by_spec[name] = spec.enumerate_jobs(request)
-        batch += jobs_by_spec[name]
-    return requests, jobs_by_spec, batch
+    with runner.stats.phase("enumerate"):
+        requests = {}
+        jobs_by_spec: Dict[str, List[ExperimentJob]] = {}
+        batch: List[ExperimentJob] = []
+        for name in names:
+            spec = experiment(name)
+            # No per-spec options: every spec sizes itself from the settings
+            # object (the faults spec, for instance, falls back to
+            # ``settings.fault_trials_per_site``).
+            requests[name] = spec.request(settings)
+            jobs_by_spec[name] = spec.enumerate_jobs(requests[name])
+            batch += jobs_by_spec[name]
+    results = runner.run_jobs(batch)
+    with runner.stats.phase("assemble"):
+        frames = {
+            name: experiment(name).assemble_frame(request, jobs_by_spec[name], results)
+            for name, request in requests.items()
+        }
+    return frames, results
 
 
 def collect_frames(
@@ -370,21 +392,12 @@ def collect_frames(
     under a parallel runner) and each spec's frame is assembled from the
     shared results.
     """
-    from repro.sim.specs import EXPERIMENTS, experiment
-
-    settings = settings or ExperimentSettings()
-    runner = runner or default_runner()
     if names is None:
-        names = list(EXPERIMENTS)
-
-    with runner.stats.phase("enumerate"):
-        requests, jobs_by_spec, batch = _enumerate_spec_batch(settings, names)
-    results = runner.run_jobs(batch)
-    with runner.stats.phase("assemble"):
-        return {
-            name: experiment(name).assemble_frame(requests[name], jobs_by_spec[name], results)
-            for name in requests
-        }
+        names = run_all_spec_names()
+    frames, _ = _run_batch(
+        settings or ExperimentSettings(), names, runner or default_runner()
+    )
+    return frames
 
 
 def run_all_experiments(
@@ -397,40 +410,23 @@ def run_all_experiments(
     """Run the whole evaluation -- every registered spec -- as one job batch.
 
     The experiment list comes from the ``EXPERIMENTS`` registry of
-    :mod:`repro.sim.specs`: every spec's cells (simulation cells and
-    fault-campaign cells alike, plus any user-registered spec's) are
-    enumerated up front and handed to the runner in a single call, so a
-    multi-worker runner overlaps cells *across* experiments (not just
-    within one) and a warm cache re-run executes nothing at all.  Each
-    spec's results land as one :class:`ResultFrame`.
+    :mod:`repro.sim.specs` (:func:`run_all_spec_names`): every spec's cells
+    (simulation cells and fault-campaign cells alike, plus any
+    user-registered spec's) are enumerated up front and handed to the runner
+    in a single call, so a multi-worker runner overlaps cells *across*
+    experiments (not just within one) and a warm cache re-run executes
+    nothing at all.  Each spec's results land as one :class:`ResultFrame`.
     """
-    from repro.sim.specs import EXPERIMENTS
-
     settings = settings or ExperimentSettings()
-    runner = runner or default_runner()
     included = {
         "switching": include_switching,
         "ablation": include_ablation,
         "faults": include_faults,
     }
-    names = [
-        name
-        for name, spec in EXPERIMENTS.items()
-        if spec.run_all_group is None or included.get(spec.run_all_group, True)
-    ]
-
-    with runner.stats.phase("enumerate"):
-        requests, jobs_by_spec, batch = _enumerate_spec_batch(settings, names)
-    results = runner.run_jobs(batch)
-
-    with runner.stats.phase("assemble"):
-        frames = {
-            name: EXPERIMENTS[name].assemble_frame(request, jobs_by_spec[name], results)
-            for name, request in requests.items()
-        }
-
+    names = run_all_spec_names(group for group, keep in included.items() if not keep)
+    frames, results = _run_batch(settings, names, runner or default_runner())
     return AllExperimentsResult(
         settings=settings,
         frames=frames,
-        job_metrics={job.cache_key(): dict(results[job]) for job in batch},
+        job_metrics={job.cache_key(): dict(metrics) for job, metrics in results.items()},
     )

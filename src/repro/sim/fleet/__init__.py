@@ -11,7 +11,7 @@ per-machine simulations (:mod:`repro.sim.fleet.scheduler`).
 
 Each per-machine simulation is one ``fleet`` :class:`~repro.sim.jobs.ExperimentJob`
 (:mod:`repro.sim.fleet.cells`), so the whole engine applies for free: the
-serial/process/thread/distributed backends parallelise a fleet, the on-disk
+process and distributed backends parallelise a fleet, the on-disk
 cache makes reruns instant, and the ``fleet`` spec of
 :mod:`repro.sim.specs` folds the cells into a :class:`~repro.sim.frames.ResultFrame`
 of fleet SLO metrics (p99 degraded throughput, availability under failure

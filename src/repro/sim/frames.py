@@ -801,8 +801,8 @@ def frames_document(
     ``settings`` (a plain JSON-safe mapping, typically
     ``dataclasses.asdict(ExperimentSettings)``) is embedded so that
     ``repro diff`` can re-run the exact same evaluation.  ``run-all
-    --json``, ``export --format json``, the coordinator's run documents and
-    ``perfbench`` all build their document here.
+    --json`` (local or with ``--coordinator``), ``export --format json``
+    and ``perfbench`` all build their document here.
     """
     return {
         "format": DOCUMENT_FORMAT,

@@ -49,9 +49,9 @@ def _fuzz_settings(request: SpecRequest) -> ExperimentSettings:
     """The request's settings with the fuzz flags folded in.
 
     With no explicit flags this is the settings object itself, which is what
-    lets ``run_all_experiments`` and the distributed coordinator size the
-    campaign purely through settings (the shared enumeration path passes no
-    per-spec options)."""
+    lets ``run_all_experiments`` and ``collect_frames`` size the campaign
+    purely through settings (their shared batch path passes no per-spec
+    options)."""
     overrides: Dict[str, object] = {}
     cases = request.option("cases")
     if cases is not None:

@@ -211,45 +211,14 @@ class ExperimentJob:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentJob":
-        """Rebuild a job from a :meth:`to_dict`/:meth:`to_wire` payload.
+    def from_wire(cls, payload: object) -> "ExperimentJob":
+        """Rebuild a :meth:`to_wire` payload, verifying the embedded cache key.
 
-        ``params`` may be the ordered pair list of the wire form or the
-        mapping of :meth:`to_dict` (rebuilt sorted -- the order every
-        built-in enumerator uses).  ``settings`` and ``config`` are
-        reconstructed into their dataclasses, enums included, so equality
-        and :meth:`cache_key` survive a JSON round trip.
-        """
-        raw_params = payload.get("params") or ()
-        if isinstance(raw_params, Mapping):
-            params = tuple(sorted(raw_params.items()))
-        else:
-            params = tuple((str(name), value) for name, value in raw_params)
-        settings = payload.get("settings")
-        config = payload.get("config")
-        return cls(
-            kind=str(payload["kind"]),
-            workload=str(payload["workload"]),
-            variant=str(payload.get("variant") or ""),
-            seed=int(payload.get("seed") or 0),
-            settings=(
-                ExperimentSettings.from_dict(settings)
-                if isinstance(settings, Mapping)
-                else None
-            ),
-            config=(
-                rebuild_dataclass(SystemConfig, config)
-                if isinstance(config, Mapping)
-                else None
-            ),
-            params=params,
-        )
-
-    @classmethod
-    def from_wire(
-        cls, payload: Mapping[str, object], verify_key: bool = True
-    ) -> "ExperimentJob":
-        """Rebuild a wire payload, verifying the embedded cache key.
+        ``settings`` and ``config`` are reconstructed into their
+        dataclasses, enums included, so equality and :meth:`cache_key`
+        survive a JSON round trip.  A missing or malformed field -- the
+        ``key`` included -- is refused with an :class:`ExperimentError`
+        naming it.
 
         A key mismatch means the rebuild is not the cell the sender
         described -- most likely the two ends run *different code* (the
@@ -257,16 +226,56 @@ class ExperimentJob:
         the cell would poison the shared cache with results the sender's
         code never produced.
         """
-        job = cls.from_dict(payload)
-        expected = payload.get("key")
-        if verify_key and expected is not None and job.cache_key() != expected:
+        if not isinstance(payload, Mapping):
+            raise ExperimentError(
+                f"a wire cell must be an object, not {type(payload).__name__}"
+            )
+        expected = _wire_field(payload, "key", str)
+        job = cls(
+            kind=_wire_field(payload, "kind", str),
+            workload=_wire_field(payload, "workload", str),
+            variant=_wire_field(payload, "variant", str),
+            seed=_wire_field(payload, "seed", int),
+            settings=_wire_field(
+                payload, "settings", _optional(ExperimentSettings.from_dict)
+            ),
+            config=_wire_field(
+                payload,
+                "config",
+                _optional(lambda config: rebuild_dataclass(SystemConfig, config)),
+            ),
+            params=_wire_field(
+                payload,
+                "params",
+                lambda pairs: tuple((str(name), value) for name, value in pairs),
+            ),
+        )
+        if job.cache_key() != expected:
             raise ExperimentError(
                 f"wire cell {job.label} rebuilds with cache key "
                 f"{job.cache_key()[:12]}..., but the sender computed "
-                f"{str(expected)[:12]}...; the two ends are running "
+                f"{expected[:12]}...; the two ends are running "
                 "different repro code (or the payload was corrupted)"
             )
         return job
+
+
+def _wire_field(
+    payload: Mapping[str, object], name: str, decode: Callable[[object], object]
+) -> object:
+    """One decoded field of a wire cell; a missing or malformed one is
+    refused by name."""
+    if name not in payload:
+        raise ExperimentError(f"wire cell has no {name!r} field")
+    try:
+        return decode(payload[name])
+    except (ReproError, TypeError, ValueError) as error:
+        raise ExperimentError(f"wire cell field {name!r} is malformed: {error}") from None
+
+
+def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
+    """``decode`` for a field whose ``null`` means "none"."""
+    return lambda value: None if value is None else decode(value)
 
 
 def rebuild_dataclass(cls: type, payload: Mapping[str, object]) -> object:
@@ -685,7 +694,8 @@ def _identity_or_none(job: ExperimentJob) -> Optional[SimulationIdentity]:
 
 
 #: The batch whose cells share their runs, inside :func:`shared_simulations`.
-#: Pool threads start from an empty context, so they never see it.
+#: Other threads (a worker loop run in the same process) start from an empty
+#: context, so they never see it.
 _SHARING: ContextVar[Optional[SharedSimulations]] = ContextVar(
     "repro_shared_simulations", default=None
 )

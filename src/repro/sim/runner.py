@@ -1,26 +1,23 @@
-"""Parallel experiment execution with an on-disk result cache.
+"""Experiment execution with an on-disk result cache.
 
 :class:`ExperimentRunner` executes batches of
-:class:`~repro.sim.jobs.ExperimentJob` cells through a pluggable
-:class:`RunnerBackend`:
+:class:`~repro.sim.jobs.ExperimentJob` cells through a
+:class:`RunnerBackend`, one of three:
 
-* ``serial`` -- in the calling process, one cell at a time;
+* ``serial`` -- in the calling process, one cell at a time (one worker);
 * ``process`` -- fanned out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
-* ``thread`` -- fanned out over a
-  :class:`concurrent.futures.ThreadPoolExecutor` (cheap to spin up, no
-  pickling; the right choice for executors that release the GIL or for
-  smoke-testing the fan-out plumbing).
+  :class:`concurrent.futures.ProcessPoolExecutor` in adaptive chunks
+  (``--jobs N`` on the CLI);
+* ``distributed`` -- shipped to a coordinator and its worker fleet
+  (:class:`repro.sim.distributed.backend.DistributedBackend`,
+  ``--coordinator URL`` on the CLI).
 
-Backends are chosen by name (``ExperimentRunner(jobs=4, backend="thread")``,
-``--backend`` on the CLI) and live in a registry
-(:func:`register_runner_backend`), which is the seam for future back-ends --
-a distributed runner only has to map a list of pending cells to their
-metrics and plug itself in; the runner's caching, memoisation and stats stay
-unchanged.  Because every job is a plain-value description of its cell and
-every cell is seeded deterministically, all backends produce byte-identical
-results; the determinism tests in ``tests/test_runner.py`` and
-``tests/test_specs.py`` assert exactly that contract.
+A backend only maps a list of pending cells to their metrics; the runner's
+caching, memoisation and stats stay the same whichever runs them.  Because
+every job is a plain-value description of its cell and every cell is seeded
+deterministically, all backends produce byte-identical results; the
+determinism tests in ``tests/test_runner.py`` and ``tests/test_specs.py``
+assert exactly that contract.
 
 Results are memoised twice:
 
@@ -41,7 +38,7 @@ Results are memoised twice:
   code can never be served as current.
 
 Distinct cells can still build the same machine (the ablation's baseline
-window is Figure 5's Reunion run); cells executed in the calling thread
+window is Figure 5's Reunion run); cells executed in the calling process
 share such a run within the batch (:func:`repro.sim.jobs.shared_simulations`).
 
 ``runner.stats`` records how many cells were executed versus served from the
@@ -52,7 +49,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -65,17 +62,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
     Union,
 )
 
 from repro.errors import ExperimentError
-from repro.sim.jobs import (
-    CACHE_SCHEMA_VERSION,
-    ExperimentJob,
-    execute_job,
-    shared_simulations,
-)
+from repro.sim.jobs import ExperimentJob, execute_job, shared_simulations
 
 # Result stores live in repro.sim.store; re-exported here because this
 # module has always been their import location.
@@ -229,13 +220,10 @@ class RunnerBackend:
     ``(job, metrics)`` pairs, yielding each cell's result as it completes so
     the runner can record and cache it immediately (an interrupted sweep
     keeps everything that finished).  Pairs may arrive in any order.
-
-    Subclass and :func:`register_runner_backend` to plug in new execution
-    substrates -- a distributed backend that ships job descriptions to
-    remote workers implements exactly this one method.
+    Every pending cell reaches the backend, single-cell batches included.
     """
 
-    #: Registry name; also what ``--backend`` and ``RunnerStats`` report.
+    #: What ``RunnerStats`` and the ``engine-stats:`` line report.
     name: str = "abstract"
 
     def execute(
@@ -262,30 +250,7 @@ class SerialBackend(RunnerBackend):
             yield job, executor(job)
 
 
-class _PoolBackend(RunnerBackend):
-    """Shared fan-out loop of the executor-pool backends."""
-
-    pool_type: Type[Executor]
-
-    def execute(
-        self,
-        executor: JobExecutor,
-        pending: Sequence[ExperimentJob],
-        workers: int,
-    ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
-        if len(pending) == 1:
-            # Local execution is always valid for a pool backend, and one
-            # cell is not worth the pool spin-up.
-            yield pending[0], executor(pending[0])
-            return
-        workers = max(1, min(workers, len(pending)))
-        with self.pool_type(max_workers=workers) as pool:
-            futures = {pool.submit(executor, job): job for job in pending}
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-
-
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(RunnerBackend):
     """Fan cells out over worker processes (true CPU parallelism; jobs and
     metrics cross the process boundary by pickling).
 
@@ -297,7 +262,6 @@ class ProcessBackend(_PoolBackend):
     """
 
     name = "process"
-    pool_type = ProcessPoolExecutor
 
     def execute(
         self,
@@ -306,13 +270,12 @@ class ProcessBackend(_PoolBackend):
         workers: int,
     ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
         if len(pending) == 1:
-            # Local execution is always valid for a pool backend, and one
-            # cell is not worth the pool spin-up.
+            # One cell is not worth the pool spin-up.
             yield pending[0], executor(pending[0])
             return
         workers = max(1, min(workers, len(pending)))
         chunks = list(adaptive_chunks(pending, workers))
-        with self.pool_type(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_execute_job_chunk, executor, chunk): chunk
                 for chunk in chunks
@@ -323,55 +286,12 @@ class ProcessBackend(_PoolBackend):
                     yield job, metrics
 
 
-class ThreadBackend(_PoolBackend):
-    """Fan cells out over threads in this process (no pickling, instant
-    startup; concurrency is limited by the GIL for pure-Python executors)."""
-
-    name = "thread"
-    pool_type = ThreadPoolExecutor
-
-
-_BACKENDS: Dict[str, Callable[[], RunnerBackend]] = {}
-
-
-def register_runner_backend(
-    name: str, factory: Callable[[], RunnerBackend], *, replace: bool = False
-) -> None:
-    """Register a backend factory under ``name`` (the ``--backend`` value)."""
-    if name in _BACKENDS and not replace:
-        raise ExperimentError(f"runner backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """The backend names a runner (and ``--backend``) can be built with."""
-    return tuple(sorted(_BACKENDS))
-
-
-def backend_by_name(name: str) -> RunnerBackend:
-    """Instantiate the registered backend called ``name``."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(registered_backends()) or "none"
-        raise ExperimentError(
-            f"unknown runner backend {name!r} (registered backends: {known})"
-        ) from None
-    return factory()
-
-
-def _distributed_backend_factory() -> RunnerBackend:
-    # Imported lazily: the distributed package imports this module for the
-    # chunker and cache, and most invocations never touch the backend.
-    from repro.sim.distributed.backend import DistributedBackend, coordinator_from_env
-
-    return DistributedBackend(coordinator_from_env())
-
-
-register_runner_backend("serial", SerialBackend)
-register_runner_backend("process", ProcessBackend)
-register_runner_backend("thread", ThreadBackend)
-register_runner_backend("distributed", _distributed_backend_factory)
+#: The backends a runner builds by name; anything else is passed as an
+#: instance (the distributed backend needs its coordinator URL).
+_LOCAL_BACKENDS: Dict[str, Callable[[], RunnerBackend]] = {
+    "serial": SerialBackend,
+    "process": ProcessBackend,
+}
 
 
 class ExperimentRunner:
@@ -389,12 +309,18 @@ class ExperimentRunner:
         if jobs < 1:
             raise ExperimentError("an ExperimentRunner needs at least one worker")
         self.jobs = jobs
-        #: ``backend=None`` keeps the historical behaviour: serial with one
-        #: worker, a process pool with more.
+        #: ``backend=None`` picks serial for one worker, a process pool for
+        #: more.
         if backend is None:
             backend = "serial" if jobs == 1 else "process"
         if isinstance(backend, str):
-            backend = backend_by_name(backend)
+            try:
+                backend = _LOCAL_BACKENDS[backend]()
+            except KeyError:
+                raise ExperimentError(
+                    f"unknown runner backend {backend!r}: name 'serial' or "
+                    "'process', or pass a RunnerBackend instance"
+                ) from None
         self.backend = backend
         #: ``cache=`` accepts a ready-made store; otherwise caching defaults
         #: to "on exactly when a cache directory was given" (``use_cache=True``
@@ -455,14 +381,16 @@ class ExperimentRunner:
         # cells completes, not after the whole batch: an interrupted or
         # partially failed sweep keeps everything that finished (the
         # ``finally`` flushes the in-flight chunk), so the re-run only
-        # executes the remaining cells.  Cells executed in this thread
+        # executes the remaining cells.  Cells executed in this process
         # (the serial backend) that build the same machine share one
         # simulation; pool and remote workers never see the sharing.
         if pending:
             with self.stats.phase("execute"), shared_simulations(pending) as sharing:
                 chunk: List[Tuple[ExperimentJob, Metrics]] = []
                 try:
-                    for job, metrics in self._execute(pending):
+                    for job, metrics in self.backend.execute(
+                        self._executor, pending, self.jobs
+                    ):
                         self._memo[job] = metrics
                         self.stats.executed += 1
                         if self.cache is not None:
@@ -482,17 +410,6 @@ class ExperimentRunner:
     def run_job(self, job: ExperimentJob) -> Metrics:
         """Execute (or recall) a single cell."""
         return self.run_jobs([job])[job]
-
-    def _execute(
-        self, pending: Sequence[ExperimentJob]
-    ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
-        if not pending:
-            return
-        # Every pending cell goes through the backend -- a custom backend
-        # (e.g. a remote-only distributed runner) must see single-cell
-        # batches too; the built-in pool backends skip the pool themselves
-        # when one cell is not worth it.
-        yield from self.backend.execute(self._executor, pending, self.jobs)
 
 
 # ---------------------------------------------------------------------- #

@@ -1233,9 +1233,9 @@ def _fleet_settings(request: SpecRequest) -> ExperimentSettings:
     """The request's settings with the fleet flags folded in.
 
     With no explicit flags this is the settings object itself, which is what
-    lets ``run_all_experiments`` and the distributed coordinator size the
-    fleet purely through settings (the shared enumeration path passes no
-    per-spec options)."""
+    lets ``run_all_experiments`` and ``collect_frames`` size the fleet
+    purely through settings (their shared batch path passes no per-spec
+    options)."""
     overrides: Dict[str, object] = {}
     scenarios = request.option("scenarios")
     if scenarios is not None:

@@ -37,6 +37,7 @@ import zlib
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -56,8 +57,9 @@ from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
 #: A cell result: metric name to JSON-serializable value.  Simulation cells
 #: return plain floats; other registered kinds may return nested structures
 #: (fault-campaign cells return their serialized trial records), as long as
-#: a ``json`` round trip reproduces the value exactly.
-JsonValue = Union[None, bool, int, float, str, List["JsonValue"], Dict[str, "JsonValue"]]
+#: a ``json`` round trip reproduces the value exactly.  The alias is not
+#: recursive, so ``typing.get_type_hints`` resolves it in any module.
+JsonValue = Union[None, bool, int, float, str, List[Any], Dict[str, Any]]
 Metrics = Dict[str, JsonValue]
 
 #: Environment variable overriding the default on-disk cache location.
@@ -559,10 +561,9 @@ class ResultCache:
     """Packed segment-file result store keyed by job cache keys.
 
     See the module docstring for the format.  Single-cell
-    :meth:`load`/:meth:`store` remain for convenience; the engine's hot
-    paths use the batched :meth:`load_many`/:meth:`store_many` (and their
-    key-level twins for the distributed coordinator, which holds wire
-    descriptions rather than :class:`ExperimentJob` instances).
+    :meth:`load`/:meth:`store` remain for convenience; the runner and the
+    distributed coordinator use the batched :meth:`load_many` and
+    :meth:`store_many`.
 
     ``clock`` is injectable so prune-by-age tests control record ages
     without sleeping.
@@ -608,40 +609,26 @@ class ResultCache:
 
     def load(self, job: ExperimentJob) -> Optional[Metrics]:
         """Return the cached metrics for ``job``, or ``None`` on a miss."""
-        return self.load_entry(job.kind, job.cache_key())
-
-    def load_entry(self, kind: str, key: str) -> Optional[Metrics]:
-        """Return the cached metrics under ``(kind, key)``, or ``None``.
-
-        Corrupt or incompatible records are misses, never errors: torn
-        segment tails are excluded by the CRC scan at index build, and a
-        record damaged after indexing fails frame validation at read.
-        """
-        return self.load_many_entries([(kind, key)]).get(key)
+        return self.load_many([job]).get(job)
 
     def load_many(self, jobs: Sequence[ExperimentJob]) -> Dict[ExperimentJob, Metrics]:
         """Probe a whole batch; returns ``{job: metrics}`` for the hits.
 
         One index lookup per cell and one file open per touched segment.
+        Corrupt or incompatible records are misses, never errors: torn
+        segment tails are excluded by the CRC scan at index build, and a
+        record damaged after indexing fails frame validation at read.
         """
-        keyed = [(job, job.kind, job.cache_key()) for job in jobs]
-        hits = self.load_many_entries([(kind, key) for _, kind, key in keyed])
-        return {job: hits[key] for job, _, key in keyed if key in hits}
-
-    def load_many_entries(
-        self, pairs: Sequence[Tuple[str, str]]
-    ) -> Dict[str, Metrics]:
-        """Key-level batch probe: ``{key: metrics}`` for the hits."""
-        by_kind: Dict[str, List[str]] = {}
-        for kind, key in pairs:
-            by_kind.setdefault(kind, []).append(key)
-        hits: Dict[str, Metrics] = {}
-        for kind, keys in by_kind.items():
-            records = self._kind(kind).get_many(keys)
-            for key in keys:
+        by_kind: Dict[str, List[Tuple[ExperimentJob, str]]] = {}
+        for job in jobs:
+            by_kind.setdefault(job.kind, []).append((job, job.cache_key()))
+        hits: Dict[ExperimentJob, Metrics] = {}
+        for kind, keyed in by_kind.items():
+            records = self._kind(kind).get_many(key for _, key in keyed)
+            for job, key in keyed:
                 metrics = _record_metrics(records.get(key), key)
                 if metrics is not None:
-                    hits[key] = metrics
+                    hits[job] = metrics
         return hits
 
     # -- stores --------------------------------------------------------- #
@@ -650,50 +637,23 @@ class ResultCache:
         """Persist one cell's metrics (one record append + fsync)."""
         self.store_many([(job, metrics)])
 
-    def store_entry(
-        self,
-        kind: str,
-        key: str,
-        job_description: Dict[str, object],
-        metrics: Metrics,
-    ) -> None:
-        """Persist one entry under ``(kind, key)``."""
-        self.store_entries([(kind, key, job_description, metrics)])
-
     def store_many(self, items: Sequence[Tuple[ExperimentJob, Metrics]]) -> None:
         """Persist a chunk of results: one append + one fsync per kind."""
-        self.store_entries(
-            [
-                (job.kind, job.cache_key(), job.to_dict(), metrics)
-                for job, metrics in items
-            ]
-        )
-
-    def store_entries(
-        self, entries: Sequence[Tuple[str, str, Dict[str, object], Metrics]]
-    ) -> None:
-        """Key-level batch store (the distributed coordinator's path)."""
-        by_kind: Dict[str, List[Tuple[str, Dict[str, object], Metrics]]] = {}
-        for kind, key, description, metrics in entries:
-            by_kind.setdefault(kind, []).append((key, description, metrics))
         now = self._clock()
-        for kind, items in by_kind.items():
-            self._kind(kind).append(
-                [
-                    (
-                        key,
-                        {
-                            "schema": CACHE_SCHEMA_VERSION,
-                            "key": key,
-                            "kind": kind,
-                            "ts": now,
-                            "job": description,
-                            "metrics": metrics,
-                        },
-                    )
-                    for key, description, metrics in items
-                ]
-            )
+        by_kind: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
+        for job, metrics in items:
+            key = job.cache_key()
+            record = {
+                "schema": CACHE_SCHEMA_VERSION,
+                "key": key,
+                "kind": job.kind,
+                "ts": now,
+                "job": job.to_dict(),
+                "metrics": metrics,
+            }
+            by_kind.setdefault(job.kind, []).append((key, record))
+        for kind, records in by_kind.items():
+            self._kind(kind).append(records)
 
     def flush(self) -> None:
         """Publish every dirty manifest (records are already durable)."""

@@ -66,6 +66,9 @@ class TranslationLookasideBuffer:
         self.page_table = page_table
         self._entries: Dict[int, TlbEntry] = {}
         self._touch = 0
+        # Called with the physical page on each demap: the machine passes
+        # its PAB's hook, so a demap invalidates the PAB entry (Section
+        # 3.4.1: the PAB is kept coherent during a TLB demap operation).
         self._demap_listener = demap_listener
         self.stats = StatSet()
         # Hot-path binding: translate_raw bumps counters directly instead of
@@ -88,15 +91,6 @@ class TranslationLookasideBuffer:
     def page_size(self) -> int:
         """Page size of the underlying page table."""
         return self.page_table.page_size
-
-    def set_demap_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the physical page on each demap.
-
-        The PAB registers itself here so that a TLB demap invalidates the
-        corresponding PAB entry (Section 3.4.1: the PAB is kept coherent
-        during a TLB demap operation).
-        """
-        self._demap_listener = listener
 
     # ------------------------------------------------------------------ #
     # Translation

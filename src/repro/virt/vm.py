@@ -44,11 +44,6 @@ class GuestVM:
         self.vcpus.append(vcpu)
 
     @property
-    def vcpu_ids(self) -> List[int]:
-        """Identifiers of this VM's VCPUs."""
-        return [vcpu.vcpu_id for vcpu in self.vcpus]
-
-    @property
     def num_vcpus(self) -> int:
         """Number of VCPUs exposed by this VM."""
         return len(self.vcpus)

@@ -169,15 +169,6 @@ class AddressStreamModel:
         """``(base, span)`` of the VM-wide shared data window."""
         return (self._shared.base, self._shared.span)
 
-    def _pick(self, hot: _Window, cold: _Window) -> int:
-        return self._hot_cold_address(
-            base=cold.base,
-            hot_span=hot.span,
-            cold_span=cold.span,
-            hot_probability=self._hot_fraction,
-            alignment=self._line_size,
-        )
-
     def next_address(
         self, privilege: PrivilegeLevel, is_store: bool
     ) -> Tuple[int, bool]:

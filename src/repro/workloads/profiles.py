@@ -157,10 +157,6 @@ def _kb(value: float) -> int:
     return int(value * 1024)
 
 
-def _mb(value: float) -> int:
-    return int(value * 1024 * 1024)
-
-
 #: Apache: static web server driven by Surge.  Highly OS-intensive (Table 2:
 #: 59 k user cycles vs 98 k OS cycles per round trip), moderate working set,
 #: significant sharing through the network stack.

@@ -29,8 +29,8 @@ def test_help_lists_every_subcommand(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     for command in (
-        "run", "figure5", "figure6", "table1", "table2", "faults", "report",
-        "run-all", "list", "cache",
+        "run", "figure5", "figure6", "table1", "table2", "faults", "run-all",
+        "list", "cache",
     ):
         assert command in out
 
@@ -42,10 +42,9 @@ def test_subcommands_are_generated_from_the_registry(capsys):
 
     parser = build_parser()
     for name, spec in EXPERIMENTS.items():
-        args = parser.parse_args([name, "--jobs", "2", "--backend", "thread",
-                                  "--seeds", "1", "--no-cache"])
+        args = parser.parse_args([name, "--jobs", "2", "--seeds", "1", "--no-cache"])
         assert args.command == name
-        assert args.jobs == 2 and args.backend == "thread"
+        assert args.jobs == 2
         for option in spec.options:
             assert hasattr(args, option.name)
 
@@ -158,19 +157,30 @@ def test_run_all_quick(capsys, tmp_path):
     assert "0 executed" in out
 
 
-def test_figure5_thread_backend_matches_serial(capsys, isolated_cache):
-    serial_argv = ["figure5", "--quick", "--workloads", "apache", "--no-cache"]
-    assert main(serial_argv) == 0
-    serial_out = capsys.readouterr().out
-    threaded_argv = serial_argv + ["--jobs", "2", "--backend", "thread"]
-    assert main(threaded_argv) == 0
-    threaded_out = capsys.readouterr().out
-    assert "backend: thread" in threaded_out
-    # Identical tables, whatever the backend.
-    assert (
-        serial_out.split("experiment engine:")[0]
-        == threaded_out.split("experiment engine:")[0]
-    )
+def test_jobs_selects_the_process_backend(capsys):
+    import json
+
+    assert main(["figure5", "--quick", "--no-cache", "--jobs", "2"]) == 0
+    (line,) = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("engine-stats: ")
+    ]
+    stats = json.loads(line[len("engine-stats: "):])
+    assert stats["backend"] == "process" and stats["workers"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure5", "--backend", "serial"],
+        ["run-all", "--quick", "--backend", "thread"],
+        ["report", "--quick"],
+    ],
+)
+def test_removed_backend_flag_and_report_alias_exit_2(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 def test_json_output_is_the_spec_document(capsys):
@@ -428,10 +438,15 @@ def test_serve_and_worker_subcommands_parse():
 
 
 def test_run_accepts_the_distributed_backend_flags():
+    from repro.cli import _runner_from_args
+    from repro.sim.distributed import DistributedBackend
+
     parser = build_parser()
     args = parser.parse_args(
-        ["run-all", "--quick", "--backend", "distributed",
-         "--coordinator", "http://127.0.0.1:1"]
+        ["run-all", "--quick", "--jobs", "2", "--coordinator", "http://127.0.0.1:1"]
     )
-    assert args.backend == "distributed"
     assert args.coordinator == "http://127.0.0.1:1"
+    # --coordinator alone selects the fleet, whatever --jobs says.
+    backend = _runner_from_args(args).backend
+    assert isinstance(backend, DistributedBackend)
+    assert backend.coordinator == "http://127.0.0.1:1"

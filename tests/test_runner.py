@@ -45,10 +45,7 @@ from repro.sim.runner import (
     ResultCache,
     RunnerBackend,
     SerialBackend,
-    backend_by_name,
     default_runner,
-    register_runner_backend,
-    registered_backends,
     set_default_runner,
     using_runner,
 )
@@ -282,12 +279,13 @@ class TestResultCache:
         # A kind becomes a directory under the cache root; anything else
         # would read, write or clear outside it.
         cache = ResultCache(tmp_path / "cache")
+        job = ExperimentJob(kind=kind, workload="w")
         with pytest.raises(ExperimentError, match="invalid job kind"):
             cache.clear(kind=kind)
         with pytest.raises(ExperimentError, match="invalid job kind"):
-            cache.load_entry(kind, "key")
+            cache.load(job)
         with pytest.raises(ExperimentError, match="invalid job kind"):
-            cache.store_entry(kind, "key", {}, {"m": 1.0})
+            cache.store(job, {"m": 1.0})
         assert not list(tmp_path.iterdir())
 
     def test_clear_removes_every_entry(self, tmp_path):
@@ -401,37 +399,22 @@ class TestRunner:
         assert ExperimentRunner(jobs=2, use_cache=False).backend.name == "process"
 
     def test_backend_chosen_by_name(self):
-        runner = ExperimentRunner(jobs=2, use_cache=False, backend="thread")
-        assert runner.backend.name == "thread"
+        runner = ExperimentRunner(jobs=1, use_cache=False, backend="process")
+        assert runner.backend.name == "process"
         # An instance is accepted as-is, too.
         serial = SerialBackend()
         assert ExperimentRunner(use_cache=False, backend=serial).backend is serial
 
     def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ExperimentError, match="registered backends"):
-            ExperimentRunner(jobs=2, use_cache=False, backend="quantum")
-
-    def test_backend_registry_contents_and_duplicates(self):
-        assert {"serial", "process", "thread"} <= set(registered_backends())
-        assert backend_by_name("thread").name == "thread"
-        with pytest.raises(ExperimentError):
-            register_runner_backend("serial", SerialBackend)
-
-    def test_thread_backend_matches_serial(self):
-        def fake(job):
-            return {"value": float(job.seed)}
-
-        batch = [quick_job(seed=seed) for seed in range(6)]
-        serial = ExperimentRunner(jobs=1, use_cache=False, executor=fake)
-        threaded = ExperimentRunner(
-            jobs=3, use_cache=False, executor=fake, backend="thread"
-        )
-        assert serial.run_jobs(batch) == threaded.run_jobs(batch)
-        assert threaded.stats.executed == len(batch)
+        # Any other name, "thread" included, is refused with the two
+        # accepted names.
+        for name in ("quantum", "thread"):
+            with pytest.raises(ExperimentError, match="'serial' or 'process'"):
+                ExperimentRunner(jobs=2, use_cache=False, backend=name)
 
     def test_custom_backend_plugs_in(self):
-        # The seam for a distributed runner: anything mapping pending cells
-        # to (job, metrics) pairs works, registered or passed directly.
+        # The seam the distributed backend uses: any instance mapping
+        # pending cells to (job, metrics) pairs works.
         class RecordingBackend(RunnerBackend):
             name = "recording"
 
@@ -523,23 +506,15 @@ class TestRunAllParity:
         settings = QUICK
         serial = ExperimentRunner(jobs=1, cache_dir=tmp_path / "serial")
         parallel = ExperimentRunner(jobs=4, cache_dir=tmp_path / "parallel")
-        threaded = ExperimentRunner(
-            jobs=4, cache_dir=tmp_path / "threaded", backend="thread"
-        )
 
         one = run_all_experiments(settings, runner=serial)
         four = run_all_experiments(settings, runner=parallel)
-        via_threads = run_all_experiments(settings, runner=threaded)
         assert serial.stats.executed == parallel.stats.executed > 0
-        assert serial.stats.executed == threaded.stats.executed
-        # Every spec in the batch: all three backends, byte for byte.
+        # Every spec in the batch: both backends, byte for byte.
         assert json.dumps(one.job_metrics, sort_keys=True) == json.dumps(
             four.job_metrics, sort_keys=True
         )
-        assert json.dumps(one.job_metrics, sort_keys=True) == json.dumps(
-            via_threads.job_metrics, sort_keys=True
-        )
-        assert one.render() == four.render() == via_threads.render()
+        assert one.render() == four.render()
 
         # Re-running against the serial runner's cache simulates nothing --
         # including the fault-campaign cells, which ride the same batch.
@@ -672,26 +647,14 @@ class TestRunnerStatsTiming:
         assert "execute" not in warm.stats.phase_seconds
 
 
-class TestKeyLevelCacheApi:
-    """The (kind, key) half of the cache API used by the coordinator."""
-
-    def test_entry_round_trip_matches_job_level_api(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = quick_job()
-        key = job.cache_key()
-        cache.store_entry(job.kind, key, job.to_dict(), {"metric": 1.5})
-        assert cache.load_entry(job.kind, key) == {"metric": 1.5}
-        assert cache.load(job) == {"metric": 1.5}
-
-
 class TestCachePrune:
     """`repro cache prune`: age- and size-bounded garbage collection."""
 
     def _fill(self, cache, count):
-        for seed in range(count):
-            job = quick_job(seed=seed)
-            cache.store_entry(job.kind, job.cache_key(), job.to_dict(), {"m": seed})
-        return [quick_job(seed=seed) for seed in range(count)]
+        jobs = [quick_job(seed=seed) for seed in range(count)]
+        for seed, job in enumerate(jobs):
+            cache.store(job, {"m": seed})
+        return jobs
 
     def test_age_limit_removes_only_stale_entries(self, tmp_path):
         # Ages come from the record timestamps, which follow the injected
@@ -699,10 +662,10 @@ class TestCachePrune:
         ticks = {"now": 1_000_000.0}
         cache = ResultCache(tmp_path, clock=lambda: ticks["now"])
         jobs = [quick_job(seed=seed) for seed in range(3)]
-        cache.store_entry(jobs[0].kind, jobs[0].cache_key(), jobs[0].to_dict(), {"m": 0})
+        cache.store(jobs[0], {"m": 0})
         ticks["now"] += 7200
         for seed, job in enumerate(jobs[1:], start=1):
-            cache.store_entry(job.kind, job.cache_key(), job.to_dict(), {"m": seed})
+            cache.store(job, {"m": seed})
         result = cache.prune(max_age_seconds=3600, now=ticks["now"])
         assert result.removed_entries == 1
         assert result.kept_entries == 2
@@ -715,7 +678,7 @@ class TestCachePrune:
         jobs = [quick_job(seed=seed) for seed in range(4)]
         # Make ages distinct and increasing with seed (seed 0 is oldest).
         for seed, job in enumerate(jobs):
-            cache.store_entry(job.kind, job.cache_key(), job.to_dict(), {"m": seed})
+            cache.store(job, {"m": seed})
             ticks["now"] += 100.0
         # All four records have the same framed size, so half the live
         # bytes is exactly the budget for the two newest entries.

@@ -8,7 +8,7 @@ is built from; inside ``shared_simulations`` (entered by
 ``ExperimentRunner.run_jobs`` around its execute phase) each shared
 identity is simulated once and every consumer gets its own copy.  These
 tests pin the identity groups, parity with a runner that does not share
-(thread-pool workers never see the sharing), the saved simulator runs,
+(process-pool workers never see the sharing), the saved simulator runs,
 the release of shared results and the isolation of the copies.
 """
 
@@ -158,10 +158,11 @@ def serial_batches():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_serial_sharing_matches_a_thread_runner_that_does_not_share(seed, serial_batches):
     shared_results, stats, _ = serial_batches[seed]
-    threaded = ExperimentRunner(jobs=2, backend="thread")
-    assert threaded.run_jobs(quick_batch(seed)) == shared_results
+    pooled = ExperimentRunner(jobs=2)
+    assert pooled.backend.name == "process"
+    assert pooled.run_jobs(quick_batch(seed)) == shared_results
     assert stats.shared == 6
-    assert threaded.stats.shared == 0
+    assert pooled.stats.shared == 0
 
 
 def test_the_quick_batch_simulates_each_machine_once(serial_batches):
@@ -245,16 +246,3 @@ def test_every_consumer_gets_its_own_copy():
         assert third == reference
         assert sharing.served == 2 and sharing.retained() == 0
     assert len({id(first), id(second), id(third)}) == 3
-
-
-def test_pool_threads_never_see_the_sharing():
-    seen = []
-
-    def recording(job):
-        seen.append(jobs_module._SHARING.get())
-        return {"ok": 1}
-
-    jobs = _reunion_batch()
-    runner = ExperimentRunner(jobs=2, backend="thread", executor=recording)
-    runner.run_jobs(jobs)
-    assert seen == [None] * len(jobs)

@@ -6,9 +6,9 @@ Four contracts:
   the registry drives both ``run_all_experiments`` and the CLI;
 * **frames from cells** -- a spec's frame is the fold of its run's raw
   cells: derived and aggregated columns recompute from ``SpecRun.results``;
-* **backend determinism** -- ``serial``, ``process`` and ``thread``
-  backends produce byte-identical results for one spec of each family
-  (simulation, measurement, faults);
+* **backend determinism** -- the ``serial`` and ``process`` backends
+  produce byte-identical results for one spec of each family (simulation,
+  measurement, faults);
 * **uniform rendering** -- ``to_table``/``to_json`` are generated from the
   spec's ``MetricSchema``.
 """
@@ -169,7 +169,7 @@ class TestFramesMatchRawCells:
 
 @pytest.mark.slow
 class TestBackendDeterminism:
-    """serial == process == thread, byte for byte, one spec per family."""
+    """serial == process, byte for byte, one spec per family."""
 
     CASES = {
         "figure5": dict(),                      # simulation family
@@ -182,12 +182,12 @@ class TestBackendDeterminism:
         spec = EXPERIMENTS[name]
         settings = QUICK.with_seeds((0, 1)) if spec.multi_seed else QUICK
         documents = {}
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             result = spec.run(
                 settings, runner=fresh(jobs=2, backend=backend), **self.CASES[name]
             )
             documents[backend] = json.dumps(spec.to_json(result), sort_keys=True)
-        assert documents["serial"] == documents["process"] == documents["thread"]
+        assert documents["serial"] == documents["process"]
 
 
 class TestUniformRendering:

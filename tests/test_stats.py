@@ -65,9 +65,6 @@ class TestStatSet:
         a.merge(b)
         assert a.get("x") == 5
         assert a.get("y") == 1
-        scaled = a.scaled(2.0)
-        assert scaled.get("x") == 10
-        assert a.get("x") == 5  # original untouched
 
     def test_ratio(self):
         stats = StatSet({"misses": 25, "accesses": 100})

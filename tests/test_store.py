@@ -13,8 +13,7 @@ Four legs:
   cache the next run can use: the torn tail reads as a miss, `stats`
   never raises, and only the torn cell re-executes;
 * **parity** -- the same sweep produces byte-identical result frames
-  across the {serial, thread, process, distributed} backends, cold and
-  warm.
+  across the {serial, process, distributed} backends, cold and warm.
 """
 
 from __future__ import annotations
@@ -290,7 +289,7 @@ def _run_once(backend: str, cache) -> str:
 class TestBackendParity:
     def test_frames_byte_identical_across_backends(self, tmp_path):
         documents = {}
-        for backend in ("serial", "thread", "process", "distributed"):
+        for backend in ("serial", "process", "distributed"):
             directory = tmp_path / backend
             documents[backend] = _run_once(backend, ResultCache(directory))
             # A warm pass from a fresh instance serves every cell from disk

@@ -9,9 +9,8 @@ runs a multi-seed Figure 5 + Figure 6 sweep twice through an
 1. cold, fanned out over worker processes -- every cell is simulated, and
    the seed sweep is embarrassingly parallel;
 2. warm -- the second run executes *zero* simulation jobs, because every
-   cell's result is served from the on-disk cache (CRC-framed records in
-   segment files under ``.repro-cache/<kind>/segments/``, indexed by a
-   per-kind manifest).
+   cell's result is served from the on-disk cache (one SQLite table in
+   ``.repro-cache/results.sqlite3``, one row per cell).
 
 Multi-seed runs feed the experiments' 95% confidence intervals, which is
 exactly what the cache makes cheap: adding a seed later only simulates the

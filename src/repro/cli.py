@@ -19,10 +19,9 @@ Five groups of subcommands:
   on metric drift beyond ``--rtol``/``--atol``;
 * housekeeping: ``list`` prints the spec registry, ``list-workloads`` the
   calibrated workload profiles, and ``cache stats`` / ``cache clear`` /
-  ``cache prune`` / ``cache compact`` inspect and maintain the packed
-  on-disk result cache (:mod:`repro.sim.store`): stats includes the
-  schema-version breakdown after a format bump, compact sheds superseded
-  records;
+  ``cache prune`` inspect and maintain the on-disk result cache (one
+  SQLite file, :mod:`repro.sim.store`): stats includes the schema-version
+  breakdown after a format bump;
 * distributed runs: ``serve`` starts the HTTP coordinator, ``worker``
   attaches a pull-based worker to it, and any experiment subcommand
   distributes its cells with ``--coordinator URL`` (see
@@ -55,8 +54,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.analysis.tables import TextTable
 from repro.config.presets import evaluation_system_config
@@ -85,6 +85,7 @@ from repro.sim.runner import (
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
+    SpecRun,
     jsonify,
     parse_positive_int,
     parse_seed_list,
@@ -231,17 +232,22 @@ def _announce_dropped_seeds(spec: ExperimentSpec, args: argparse.Namespace) -> N
         )
 
 
-def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
-    """Generic handler behind every registry-generated subcommand."""
-    runner = _runner_from_args(args)
-    _announce_dropped_seeds(spec, args)
+def _execute_and_print(
+    spec: ExperimentSpec,
+    args: argparse.Namespace,
+    settings: ExperimentSettings,
+    runner: ExperimentRunner,
+) -> SpecRun:
+    """Run ``spec`` as the parsed flags ask and print its frame as a table,
+    or under ``--json`` as the spec's uniform document with its grid."""
     options = {option.name: getattr(args, option.name) for option in spec.options}
     request = spec.request(
-        _settings_from_args(args),
+        settings,
         explicit_workloads=bool(getattr(args, "workloads", None)),
         **options,
     )
-    frame = spec.run(runner=runner, request=request)
+    run = spec.execute(runner=runner, request=request)
+    frame = run.frame()
     if args.json:
         document = spec.to_json(frame)
         document["grid"] = jsonify(
@@ -250,6 +256,14 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(frame.to_table())
+    return run
+
+
+def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
+    """Generic handler behind every registry-generated subcommand."""
+    runner = _runner_from_args(args)
+    _announce_dropped_seeds(spec, args)
+    _execute_and_print(spec, args, _settings_from_args(args), runner)
     _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
@@ -273,22 +287,7 @@ def _run_fuzz(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             print(f"cannot reproduce: {error}", file=sys.stderr)
             return 2
     runner = _runner_from_args(args)
-    options = {option.name: getattr(args, option.name) for option in spec.options}
-    request = spec.request(
-        settings,
-        explicit_workloads=bool(getattr(args, "workloads", None)),
-        **options,
-    )
-    run = spec.execute(runner=runner, request=request)
-    frame = run.frame()
-    if args.json:
-        document = spec.to_json(frame)
-        document["grid"] = jsonify(
-            {name: list(values) for name, values in spec.grid(request).axes}
-        )
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(frame.to_table())
+    run = _execute_and_print(spec, args, settings, runner)
     failing = [
         (job, metrics)
         for job, metrics in run.results.items()
@@ -334,26 +333,30 @@ def _add_spec_subcommands(subparsers) -> None:
 def _cmd_list(args: argparse.Namespace) -> int:
     """Print the experiment-spec registry (names, families, grids)."""
     if getattr(args, "json", False):
-        document = {
-            "registered_job_kinds": list(registered_job_kinds()),
-            "specs": [
+        specs = []
+        for name, spec in EXPERIMENTS.items():
+            request = spec.request()
+            grid = spec.grid(request)
+            specs.append(
                 {
                     "name": name,
                     "title": spec.title,
                     "family": spec.family,
                     "axes": {
                         axis: [jsonify(value) for value in values]
-                        for axis, values in spec.grid(spec.request()).axes
+                        for axis, values in grid.axes
                     },
-                    "cells": spec.grid(spec.request()).size(),
+                    "cells": grid.size(),
                     "job_kinds": sorted(
-                        {job.kind for job in spec.enumerate_jobs(spec.request())}
+                        {job.kind for job in spec.enumerate_jobs(request)}
                     ),
                     "options": [option.flag for option in spec.options],
                     "run_all_group": spec.run_all_group,
                 }
-                for name, spec in EXPERIMENTS.items()
-            ],
+            )
+        document = {
+            "registered_job_kinds": list(registered_job_kinds()),
+            "specs": specs,
         }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -409,8 +412,11 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         print(f"result cache at {cache.directory}: no entries")
         return 0
     table = TextTable(
-        ["kind", "entries", "live", "disk", "segs", "versions"],
-        title=f"Result cache at {cache.directory}",
+        ["kind", "entries", "live", "versions"],
+        title=(
+            f"Result cache at {cache.path} "
+            f"({_human_bytes(cache.path.stat().st_size)})"
+        ),
     )
     total = CacheKindStats(kind="total")
     for kind_stats in stats.values():
@@ -419,15 +425,11 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
                 kind_stats.kind,
                 kind_stats.entries,
                 _human_bytes(kind_stats.bytes),
-                _human_bytes(kind_stats.disk_bytes),
-                kind_stats.segments,
                 kind_stats.version_summary(),
             ]
         )
         total.entries += kind_stats.entries
         total.bytes += kind_stats.bytes
-        total.disk_bytes += kind_stats.disk_bytes
-        total.segments += kind_stats.segments
         for version, count in kind_stats.versions.items():
             total.versions[version] = total.versions.get(version, 0) + count
     table.add_row(
@@ -435,8 +437,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
             total.kind,
             total.entries,
             _human_bytes(total.bytes),
-            _human_bytes(total.disk_bytes),
-            total.segments,
             total.version_summary(),
         ]
     )
@@ -456,52 +456,45 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_compact(args: argparse.Namespace) -> int:
-    """Rewrite segments to live records only, reclaiming dead bytes."""
-    cache = _cache_from_args(args)
-    result = cache.compact()
-    print(f"result cache at {cache.directory}: {result.summary()}")
-    return 0
-
-
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 _SIZE_UNITS = {"k": 1024, "m": 1024**2, "g": 1024**3}
 
 
-def parse_duration(value: str) -> float:
-    """``--max-age`` values: plain seconds or a suffixed ``30m``/``12h``/``7d``."""
+def _parse_amount(
+    value: str, units: Mapping[str, float], what: str, forms: str
+) -> float:
+    """A finite, non-negative number, optionally scaled by a suffix in ``units``."""
     text = value.strip().lower()
-    unit = 1.0
-    if text and text[-1] in _DURATION_UNITS:
-        unit = _DURATION_UNITS[text[-1]]
+    scale = 1.0
+    if text and text[-1] in units:
+        scale = units[text[-1]]
         text = text[:-1]
     try:
-        seconds = float(text) * unit
+        amount = float(text) * scale
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a duration like '3600', '30m', '12h' or '7d'"
-        ) from None
-    if seconds < 0:
-        raise argparse.ArgumentTypeError("durations must be non-negative")
-    return seconds
+        raise argparse.ArgumentTypeError(f"expected {what} like {forms}") from None
+    if not math.isfinite(amount) or amount < 0:
+        raise argparse.ArgumentTypeError(f"{what} must be finite and non-negative")
+    return amount
+
+
+def parse_duration(value: str) -> float:
+    """``--max-age`` values: plain seconds or a suffixed ``30m``/``12h``/``7d``."""
+    return _parse_amount(
+        value, _DURATION_UNITS, "a duration", "'3600', '30m', '12h' or '7d'"
+    )
 
 
 def parse_size(value: str) -> int:
     """``--max-bytes`` values: plain bytes or a suffixed ``512k``/``100m``/``2g``."""
-    text = value.strip().lower()
-    unit = 1
-    if text and text[-1] in _SIZE_UNITS:
-        unit = _SIZE_UNITS[text[-1]]
-        text = text[:-1]
-    try:
-        size = int(float(text) * unit)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a size like '1048576', '512k', '100m' or '2g'"
-        ) from None
-    if size < 0:
-        raise argparse.ArgumentTypeError("sizes must be non-negative")
-    return size
+    return int(
+        _parse_amount(value, _SIZE_UNITS, "a size", "'1048576', '512k', '100m' or '2g'")
+    )
+
+
+def parse_tolerance(value: str) -> float:
+    """``--rtol``/``--atol`` values: a plain finite, non-negative number."""
+    return _parse_amount(value, {}, "a tolerance", "'1e-9' or '0.01'")
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
@@ -793,6 +786,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--rtol``/``--atol`` flags of ``diff`` and ``compare``."""
+    parser.add_argument(
+        "--rtol",
+        type=parse_tolerance,
+        default=1e-9,
+        metavar="R",
+        help="relative tolerance for numeric comparisons (default: 1e-9)",
+    )
+    parser.add_argument(
+        "--atol",
+        type=parse_tolerance,
+        default=1e-12,
+        metavar="A",
+        help="absolute tolerance for numeric comparisons (default: 1e-12)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser.
 
@@ -892,20 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline",
         help="baseline document written by `repro run-all --json` or `repro export`",
     )
-    diff_parser.add_argument(
-        "--rtol",
-        type=float,
-        default=1e-9,
-        metavar="R",
-        help="relative tolerance for numeric comparisons (default: 1e-9)",
-    )
-    diff_parser.add_argument(
-        "--atol",
-        type=float,
-        default=1e-12,
-        metavar="A",
-        help="absolute tolerance for numeric comparisons (default: 1e-12)",
-    )
+    _add_tolerance_arguments(diff_parser)
     _add_engine_arguments(diff_parser)
     diff_parser.set_defaults(handler=_cmd_diff)
 
@@ -922,20 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument(
         "current", help="document to compare against the baseline"
     )
-    compare_parser.add_argument(
-        "--rtol",
-        type=float,
-        default=1e-9,
-        metavar="R",
-        help="relative tolerance for numeric comparisons (default: 1e-9)",
-    )
-    compare_parser.add_argument(
-        "--atol",
-        type=float,
-        default=1e-12,
-        metavar="A",
-        help="absolute tolerance for numeric comparisons (default: 1e-12)",
-    )
+    _add_tolerance_arguments(compare_parser)
     compare_parser.set_defaults(handler=_cmd_compare)
 
     cache_parser = subparsers.add_parser(
@@ -982,15 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict oldest entries until the cache fits SIZE (bytes, or 512k/100m/2g)",
     )
     cache_prune.set_defaults(handler=_cmd_cache_prune)
-    cache_compact = cache_subparsers.add_parser(
-        "compact",
-        help=(
-            "rewrite segment files to live records only, reclaiming the "
-            "dead bytes left by superseded and pruned entries"
-        ),
-    )
-    cache_compact.set_defaults(handler=_cmd_cache_compact)
-    for sub in (cache_stats, cache_clear, cache_prune, cache_compact):
+    for sub in (cache_stats, cache_clear, cache_prune):
         sub.add_argument(
             "--cache-dir",
             default=None,

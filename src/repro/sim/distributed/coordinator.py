@@ -16,8 +16,8 @@ Design points:
   funnelled into one execution; the coordinator's optional on-disk
   :class:`~repro.sim.store.ResultCache` extends the dedupe across
   coordinator restarts and makes results visible to plain local runs.
-  Submissions probe the cache in one batched manifest lookup, and each
-  completed lease chunk lands in one batched segment append.
+  Submissions probe the cache in one batched query, and each completed
+  lease chunk lands in one transaction.
 * **Lazy lease expiry.**  No background reaper thread: every mutating or
   polling call first re-queues the leases whose deadline passed (front of
   the queue, so recovered work runs next).  A killed worker therefore
@@ -150,7 +150,7 @@ class Coordinator:
     def _probe_cache(
         self, keyed: Mapping[ExperimentJob, str]
     ) -> Dict[ExperimentJob, Metrics]:
-        """One batched manifest probe for every cell not already on the board."""
+        """One batched cache probe for every cell not already on the board."""
         if self.cache is None:
             return {}
         unknown = [job for job, key in keyed.items() if key not in self._records]
@@ -183,11 +183,9 @@ class Coordinator:
         self._counters["completed"] += 1
 
     def _store_finished(self, finished: Sequence[JobRecord]) -> None:
-        """Land a completed chunk in the shared cache: one batched append.
+        """Land a completed chunk in the shared cache in one transaction.
 
-        The manifest publication itself is left to the store's own
-        record-count threshold -- an unpublished record is still durable
-        (the next process's rebuild scan finds it), so a coordinator killed
+        The chunk has committed when this returns, so a coordinator killed
         between chunks never loses results.
         """
         if self.cache is None or not finished:

@@ -82,9 +82,9 @@ from repro.virt.vcpu import ReliabilityMode
 #: than risk mis-assembling into frames.  ``repro cache stats`` reports the
 #: per-version breakdown of whatever is on disk.
 #:
-#: Version 3: results live in the packed segment store
-#: (:mod:`repro.sim.store`): records gain ``kind``/``ts`` envelope fields
-#: and payloads are compact (no pretty-printing).  Entries written under an
+#: Version 3: records gain ``kind``/``ts`` envelope fields and payloads are
+#: compact (no pretty-printing).  The version numbers the record envelope,
+#: not the file layout of :mod:`repro.sim.store`.  Entries written under an
 #: older version are misses.
 CACHE_SCHEMA_VERSION = 3
 

@@ -24,18 +24,17 @@ Results are memoised twice:
 * **in memory** for the lifetime of the runner (a batch that enumerates the
   same cell twice simulates it once), and
 * **on disk** (optional) through a result store from
-  :mod:`repro.sim.store` -- by default the packed segment store
-  (append-only segment files plus a per-kind manifest; see that module
-  for the format), probed and written through its *batched* APIs: the
-  cache-hit phase probes the whole batch at once, and the execute phase
-  stores completed cells in chunks (one append + one ``fsync`` per
-  chunk).  Cells still land in the cache as their chunk completes, so a
-  re-run after an interrupted or extended sweep only executes the cells
-  that are missing or whose description changed.  The cache key is a
-  SHA-256 digest over the *full* cell description (settings, configuration,
-  seed, kind-specific parameters, schema version) *and* a fingerprint of
-  the ``repro`` package's source code, so results simulated by different
-  code can never be served as current.
+  :mod:`repro.sim.store` (one SQLite table; see that module for the
+  format), probed and written through its *batched* APIs: the cache-hit
+  phase probes the whole batch at once, and the execute phase stores
+  completed cells in chunks (one transaction per chunk).  Cells still
+  land in the cache as their chunk completes, so a re-run after an
+  interrupted or extended sweep only executes the cells that are missing
+  or whose description changed.  The cache key is a SHA-256 digest over
+  the *full* cell description (settings, configuration, seed,
+  kind-specific parameters, schema version) *and* a fingerprint of the
+  ``repro`` package's source code, so results simulated by different code
+  can never be served as current.
 
 Distinct cells can still build the same machine (the ablation's baseline
 window is Figure 5's Reunion run); cells executed in the calling process
@@ -73,7 +72,6 @@ from repro.sim.jobs import ExperimentJob, execute_job, shared_simulations
 from repro.sim.store import (  # noqa: F401  (re-exports)
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
-    CacheCompactResult,
     CacheKindStats,
     CachePruneResult,
     JsonValue,
@@ -364,8 +362,7 @@ class ExperimentRunner:
                 seen.add(job)
                 fresh.append(job)
             if self.cache is not None and fresh:
-                # One batched probe for the whole batch: one index lookup
-                # per cell instead of one file open per cell.
+                # One batched probe for the whole batch, not one per cell.
                 hits = self.cache.load_many(fresh)
                 for job in fresh:
                     metrics = hits.get(job)
@@ -380,7 +377,7 @@ class ExperimentRunner:
         # Results are recorded (and written to the cache) as each chunk of
         # cells completes, not after the whole batch: an interrupted or
         # partially failed sweep keeps everything that finished (the
-        # ``finally`` flushes the in-flight chunk), so the re-run only
+        # ``finally`` stores the in-flight chunk), so the re-run only
         # executes the remaining cells.  Cells executed in this process
         # (the serial backend) that build the same machine share one
         # simulation; pool and remote workers never see the sharing.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sim.store import SEGMENT_DIR_NAME
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +119,7 @@ def test_figure5_quick_subset(capsys, isolated_cache):
     assert "apache" in out
     # Every engine-backed command reports its cache effectiveness.
     assert "experiment engine: 3 executed, 0 from cache, 0 memoized" in out
-    # The engine cached every cell on disk (in the packed segment store).
+    # The engine cached every cell on disk (in the result store).
     assert cached_entries(isolated_cache, "figure5") == 3
 
 
@@ -220,19 +219,26 @@ def test_cache_stats_and_clear_by_kind(capsys, isolated_cache):
 
 def test_cache_stats_reports_schema_version_breakdown(capsys, isolated_cache):
     import json
+    import sqlite3
+    import zlib
+    from contextlib import closing
 
-    from repro.sim.store import _frame_record
+    from repro.sim.store import DATABASE_NAME
 
     assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    # Plant a version-2 record in a segment of its own next to the fresh
-    # ones: the rebuild scan indexes it, so it must show up in the
+    # Plant a version-2 row next to the fresh ones: it must show up in the
     # breakdown even though loads treat it as a miss.
     stale = json.dumps(
         {"schema": 2, "key": "deadbeef", "kind": "figure5", "ts": 0.0,
          "metrics": {"user_ipc": 1.0}}
-    ).encode("utf-8")
-    segment = isolated_cache / "figure5" / SEGMENT_DIR_NAME / "seg-planted-0000.seg"
-    segment.write_bytes(_frame_record(stale))
+    )
+    with closing(sqlite3.connect(isolated_cache / DATABASE_NAME)) as connection:
+        with connection:
+            connection.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?)",
+                ("deadbeef", "figure5", 2, 0.0,
+                 zlib.crc32(stale.encode("utf-8")), stale),
+            )
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
@@ -253,7 +259,7 @@ def test_cache_clear_refuses_a_kind_outside_the_cache(capsys, tmp_path, kind):
     ResultCache(cache_dir).store(job, {"m": 1.0})
     baseline = tmp_path / "baseline.json"
     baseline.write_text("{}", encoding="utf-8")
-    bystander = tmp_path / SEGMENT_DIR_NAME / "notes.txt"
+    bystander = tmp_path / "segments" / "notes.txt"
     bystander.parent.mkdir()
     bystander.write_text("keep me", encoding="utf-8")
 
@@ -380,20 +386,45 @@ def test_cache_prune_by_age_and_size(capsys, isolated_cache):
     assert "0 from cache" in capsys.readouterr().out
 
 
-def test_cache_compact_reclaims_overwritten_records(capsys, isolated_cache):
-    from repro.sim.jobs import ExperimentJob
-    from repro.sim.runner import ResultCache
+def test_cache_compact_subcommand_is_removed(capsys):
+    # The store reuses the space of replaced rows itself, and clear and
+    # prune vacuum the file, so there is nothing left to compact.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", "compact"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'compact'" in capsys.readouterr().err
 
-    cache = ResultCache(isolated_cache)
-    job = ExperimentJob(kind="figure5", workload="apache")
-    for value in range(4):  # three superseded records for one live one
-        cache.store(job, {"m": float(value)})
-    cache.flush()
-    assert main(["cache", "compact"]) == 0
-    out = capsys.readouterr().out
-    assert "compacted 1 entries across 1 kinds" in out
-    assert "reclaimed" in out
-    assert ResultCache(isolated_cache).load(job) == {"m": 3.0}
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "a.json", "a.json", "--atol", "-1"],
+        ["compare", "a.json", "a.json", "--rtol", "inf"],
+        ["compare", "a.json", "a.json", "--rtol", "nan"],
+        ["diff", "baseline.json", "--rtol", "-1"],
+        ["cache", "prune", "--max-bytes", "inf"],
+        ["cache", "prune", "--max-bytes", "1e300g"],
+        ["cache", "prune", "--max-age", "nan"],
+        ["cache", "prune", "--max-age", "inf"],
+    ],
+    ids=[
+        "compare-negative-atol",
+        "compare-infinite-rtol",
+        "compare-nan-rtol",
+        "diff-negative-rtol",
+        "prune-infinite-max-bytes",
+        "prune-overflowing-max-bytes",
+        "prune-nan-max-age",
+        "prune-infinite-max-age",
+    ],
+)
+def test_out_of_range_numbers_are_refused_at_parse_time(capsys, argv):
+    # Each is refused by argparse (exit 2, usage error) before any document
+    # is read, any evaluation re-runs or any cache entry is touched.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,12 @@ The engine's contract has three legs, each asserted here:
 from __future__ import annotations
 
 import json
+import sqlite3
+import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import replace
+from typing import Union
 
 import pytest
 
@@ -50,12 +54,7 @@ from repro.sim.runner import (
     using_runner,
 )
 from repro.sim.specs import experiment
-from repro.sim.store import (
-    MANIFEST_FORMAT,
-    MANIFEST_NAME,
-    SEGMENT_DIR_NAME,
-    _frame_record,
-)
+from repro.sim.store import DATABASE_NAME
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
 
@@ -67,8 +66,8 @@ def quick_job(variant: str = "no-dmr", seed: int = 0) -> ExperimentJob:
     )
 
 
-def record_payload(job: ExperimentJob, **fields: object) -> bytes:
-    """A well-formed packed record for ``job``, with ``fields`` overridden."""
+def record_payload(job: ExperimentJob, **fields: object) -> str:
+    """A well-formed record text for ``job``, with ``fields`` overridden."""
     record = {
         "schema": CACHE_SCHEMA_VERSION,
         "key": job.cache_key(),
@@ -78,28 +77,23 @@ def record_payload(job: ExperimentJob, **fields: object) -> bytes:
         "metrics": {"user_ipc": 0.25},
     }
     record.update(fields)
-    return json.dumps(record, sort_keys=True).encode("utf-8")
+    return json.dumps(record, sort_keys=True)
 
 
-def plant_frame(cache_dir, job: ExperimentJob, payload: bytes) -> None:
-    """Index one CRC-valid frame carrying ``payload`` under ``job``'s key.
+def plant_row(cache_dir, job: ExperimentJob, payload: Union[str, bytes]) -> None:
+    """Make ``job``'s row carry ``payload``, with a CRC that matches it.
 
-    The frame gets a segment of its own and a manifest that vouches for it,
-    so the store resolves ``job`` to exactly these bytes: only record
+    A ``str`` lands as SQLite text, ``bytes`` as a blob.  Only record
     validation stands between whatever the payload says and a hit.
     """
-    segment_dir = cache_dir / job.kind / SEGMENT_DIR_NAME
-    segment_dir.mkdir(parents=True, exist_ok=True)
-    frame = _frame_record(payload)
-    (segment_dir / "seg-planted-0000.seg").write_bytes(frame)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "segments": {"seg-planted-0000.seg": len(frame)},
-        "entries": {
-            job.cache_key(): ["seg-planted-0000.seg", 0, len(frame), "?", 0.0]
-        },
-    }
-    (segment_dir / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+    ResultCache(cache_dir).store(job, {})
+    raw = payload.encode("utf-8") if isinstance(payload, str) else payload
+    with closing(sqlite3.connect(cache_dir / DATABASE_NAME)) as connection:
+        with connection:
+            connection.execute(
+                "UPDATE results SET crc = ?, record = ? WHERE key = ?",
+                (zlib.crc32(raw), payload, job.cache_key()),
+            )
 
 
 def assert_miss_then_store_wins(cache_dir, job: ExperimentJob) -> None:
@@ -229,55 +223,56 @@ class TestResultCache:
         assert cache.load(job) is None
         cache.store(job, {"user_ipc": 0.5, "throughput": 1.25})
         assert cache.load(job) == {"user_ipc": 0.5, "throughput": 1.25}
-        # The result lands in a packed segment file.
-        assert list((tmp_path / job.kind / "segments").glob("seg-*.seg"))
+        # The result lands in the database file.
+        assert (tmp_path / DATABASE_NAME).is_file()
 
     @pytest.mark.parametrize(
         "garbage",
         [
-            b"",                        # zero-length file (killed before any write)
-            b'{"schema": 1, "key": ',   # truncated mid-write
-            b"null",                    # valid JSON, wrong shape
-            b"[1, 2, 3]",               # valid JSON, wrong shape
-            b"\xff\xfe garbage bytes",  # undecodable
+            "",                         # empty record text
+            '{"schema": 1, "key": ',    # truncated mid-write
+            "null",                     # valid JSON, wrong shape
+            "[1, 2, 3]",                # valid JSON, wrong shape
+            b"\xff\xfe garbage bytes",  # undecodable, stored as a blob
         ],
     )
     def test_truncated_or_malformed_entries_never_raise(self, tmp_path, garbage):
-        # A frame whose CRC checks out can still carry a payload that is
-        # not a record object (a writer bug, a hand edit): it must read as
-        # a miss that the re-run simply supersedes, never as an error.
+        # A row whose CRC checks out can still carry a payload that is not
+        # a record object (a writer bug, a hand edit): it must read as a
+        # miss that the re-run simply supersedes, never as an error.
         job = quick_job()
-        plant_frame(tmp_path, job, garbage)
+        plant_row(tmp_path, job, garbage)
         assert_miss_then_store_wins(tmp_path, job)
 
     def test_non_dict_metrics_is_a_miss(self, tmp_path):
         # Schema and key check out, but the metrics payload is garbage.
         job = quick_job()
-        plant_frame(tmp_path, job, record_payload(job, metrics=7))
+        plant_row(tmp_path, job, record_payload(job, metrics=7))
         assert_miss_then_store_wins(tmp_path, job)
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
-        # The index points at a record that describes a different cell.
+        # The row under this key holds a record of a different cell.
         job, other = quick_job(), quick_job(variant="reunion")
-        plant_frame(tmp_path, job, record_payload(other))
+        plant_row(tmp_path, job, record_payload(other))
         assert_miss_then_store_wins(tmp_path, job)
 
     def test_stale_schema_is_a_miss(self, tmp_path):
         # A record written under an older cache schema version.
         job = quick_job()
-        plant_frame(tmp_path, job, record_payload(job, schema=CACHE_SCHEMA_VERSION - 1))
+        plant_row(tmp_path, job, record_payload(job, schema=CACHE_SCHEMA_VERSION - 1))
         assert_miss_then_store_wins(tmp_path, job)
 
     def test_well_formed_planted_record_is_a_hit(self, tmp_path):
         # The control for the cases above: the same planting, valid fields.
         job = quick_job()
-        plant_frame(tmp_path, job, record_payload(job))
+        plant_row(tmp_path, job, record_payload(job))
         assert ResultCache(tmp_path).load(job) == {"user_ipc": 0.25}
 
     @pytest.mark.parametrize("kind", ["", ".", "..", "a/b", "/abs"])
     def test_kind_must_be_one_plain_name(self, tmp_path, kind):
-        # A kind becomes a directory under the cache root; anything else
-        # would read, write or clear outside it.
+        # Kinds arrive from outside the program (`cache clear --kind`,
+        # coordinator submissions); anything but one plain name is refused
+        # before the store touches the disk.
         cache = ResultCache(tmp_path / "cache")
         job = ExperimentJob(kind=kind, workload="w")
         with pytest.raises(ExperimentError, match="invalid job kind"):
@@ -320,18 +315,13 @@ class TestResultCache:
             assert kind_stats.bytes > 0
 
     def test_store_leaves_no_temporary_files(self, tmp_path):
-        # Appends and the atomic manifest publish must clean up after
-        # themselves: only segment files and the manifest remain.
+        # A committed transaction removes its rollback journal: only the
+        # database file remains.
         cache = ResultCache(tmp_path)
         job = quick_job()
         cache.store(job, {"a": 1.0})
         cache.flush()
-        leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert leftovers  # at least one segment plus the manifest
-        for path in leftovers:
-            assert path.name == "manifest.json" or (
-                path.name.startswith("seg-") and path.suffix == ".seg"
-            ), f"unexpected leftover {path}"
+        assert [p.name for p in tmp_path.rglob("*")] == [DATABASE_NAME]
         assert cache.load(job) == {"a": 1.0}
 
 
@@ -680,16 +670,15 @@ class TestCachePrune:
         for seed, job in enumerate(jobs):
             cache.store(job, {"m": seed})
             ticks["now"] += 100.0
-        # All four records have the same framed size, so half the live
-        # bytes is exactly the budget for the two newest entries.
+        # All four records have the same size, so half the live bytes is
+        # exactly the budget for the two newest entries.
         keep_two = cache.stats()["figure5"].bytes // 2
         result = cache.prune(max_bytes=keep_two, now=ticks["now"])
         assert result.removed_entries == 2
         assert cache.load(jobs[0]) is None and cache.load(jobs[1]) is None
         assert cache.load(jobs[2]) is not None and cache.load(jobs[3]) is not None
         assert result.kept_bytes <= keep_two
-        # Eviction compacts: the evicted records physically leave the
-        # segments, so a rebuild-by-scan cannot resurrect them.
+        # The evicted rows are gone for a fresh instance too.
         rescan = ResultCache(tmp_path)
         assert rescan.load(jobs[0]) is None
         assert rescan.load(jobs[3]) is not None

@@ -1,17 +1,17 @@
-"""Tests for the packed segment store (`repro.sim.store`).
+"""Tests for the SQLite result store (`repro.sim.store`).
 
 Four legs:
 
-* **framing** -- every record carries a length/CRC header; the segment
-  scanner recovers exactly the complete, uncorrupted prefix and stops at
-  the first torn frame, whatever byte the truncation lands on;
-* **manifest** -- a fresh process adopts the manifest when it matches the
-  segments, rescans unvouched tails, and distrusts (fully rescans) any
-  segment shorter than its vouched length; concurrent writers never share
-  a segment file;
-* **crash safety** -- a process-backend run killed mid-append leaves a
-  cache the next run can use: the torn tail reads as a miss, `stats`
-  never raises, and only the torn cell re-executes;
+* **records** -- every row is checked on read: a row whose CRC no longer
+  matches its text is a miss the next store replaces, and a probe of more
+  keys than SQLite's historic 999-parameter limit returns every hit;
+* **sharing** -- a fresh instance reads what another stored, two instances
+  or two processes storing into one directory at once both land, and the
+  last write of a key wins;
+* **crash safety** -- a run killed inside a store transaction keeps every
+  committed cell and re-executes only the one in flight; a damaged
+  database file reads as misses, is moved aside, and the rerun fills a
+  fresh file;
 * **parity** -- the same sweep produces byte-identical result frames
   across the {serial, process, distributed} backends, cold and warm.
 """
@@ -20,26 +20,25 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
+import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 from repro.sim.distributed import CoordinatorServer, DistributedBackend, run_worker
 from repro.sim.experiments import figure5_jobs
-from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
+from repro.sim.jobs import ExperimentJob
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
-from repro.sim.store import (
-    MANIFEST_NAME,
-    SEGMENT_DIR_NAME,
-    ResultCache,
-    _scan_segment,
-)
+from repro.sim.store import DATABASE_NAME, ResultCache
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def quick_job(variant: str = "no-dmr", seed: int = 0) -> ExperimentJob:
@@ -49,118 +48,101 @@ def quick_job(variant: str = "no-dmr", seed: int = 0) -> ExperimentJob:
     )
 
 
-def segment_files(directory: Path, kind: str = "figure5"):
-    return sorted((directory / kind / SEGMENT_DIR_NAME).glob("seg-*.seg"))
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    return env
 
 
-def segment_bytes(directory: Path, kind: str = "figure5") -> bytes:
-    return b"".join(path.read_bytes() for path in segment_files(directory, kind))
+def fake_executor(job: ExperimentJob) -> dict:
+    return {"m": float(job.seed)}
 
 
 # ===================================================================== #
-# Framing
+# Record checks
 # ===================================================================== #
 
 
-class TestFraming:
-    def test_scan_recovers_every_stored_record(self, tmp_path):
+class TestRecords:
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            # Still a valid record, so only the CRC can tell.
+            "replace(record, '\"m\":1.0', '\"m\":2.0')",
+            # Invalid UTF-8 inside a text value: a miss, never a decode error.
+            "CAST(replace(CAST(record AS BLOB), X'7B', X'FF') AS TEXT)",
+        ],
+        ids=["edited-metric", "invalid-utf8"],
+    )
+    def test_crc_mismatch_is_a_miss_and_the_next_store_wins(self, tmp_path, tamper):
         cache = ResultCache(tmp_path)
-        for seed in range(3):
-            cache.store(quick_job(seed=seed), {"m": float(seed)})
-        cache.flush()
-        data = segment_bytes(tmp_path)
-        records, clean_offset = _scan_segment(data, 0)
-        assert len(records) == 3
-        assert clean_offset == len(data)
-        for _offset, _length, payload in records:
-            assert payload["schema"] == CACHE_SCHEMA_VERSION
-            assert payload["kind"] == "figure5"
+        cache.store(quick_job(), {"m": 1.0})
+        with closing(sqlite3.connect(tmp_path / DATABASE_NAME)) as connection:
+            with connection:
+                connection.execute(f"UPDATE results SET record = {tamper}")
+        assert ResultCache(tmp_path).load(quick_job()) is None
+        cache.store(quick_job(), {"m": 3.0})
+        assert ResultCache(tmp_path).load(quick_job()) == {"m": 3.0}
 
-    def test_scan_stops_at_any_truncation_point(self, tmp_path):
-        # However many bytes a crash chops off the tail, the scanner must
-        # keep every complete frame before the tear and nothing after it.
-        cache = ResultCache(tmp_path)
-        cache.store(quick_job(seed=0), {"m": 0.0})
-        cache.flush()
-        first = len(segment_bytes(tmp_path))
-        cache.store(quick_job(seed=1), {"m": 1.0})
-        cache.flush()
-        data = segment_bytes(tmp_path)
-        assert len(data) > first
-        for cut in range(first, len(data)):
-            records, clean_offset = _scan_segment(data[:cut], 0)
-            assert len(records) == 1, f"cut at {cut} bytes"
-            assert clean_offset == first
-        records, _ = _scan_segment(data, 0)
-        assert len(records) == 2
+    def test_probe_of_1218_keys_returns_every_hit(self, tmp_path, monkeypatch):
+        # A default `run-all` probes 1,218 keys in one load_many, and SQLite
+        # builds before 3.32 take at most 999 parameters per statement.
+        # Python 3.11+ can impose that limit on a newer build.
+        connect = sqlite3.connect
 
-    def test_scan_rejects_corrupted_payload_bytes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.store(quick_job(seed=0), {"m": 0.0})
-        cache.store(quick_job(seed=1), {"m": 1.0})
-        cache.flush()
-        data = bytearray(segment_bytes(tmp_path))
-        data[len(data) // 2] ^= 0xFF  # flip one byte inside a payload
-        records, _ = _scan_segment(bytes(data), 0)
-        assert len(records) < 2  # the CRC rejects the damaged frame
+        def connect_with_historic_limit(*args, **kwargs):
+            connection = connect(*args, **kwargs)
+            connection.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+            return connection
+
+        if hasattr(sqlite3.Connection, "setlimit"):
+            monkeypatch.setattr(sqlite3, "connect", connect_with_historic_limit)
+        jobs = [quick_job(seed=seed) for seed in range(1218)]
+        ResultCache(tmp_path).store_many([(job, fake_executor(job)) for job in jobs])
+        hits = ResultCache(tmp_path).load_many(jobs)
+        assert len(hits) == len(jobs)
+        assert all(hits[job] == {"m": float(job.seed)} for job in jobs)
 
 
 # ===================================================================== #
-# Manifest and segments
+# One database shared by instances and processes
 # ===================================================================== #
 
 
-class TestManifest:
-    def test_fresh_instance_loads_via_manifest(self, tmp_path):
+_WRITER_CHILD = """\
+import os, sys, time
+
+from repro.sim.jobs import ExperimentJob
+from repro.sim.settings import ExperimentSettings
+from repro.sim.store import ResultCache
+
+cache_dir, first = sys.argv[1], int(sys.argv[2])
+settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
+cache = ResultCache(cache_dir)
+open(os.path.join(cache_dir, f"ready-{first}"), "w").close()
+deadline = time.monotonic() + 60
+while not os.path.exists(os.path.join(cache_dir, "go")):
+    if time.monotonic() > deadline:
+        sys.exit("never told to go")
+    time.sleep(0.005)
+for seed in range(first, first + 40):
+    job = ExperimentJob(kind="figure5", workload="apache", variant="no-dmr",
+                        seed=seed, settings=settings.cell_settings())
+    cache.store(job, {"m": float(seed)})
+"""
+
+
+class TestSharing:
+    def test_fresh_instance_reads_what_another_stored(self, tmp_path):
         writer = ResultCache(tmp_path)
         writer.store(quick_job(), {"m": 1.0})
         writer.flush()
-        assert (tmp_path / "figure5" / SEGMENT_DIR_NAME / MANIFEST_NAME).exists()
         assert ResultCache(tmp_path).load(quick_job()) == {"m": 1.0}
 
-    def test_missing_manifest_rebuilds_by_scanning_segments(self, tmp_path):
-        writer = ResultCache(tmp_path)
-        writer.store(quick_job(), {"m": 1.0})
-        writer.flush()
-        (tmp_path / "figure5" / SEGMENT_DIR_NAME / MANIFEST_NAME).unlink()
-        assert ResultCache(tmp_path).load(quick_job()) == {"m": 1.0}
-
-    def test_unpublished_tail_is_recovered_by_scan(self, tmp_path):
-        # Records appended after the last manifest publish live in the
-        # unvouched tail; a fresh instance finds them by scanning.
-        writer = ResultCache(tmp_path)
-        writer.store(quick_job(seed=0), {"m": 0.0})
-        writer.flush()
-        writer.store(quick_job(seed=1), {"m": 1.0})  # fsynced, not published
-        reader = ResultCache(tmp_path)
-        assert reader.load(quick_job(seed=0)) == {"m": 0.0}
-        assert reader.load(quick_job(seed=1)) == {"m": 1.0}
-
-    def test_truncated_below_vouched_length_is_distrusted(self, tmp_path):
-        # When a segment is shorter than the manifest vouches, the whole
-        # segment is rescanned from zero: complete frames before the tear
-        # survive, the torn record is a miss, and stats never raises.
-        writer = ResultCache(tmp_path)
-        writer.store(quick_job(seed=0), {"m": 0.0})
-        writer.store(quick_job(seed=1), {"m": 1.0})
-        writer.flush()
-        segment = segment_files(tmp_path)[0]
-        segment.write_bytes(segment.read_bytes()[:-9])
-        reader = ResultCache(tmp_path)
-        assert reader.load(quick_job(seed=0)) == {"m": 0.0}
-        assert reader.load(quick_job(seed=1)) is None
-        stats = reader.stats()["figure5"]
-        assert stats.entries == 1
-
-    def test_concurrent_writers_never_share_a_segment(self, tmp_path):
-        # Two cache instances appending to the same directory claim
-        # separate segment files; a third instance sees both streams.
+    def test_two_instances_writing_one_directory_both_land(self, tmp_path):
         one, two = ResultCache(tmp_path), ResultCache(tmp_path)
         one.store(quick_job(seed=0), {"m": 0.0})
         two.store(quick_job(seed=1), {"m": 1.0})
-        one.flush()
-        two.flush()
-        assert len(segment_files(tmp_path)) == 2
         reader = ResultCache(tmp_path)
         assert reader.load(quick_job(seed=0)) == {"m": 0.0}
         assert reader.load(quick_job(seed=1)) == {"m": 1.0}
@@ -171,73 +153,94 @@ class TestManifest:
         cache.store(quick_job(), {"m": 1.0})
         ticks["now"] += 10.0
         cache.store(quick_job(), {"m": 2.0})
-        cache.flush()
         assert cache.load(quick_job()) == {"m": 2.0}
-        # A rebuild-by-scan resolves the duplicate the same way.
-        (tmp_path / "figure5" / SEGMENT_DIR_NAME / MANIFEST_NAME).unlink()
         assert ResultCache(tmp_path).load(quick_job()) == {"m": 2.0}
+        assert cache.stats()["figure5"].entries == 1
 
-    def test_compact_drops_superseded_records(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for value in range(5):
-            cache.store(quick_job(), {"m": float(value)})
-        cache.flush()
-        before = sum(path.stat().st_size for path in segment_files(tmp_path))
-        result = cache.compact()
-        after = sum(path.stat().st_size for path in segment_files(tmp_path))
-        assert result.entries == 1
-        assert result.reclaimed_bytes > 0
-        assert after < before  # four superseded records physically gone
-        assert cache.load(quick_job()) == {"m": 4.0}
-        assert ResultCache(tmp_path).load(quick_job()) == {"m": 4.0}
+    def test_two_processes_storing_at_once_both_land(self, tmp_path):
+        # Both writers start storing together, one transaction per cell, so
+        # their commits interleave and each must wait out the other's locks.
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER_CHILD, str(tmp_path), str(first)],
+                env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for first in (0, 1000)
+        ]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((tmp_path / f"ready-{first}").exists() for first in (0, 1000)):
+                assert time.monotonic() < deadline, "the writers never started"
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            for writer in writers:
+                _, stderr = writer.communicate(timeout=120)
+                assert writer.returncode == 0, stderr.decode()
+        finally:
+            for writer in writers:
+                if writer.poll() is None:
+                    writer.kill()
+                    writer.wait()
+        jobs = [quick_job(seed=seed) for seed in (*range(40), *range(1000, 1040))]
+        hits = ResultCache(tmp_path).load_many(jobs)
+        assert len(hits) == 80
+        assert all(hits[job] == {"m": float(job.seed)} for job in jobs)
 
 
 # ===================================================================== #
-# Crash safety (process-backend run killed mid-append)
+# Crash safety
 # ===================================================================== #
 
 
 _CRASH_CHILD = """\
-import glob, os, sys
+import os, sqlite3, sys
 
 from repro.sim.experiments import figure5_jobs
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
 
-cache_dir = sys.argv[1]
-settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
-runner = ExperimentRunner(jobs=2, backend="process", cache_dir=cache_dir)
-runner.run_jobs(figure5_jobs(settings))
-print("executed", runner.stats.executed, flush=True)
+# Die inside the transaction that stores the third cell: after its row is
+# written, before its COMMIT runs.
+connect, inserts = sqlite3.connect, []
 
-# Simulate the kill landing mid-append: chop bytes off the newest
-# segment's tail (a torn final frame), then die without any cleanup.
-pattern = os.path.join(cache_dir, "figure5", "segments", "seg-*.seg")
-segment = sorted(glob.glob(pattern), key=os.path.getmtime)[-1]
-data = open(segment, "rb").read()
-open(segment, "wb").write(data[:-9])
-os._exit(1)
+
+def trace(statement):
+    if statement.startswith("INSERT"):
+        inserts.append(statement)
+    elif statement == "COMMIT" and len(inserts) == 3:
+        print("killed inside the third store", flush=True)
+        os._exit(1)
+
+
+def traced_connect(*args, **kwargs):
+    connection = connect(*args, **kwargs)
+    connection.set_trace_callback(trace)
+    return connection
+
+
+sqlite3.connect = traced_connect
+settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
+runner = ExperimentRunner(jobs=1, cache_dir=sys.argv[1])
+for job in figure5_jobs(settings):  # one batch, so one store transaction, per cell
+    runner.run_jobs([job])
 """
 
 
 class TestCrashSafety:
-    def test_killed_process_backend_run_recovers_on_rerun(self, tmp_path):
+    def test_run_killed_inside_a_transaction_recovers_on_rerun(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         child = subprocess.run(
             [sys.executable, "-c", _CRASH_CHILD, str(cache_dir)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=child_env(), capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 1, child.stderr
-        assert "executed 3" in child.stdout
+        assert "killed inside the third store" in child.stdout
 
-        # The torn tail is detected by the CRC scan: stats never raises
-        # and exactly one cell (the torn one) is gone.
+        # The two committed cells survive; the one in flight rolled back.
         stats = ResultCache(cache_dir).stats()["figure5"]
         assert stats.entries == 2
 
-        # The next run re-executes only the torn cell...
+        # The next run re-executes only the lost cell...
         rerun = ExperimentRunner(jobs=1, cache_dir=cache_dir)
         rerun.run_jobs(figure5_jobs(QUICK))
         assert rerun.stats.executed == 1
@@ -248,6 +251,31 @@ class TestCrashSafety:
         warm.run_jobs(figure5_jobs(QUICK))
         assert warm.stats.executed == 0
         assert warm.stats.cached == 3
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_damaged_file_reads_as_misses_and_the_rerun_refills_it(
+        self, tmp_path, damage
+    ):
+        jobs = [quick_job(seed=seed) for seed in range(40)]
+        ExperimentRunner(jobs=1, cache_dir=tmp_path, executor=fake_executor).run_jobs(jobs)
+        database = tmp_path / DATABASE_NAME
+        if damage == "garbage":
+            database.write_bytes(b"not a database " * 1000)
+        else:
+            # What a copy or a full disk can leave: the last page is gone.
+            database.write_bytes(database.read_bytes()[:-4096])
+
+        assert ResultCache(tmp_path).load_many(jobs) == {}
+        assert (tmp_path / (DATABASE_NAME + ".damaged")).is_file()
+        assert not database.exists()
+
+        rerun = ExperimentRunner(jobs=1, cache_dir=tmp_path, executor=fake_executor)
+        rerun.run_jobs(jobs)
+        assert rerun.stats.executed == len(jobs)
+        warm = ExperimentRunner(jobs=1, cache_dir=tmp_path, executor=fake_executor)
+        warm.run_jobs(jobs)
+        assert warm.stats.executed == 0
+        assert ResultCache(tmp_path).stats()["figure5"].entries == len(jobs)
 
 
 # ===================================================================== #

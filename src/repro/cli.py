@@ -62,7 +62,7 @@ from repro.analysis.tables import TextTable
 from repro.config.presets import evaluation_system_config
 from repro.core.mmm import MixedModeMulticore
 from repro.core.policies import available_policies
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.sim.experiments import (
     ExperimentSettings,
     collect_frames,
@@ -87,6 +87,7 @@ from repro.sim.specs import (
     ExperimentSpec,
     SpecRun,
     jsonify,
+    parse_nonnegative_int,
     parse_positive_int,
     parse_seed_list,
 )
@@ -361,7 +362,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     table = TextTable(
-        ["experiment", "family", "grid", "cells", "description"],
+        ["experiment", "family", "grid", "cells", "title"],
         title="Registered experiment specs (run with `repro <experiment>`)",
     )
     for name, spec in EXPERIMENTS.items():
@@ -461,9 +462,14 @@ _SIZE_UNITS = {"k": 1024, "m": 1024**2, "g": 1024**3}
 
 
 def _parse_amount(
-    value: str, units: Mapping[str, float], what: str, forms: str
+    value: str,
+    units: Mapping[str, float],
+    what: str,
+    forms: str,
+    positive: bool = False,
 ) -> float:
-    """A finite, non-negative number, optionally scaled by a suffix in ``units``."""
+    """A finite, non-negative number (above 0 when ``positive``), optionally
+    scaled by a suffix in ``units``."""
     text = value.strip().lower()
     scale = 1.0
     if text and text[-1] in units:
@@ -473,13 +479,15 @@ def _parse_amount(
         amount = float(text) * scale
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected {what} like {forms}") from None
-    if not math.isfinite(amount) or amount < 0:
-        raise argparse.ArgumentTypeError(f"{what} must be finite and non-negative")
+    if not math.isfinite(amount) or amount < 0 or (positive and amount == 0):
+        bound = "above 0" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"{what} must be finite and {bound}")
     return amount
 
 
 def parse_duration(value: str) -> float:
-    """``--max-age`` values: plain seconds or a suffixed ``30m``/``12h``/``7d``."""
+    """``--max-age`` and ``--max-idle`` values: plain seconds or a suffixed
+    ``30m``/``12h``/``7d``."""
     return _parse_amount(
         value, _DURATION_UNITS, "a duration", "'3600', '30m', '12h' or '7d'"
     )
@@ -495,6 +503,24 @@ def parse_size(value: str) -> int:
 def parse_tolerance(value: str) -> float:
     """``--rtol``/``--atol`` values: a plain finite, non-negative number."""
     return _parse_amount(value, {}, "a tolerance", "'1e-9' or '0.01'")
+
+
+def parse_positive_number(value: str) -> float:
+    """``--lease-seconds``, ``--poll`` and ``--phase-scale`` values: a plain
+    number, finite and above 0.
+
+    A NaN lease never expires and a negative one expires at once; a NaN or
+    negative poll interval crashes the worker's sleep.
+    """
+    return _parse_amount(value, {}, "a number", "'0.01' or '60'", positive=True)
+
+
+def parse_port(value: str) -> int:
+    """``--port`` values: a TCP port, 0 picking a free one."""
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError("must be a port within 0-65535")
+    return port
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
@@ -560,26 +586,30 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = evaluation_system_config(
-        capacity_scale=args.capacity_scale, timeslice_cycles=args.timeslice
-    )
-    common = dict(
-        reliable_workload=args.reliable,
-        performance_workload=args.performance,
-        config=config,
-        seed=args.seed,
-        phase_scale=args.phase_scale,
-        footprint_scale=1.0 / args.capacity_scale,
-    )
-    if args.single_os:
-        system = MixedModeMulticore.single_os_desktop(
-            vcpus_per_application=args.reliable_vcpus, **common
+    try:
+        config = evaluation_system_config(
+            capacity_scale=args.capacity_scale, timeslice_cycles=args.timeslice
         )
-    else:
-        system = MixedModeMulticore.consolidated_server(
-            policy=args.policy, reliable_vcpus=args.reliable_vcpus, **common
+        common = dict(
+            reliable_workload=args.reliable,
+            performance_workload=args.performance,
+            config=config,
+            seed=args.seed,
+            phase_scale=args.phase_scale,
+            footprint_scale=1.0 / args.capacity_scale,
         )
-    result = system.run(total_cycles=args.cycles, warmup_cycles=args.warmup)
+        if args.single_os:
+            system = MixedModeMulticore.single_os_desktop(
+                vcpus_per_application=args.reliable_vcpus, **common
+            )
+        else:
+            system = MixedModeMulticore.consolidated_server(
+                policy=args.policy, reliable_vcpus=args.reliable_vcpus, **common
+            )
+        result = system.run(total_cycles=args.cycles, warmup_cycles=args.warmup)
+    except ReproError as error:
+        print(f"cannot run this system: {error}", file=sys.stderr)
+        return 2
 
     table = TextTable(
         ["guest VM", "VCPUs", "per-thread user IPC", "throughput", "mode switches"],
@@ -838,12 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--policy", default="mmm-tp", choices=available_policies())
     run_parser.add_argument("--reliable", default="oltp", choices=PAPER_WORKLOAD_NAMES)
     run_parser.add_argument("--performance", default="apache", choices=PAPER_WORKLOAD_NAMES)
-    run_parser.add_argument("--reliable-vcpus", type=int, default=8)
-    run_parser.add_argument("--cycles", type=int, default=60_000)
-    run_parser.add_argument("--warmup", type=int, default=15_000)
-    run_parser.add_argument("--timeslice", type=int, default=25_000)
-    run_parser.add_argument("--capacity-scale", type=int, default=8)
-    run_parser.add_argument("--phase-scale", type=float, default=0.01)
+    run_parser.add_argument("--reliable-vcpus", type=parse_positive_int, default=8)
+    run_parser.add_argument("--cycles", type=parse_positive_int, default=60_000)
+    run_parser.add_argument("--warmup", type=parse_nonnegative_int, default=15_000)
+    run_parser.add_argument("--timeslice", type=parse_positive_int, default=25_000)
+    run_parser.add_argument("--capacity-scale", type=parse_positive_int, default=8)
+    run_parser.add_argument("--phase-scale", type=parse_positive_number, default=0.01)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
         "--single-os",
@@ -985,14 +1015,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1", metavar="ADDR")
     serve_parser.add_argument(
         "--port",
-        type=int,
+        type=parse_port,
         default=8765,
         metavar="PORT",
         help="listening port (default: 8765; 0 picks a free port)",
     )
     serve_parser.add_argument(
         "--lease-seconds",
-        type=float,
+        type=parse_positive_number,
         default=60.0,
         metavar="S",
         help="re-queue a leased chunk after S seconds without a report (default: 60)",
@@ -1044,17 +1074,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--poll",
-        type=float,
+        type=parse_positive_number,
         default=0.5,
         metavar="S",
         help="seconds between lease polls when the queue is empty (default: 0.5)",
     )
     worker_parser.add_argument(
         "--max-idle",
-        type=float,
+        type=parse_duration,
         default=None,
         metavar="S",
-        help="exit after the queue stays empty for S seconds (default: poll forever)",
+        help="exit after the queue stays empty for S seconds, or a suffixed "
+        "30m/12h (default: poll forever)",
     )
     worker_parser.add_argument(
         "--max-batches",

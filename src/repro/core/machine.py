@@ -21,7 +21,6 @@ from repro.config.system import SystemConfig
 from repro.core.policies import MappingPolicy, policy_by_name
 from repro.core.transitions import ModeTransitionEngine
 from repro.cpu.core import PhysicalCore
-from repro.cpu.parameters import TimingModelParameters
 from repro.cpu.timing import CoreTimingModel
 from repro.dmr.fingerprint_network import FingerprintNetwork
 from repro.dmr.reunion import ReunionPair
@@ -83,11 +82,15 @@ class MixedModeMachine:
         vm_specs: Sequence[VmSpec],
         policy: Union[str, MappingPolicy],
         seed: int = 0,
-        timing_parameters: Optional[TimingModelParameters] = None,
         fault_rates: Optional[FaultRates] = None,
     ) -> None:
         if not vm_specs:
             raise ConfigurationError("a machine needs at least one guest VM")
+        for spec in vm_specs:
+            if spec.num_vcpus < 1:
+                raise ConfigurationError(
+                    f"VM {spec.name!r} needs at least one VCPU, not {spec.num_vcpus}"
+                )
         self.config = config.validate()
         self.vm_specs = list(vm_specs)
         self.policy = policy_by_name(policy) if isinstance(policy, str) else policy
@@ -129,7 +132,6 @@ class MixedModeMachine:
             hierarchy=self.hierarchy,
             tlbs=self.tlbs,
             pabs=self.pabs,
-            parameters=timing_parameters,
             violation_log=self.violation_log,
             fault_hook=self.fault_injector,
         )

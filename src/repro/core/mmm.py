@@ -28,16 +28,11 @@ from repro.config.presets import paper_system_config, small_system_config
 from repro.config.system import SystemConfig
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.policies import MappingPolicy
-from repro.cpu.parameters import TimingModelParameters
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultRates
 from repro.sim.results import SimulationResult
+from repro.sim.settings import paper_transition_cost_scale
 from repro.sim.simulator import SimulationOptions, Simulator
 from repro.virt.vcpu import ReliabilityMode
-
-#: Timeslice the paper uses (1 ms at 3 GHz); scaled-down runs preserve the
-#: ratio of transition cost to timeslice through ``transition_cost_scale``.
-PAPER_TIMESLICE_CYCLES = 3_000_000
 
 
 class MixedModeMulticore:
@@ -49,7 +44,6 @@ class MixedModeMulticore:
         policy: Union[str, MappingPolicy] = "mmm-tp",
         config: Optional[SystemConfig] = None,
         seed: int = 0,
-        timing_parameters: Optional[TimingModelParameters] = None,
         fault_rates: Optional[FaultRates] = None,
     ) -> None:
         self.config = (config or paper_system_config()).validate()
@@ -58,7 +52,6 @@ class MixedModeMulticore:
             vm_specs=vm_specs,
             policy=policy,
             seed=seed,
-            timing_parameters=timing_parameters,
             fault_rates=fault_rates,
         )
 
@@ -174,8 +167,6 @@ class MixedModeMulticore:
         footprint_scale: float = 1.0,
     ) -> "MixedModeMulticore":
         """A single-workload machine for the DMR overhead baselines (Figure 5)."""
-        if num_vcpus < 1:
-            raise ConfigurationError("a baseline machine needs at least one VCPU")
         specs = [
             VmSpec(
                 name="baseline",
@@ -211,8 +202,9 @@ class MixedModeMulticore:
         amortisation of consolidated-server mode switches.
         """
         if transition_cost_scale is None:
-            timeslice = self.config.virtualization.timeslice_cycles
-            transition_cost_scale = min(1.0, timeslice / PAPER_TIMESLICE_CYCLES)
+            transition_cost_scale = paper_transition_cost_scale(
+                self.config.virtualization.timeslice_cycles
+            )
         options = SimulationOptions(
             total_cycles=total_cycles,
             warmup_cycles=warmup_cycles,

@@ -45,6 +45,7 @@ from repro.sim.jobs import (
     FIGURE5_CONFIGS,
     FIGURE6_CONFIGS,
     ExperimentJob,
+    burst_vm_name,
 )
 from repro.sim.runner import ExperimentRunner, Metrics, default_runner
 from repro.sim.settings import ExperimentSettings
@@ -249,13 +250,13 @@ def churn_timeline(settings: ExperimentSettings, extra_vms: int) -> Timeline:
         events.append(
             VmArrived(
                 cycle=start + (index + 1) * window // points,
-                vm_name=f"burst{index}",
+                vm_name=burst_vm_name(index),
             )
         )
         events.append(
             VmDeparted(
                 cycle=start + (index + 3) * window // points,
-                vm_name=f"burst{index}",
+                vm_name=burst_vm_name(index),
             )
         )
     return Timeline.of(*events)

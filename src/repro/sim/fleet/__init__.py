@@ -10,16 +10,18 @@ that reacts to those events and decomposes the fleet run into independent
 per-machine simulations (:mod:`repro.sim.fleet.scheduler`).
 
 Each per-machine simulation is one ``fleet`` :class:`~repro.sim.jobs.ExperimentJob`
-(:mod:`repro.sim.fleet.cells`), so the whole engine applies for free: the
-process and distributed backends parallelise a fleet, the on-disk
-cache makes reruns instant, and the ``fleet`` spec of
-:mod:`repro.sim.specs` folds the cells into a :class:`~repro.sim.frames.ResultFrame`
-of fleet SLO metrics (p99 degraded throughput, availability under failure
-storms, migration count, policy-upgrade exposure window).
+(:mod:`repro.sim.fleet.cells`) whose machine is the churn server of
+:mod:`repro.sim.jobs`, so the whole engine applies for free: the process
+and distributed backends parallelise a fleet, the on-disk cache makes
+reruns instant, a serial batch simulates repeated machines once, and the
+``fleet`` spec of :mod:`repro.sim.specs` folds the cells into a
+:class:`~repro.sim.frames.ResultFrame` of fleet SLO metrics (p99 degraded
+throughput, availability under failure storms, migration count,
+policy-upgrade exposure window).
 """
 
 from repro.sim.fleet.cluster import FleetTopology, MachineSite
-from repro.sim.fleet.scheduler import FleetPlan, FleetScheduler, MachinePlan, VmPlacement
+from repro.sim.fleet.scheduler import FleetPlan, FleetScheduler, MachinePlan
 from repro.sim.fleet.traffic import SCENARIO_NAMES, FleetScript, scenario_model
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "FleetPlan",
     "FleetScheduler",
     "MachinePlan",
-    "VmPlacement",
     "FleetScript",
     "SCENARIO_NAMES",
     "scenario_model",

@@ -2,29 +2,26 @@
 
 A fleet run decomposes into one :class:`~repro.sim.jobs.ExperimentJob` per
 machine: the job's params carry the machine's identity (name, rack), its
-serialized VM roster, its :class:`~repro.sim.timeline.Timeline` and the
+burst-slot count, its :class:`~repro.sim.timeline.Timeline` and the
 scheduler's per-machine counters, so each cell is a self-contained,
-cacheable simulation -- the engine's backends and on-disk cache apply
-unchanged.  :func:`fleet_samples` folds the per-machine cells back into
-fleet-level SLO samples, one per (scenario, seed): p99 degraded throughput
-across the machines, availability (delivered vs nominal core-cycle
-capacity), migration count and upgrade exposure.
+cacheable simulation of the churn server that ``_CELL_MACHINES`` in
+:mod:`repro.sim.jobs` describes -- it runs through
+:func:`~repro.sim.jobs.simulate_cell`, so the engine's backends, on-disk
+cache and batch sharing apply unchanged.  :func:`fleet_samples` folds the
+per-machine cells back into fleet-level SLO samples, one per (scenario,
+seed): p99 degraded throughput across the machines, availability (delivered
+vs nominal core-cycle capacity), migration count and upgrade exposure.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.core.machine import MixedModeMachine, VmSpec
-from repro.errors import ExperimentError
 from repro.sim.fleet.cluster import FleetTopology
-from repro.sim.fleet.scheduler import FleetPlan, FleetScheduler, MachinePlan, VmPlacement
+from repro.sim.fleet.scheduler import BURST_SLOTS, FleetPlan, FleetScheduler, MachinePlan
 from repro.sim.fleet.traffic import scenario_model
-from repro.sim.jobs import ExperimentJob, job_timeline, register_job_kind
+from repro.sim.jobs import ExperimentJob, register_job_kind, simulate_cell
 from repro.sim.settings import ExperimentSettings
-from repro.sim.simulator import Simulator
-from repro.virt.vcpu import ReliabilityMode
 
 __all__ = [
     "execute_fleet_cell",
@@ -32,8 +29,6 @@ __all__ = [
     "fleet_plan",
     "fleet_samples",
     "fleet_topology",
-    "roster_from_json",
-    "roster_to_json",
 ]
 
 
@@ -58,44 +53,6 @@ def fleet_plan(
 
 
 # ===================================================================== #
-# Roster serialization (job params are JSON scalars)
-# ===================================================================== #
-
-
-def roster_to_json(roster: Sequence[VmPlacement]) -> str:
-    """Canonical JSON form of a machine's roster (part of the cell identity)."""
-    payload = [
-        {
-            "name": placement.name,
-            "workload": placement.workload,
-            "vcpus": placement.vcpus,
-            "mode": placement.mode,
-            "deferred": placement.deferred,
-        }
-        for placement in roster
-    ]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def roster_from_json(serialized: str) -> Tuple[VmPlacement, ...]:
-    """Rebuild a roster from its canonical JSON form."""
-    try:
-        payload = json.loads(serialized)
-    except json.JSONDecodeError as error:
-        raise ExperimentError(f"malformed fleet roster: {error}") from None
-    return tuple(
-        VmPlacement(
-            name=str(entry["name"]),
-            workload=str(entry["workload"]),
-            vcpus=int(entry["vcpus"]),
-            mode=str(entry["mode"]),
-            deferred=bool(entry["deferred"]),
-        )
-        for entry in payload
-    )
-
-
-# ===================================================================== #
 # Enumeration
 # ===================================================================== #
 
@@ -106,7 +63,7 @@ def _machine_params(
     params: Dict[str, object] = {
         "machine": plan.site.name,
         "rack": plan.site.rack,
-        "roster": roster_to_json(plan.roster),
+        "extra_vms": BURST_SLOTS,
         "migrations_in": plan.migrations_in,
         "migrations_out": plan.migrations_out,
         "placements": plan.placements,
@@ -128,7 +85,7 @@ def fleet_jobs(settings: ExperimentSettings) -> List[ExperimentJob]:
                 jobs.append(
                     ExperimentJob(
                         kind="fleet",
-                        workload=machine_plan.roster[0].workload,
+                        workload=machine_plan.workload,
                         variant=scenario,
                         seed=seed,
                         settings=cell,
@@ -143,30 +100,6 @@ def fleet_jobs(settings: ExperimentSettings) -> List[ExperimentJob]:
 # ===================================================================== #
 
 
-def _fleet_machine(job: ExperimentJob) -> MixedModeMachine:
-    """Rebuild one fleet machine from the job's serialized roster."""
-    settings = job.settings
-    if settings is None:
-        raise ExperimentError(f"job {job.label} needs ExperimentSettings")
-    roster = roster_from_json(str(job.param("roster") or "[]"))
-    if not roster:
-        raise ExperimentError(f"fleet cell {job.label} carries an empty roster")
-    config = settings.config()
-    specs = [
-        VmSpec(
-            name=placement.name,
-            workload=placement.workload,
-            num_vcpus=placement.vcpus,
-            reliability=ReliabilityMode[placement.mode],
-            phase_scale=settings.phase_scale,
-            footprint_scale=settings.footprint_scale,
-            present_at_start=not placement.deferred,
-        )
-        for placement in roster
-    ]
-    return MixedModeMachine(config=config, vm_specs=specs, policy="mmm-tp", seed=job.seed)
-
-
 @register_job_kind("fleet")
 def execute_fleet_cell(job: ExperimentJob) -> Dict[str, object]:
     """Simulate one fleet machine under its scripted timeline.
@@ -177,11 +110,7 @@ def execute_fleet_cell(job: ExperimentJob) -> Dict[str, object]:
     of service.  The scheduler's counters (migrations, exposure) are echoed
     from the job params so every cached metrics dict is self-contained.
     """
-    settings = job.settings
-    if settings is None:
-        raise ExperimentError(f"job {job.label} needs ExperimentSettings")
-    machine = _fleet_machine(job)
-    run = Simulator(machine, settings.options(), timeline=job_timeline(job)).run()
+    run = simulate_cell(job)
     used = float(run.quantum_stats.get("core_cycles_used", 0.0))
     capacity = float(run.quantum_stats.get("core_cycles_capacity", 0.0))
     nominal = float(run.quantum_stats.get("core_cycles_nominal", 0.0))

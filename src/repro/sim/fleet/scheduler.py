@@ -2,10 +2,12 @@
 
 :class:`FleetScheduler` consumes a :class:`~repro.sim.fleet.traffic.FleetScript`
 and produces a :class:`FleetPlan`: one :class:`MachinePlan` per machine --
-its VM roster (the consolidated reliable/performance pair plus deferred
-burst slots) and the :class:`~repro.sim.timeline.Timeline` of everything
-that happens to it -- plus the scheduler-level counters the fleet metrics
-report (migrations, dropped placements, upgrade exposure).
+its base workload and the :class:`~repro.sim.timeline.Timeline` of
+everything that happens to it -- plus the scheduler-level counters the fleet
+metrics report (migrations, dropped placements, upgrade exposure).  Every
+machine is the churn server of :mod:`repro.sim.jobs` with
+:data:`BURST_SLOTS` deferred burst VMs; the plan names those VMs but does
+not describe them.
 
 The policy is deliberately simple and fully deterministic:
 
@@ -37,6 +39,7 @@ from repro.sim.fleet.traffic import (
     FleetScript,
     ReliabilityUpgrade,
 )
+from repro.sim.jobs import RELIABLE_VM, burst_vm_name
 from repro.sim.settings import ExperimentSettings
 from repro.sim.timeline import (
     CoreFailed,
@@ -48,35 +51,20 @@ from repro.sim.timeline import (
     VmDeparted,
 )
 
-__all__ = ["BURST_SLOTS", "FleetPlan", "FleetScheduler", "MachinePlan", "VmPlacement"]
+__all__ = ["BURST_SLOTS", "FleetPlan", "FleetScheduler", "MachinePlan"]
 
 #: Deferred burst-VM slots per machine (the per-machine consolidation
-#: headroom demand bursts are placed into).
+#: headroom demand bursts are placed into): the churn machine's extra VMs.
 BURST_SLOTS = 2
-
-#: Name of each machine's reliable guest (the upgrade target).
-RELIABLE_VM = "reliable"
-
-
-@dataclass(frozen=True)
-class VmPlacement:
-    """One VM in a machine's roster, as plain values."""
-
-    name: str
-    workload: str
-    vcpus: int
-    #: :class:`~repro.virt.vcpu.ReliabilityMode` member name.
-    mode: str
-    #: ``True`` for burst slots built ``present_at_start=False``.
-    deferred: bool = False
 
 
 @dataclass(frozen=True)
 class MachinePlan:
-    """One machine's share of a fleet run: roster, timeline and counters."""
+    """One machine's share of a fleet run: workload, timeline and counters."""
 
     site: MachineSite
-    roster: Tuple[VmPlacement, ...]
+    #: The base workload of the machine's guests.
+    workload: str
     timeline: Timeline
     #: Burst VMs that migrated onto / off this machine.
     migrations_in: int = 0
@@ -117,7 +105,7 @@ class _MachineState:
         self.site = site
         # Burst-slot occupancy: slot name -> [(arrive, depart), ...].
         self.slots: Dict[str, List[Tuple[int, int]]] = {
-            f"burst{index}": [] for index in range(BURST_SLOTS)
+            burst_vm_name(index): [] for index in range(BURST_SLOTS)
         }
         # (fail_cycle, repair_cycle or None) per outage.
         self.outages: List[Tuple[int, Optional[int]]] = []
@@ -159,46 +147,6 @@ class FleetScheduler:
         self.topology = topology
         self.settings = settings
         self.num_cores = settings.config().num_cores
-
-    # ------------------------------------------------------------------ #
-    # Rosters
-    # ------------------------------------------------------------------ #
-
-    def roster(self, site: MachineSite) -> Tuple[VmPlacement, ...]:
-        """The machine's VM roster: the consolidated pair plus burst slots.
-
-        Every machine is the paper's MMM-TP consolidated server; base
-        workloads rotate through the sweep's workload list so a fleet mixes
-        the paper's services.
-        """
-        workloads = self.settings.workloads or ("apache",)
-        workload = workloads[site.index % len(workloads)]
-        cores = self.num_cores
-        placements = [
-            VmPlacement(
-                name=RELIABLE_VM,
-                workload=workload,
-                vcpus=min(self.settings.reliable_vcpus, cores // 2),
-                mode="RELIABLE",
-            ),
-            VmPlacement(
-                name="performance",
-                workload=workload,
-                vcpus=cores,
-                mode="PERFORMANCE",
-            ),
-        ]
-        for index in range(BURST_SLOTS):
-            placements.append(
-                VmPlacement(
-                    name=f"burst{index}",
-                    workload=workload,
-                    vcpus=max(1, cores // 4),
-                    mode="PERFORMANCE",
-                    deferred=True,
-                )
-            )
-        return tuple(placements)
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -347,9 +295,12 @@ class FleetScheduler:
                 if depart < end:
                     events.append(VmDeparted(cycle=depart, vm_name=slot))
         events += state.mode_events
+        # Base workloads rotate through the sweep's workload list so a fleet
+        # mixes the paper's services.
+        workloads = self.settings.workloads or ("apache",)
         return MachinePlan(
             site=state.site,
-            roster=self.roster(state.site),
+            workload=workloads[state.site.index % len(workloads)],
             timeline=Timeline.of(*events),
             migrations_in=state.migrations_in,
             migrations_out=state.migrations_out,

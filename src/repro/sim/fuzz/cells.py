@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.core.machine import MixedModeMachine, VmSpec
+from repro.core.machine import MixedModeMachine
 from repro.errors import (
     ConfigurationError,
     ExperimentError,
@@ -37,7 +37,6 @@ from repro.sim.fuzz.oracles import (
 from repro.sim.fuzz.shrink import repro_snippet, shrink
 from repro.sim.jobs import ExperimentJob, register_job_kind
 from repro.sim.settings import ExperimentSettings
-from repro.virt.vcpu import ReliabilityMode
 
 __all__ = [
     "check_scenario",
@@ -96,16 +95,12 @@ def fuzz_jobs(
 def scenario_machine(
     settings: ExperimentSettings, scenario: FuzzScenario
 ) -> MixedModeMachine:
-    """Build the machine one scenario describes."""
+    """Build the machine one scenario describes, at the settings' scales."""
     specs = [
-        VmSpec(
-            name=vm.name,
-            workload=vm.workload,
-            num_vcpus=vm.vcpus,
-            reliability=ReliabilityMode[vm.mode],
+        replace(
+            vm,
             phase_scale=settings.phase_scale,
             footprint_scale=settings.footprint_scale,
-            present_at_start=vm.present_at_start,
         )
         for vm in scenario.roster
     ]
@@ -251,8 +246,8 @@ def reproduce_case(
     for vm in scenario.roster:
         presence = "present" if vm.present_at_start else "deferred"
         print(
-            f"    {vm.name}: workload={vm.workload} vcpus={vm.vcpus} "
-            f"mode={vm.mode} ({presence})"
+            f"    {vm.name}: workload={vm.workload} vcpus={vm.num_vcpus} "
+            f"mode={vm.reliability.name} ({presence})"
         )
     print(f"  timeline ({len(scenario.timeline)} events):")
     for event in scenario.timeline.events:

@@ -1,8 +1,9 @@
 """Seeded generation of random-but-valid dynamic scenarios.
 
-A fuzz *scenario* is everything one simulation cell needs: a VM roster, a
-mapping policy, a (total, warmup) horizon and an ordered
-:class:`~repro.sim.timeline.Timeline` drawing from all seven event kinds.
+A fuzz *scenario* is everything one simulation cell needs: a roster of
+:class:`~repro.core.machine.VmSpec` guests, a mapping policy, a (total,
+warmup) horizon and an ordered :class:`~repro.sim.timeline.Timeline`
+drawing from all seven event kinds.
 Scenarios are random but *valid by construction*: the generator walks the
 timeline in cycle order with a model of the machine's lifecycle state (which
 VMs are active, which cores are retired) and only emits events the machine's
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.common.rng import DeterministicRng
+from repro.core.machine import VmSpec
 from repro.errors import ExperimentError
 from repro.sim.settings import ExperimentSettings
 from repro.sim.timeline import (
@@ -44,13 +46,13 @@ from repro.sim.timeline import (
     VmArrived,
     VmDeparted,
 )
+from repro.virt.vcpu import ReliabilityMode
 
 __all__ = [
     "FUZZ_PROFILES",
     "PROFILE_NAMES",
     "FuzzProfile",
     "FuzzScenario",
-    "FuzzVm",
     "generate_scenario",
     "parse_case_id",
 ]
@@ -128,18 +130,6 @@ PROFILE_NAMES: Tuple[str, ...] = tuple(FUZZ_PROFILES)
 
 
 @dataclass(frozen=True)
-class FuzzVm:
-    """One VM of a generated roster."""
-
-    name: str
-    workload: str
-    vcpus: int
-    #: A :class:`repro.virt.vcpu.ReliabilityMode` member name.
-    mode: str
-    present_at_start: bool
-
-
-@dataclass(frozen=True)
 class FuzzScenario:
     """One generated scenario: everything a fuzz cell simulates.
 
@@ -154,7 +144,9 @@ class FuzzScenario:
     policy: str
     total_cycles: int
     warmup_cycles: int
-    roster: Tuple[FuzzVm, ...]
+    #: The guests, at unit phase and footprint scale: the machine applies
+    #: the settings' scales (see ``scenario_machine``).
+    roster: Tuple[VmSpec, ...]
     timeline: Timeline
 
     @property
@@ -175,8 +167,8 @@ class FuzzScenario:
                 {
                     "name": vm.name,
                     "workload": vm.workload,
-                    "vcpus": vm.vcpus,
-                    "mode": vm.mode,
+                    "vcpus": vm.num_vcpus,
+                    "mode": vm.reliability.name,
                     "present_at_start": vm.present_at_start,
                 }
                 for vm in self.roster
@@ -203,11 +195,11 @@ class FuzzScenario:
                 total_cycles=int(payload["total_cycles"]),
                 warmup_cycles=int(payload["warmup_cycles"]),
                 roster=tuple(
-                    FuzzVm(
+                    VmSpec(
                         name=str(entry["name"]),
                         workload=str(entry["workload"]),
-                        vcpus=int(entry["vcpus"]),
-                        mode=str(entry["mode"]),
+                        num_vcpus=int(entry["vcpus"]),
+                        reliability=ReliabilityMode[str(entry["mode"])],
                         present_at_start=bool(entry["present_at_start"]),
                     )
                     for entry in payload["roster"]
@@ -253,7 +245,7 @@ def parse_case_id(case_id: str) -> Tuple[str, int, int]:
 class _LifecycleModel:
     """The generator's model of the machine state as events apply in order."""
 
-    def __init__(self, roster: Tuple[FuzzVm, ...], num_cores: int) -> None:
+    def __init__(self, roster: Tuple[VmSpec, ...], num_cores: int) -> None:
         self.active: Set[str] = {vm.name for vm in roster if vm.present_at_start}
         self.inactive: Set[str] = {vm.name for vm in roster if not vm.present_at_start}
         self.retired: Set[int] = set()
@@ -278,7 +270,7 @@ def _draw_event(
     kind: str,
     cycle: int,
     model: _LifecycleModel,
-    roster: Tuple[FuzzVm, ...],
+    roster: Tuple[VmSpec, ...],
     rng: DeterministicRng,
 ) -> TimelineEvent:
     """Build one valid event of the chosen kind and update the model."""
@@ -345,11 +337,11 @@ def generate_scenario(
     roster_rng = root.fork("roster")
     workloads = settings.workloads or ("apache",)
     roster = tuple(
-        FuzzVm(
+        VmSpec(
             name=f"fuzz{index}",
             workload=roster_rng.choice(workloads),
-            vcpus=roster_rng.randint(1, 3),
-            mode=roster_rng.choice(MODE_POOL),
+            num_vcpus=roster_rng.randint(1, 3),
+            reliability=ReliabilityMode[roster_rng.choice(MODE_POOL)],
             # The machine needs at least one VM in the gang schedule at
             # cycle 0, so the first roster slot is always present.
             present_at_start=index == 0 or roster_rng.chance(0.6),

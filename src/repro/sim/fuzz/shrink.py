@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
 
-from repro.sim.fuzz.generate import FuzzScenario, FuzzVm
+from repro.core.machine import VmSpec
+from repro.sim.fuzz.generate import FuzzScenario
 from repro.sim.fuzz.oracles import InvariantViolation
 from repro.sim.timeline import Timeline, TimelineEvent
 
@@ -48,7 +49,7 @@ def _with_events(scenario: FuzzScenario, events: Sequence[TimelineEvent]) -> Fuz
     return replace(scenario, timeline=Timeline(events=tuple(events)))
 
 
-def _without_vm(scenario: FuzzScenario, vm: FuzzVm) -> FuzzScenario:
+def _without_vm(scenario: FuzzScenario, vm: VmSpec) -> FuzzScenario:
     """Drop one VM and every event that names it."""
     roster = tuple(entry for entry in scenario.roster if entry.name != vm.name)
     events = tuple(
@@ -122,10 +123,10 @@ class _Shrinker:
     def collapse_vcpus(self, scenario: FuzzScenario) -> FuzzScenario:
         """Reduce each VM to a single VCPU where the failure survives."""
         for index, vm in enumerate(scenario.roster):
-            if vm.vcpus <= 1:
+            if vm.num_vcpus <= 1:
                 continue
             roster = list(scenario.roster)
-            roster[index] = replace(vm, vcpus=1)
+            roster[index] = replace(vm, num_vcpus=1)
             candidate = replace(scenario, roster=tuple(roster))
             if self.reproduces(candidate):
                 scenario = self.accept(candidate)
@@ -198,7 +199,8 @@ def repro_snippet(scenario: FuzzScenario, violations: Sequence[InvariantViolatio
     for vm in scenario.roster:
         lines.append(
             f"    VmSpec(name={vm.name!r}, workload={vm.workload!r}, "
-            f"num_vcpus={vm.vcpus}, reliability=ReliabilityMode.{vm.mode}, "
+            f"num_vcpus={vm.num_vcpus}, "
+            f"reliability=ReliabilityMode.{vm.reliability.name}, "
             f"present_at_start={vm.present_at_start}),"
         )
     lines.append("]")

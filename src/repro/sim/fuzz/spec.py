@@ -121,15 +121,6 @@ register_experiment(
     ExperimentSpec(
         name="fuzz",
         title="property-based scenario fuzzing with invariant oracles",
-        description=(
-            "Seeded generation of random-but-valid dynamic scenarios (VM "
-            "churn, core failures and repairs, policy and reliability hot "
-            "swaps, fault-rate bursts) checked against machine-level "
-            "invariant oracles; breached cases are shrunk to a minimal "
-            "reproducing timeline inside the cell. Each case is one "
-            "cacheable engine job, so campaigns parallelise across every "
-            "backend and clean cases warm-start from the packed store."
-        ),
         grid=_fuzz_grid,
         enumerate_jobs=lambda request: fuzz_jobs(
             _fuzz_settings(request), planted=bool(request.option("planted"))

@@ -390,6 +390,16 @@ def execute_job(job: ExperimentJob) -> Dict[str, object]:
 #: guest VMs and the name of the mapping policy.
 MachineParts = Tuple[SystemConfig, Tuple[VmSpec, ...], str]
 
+#: The consolidated server's reliable guest, by which its metrics and any
+#: timeline that changes its mode (a fleet upgrade) name it.
+RELIABLE_VM = "reliable"
+
+
+def burst_vm_name(index: int) -> str:
+    """The churn machine's ``index``-th deferred burst guest, by which the
+    churn and fleet timelines admit and drain it."""
+    return f"burst{index}"
+
 
 def _figure5_parts(
     settings: ExperimentSettings,
@@ -417,29 +427,29 @@ def _figure5_parts(
     return config, (spec,), policy
 
 
-def figure5_machine(
-    settings: ExperimentSettings, workload: str, configuration: str, seed: int
-) -> MixedModeMachine:
-    """The single-VM machine of one Figure 5 configuration."""
-    return MixedModeMachine(*_figure5_parts(settings, workload, configuration), seed=seed)
-
-
-def consolidated_server_specs(
+def _figure6_parts(
     settings: ExperimentSettings,
     workload: str,
-    config: SystemConfig,
-    perf_vcpus: int,
-    perf_mode: ReliabilityMode,
-) -> List[VmSpec]:
-    """The reliable + performance guest pair of the consolidated server.
+    configuration: str,
+    config: Optional[SystemConfig] = None,
+) -> MachineParts:
+    """The consolidated server: a reliable guest beside a performance guest.
 
-    Shared by the Figure 6 configurations and the consolidation-churn
-    machine, so the churn scenario always extends exactly the baseline
-    server it is compared against.
+    The churn machine extends its ``mmm-tp`` configuration, so the churn
+    and fleet scenarios always run exactly the server Figure 6 measures.
     """
-    return [
+    config = config if config is not None else settings.config()
+    if configuration == "dmr-base":
+        policy, perf_vcpus, perf_mode = "dmr-base", config.num_cores // 2, ReliabilityMode.RELIABLE
+    elif configuration == "mmm-ipc":
+        policy, perf_vcpus, perf_mode = "mmm-ipc", config.num_cores // 2, ReliabilityMode.PERFORMANCE
+    elif configuration == "mmm-tp":
+        policy, perf_vcpus, perf_mode = "mmm-tp", config.num_cores, ReliabilityMode.PERFORMANCE
+    else:
+        raise ExperimentError(f"unknown Figure 6 configuration {configuration!r}")
+    specs = (
         VmSpec(
-            name="reliable",
+            name=RELIABLE_VM,
             workload=workload,
             num_vcpus=min(settings.reliable_vcpus, config.num_cores // 2),
             reliability=ReliabilityMode.RELIABLE,
@@ -454,39 +464,8 @@ def consolidated_server_specs(
             phase_scale=settings.phase_scale,
             footprint_scale=settings.footprint_scale,
         ),
-    ]
-
-
-def _figure6_parts(
-    settings: ExperimentSettings,
-    workload: str,
-    configuration: str,
-    config: Optional[SystemConfig] = None,
-) -> MachineParts:
-    config = config if config is not None else settings.config()
-    if configuration == "dmr-base":
-        policy, perf_vcpus, perf_mode = "dmr-base", config.num_cores // 2, ReliabilityMode.RELIABLE
-    elif configuration == "mmm-ipc":
-        policy, perf_vcpus, perf_mode = "mmm-ipc", config.num_cores // 2, ReliabilityMode.PERFORMANCE
-    elif configuration == "mmm-tp":
-        policy, perf_vcpus, perf_mode = "mmm-tp", config.num_cores, ReliabilityMode.PERFORMANCE
-    else:
-        raise ExperimentError(f"unknown Figure 6 configuration {configuration!r}")
-    specs = consolidated_server_specs(settings, workload, config, perf_vcpus, perf_mode)
-    return config, tuple(specs), policy
-
-
-def figure6_machine(
-    settings: ExperimentSettings,
-    workload: str,
-    configuration: str,
-    seed: int,
-    config: Optional[SystemConfig] = None,
-) -> MixedModeMachine:
-    """The two-VM consolidated server of one Figure 6 configuration."""
-    return MixedModeMachine(
-        *_figure6_parts(settings, workload, configuration, config), seed=seed
     )
+    return config, specs, policy
 
 
 def _churn_parts(
@@ -495,14 +474,14 @@ def _churn_parts(
     """The consolidated server plus ``extra_vms`` deferred performance VMs.
 
     The base machine is the Figure 6 ``mmm-tp`` consolidated server; the
-    extra guests (named ``burst0``, ``burst1``, ...) are built deferred
+    extra guests (named by :func:`burst_vm_name`) are built deferred
     (``present_at_start=False``) so the job's timeline can admit and drain
     them mid-run with ``VmArrived``/``VmDeparted`` events.
     """
     config, specs, policy = _figure6_parts(settings, workload, "mmm-tp")
     burst = tuple(
         VmSpec(
-            name=f"burst{index}",
+            name=burst_vm_name(index),
             workload=workload,
             num_vcpus=max(1, config.num_cores // 4),
             reliability=ReliabilityMode.PERFORMANCE,
@@ -515,6 +494,10 @@ def _churn_parts(
     return config, specs + burst, policy
 
 
+def _churn_machine(settings: ExperimentSettings, job: ExperimentJob) -> MachineParts:
+    return _churn_parts(settings, job.workload, int(job.param("extra_vms", 0)))
+
+
 def _ablation_config(settings: ExperimentSettings, variant: str) -> SystemConfig:
     try:
         window, consistency = ABLATION_VARIANTS[variant]
@@ -523,7 +506,9 @@ def _ablation_config(settings: ExperimentSettings, variant: str) -> SystemConfig
     return settings.config().with_window_entries(window).with_consistency(consistency)
 
 
-#: How each Simulator-driven kind describes the machine of one of its cells.
+#: How each Simulator-driven kind describes the machine of one of its cells:
+#: the only description of a simulated cell's machine, and with
+#: :func:`simulate_cell` the only way such a cell runs.
 _CELL_MACHINES: Dict[str, Callable[[ExperimentSettings, ExperimentJob], MachineParts]] = {
     "figure5": lambda settings, job: _figure5_parts(settings, job.workload, job.variant),
     "figure6": lambda settings, job: _figure6_parts(settings, job.workload, job.variant),
@@ -541,9 +526,10 @@ _CELL_MACHINES: Dict[str, Callable[[ExperimentSettings, ExperimentJob], MachineP
     # Figure 5's Reunion machine; its cores fail on the schedule carried by
     # the job's timeline.
     "degradation": lambda settings, job: _figure5_parts(settings, job.workload, "reunion"),
-    "churn": lambda settings, job: _churn_parts(
-        settings, job.workload, int(job.param("extra_vms", 0))
-    ),
+    "churn": _churn_machine,
+    # One fleet machine is the churn server with the fleet's burst slots;
+    # the fleet scheduler's timeline admits, drains and migrates them.
+    "fleet": _churn_machine,
 }
 
 
@@ -551,19 +537,6 @@ def _require_settings(job: ExperimentJob) -> ExperimentSettings:
     if job.settings is None:
         raise ExperimentError(f"job {job.label} needs ExperimentSettings")
     return job.settings
-
-
-def job_timeline(job: ExperimentJob) -> Optional[Timeline]:
-    """The job's event timeline, deserialized from its ``timeline`` param.
-
-    Any Simulator-driven cell may carry a timeline; it is part of the job's
-    canonical description, so the cache key -- and therefore the cached
-    result -- changes with the event schedule.
-    """
-    serialized = job.param("timeline")
-    if not serialized:
-        return None
-    return Timeline.from_json(str(serialized))
 
 
 # ===================================================================== #
@@ -574,10 +547,11 @@ def job_timeline(job: ExperimentJob) -> Optional[Timeline]:
 class SimulationIdentity(NamedTuple):
     """Everything the run of one Simulator-driven cell is built from.
 
-    Cells of different kinds can build the same run -- the ablation's
-    ``window128-sc`` variant and the degradation sweep's ``fail0`` point are
-    Figure 5's Reunion machine, the PAB study's ``parallel`` point is
-    Figure 6's MMM-TP server -- and then share one identity.  The tuple is
+    Cells can build the same run -- the ablation's ``window128-sc`` variant
+    and the degradation sweep's ``fail0`` point are Figure 5's Reunion
+    machine, the PAB study's ``parallel`` point is Figure 6's MMM-TP server,
+    and two fleet machines with the same workload, seed and timeline are
+    one churn server run -- and then share one identity.  The tuple is
     hashable, so it is itself the key under which a batch shares the run.
     """
 
@@ -589,11 +563,20 @@ class SimulationIdentity(NamedTuple):
     #: The canonical JSON of the job's event timeline (``None``: no events).
     timeline: Optional[str]
 
+    def machine(self) -> MixedModeMachine:
+        """Build the machine this identity describes, ready to simulate."""
+        return MixedModeMachine(
+            config=self.config,
+            vm_specs=self.vm_specs,
+            policy=self.policy,
+            seed=self.seed,
+        )
+
 
 def simulation_identity(job: ExperimentJob) -> Optional[SimulationIdentity]:
     """The identity of the run a cell builds, or ``None`` when the cell's
-    kind does not run through :func:`simulate_cell` (``table1``,
-    ``table2``, ``faults``, ``fleet``, ``fuzz``).
+    kind has no entry in ``_CELL_MACHINES`` and so does not run through
+    :func:`simulate_cell` (``table1``, ``table2``, ``faults``, ``fuzz``).
 
     Cheap: it describes the machine without building it.
     """
@@ -615,14 +598,8 @@ def simulation_identity(job: ExperimentJob) -> Optional[SimulationIdentity]:
 
 def _simulate(identity: SimulationIdentity) -> SimulationResult:
     """Build and run the machine ``identity`` describes."""
-    machine = MixedModeMachine(
-        config=identity.config,
-        vm_specs=identity.vm_specs,
-        policy=identity.policy,
-        seed=identity.seed,
-    )
     timeline = Timeline.from_json(identity.timeline) if identity.timeline else None
-    return Simulator(machine, identity.options, timeline=timeline).run()
+    return Simulator(identity.machine(), identity.options, timeline=timeline).run()
 
 
 def simulate_cell(job: ExperimentJob) -> SimulationResult:
@@ -735,7 +712,7 @@ def _execute_figure5(job: ExperimentJob) -> Dict[str, float]:
 @register_job_kind("figure6")
 def _execute_figure6(job: ExperimentJob) -> Dict[str, float]:
     run = simulate_cell(job)
-    reliable = run.vm("reliable")
+    reliable = run.vm(RELIABLE_VM)
     performance = run.vm("performance")
     return {
         "reliable_ipc": reliable.average_user_ipc(run.total_cycles),
@@ -751,7 +728,7 @@ def _execute_pab(job: ExperimentJob) -> Dict[str, float]:
     run = simulate_cell(job)
     return {
         "performance_ipc": run.vm("performance").average_user_ipc(run.total_cycles),
-        "reliable_ipc": run.vm("reliable").average_user_ipc(run.total_cycles),
+        "reliable_ipc": run.vm(RELIABLE_VM).average_user_ipc(run.total_cycles),
     }
 
 
@@ -785,7 +762,7 @@ def _execute_churn(job: ExperimentJob) -> Dict[str, float]:
     capacity = float(run.quantum_stats.get("core_cycles_capacity", 0.0))
     return {
         "overall_throughput": run.overall_throughput(),
-        "reliable_ipc": run.vm("reliable").average_user_ipc(run.total_cycles),
+        "reliable_ipc": run.vm(RELIABLE_VM).average_user_ipc(run.total_cycles),
         "utilization": used / capacity if capacity else 0.0,
         "transitions": run.transitions,
         "transition_cycles": run.transition_cycles,

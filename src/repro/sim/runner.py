@@ -170,36 +170,29 @@ MAX_CHUNK_SIZE = 16
 CHUNK_OVERSUBSCRIPTION = 4
 
 
-def adaptive_chunk_size(
-    pending: int,
-    workers: int,
-    max_chunk: int = MAX_CHUNK_SIZE,
-    oversubscribe: int = CHUNK_OVERSUBSCRIPTION,
-) -> int:
+def adaptive_chunk_size(pending: int, workers: int) -> int:
     """Jobs per IPC round (or per distributed lease) for a batch.
 
     Scales the chunk with batch size so tiny cells amortise per-round
-    overhead, while keeping at least ``workers * oversubscribe`` chunks in
-    flight for load balancing.  Always at least 1.
+    overhead, while keeping at least ``workers * CHUNK_OVERSUBSCRIPTION``
+    chunks in flight for load balancing, and never more than
+    ``MAX_CHUNK_SIZE`` jobs in one.  Always at least 1.
     """
     if pending <= 0:
         return 1
-    slots = max(1, workers) * max(1, oversubscribe)
-    return max(1, min(max_chunk, math.ceil(pending / slots)))
+    slots = max(1, workers) * CHUNK_OVERSUBSCRIPTION
+    return max(1, min(MAX_CHUNK_SIZE, math.ceil(pending / slots)))
 
 
 def adaptive_chunks(
-    jobs: Sequence[ExperimentJob],
-    workers: int,
-    max_chunk: int = MAX_CHUNK_SIZE,
-    oversubscribe: int = CHUNK_OVERSUBSCRIPTION,
+    jobs: Sequence[ExperimentJob], workers: int
 ) -> Iterator[List[ExperimentJob]]:
     """Split a batch into adaptively sized contiguous chunks.
 
     Shared between the ``process`` backend (one chunk per pool submit) and
     the distributed coordinator (one chunk per worker lease).
     """
-    size = adaptive_chunk_size(len(jobs), workers, max_chunk, oversubscribe)
+    size = adaptive_chunk_size(len(jobs), workers)
     for start in range(0, len(jobs), size):
         yield list(jobs[start : start + size])
 

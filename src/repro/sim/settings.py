@@ -26,6 +26,12 @@ from repro.workloads.profiles import PAPER_WORKLOAD_NAMES
 PAPER_TIMESLICE_CYCLES = 3_000_000
 
 
+def paper_transition_cost_scale(timeslice_cycles: int) -> float:
+    """The ``transition_cost_scale`` that keeps the paper's ratio of
+    transition cost to timeslice length on a (scaled-down) timeslice."""
+    return min(1.0, timeslice_cycles / PAPER_TIMESLICE_CYCLES)
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Shared knobs of the reproduction experiments."""
@@ -105,7 +111,7 @@ class ExperimentSettings:
 
     def transition_cost_scale(self) -> float:
         """Keep the paper's ratio of transition cost to timeslice length."""
-        return min(1.0, self.timeslice_cycles / PAPER_TIMESLICE_CYCLES)
+        return paper_transition_cost_scale(self.timeslice_cycles)
 
     def options(self) -> SimulationOptions:
         """Simulation options shared by the timing experiments."""
@@ -185,8 +191,8 @@ class ExperimentSettings:
         sweep, ``degradation_failed_cores`` and ``churn_extra_vms`` size the
         dynamic-scenario sweeps, and the ``fleet_*`` knobs shape the fleet
         sweep -- none of them describes a simulation cell (each cell carries
-        its own failure count, VM roster and timeline in its job params), so
-        they are normalised away too.
+        its own failure count, burst-VM count, timeline or fuzz scenario in
+        its job params), so they are normalised away too.
         """
         return replace(
             self,

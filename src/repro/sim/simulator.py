@@ -110,12 +110,6 @@ class SimulationOptions:
     #: workload would have (the paper's methodology starts from warmed
     #: checkpoints).  Costs no simulated cycles.
     functional_warming: bool = True
-    #: Re-establish the incoming VM's cache contents whenever the gang
-    #: scheduler switches VMs.  The paper's 1 ms timeslices are long enough
-    #: that the cache refill after a VM switch is amortised to a small
-    #: fraction of the slice; scaled-down timeslices are not, so without this
-    #: approximation the refill would (wrongly) dominate every slice.
-    rewarm_on_vm_switch: bool = True
     #: Floor on the usable cycles of a quantum after transition costs.
     minimum_quantum_cycles: int = 64
 
@@ -500,13 +494,13 @@ class Simulator:
         transition_cost = 0
         if machine.policy.mixed_mode and vm_switched:
             transition_cost = self._charge_boundary_transition(vm, plan, cycle)
-        if (
-            vm_switched
-            and self.options.functional_warming
-            and self.options.rewarm_on_vm_switch
-        ):
+        if vm_switched and self.options.functional_warming:
             # Amortised-timeslice approximation: the incoming VM's steady-state
-            # cache contents are re-established (see SimulationOptions).
+            # cache contents are re-established.  The paper's 1 ms timeslices
+            # are long enough that the cache refill after a VM switch is
+            # amortised to a small fraction of the slice; scaled-down
+            # timeslices are not, so without this rewarm the refill would
+            # (wrongly) dominate every slice.
             self._warm_vm_plan(plan)
         # The floor keeps boundary transitions from starving a whole quantum,
         # but must never *grant* cycles: an event-clamped micro-quantum (the

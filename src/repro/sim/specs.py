@@ -295,8 +295,6 @@ class ExperimentSpec:
     name: str
     #: One-line summary (the CLI subcommand's help text).
     title: str
-    #: Longer prose for ``repro list``/docs; defaults to the title.
-    description: str = ""
     #: Spec family (``simulation``, ``measurement``, ``faults``) -- how the
     #: cells execute, used for grouping in ``repro list`` and the tests.
     family: str = "simulation"
@@ -592,10 +590,6 @@ register_experiment(
     ExperimentSpec(
         name="figure5",
         title="Figure 5: DMR overhead (IPC and throughput)",
-        description=(
-            "Per-thread user IPC and overall throughput of No DMR 2X, "
-            "No DMR and Reunion-style DMR."
-        ),
         grid=lambda request: _seed_grid(request, FIGURE5_CONFIGS),
         enumerate_jobs=lambda request: figure5_jobs(request.settings),
         schema=lambda request: _FIGURE5_SCHEMA,
@@ -637,10 +631,6 @@ register_experiment(
     ExperimentSpec(
         name="figure6",
         title="Figure 6: mixed-mode performance",
-        description=(
-            "Per-VM IPC and throughput of the consolidated server under "
-            "DMR Base, MMM-IPC and MMM-TP."
-        ),
         grid=lambda request: _seed_grid(
             request, request.option("configurations", FIGURE6_CONFIGS)
         ),
@@ -674,7 +664,6 @@ register_experiment(
     ExperimentSpec(
         name="pab",
         title="Section 5.2: serial vs parallel PAB lookup",
-        description="IPC sensitivity of the performance VM to a serialised PAB lookup.",
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads),
             ("lookup", tuple(mode.value for mode in (PabLookupMode.PARALLEL, PabLookupMode.SERIAL))),
@@ -724,7 +713,6 @@ register_experiment(
     ExperimentSpec(
         name="table1",
         title="Table 1: mode-switch overheads",
-        description="Cycle cost of Enter-DMR and Leave-DMR on the full-size machine.",
         family="measurement",
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads)
@@ -777,7 +765,6 @@ register_experiment(
     ExperimentSpec(
         name="table2",
         title="Table 2: cycles between mode switches",
-        description="Average user and OS phase lengths on the non-DMR baseline.",
         family="measurement",
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads)
@@ -849,7 +836,6 @@ register_experiment(
     ExperimentSpec(
         name="single-os",
         title="Section 5.3: single-OS switching overhead",
-        description="Tables 1 and 2 combined into the single-OS overhead estimate.",
         family="measurement",
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads),
@@ -887,10 +873,6 @@ register_experiment(
     ExperimentSpec(
         name="ablation",
         title="window-size / consistency ablation",
-        description=(
-            "Reunion IPC under a larger instruction window and a TSO store "
-            "buffer (the Section 5.1 prior-work comparison)."
-        ),
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads),
             ("variant", tuple(ABLATION_VARIANTS)),
@@ -939,11 +921,6 @@ register_experiment(
     ExperimentSpec(
         name="degradation",
         title="graceful degradation: throughput vs surviving cores (timeline-driven)",
-        description=(
-            "Permanent faults retire cores on a mid-run schedule (CoreFailed "
-            "timeline events); throughput and per-thread IPC are reported "
-            "against the surviving-core count."
-        ),
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads),
             ("failed_cores", _degradation_failures(request)),
@@ -1015,11 +992,6 @@ register_experiment(
     ExperimentSpec(
         name="consolidation-churn",
         title="consolidation churn: VMs arriving/departing mid-run (timeline-driven)",
-        description=(
-            "Deferred burst VMs join and leave the MMM-TP consolidated "
-            "server on a VmArrived/VmDeparted timeline; reports utilisation, "
-            "throughput and transition overhead under churn."
-        ),
         grid=lambda request: ParameterGrid.of(
             ("workload", request.settings.workloads),
             ("seed", request.settings.seeds),
@@ -1169,11 +1141,6 @@ register_experiment(
     ExperimentSpec(
         name="faults",
         title="fault-injection coverage campaign (cell-shaped: parallel and cached)",
-        description=(
-            "Coverage of reliable state across protection configurations "
-            "(Sections 2.1/3.4); --sweep-rates turns it into the fault-space "
-            "sweep of coverage vs fault-rate scale."
-        ),
         family="faults",
         grid=_faults_grid,
         enumerate_jobs=_faults_jobs,
@@ -1296,14 +1263,6 @@ register_experiment(
     ExperimentSpec(
         name="fleet",
         title="fleet scenarios: traffic-driven datacenter of mixed-mode machines",
-        description=(
-            "Seeded traffic models (diurnal waves, flash crowds, rack-scoped "
-            "failure storms, rolling reliability upgrades) drive a fleet of "
-            "consolidated MMM-TP servers; the scheduler places and migrates "
-            "burst VMs, and each machine runs as one cacheable engine cell. "
-            "Reports fleet SLOs: p99 degraded throughput, availability, "
-            "migrations and upgrade exposure."
-        ),
         grid=_fleet_grid,
         enumerate_jobs=lambda request: fleet_jobs(_fleet_settings(request)),
         schema=_fleet_schema,

@@ -136,6 +136,14 @@ class WorkloadProfile:
         """
         if phase_scale <= 0 or footprint_scale <= 0:
             raise WorkloadError("scale factors must be positive")
+        # A mean phase above 2**53 instructions leaves ``1 - 1/mean`` at 1.0,
+        # which the geometric phase-length draw cannot sample.
+        longest = max(self.mean_user_phase_instructions, self.mean_os_phase_instructions)
+        if not longest * phase_scale <= 2**53:
+            raise WorkloadError(
+                f"{self.name}: phase scale {phase_scale:g} makes a mean phase "
+                "longer than 2**53 instructions"
+            )
         return replace(
             self,
             mean_user_phase_instructions=max(

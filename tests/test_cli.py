@@ -395,36 +395,72 @@ def test_cache_compact_subcommand_is_removed(capsys):
     assert "invalid choice: 'compact'" in capsys.readouterr().err
 
 
+_NON_NEGATIVE = "must be finite and non-negative"
+_ABOVE_ZERO = "must be finite and above 0"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["compare", "a.json", "a.json", "--atol", "-1"],
-        ["compare", "a.json", "a.json", "--rtol", "inf"],
-        ["compare", "a.json", "a.json", "--rtol", "nan"],
-        ["diff", "baseline.json", "--rtol", "-1"],
-        ["cache", "prune", "--max-bytes", "inf"],
-        ["cache", "prune", "--max-bytes", "1e300g"],
-        ["cache", "prune", "--max-age", "nan"],
-        ["cache", "prune", "--max-age", "inf"],
-    ],
-    ids=[
-        "compare-negative-atol",
-        "compare-infinite-rtol",
-        "compare-nan-rtol",
-        "diff-negative-rtol",
-        "prune-infinite-max-bytes",
-        "prune-overflowing-max-bytes",
-        "prune-nan-max-age",
-        "prune-infinite-max-age",
+        pytest.param(["compare", "a.json", "a.json", "--atol", "-1"], _NON_NEGATIVE, id="compare-negative-atol"),
+        pytest.param(["compare", "a.json", "a.json", "--rtol", "inf"], _NON_NEGATIVE, id="compare-infinite-rtol"),
+        pytest.param(["compare", "a.json", "a.json", "--rtol", "nan"], _NON_NEGATIVE, id="compare-nan-rtol"),
+        pytest.param(["diff", "baseline.json", "--rtol", "-1"], _NON_NEGATIVE, id="diff-negative-rtol"),
+        pytest.param(["cache", "prune", "--max-bytes", "inf"], _NON_NEGATIVE, id="prune-infinite-max-bytes"),
+        pytest.param(["cache", "prune", "--max-bytes", "1e300g"], _NON_NEGATIVE, id="prune-overflowing-max-bytes"),
+        pytest.param(["cache", "prune", "--max-age", "nan"], _NON_NEGATIVE, id="prune-nan-max-age"),
+        pytest.param(["cache", "prune", "--max-age", "inf"], _NON_NEGATIVE, id="prune-infinite-max-age"),
+        pytest.param(["run", "--reliable-vcpus", "0"], "must be at least 1", id="run-zero-reliable-vcpus"),
+        pytest.param(["run", "--reliable-vcpus", "-2"], "must be at least 1", id="run-negative-reliable-vcpus"),
+        pytest.param(["run", "--cycles", "-5"], "must be at least 1", id="run-negative-cycles"),
+        pytest.param(["run", "--warmup", "-1"], "must be non-negative", id="run-negative-warmup"),
+        pytest.param(["run", "--timeslice", "0"], "must be at least 1", id="run-zero-timeslice"),
+        pytest.param(["run", "--capacity-scale", "0"], "must be at least 1", id="run-zero-capacity-scale"),
+        pytest.param(["run", "--phase-scale", "-1"], _ABOVE_ZERO, id="run-negative-phase-scale"),
+        pytest.param(["run", "--phase-scale", "nan"], _ABOVE_ZERO, id="run-nan-phase-scale"),
+        pytest.param(["run", "--phase-scale", "inf"], _ABOVE_ZERO, id="run-infinite-phase-scale"),
+        pytest.param(["serve", "--lease-seconds", "nan"], _ABOVE_ZERO, id="serve-nan-lease"),
+        pytest.param(["serve", "--lease-seconds", "-1"], _ABOVE_ZERO, id="serve-negative-lease"),
+        pytest.param(["serve", "--port", "-1"], "within 0-65535", id="serve-negative-port"),
+        pytest.param(["serve", "--port", "70000"], "within 0-65535", id="serve-port-above-65535"),
+        pytest.param(["worker", "--coordinator", "u", "--poll", "nan"], _ABOVE_ZERO, id="worker-nan-poll"),
+        pytest.param(["worker", "--coordinator", "u", "--poll", "-1"], _ABOVE_ZERO, id="worker-negative-poll"),
+        pytest.param(["worker", "--coordinator", "u", "--max-idle", "nan"], _NON_NEGATIVE, id="worker-nan-max-idle"),
     ],
 )
-def test_out_of_range_numbers_are_refused_at_parse_time(capsys, argv):
+def test_out_of_range_numbers_are_refused_at_parse_time(capsys, argv, message):
     # Each is refused by argparse (exit 2, usage error) before any document
-    # is read, any evaluation re-runs or any cache entry is touched.
+    # is read, any evaluation re-runs, any cache entry is touched, or any
+    # machine, coordinator or worker starts.
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        build_parser().parse_args(argv)
     assert exit_info.value.code == 2
-    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(
+            ["--capacity-scale", "3"],
+            "L1I: size must be a multiple of the line size",
+            id="capacity-scale-off-the-line-size",
+        ),
+        pytest.param(
+            ["--phase-scale", "1e300"],
+            "oltp: phase scale 1e+300 makes a mean phase longer than 2**53 instructions",
+            id="phase-scale-too-large-to-sample",
+        ),
+        pytest.param(
+            ["--phase-scale", "1e308"],
+            "oltp: phase scale 1e+308 makes a mean phase longer than 2**53 instructions",
+            id="phase-scale-overflowing-a-phase",
+        ),
+    ],
+)
+def test_run_refuses_a_machine_it_cannot_build(capsys, argv, message):
+    assert main(["run", *argv]) == 2
+    assert capsys.readouterr().err == f"cannot run this system: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,6 @@ from repro.sim.fleet.cells import (
     fleet_jobs,
     fleet_plan,
     fleet_topology,
-    roster_from_json,
-    roster_to_json,
     tail_percentile,
 )
 from repro.sim.fleet.cluster import FleetTopology
@@ -100,7 +98,7 @@ def _plan_digest(settings: ExperimentSettings) -> str:
             plan = fleet_plan(settings, scenario, seed)
             for machine in plan.machines:
                 digest.update(machine.timeline.to_json().encode())
-                digest.update(roster_to_json(machine.roster).encode())
+                digest.update(machine.workload.encode())
     return digest.hexdigest()
 
 
@@ -108,7 +106,7 @@ _DIGEST_SCRIPT = """
 import hashlib, sys
 sys.path.insert(0, {src!r})
 from repro.sim.settings import ExperimentSettings
-from repro.sim.fleet.cells import fleet_plan, roster_to_json
+from repro.sim.fleet.cells import fleet_plan
 from repro.sim.fleet.traffic import SCENARIO_NAMES
 settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
 digest = hashlib.sha256()
@@ -117,7 +115,7 @@ for scenario in SCENARIO_NAMES:
         plan = fleet_plan(settings, scenario, seed)
         for machine in plan.machines:
             digest.update(machine.timeline.to_json().encode())
-            digest.update(roster_to_json(machine.roster).encode())
+            digest.update(machine.workload.encode())
 print(digest.hexdigest())
 """
 
@@ -155,12 +153,6 @@ class TestDeterminism:
         keys = [job.cache_key() for job in first]
         assert len(set(keys)) == len(keys)  # every machine is its own cell
         assert all(job.kind == "fleet" for job in first)
-
-    def test_roster_round_trips(self):
-        roster = quick_plan("failure-storm").machines[0].roster
-        assert roster_from_json(roster_to_json(roster)) == roster
-        with pytest.raises(ExperimentError):
-            roster_from_json("not json")
 
 
 # ===================================================================== #

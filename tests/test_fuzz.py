@@ -146,7 +146,7 @@ class TestGeneration:
             scenario = generate_scenario(QUICK, profile, 0, 0)
             assert 2 <= len(scenario.roster) <= 4
             assert scenario.roster[0].present_at_start
-            assert all(1 <= vm.vcpus <= 3 for vm in scenario.roster)
+            assert all(1 <= vm.num_vcpus <= 3 for vm in scenario.roster)
             assert scenario.total_cycles <= QUICK.total_cycles
             assert 0 <= scenario.warmup_cycles <= QUICK.warmup_cycles
             assert 2 <= len(scenario.timeline) <= 10
@@ -305,7 +305,7 @@ class TestShrinking:
         (event,) = minimal.timeline.events
         assert event.KIND == "vm-arrived"
         assert minimal.warmup_cycles == 0
-        assert all(vm.vcpus == 1 for vm in minimal.roster)
+        assert all(vm.num_vcpus == 1 for vm in minimal.roster)
         # Only the arriving VM and one present-at-start anchor remain.
         assert len(minimal.roster) == 2
         assert shrunk.steps > 0

@@ -92,6 +92,15 @@ class TestMachineBuilder:
         with pytest.raises(ConfigurationError):
             MixedModeMachine(small_config, [], policy="mmm-tp")
 
+    @pytest.mark.parametrize("num_vcpus", [0, -2])
+    def test_every_vm_needs_at_least_one_vcpu(self, small_config, num_vcpus):
+        specs = [
+            VmSpec("reliable", "oltp", 1, ReliabilityMode.RELIABLE),
+            VmSpec("empty", "apache", num_vcpus, ReliabilityMode.PERFORMANCE),
+        ]
+        with pytest.raises(ConfigurationError, match="'empty' needs at least one VCPU"):
+            MixedModeMachine(small_config, specs, "mmm-tp")
+
     def test_no_fault_injector_by_default(self, small_machine):
         assert small_machine.fault_injector is None
 

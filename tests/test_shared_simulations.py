@@ -21,8 +21,11 @@ import pytest
 import repro.sim.jobs as jobs_module
 from repro.config.system import ConsistencyModel
 from repro.errors import ExperimentError
+from repro.sim.fleet.scheduler import BURST_SLOTS
 from repro.sim.jobs import (
     ExperimentJob,
+    SimulationIdentity,
+    _churn_parts,
     execute_job,
     shared_simulations,
     simulate_cell,
@@ -120,10 +123,31 @@ class TestIdentity:
         assert tso.config.core.window_entries == 256
         assert tso.config.core.consistency is ConsistencyModel.TSO
 
-    @pytest.mark.parametrize("name", ["table1", "table2", "faults", "fleet", "fuzz"])
+    @pytest.mark.parametrize("name", ["table1", "table2", "faults", "fuzz"])
     def test_cells_without_a_simulate_cell_run_have_no_identity(self, name):
         jobs = spec_jobs(name)
         assert jobs and all(simulation_identity(job) is None for job in jobs)
+
+    def test_a_fleet_cell_runs_the_churn_server_with_the_burst_slots(self):
+        jobs = spec_jobs("fleet")
+        assert len(jobs) == 8
+        for job in jobs:
+            config, vm_specs, policy = _churn_parts(job.settings, job.workload, BURST_SLOTS)
+            assert simulation_identity(job) == SimulationIdentity(
+                config=config,
+                vm_specs=vm_specs,
+                policy=policy,
+                seed=job.seed,
+                options=job.settings.options(),
+                timeline=job.param("timeline"),
+            )
+
+    def test_default_fleet_cells_with_one_workload_seed_and_timeline_share(self):
+        # Seed 0 of the default sweep: four diurnal and eight flash-crowd
+        # machines fall into four groups of one workload and timeline.
+        jobs = spec_jobs("fleet", ExperimentSettings().with_seeds((0,)))
+        assert len(jobs) == 32
+        assert len({simulation_identity(job) for job in jobs}) == 24
 
 
 # ===================================================================== #

@@ -20,11 +20,10 @@ import pytest
 
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim import simulator as simulator_module
-from repro.sim.fleet.cells import _fleet_machine
 from repro.sim.fuzz.cells import scenario_machine
 from repro.sim.fuzz.generate import FuzzScenario
 from repro.sim.fuzz.oracles import observe_run
-from repro.sim.jobs import figure5_machine, figure6_machine, job_timeline, simulate_cell
+from repro.sim.jobs import ExperimentJob, simulate_cell, simulation_identity
 from repro.sim.settings import ExperimentSettings
 from repro.sim.simulator import Simulator
 from repro.sim.specs import EXPERIMENTS, experiment
@@ -51,11 +50,14 @@ def _first_job(kind: str):
     )
 
 
+def _machine(kind: str, workload: str, variant: str, seed: int):
+    """The machine of one cell, built from its simulation identity."""
+    job = ExperimentJob(kind, workload, variant, seed, settings=SETTINGS)
+    return simulation_identity(job).machine()
+
+
 def _simulate(job):
     """Build and run one cell's machine, returning its SimulationResult."""
-    if job.kind == "fleet":
-        machine = _fleet_machine(job)
-        return Simulator(machine, SETTINGS.options(), timeline=job_timeline(job)).run()
     if job.kind == "fuzz":
         scenario = FuzzScenario.from_json(str(job.param("scenario")))
         options = replace(
@@ -121,21 +123,21 @@ def test_restored_run_equals_a_freshly_warmed_run(kind, restores):
 
 
 def test_seeds_of_one_shape_share_the_checkpoint(restores):
-    first = figure5_machine(SETTINGS, "apache", "reunion", 0)
+    first = _machine("figure5", "apache", "reunion", 0)
     Simulator(first, SETTINGS.options()).run()
-    other_seed = figure5_machine(SETTINGS, "apache", "reunion", 1)
+    other_seed = _machine("figure5", "apache", "reunion", 1)
     restored = Simulator(other_seed, SETTINGS.options()).run()
     assert restores == [other_seed.hierarchy]
     _clear_checkpoints()
-    fresh = Simulator(figure5_machine(SETTINGS, "apache", "reunion", 1), SETTINGS.options()).run()
+    fresh = Simulator(_machine("figure5", "apache", "reunion", 1), SETTINGS.options()).run()
     assert restores == [other_seed.hierarchy]
     _assert_same_result(restored, fresh)
 
 
 def test_a_touched_hierarchy_bypasses_the_checkpoint(restores):
-    Simulator(figure5_machine(SETTINGS, "apache", "reunion", 0), SETTINGS.options()).run()
+    Simulator(_machine("figure5", "apache", "reunion", 0), SETTINGS.options()).run()
     keys = _checkpoint_keys()
-    touched = figure5_machine(SETTINGS, "apache", "reunion", 0)
+    touched = _machine("figure5", "apache", "reunion", 0)
     touched.hierarchy.load(0, 0x4000)
     assert not touched.hierarchy.is_pristine()
     Simulator(touched, SETTINGS.options()).run()
@@ -146,9 +148,9 @@ def test_a_touched_hierarchy_bypasses_the_checkpoint(restores):
 
 def test_the_checkpoint_keeps_the_two_most_recent_shapes(restores):
     shapes = {
-        "a": lambda: figure5_machine(SETTINGS, "apache", "reunion", 0),
-        "b": lambda: figure5_machine(SETTINGS, "apache", "no-dmr", 0),
-        "c": lambda: figure5_machine(SETTINGS, "pmake", "reunion", 0),
+        "a": lambda: _machine("figure5", "apache", "reunion", 0),
+        "b": lambda: _machine("figure5", "apache", "no-dmr", 0),
+        "c": lambda: _machine("figure5", "pmake", "reunion", 0),
     }
     hits = []
     for name in ("a", "b", "a", "c", "b", "c", "a"):
@@ -162,7 +164,7 @@ def test_the_checkpoint_keeps_the_two_most_recent_shapes(restores):
 
 def test_concurrent_same_shape_runs_agree(restores):
     def build(seed):
-        return figure6_machine(SETTINGS, "apache", "mmm-tp", seed)
+        return _machine("figure6", "apache", "mmm-tp", seed)
 
     expected = {seed: Simulator(build(seed), SETTINGS.options()).run() for seed in (0, 1)}
     _clear_checkpoints()

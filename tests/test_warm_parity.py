@@ -21,7 +21,7 @@ import pytest
 
 from repro.config.presets import small_system_config
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.sim.jobs import figure6_machine
+from repro.sim.jobs import ExperimentJob, simulation_identity
 from repro.sim.settings import ExperimentSettings
 
 CONFIGS = {
@@ -184,7 +184,8 @@ def test_random_sequences_match_the_reference(config_name, seed):
 def test_functional_warm_and_rewarm_of_a_machine_match_the_reference():
     """A real machine's warm calls: every VCPU's working set, twice over."""
     settings = ExperimentSettings.quick()
-    machine = figure6_machine(settings, "apache", "mmm-tp", 0)
+    job = ExperimentJob("figure6", "apache", "mmm-tp", settings=settings)
+    machine = simulation_identity(job).machine()
     calls = []
     for vm in machine.vms:
         machine.allocator.reset()

@@ -59,7 +59,12 @@ class DeterministicRng:
         return DeterministicRng(derived)
 
     def chance(self, probability: float) -> bool:
-        """Return ``True`` with the given probability (clamped to [0, 1])."""
+        """Return ``True`` with the given probability (clamped to [0, 1]).
+
+        With :meth:`sample_address` and :meth:`hot_cold_address`, the
+        executable specification of ``AddressStreamModel.next_address``,
+        which inlines the three (``tests/test_address_draw.py``).
+        """
         if probability <= 0.0:
             return False
         if probability >= 1.0:
@@ -110,7 +115,11 @@ class DeterministicRng:
         self._random.shuffle(items)
 
     def sample_address(self, base: int, span: int, alignment: int = 1) -> int:
-        """Uniform address in ``[base, base + span)`` aligned to ``alignment``."""
+        """Uniform address in ``[base, base + span)`` aligned to ``alignment``.
+
+        Part of the address draw's executable specification (see
+        :meth:`chance`).
+        """
         if span <= 0:
             return base
         # Equivalent to ``self._random.randrange(0, span)`` (which reduces to
@@ -133,7 +142,8 @@ class DeterministicRng:
 
         This is the simple temporal-locality model used by the synthetic
         address streams: a small hot working set absorbs most accesses while
-        the remainder spread over a larger cold region.
+        the remainder spread over a larger cold region.  Part of the address
+        draw's executable specification (see :meth:`chance`).
         """
         if self.chance(hot_probability) or cold_span <= hot_span:
             return self.sample_address(base, hot_span, alignment)

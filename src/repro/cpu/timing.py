@@ -307,7 +307,7 @@ class CoreTimingModel:
             hierarchy._check_core(mute_id)
         next_raw = workload.next_raw
         translate_raw = tlb.translate_raw
-        coherent_load = hierarchy._coherent_load
+        l1_miss_load = hierarchy._l1_miss_load
         coherent_store = hierarchy._coherent_store
         mute_access = hierarchy._mute_access
         # Workload internals for the inlined common-path instruction
@@ -332,7 +332,8 @@ class CoreTimingModel:
         tlb_counts = tlb._counts
         tlb_page_shift = tlb._page_shift
         tlb_page_mask = tlb._page_mask
-        # L1 internals for the inlined load hit path.
+        # L1 internals for the inlined load hit path (a miss continues on the
+        # hierarchy's one L1-miss load path).
         l1 = hierarchy.l1d[core_id]
         l1_lines = l1._lines
         l1_counts = l1._counts
@@ -564,7 +565,8 @@ class CoreTimingModel:
                             n_c2c += 1
                     else:
                         # Inline of _coherent_load's L1-hit path.
-                        line = l1_lines.get(physical & line_neg_mask)
+                        line_addr = physical & line_neg_mask
+                        line = l1_lines.get(line_addr)
                         if line is not None:
                             l1._touch_counter = l1_touch = l1._touch_counter + 1
                             line.last_touch = l1_touch
@@ -573,8 +575,8 @@ class CoreTimingModel:
                             latency = l1_hit_latency
                             level = "l1"
                         else:
-                            latency, level, c2c, _offchip, _inv = coherent_load(
-                                core_id, physical
+                            latency, level, c2c, _offchip, _inv = l1_miss_load(
+                                core_id, line_addr
                             )
                             if c2c:
                                 n_c2c += 1

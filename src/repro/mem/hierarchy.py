@@ -39,7 +39,13 @@ from typing import List, Optional
 from repro.common.stats import StatSet
 from repro.config.system import SystemConfig
 from repro.errors import MemorySystemError
-from repro.mem.cache import _BY_LAST_TOUCH, SetAssociativeCache
+from repro.mem.cache import (
+    _BY_LAST_TOUCH,
+    _MODIFIED,
+    _OWNED,
+    _SHARED,
+    SetAssociativeCache,
+)
 from repro.mem.directory import Directory, DirectoryEntry
 from repro.mem.dram import MainMemory
 from repro.mem.interconnect import Interconnect
@@ -142,7 +148,7 @@ class MemoryHierarchy:
         exactly as through them.  Every caller has just missed in this L2, so
         the line is never already resident.  A coherent victim's line object
         becomes the L3 line (it is unreachable once evicted, so the reuse is
-        unobservable), as ``fill_shared`` recycles L1 victims; an incoherent
+        unobservable), as ``fill_absent`` recycles L1 victims; an incoherent
         (mute-fetched) victim is dropped.
         """
         l2 = self.l2[core_id]
@@ -259,7 +265,9 @@ class MemoryHierarchy:
         """Serve an L2 miss coherently from a remote L2, the L3, or memory.
 
         Returns ``(latency, level, c2c, offchip, invalidations)``; the public
-        :meth:`access` wraps the tuple into an :class:`AccessResult`.
+        :meth:`access` wraps the tuple into an :class:`AccessResult`.  A load
+        reaches here only after missing in the L1D, so its L1D fill skips the
+        presence check; a store's write-through never looked.
         """
         counts = self._counts
         l3_latency = self._l3_hit_latency
@@ -277,12 +285,13 @@ class MemoryHierarchy:
                 if invalidations:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
-                self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
+                self._fill_l2(core_id, line_addr, _MODIFIED, True, True)
+                self.l1d[core_id].fill_shared(line_addr, True)
             else:
                 self.directory.record_downgrade(line_addr, owner)
                 self.directory.record_shared_fetch(line_addr, core_id)
-                self._fill_l2(core_id, line_addr, LineState.SHARED, dirty=False, coherent=True)
-            self.l1d[core_id].fill_shared(line_addr, True)
+                self._fill_l2(core_id, line_addr, _SHARED, False, True)
+                self.l1d[core_id].fill_absent(line_addr, True)
             return (latency, "c2c", True, False, invalidations)
 
         # No remote copy: an L3 hit moves the line up (the L3 is exclusive),
@@ -319,7 +328,8 @@ class MemoryHierarchy:
             if invalidations:
                 latency += self._inv_latency
             self._invalidate_remote_copies(line_addr, targets)
-            self._fill_l2(core_id, line_addr, LineState.MODIFIED, True, True)
+            self._fill_l2(core_id, line_addr, _MODIFIED, True, True)
+            self.l1d[core_id].fill_shared(line_addr, True)
         else:
             # Directory.record_shared_fetch, inlined.
             if entry is None:
@@ -327,14 +337,8 @@ class MemoryHierarchy:
             if entry.owner != core_id:
                 entry.sharers.add(core_id)
             self._dir_counts["shared_fetches"] += 1
-            self._fill_l2(
-                core_id,
-                line_addr,
-                LineState.OWNED if dirty else LineState.SHARED,
-                dirty,
-                True,
-            )
-        self.l1d[core_id].fill_shared(line_addr, True)
+            self._fill_l2(core_id, line_addr, _OWNED if dirty else _SHARED, dirty, True)
+            self.l1d[core_id].fill_absent(line_addr, True)
         return (latency, level, False, offchip, invalidations)
 
     def _coherent_load(self, core_id: int, address: int):
@@ -343,15 +347,27 @@ class MemoryHierarchy:
         # frequent operation in the whole simulator, and the method call per
         # level is measurable.  Statistics evolve exactly as through touch().
         line_addr = address & self._line_neg_mask
-        counts = self._counts
         l1 = self.l1d[core_id]
         line = l1._lines.get(line_addr)
         if line is not None:
             l1._touch_counter = counter = l1._touch_counter + 1
             line.last_touch = counter
             l1._counts["hits"] += 1
-            counts["l1d.hits"] += 1
+            self._counts["l1d.hits"] += 1
             return (self._l1d_hit_latency, "l1", False, False, 0)
+        return self._l1_miss_load(core_id, line_addr)
+
+    def _l1_miss_load(self, core_id: int, line_addr: int):
+        """A coherent load of ``line_addr`` from the point it missed the L1D.
+
+        The one L1-miss load path: :meth:`_coherent_load`, ``warm`` and the
+        core timing model's quantum loop check the L1D themselves (each
+        inlines the hit) and continue here with the line-aligned address.
+        The line is known to be absent from the L1D, so an L2 hit fills it
+        through ``fill_absent``.
+        """
+        counts = self._counts
+        l1 = self.l1d[core_id]
         l1._counts["misses"] += 1
         counts["l1d.misses"] += 1
         l2 = self.l2[core_id]
@@ -360,7 +376,7 @@ class MemoryHierarchy:
             l2._touch_counter = counter = l2._touch_counter + 1
             l2_line.last_touch = counter
             l2._counts["hits"] += 1
-            l1.fill_shared(line_addr, l2_line.coherent)
+            l1.fill_absent(line_addr, l2_line.coherent)
             counts["l2.hits"] += 1
             return (self._l2_hit_latency, "l2", False, False, 0)
         l2._counts["misses"] += 1
@@ -382,14 +398,15 @@ class MemoryHierarchy:
             counts["l2.hits"] += 1
             latency = self._l2_hit_latency
             invalidations = 0
-            if l2_line.state in (LineState.SHARED, LineState.OWNED):
+            state = l2_line.state
+            if state is _SHARED or state is _OWNED:
                 targets = self.directory.record_exclusive_fetch(line_addr, core_id)
                 targets.discard(core_id)
                 invalidations = len(targets)
                 if invalidations:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
-            l2_line.state = LineState.MODIFIED
+            l2_line.state = _MODIFIED
             l2_line.dirty = True
             dir_entry = self._dir_entries.get(line_addr)
             if (dir_entry.owner if dir_entry is not None else None) != core_id:
@@ -460,14 +477,8 @@ class MemoryHierarchy:
             c2c = False
             offchip = True
             counts["mute.memory_accesses"] += 1
-        self._fill_l2(
-            core_id,
-            line_addr,
-            LineState.MODIFIED if is_store else LineState.SHARED,
-            dirty=is_store,
-            coherent=False,
-        )
-        l1.fill_shared(line_addr, False)
+        self._fill_l2(core_id, line_addr, _MODIFIED if is_store else _SHARED, is_store, False)
+        l1.fill_absent(line_addr, False)
         return (latency, level, c2c, offchip, 0)
 
     # ------------------------------------------------------------------ #
@@ -517,11 +528,12 @@ class MemoryHierarchy:
         self._check_core(core_id)
         if secondary_core is not None:
             self._check_core(secondary_core)
-        coherent_load = self._coherent_load
+        l1_miss_load = self._l1_miss_load
         mute_access = self._mute_access
         # Re-warming after a VM switch mostly re-touches resident lines, so
         # the L1-hit path of _coherent_load (and of the mute load) is inlined
-        # here; misses take the full access path.  Counters evolve exactly as
+        # here; a coherent miss continues on the one L1-miss load path, a
+        # mute miss takes the full mute access.  Counters evolve exactly as
         # through the out-of-line calls.
         neg_mask = self._line_neg_mask
         counts = self._counts
@@ -531,29 +543,31 @@ class MemoryHierarchy:
         count = 0
         if secondary_core is None:
             for address in addresses:
-                line = l1_lines.get(address & neg_mask)
+                line_addr = address & neg_mask
+                line = l1_lines.get(line_addr)
                 if line is not None:
                     l1._touch_counter = counter = l1._touch_counter + 1
                     line.last_touch = counter
                     l1_counts["hits"] += 1
                     counts["l1d.hits"] += 1
                 else:
-                    coherent_load(core_id, address)
+                    l1_miss_load(core_id, line_addr)
                 count += 1
             return count
         m_l1 = self.l1d[secondary_core]
         m_lines = m_l1._lines
         m_counts = m_l1._counts
         for address in addresses:
-            line = l1_lines.get(address & neg_mask)
+            line_addr = address & neg_mask
+            line = l1_lines.get(line_addr)
             if line is not None:
                 l1._touch_counter = counter = l1._touch_counter + 1
                 line.last_touch = counter
                 l1_counts["hits"] += 1
                 counts["l1d.hits"] += 1
             else:
-                coherent_load(core_id, address)
-            m_line = m_lines.get(address & neg_mask)
+                l1_miss_load(core_id, line_addr)
+            m_line = m_lines.get(line_addr)
             if m_line is not None:
                 m_l1._touch_counter = counter = m_l1._touch_counter + 1
                 m_line.last_touch = counter
@@ -613,21 +627,6 @@ class MemoryHierarchy:
             incoherent_dropped=incoherent_dropped,
         )
 
-    def invalidate_incoherent_lines(self, core_id: int) -> int:
-        """Drop every incoherent line from a core's private caches.
-
-        Cheaper than a full flush; used when a mute core is re-purposed
-        without having observed any coherent state.
-        """
-        self._check_core(core_id)
-        dropped = 0
-        for cache in (self.l1d[core_id], self.l1i[core_id], self.l2[core_id]):
-            for line in cache.resident_lines():
-                if not line.coherent:
-                    cache.invalidate(line.line_addr)
-                    dropped += 1
-        return dropped
-
     # ------------------------------------------------------------------ #
     # Reference implementation
     # ------------------------------------------------------------------ #
@@ -656,9 +655,11 @@ class MemoryHierarchy:
         """Reference implementation of :meth:`access_raw`.
 
         Built only from the per-level primitives, one call per step:
-        ``touch``, ``lookup``, ``insert``, ``invalidate`` and ``fill_shared``
-        on the caches, the directory's ``record_*`` transitions, the
-        interconnect and the DRAM model.
+        ``touch``, ``lookup``, ``insert`` and ``invalidate`` on the caches,
+        the directory's ``record_*`` transitions, the interconnect and the
+        DRAM model.  The L1D fills are plain ``insert``s of a clean SHARED
+        line, so the fast paths' ``fill_absent`` (and its victim choice) is
+        compared with ``insert``, not shared with it.
         """
         self._check_core(core_id)
         if address < 0:
@@ -693,7 +694,7 @@ class MemoryHierarchy:
                 line.coherent = False
             return (self._l2_hit_latency, "l2", False, False, 0)
         if line is not None and not is_store:
-            l1.fill_shared(line_addr, line.coherent)
+            l1.insert(line_addr, LineState.SHARED, False, line.coherent)
             counts["l2.hits"] += 1
             return (self._l2_hit_latency, "l2", False, False, 0)
         if line is not None:
@@ -743,7 +744,7 @@ class MemoryHierarchy:
                 counts["mute.memory_accesses"] += 1
             state = LineState.MODIFIED if is_store else LineState.SHARED
             self._fill_l2_reference(core_id, line_addr, state, is_store, False)
-            l1.fill_shared(line_addr, False)
+            l1.insert(line_addr, LineState.SHARED, False, False)
             return (latency, level, holder is not None, offchip, 0)
 
         # A coherent miss: cache-to-cache, else the exclusive L3 (the line
@@ -780,7 +781,7 @@ class MemoryHierarchy:
             directory.record_shared_fetch(line_addr, core_id)
             state = LineState.OWNED if dirty else LineState.SHARED
             self._fill_l2_reference(core_id, line_addr, state, dirty, True)
-        l1.fill_shared(line_addr, True)
+        l1.insert(line_addr, LineState.SHARED, False, True)
         return (latency, level, holder is not None, offchip, invalidations)
 
     def _fill_l2_reference(

@@ -28,6 +28,11 @@ from repro.errors import WorkloadError
 from repro.isa.instructions import PrivilegeLevel
 from repro.workloads.profiles import WorkloadProfile
 
+# next_address reads this name, not ``PrivilegeLevel.USER``: an enum-class
+# attribute read costs about ten times a global's on 3.10 and 3.11 (see the
+# bindings in repro.mem.cache).
+_USER = PrivilegeLevel.USER
+
 
 @dataclass(frozen=True)
 class _Window:
@@ -59,6 +64,8 @@ class AddressStreamModel:
         Number of VCPUs sharing the VM's user region.
     rng:
         Deterministic random source (forked per VCPU by the caller).
+    line_size:
+        Alignment of the generated addresses; a power of two.
     """
 
     def __init__(
@@ -77,8 +84,8 @@ class AddressStreamModel:
             raise WorkloadError(
                 f"vcpu_index {vcpu_index} outside [0, {num_vcpus}) for VM {vm_id}"
             )
-        self._profile = profile
-        self._rng = rng
+        if line_size < 1 or line_size & (line_size - 1):
+            raise WorkloadError(f"line_size must be a power of two, got {line_size}")
         self._line_size = line_size
         self._vcpu_index = vcpu_index
         self._num_vcpus = num_vcpus
@@ -110,27 +117,26 @@ class AddressStreamModel:
         self._shared = _Window(shared_region.base, max(line_size, shared_region.size))
 
         # Hot-path bindings: next_address runs once per memory instruction.
-        # The windows are frozen, so their fields are flattened to plain
-        # attributes and the RNG helpers are inlined in next_address (the
-        # draw order and bit stream are identical to the helper calls).
-        self._chance = rng.chance
-        self._sample_address = rng.sample_address
-        self._hot_cold_address = rng.hot_cold_address
-        self._shared_fraction = profile.shared_access_fraction
-        self._os_shared_fraction = profile.os_shared_access_fraction
-        self._hot_fraction = profile.hot_access_fraction
+        # Per privilege it reads one tuple (shared-access probability, then
+        # the shared, hot and cold draws); a draw is ``(base, span, bits)``
+        # with ``bits = span.bit_length()`` computed once here.  Every span
+        # is at least one line.
         self._r01 = rng.raw.random
-        self._randbelow = rng.raw._randbelow
-        self._shared_base = self._shared.base
-        self._shared_span = self._shared.span
-        self._kernel_shared_base = self._kernel_shared.base
-        self._kernel_shared_span = self._kernel_shared.span
-        self._user_base = self._user_cold.base
-        self._user_hot_span = self._user_hot.span
-        self._user_cold_span = self._user_cold.span
-        self._kernel_base = self._kernel_cold.base
-        self._kernel_hot_span = self._kernel_hot.span
-        self._kernel_cold_span = self._kernel_cold.span
+        self._getrandbits = rng.raw.getrandbits
+        self._hot_fraction = profile.hot_access_fraction
+        self._line_mask = -line_size
+        self._user_draws = (
+            profile.shared_access_fraction,
+            _draw(self._shared.base, self._shared.span),
+            *_hot_cold_draws(self._user_cold.base, self._user_hot.span, self._user_cold.span),
+        )
+        self._kernel_draws = (
+            profile.os_shared_access_fraction,
+            _draw(self._kernel_shared.base, self._kernel_shared.span),
+            *_hot_cold_draws(
+                self._kernel_cold.base, self._kernel_hot.span, self._kernel_cold.span
+            ),
+        )
 
     @property
     def user_private_window(self) -> Tuple[int, int]:
@@ -179,52 +185,47 @@ class AddressStreamModel:
         memory hierarchy uses it only for statistics -- actual cache-to-cache
         behaviour emerges from the directory state.
         """
-        # This is a full inline of the chance / sample_address /
-        # hot_cold_address helper chain (one call per memory instruction):
-        # every random draw happens under the same condition and in the same
-        # order as the helpers would perform it, so the value stream is
-        # bit-identical.
+        # A full inline of the DeterministicRng chance -> sample_address /
+        # hot_cold_address chain, its executable specification: every draw
+        # happens under the same condition and in the same order, so the
+        # value stream is bit-identical (tests/test_address_draw.py).  The
+        # span draw is Random._randbelow's getrandbits rejection loop (as on
+        # CPython 3.10-3.12) with the bit length hoisted, and the alignment
+        # is a mask because the line size is a power of two.
         r01 = self._r01
-        randbelow = self._randbelow
-        line = self._line_size
-        if privilege is PrivilegeLevel.USER:
-            p = self._shared_fraction
-            if (r01() < p) if 0.0 < p < 1.0 else p >= 1.0:
-                span = self._shared_span
-                if span <= 0:
-                    return (self._shared_base, True)
-                offset = randbelow(span)
-                if line > 1:
-                    offset -= offset % line
-                return (self._shared_base + offset, True)
-            base = self._user_base
-            hot_span = self._user_hot_span
-            cold_span = self._user_cold_span
+        p, shared, hot, cold = (
+            self._user_draws if privilege is _USER else self._kernel_draws
+        )
+        if (r01() < p) if 0.0 < p < 1.0 else p >= 1.0:
+            base, span, bits = shared
+            is_shared = True
         else:
-            # OS / hypervisor accesses.
-            p = self._os_shared_fraction
-            if (r01() < p) if 0.0 < p < 1.0 else p >= 1.0:
-                span = self._kernel_shared_span
-                if span <= 0:
-                    return (self._kernel_shared_base, True)
-                offset = randbelow(span)
-                if line > 1:
-                    offset -= offset % line
-                return (self._kernel_shared_base + offset, True)
-            base = self._kernel_base
-            hot_span = self._kernel_hot_span
-            cold_span = self._kernel_cold_span
-        # Hot/cold pick: the hot-set chance is drawn *before* the span
-        # comparison, exactly as hot_cold_address does.
-        hp = self._hot_fraction
-        if ((r01() < hp) if 0.0 < hp < 1.0 else hp >= 1.0) or cold_span <= hot_span:
-            span = hot_span
-        else:
-            base += hot_span
-            span = cold_span - hot_span
-        if span <= 0:
-            return (base, False)
-        offset = randbelow(span)
-        if line > 1:
-            offset -= offset % line
-        return (base + offset, False)
+            # The hot-set chance is drawn *before* the span comparison,
+            # exactly as hot_cold_address does.
+            hp = self._hot_fraction
+            if ((r01() < hp) if 0.0 < hp < 1.0 else hp >= 1.0) or cold is None:
+                base, span, bits = hot
+            else:
+                base, span, bits = cold
+            is_shared = False
+        getrandbits = self._getrandbits
+        offset = getrandbits(bits)
+        while offset >= span:
+            offset = getrandbits(bits)
+        return (base + (offset & self._line_mask), is_shared)
+
+
+def _draw(base: int, span: int) -> Tuple[int, int, int]:
+    """A uniform draw over ``[base, base + span)``: ``(base, span, bits)``."""
+    return (base, span, span.bit_length())
+
+
+def _hot_cold_draws(base: int, hot_span: int, cold_span: int):
+    """``hot_cold_address``'s two draws: the hot set, then the cold rest.
+
+    The cold draw is ``None`` when the cold span adds nothing to the hot one.
+    """
+    hot = _draw(base, hot_span)
+    if cold_span <= hot_span:
+        return (hot, None)
+    return (hot, _draw(base + hot_span, cold_span - hot_span))

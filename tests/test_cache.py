@@ -73,15 +73,6 @@ def test_invalidate(cache):
     assert cache.invalidate(0x400) is None
 
 
-def test_mark_dirty_requires_presence(cache):
-    cache.insert(0x500, state=LineState.SHARED)
-    cache.mark_dirty(0x500)
-    assert cache.lookup(0x500).dirty
-    assert cache.lookup(0x500).state is LineState.MODIFIED
-    with pytest.raises(MemorySystemError):
-        cache.mark_dirty(0x9999000)
-
-
 def test_occupancy_never_exceeds_capacity(cache):
     for index in range(200):
         cache.insert(index * 64)

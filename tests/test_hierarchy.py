@@ -141,14 +141,6 @@ class TestFlush:
         assert large.cycles >= 8192
         assert small < large.cycles
 
-    def test_invalidate_incoherent_lines(self, hierarchy):
-        hierarchy.load(1, ADDR, coherent=False)
-        hierarchy.load(1, ADDR + 0x40, coherent=False)
-        hierarchy.store(1, ADDR + 0x8000)  # coherent
-        dropped = hierarchy.invalidate_incoherent_lines(1)
-        assert dropped >= 2
-        assert hierarchy.l2_for(1).contains(ADDR + 0x8000)
-
 
 class TestErrorsAndStats:
     def test_unknown_core_rejected(self, hierarchy):

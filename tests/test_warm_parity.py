@@ -16,6 +16,7 @@ dict (zero-valued keys and key order included) and the off-chip window.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,9 +25,20 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.jobs import ExperimentJob, simulation_identity
 from repro.sim.settings import ExperimentSettings
 
+
+def _small_with_l1d_ways(associativity: int):
+    """``small_system_config()`` with another L1D associativity, same size."""
+    config = small_system_config()
+    return replace(config, l1d=replace(config.l1d, associativity=associativity)).validate()
+
+
+# The two standard L1Ds are 2-way; the 4-way and direct-mapped variants take
+# the L1 fill's general victim choice.
 CONFIGS = {
     "quick": ExperimentSettings.quick().config(),
     "small": small_system_config(),
+    "small-l1d-4way": _small_with_l1d_ways(4),
+    "small-l1d-direct": _small_with_l1d_ways(1),
 }
 
 
@@ -179,6 +191,8 @@ def test_random_sequences_match_the_reference(config_name, seed):
     ):
         assert twins.counter(name) > 0, name
     assert twins.l3_updates > 0
+    # ... and the L1D fill's victim choice.
+    assert sum(l1d._counts["evictions"] for l1d in twins.ref.l1d) > 0
 
 
 def test_functional_warm_and_rewarm_of_a_machine_match_the_reference():

@@ -3,8 +3,9 @@
 The paper reports averages over multiple runs with 95% confidence intervals;
 :func:`confidence_interval_95` provides the same summary for the
 reproduction's experiment runner.  :class:`StatSet` is the lightweight counter
-bag every simulated component uses to expose its behaviour (cache misses,
-C2C transfers, window-full cycles, PAB violations, ...).
+bag simulated components use to expose their behaviour (the memory
+hierarchy's misses and C2C transfers, window-full cycles, PAB violations,
+...).
 """
 
 from __future__ import annotations

@@ -329,14 +329,12 @@ class CoreTimingModel:
         # TLB internals for the inlined translation hit path (misses and
         # non-power-of-two page sizes delegate to translate_raw).
         tlb_entries = tlb._entries
-        tlb_counts = tlb._counts
         tlb_page_shift = tlb._page_shift
         tlb_page_mask = tlb._page_mask
         # L1 internals for the inlined load hit path (a miss continues on the
         # hierarchy's one L1-miss load path).
         l1 = hierarchy.l1d[core_id]
         l1_lines = l1._lines
-        l1_counts = l1._counts
         h_counts = hierarchy._counts
         l1_hit_latency = hierarchy._l1d_hit_latency
         line_neg_mask = hierarchy._line_neg_mask
@@ -487,7 +485,6 @@ class CoreTimingModel:
                         # Inline of translate_raw's hit path.
                         tlb._touch = tlb_touch = tlb._touch + 1
                         t_entry.last_touch = tlb_touch
-                        tlb_counts["hits"] += 1
                         t_latency = 0
                         permitted = True
                         if privilege is USER_LEVEL:
@@ -496,8 +493,6 @@ class CoreTimingModel:
                                 permitted = False
                             if flag_bits & _PRIVILEGED_ONLY:
                                 permitted = False
-                            if not permitted:
-                                tlb_counts["permission_denials"] += 1
                         physical = (t_entry.physical_page << tlb_page_shift) + (
                             address & tlb_page_mask
                         )
@@ -570,7 +565,6 @@ class CoreTimingModel:
                         if line is not None:
                             l1._touch_counter = l1_touch = l1._touch_counter + 1
                             line.last_touch = l1_touch
-                            l1_counts["hits"] += 1
                             h_counts["l1d.hits"] += 1
                             latency = l1_hit_latency
                             level = "l1"

@@ -13,7 +13,6 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.stats import StatSet
 from repro.config.system import CacheConfig
 from repro.errors import MemorySystemError
 from repro.mem.lines import CacheLine, LineState
@@ -62,11 +61,6 @@ class SetAssociativeCache:
         # insert/invalidate keep both structures in sync.
         self._lines: Dict[int, CacheLine] = {}
         self._touch_counter = 0
-        self.stats = StatSet()
-        # The lookup/touch/insert loops below are the hottest code in the
-        # whole simulator; they bump the counter dict directly instead of
-        # paying a StatSet.add call per access.
-        self._counts = self.stats.counters
 
     # ------------------------------------------------------------------ #
     # Core operations
@@ -82,9 +76,6 @@ class SetAssociativeCache:
         if line is not None:
             self._touch_counter = counter = self._touch_counter + 1
             line.last_touch = counter
-            self._counts["hits"] += 1
-        else:
-            self._counts["misses"] += 1
         return line
 
     def insert(
@@ -117,17 +108,14 @@ class SetAssociativeCache:
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = {}
-        counts = self._counts
         victim: Optional[CacheLine] = None
         if len(cache_set) >= self._associativity:
             victim = min(cache_set.values(), key=_BY_LAST_TOUCH)
             del cache_set[victim.line_addr]
             del self._lines[victim.line_addr]
-            counts["evictions"] += 1
         cache_set[line_addr] = self._lines[line_addr] = CacheLine(
             line_addr, state, dirty, coherent, counter
         )
-        counts["fills"] += 1
         return victim
 
     def fill_shared(self, address: int, coherent: bool = True) -> None:
@@ -165,7 +153,6 @@ class SetAssociativeCache:
         if cache_set is None:
             cache_set = self._sets[index] = {}
         lines = self._lines
-        counts = self._counts
         if len(cache_set) >= self._associativity:
             if len(cache_set) == 2:
                 # Two-way sets (the L1 geometry): direct compare beats min().
@@ -175,7 +162,6 @@ class SetAssociativeCache:
                 victim = min(cache_set.values(), key=_BY_LAST_TOUCH)
             del cache_set[victim.line_addr]
             del lines[victim.line_addr]
-            counts["evictions"] += 1
             victim.line_addr = line_addr
             victim.state = _SHARED
             victim.dirty = False
@@ -186,7 +172,6 @@ class SetAssociativeCache:
             cache_set[line_addr] = lines[line_addr] = CacheLine(
                 line_addr, _SHARED, False, coherent, counter
             )
-        counts["fills"] += 1
 
     def invalidate(self, address: int) -> Optional[CacheLine]:
         """Remove the line containing ``address`` and return it (or ``None``)."""
@@ -196,7 +181,6 @@ class SetAssociativeCache:
             tag = line_addr >> self._line_shift
             index = tag & self._set_mask if self._set_mask is not None else tag % self._num_sets
             del self._sets[index][line_addr]
-            self._counts["invalidations"] += 1
         return line
 
     def clear(self) -> int:
@@ -211,7 +195,7 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> tuple:
-        """A packed, immutable copy of the contents, LRU clock and counters.
+        """A packed, immutable copy of the contents and the LRU clock.
 
         Lines are stored field by field in flat arrays, set by set in the
         sets' own order (empty sets included), so :meth:`restore` rebuilds
@@ -227,12 +211,11 @@ class SetAssociativeCache:
             bytes(map(_DIRTY, lines)),
             bytes(map(_COHERENT, lines)),
             self._touch_counter,
-            tuple(self._counts.items()),
         )
 
     def restore(self, snapshot: tuple) -> None:
         """Rebuild, in place, the state a :meth:`snapshot` recorded."""
-        indices, sizes, addrs, touches, states, dirty, coherent, touch_counter, counts = snapshot
+        indices, sizes, addrs, touches, states, dirty, coherent, touch_counter = snapshot
         lines = list(
             map(
                 CacheLine,
@@ -250,8 +233,6 @@ class SetAssociativeCache:
         for index, size in zip(indices, sizes):
             self._sets[index] = dict(islice(remaining, size))
         self._touch_counter = touch_counter
-        self._counts.clear()
-        self._counts.update(counts)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -283,12 +264,3 @@ class SetAssociativeCache:
     def set_occupancies(self) -> List[Tuple[int, int]]:
         """Per-set ``(index, lines)`` occupancy, for diagnostics and tests."""
         return sorted((index, len(lines)) for index, lines in self._sets.items())
-
-    def miss_rate(self) -> float:
-        """Misses divided by total accesses recorded through :meth:`touch`."""
-        hits = self.stats.get("hits")
-        misses = self.stats.get("misses")
-        total = hits + misses
-        if total == 0:
-            return 0.0
-        return misses / total

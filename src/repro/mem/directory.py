@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Dict, Optional, Set
 
-from repro.common.stats import StatSet
-
 
 @dataclass(slots=True)
 class DirectoryEntry:
@@ -53,10 +51,6 @@ class Directory:
         # form otherwise.
         self._line_neg_mask = -line_bytes if line_bytes & (line_bytes - 1) == 0 else None
         self._entries: Dict[int, DirectoryEntry] = {}
-        self.stats = StatSet()
-        # Hot-path binding: the record_* methods below bump counters directly
-        # instead of calling StatSet.add once or more per coherence event.
-        self._counts = self.stats.counters
 
     def entry(self, address: int) -> DirectoryEntry:
         """Return (creating if needed) the entry for the line of ``address``."""
@@ -92,8 +86,6 @@ class Directory:
         entry = self.entry(address)
         if entry.owner != core_id:
             entry.sharers.add(core_id)
-        counts = self._counts
-        counts["shared_fetches"] += 1
 
     def record_exclusive_fetch(self, address: int, core_id: int) -> Set[int]:
         """Core ``core_id`` fetched the line for writing.
@@ -109,13 +101,6 @@ class Directory:
         to_invalidate.discard(core_id)
         entry.owner = core_id
         entry.sharers.clear()
-        counts = self._counts
-        counts["exclusive_fetches"] += 1
-        if to_invalidate:
-            counts["invalidation_rounds"] += 1
-            counts["invalidations_sent"] += len(
-                to_invalidate
-            )
         return to_invalidate
 
     def record_downgrade(self, address: int, core_id: int) -> None:
@@ -124,7 +109,6 @@ class Directory:
         if entry.owner == core_id:
             entry.owner = None
             entry.sharers.add(core_id)
-            self.stats.add("downgrades")
 
     def record_eviction(self, address: int, core_id: int) -> None:
         """Core ``core_id`` no longer holds the line."""
@@ -136,8 +120,6 @@ class Directory:
         if entry.owner == core_id:
             entry.owner = None
         entry.sharers.discard(core_id)
-        counts = self._counts
-        counts["evictions"] += 1
 
     def drop_core(self, core_id: int) -> int:
         """Remove ``core_id`` from every entry (used when flushing a core).
@@ -154,19 +136,18 @@ class Directory:
         return touched
 
     def snapshot(self) -> tuple:
-        """A packed, immutable copy of every entry and counter (see :meth:`restore`)."""
+        """A packed, immutable copy of every entry (see :meth:`restore`)."""
         entries = list(self._entries.values())
         return (
             array("q", self._entries),
             array("i", [-1 if entry.owner is None else entry.owner for entry in entries]),
             array("i", [len(entry.sharers) for entry in entries]),
             array("i", chain.from_iterable(entry.sharers for entry in entries)),
-            tuple(self._counts.items()),
         )
 
     def restore(self, snapshot: tuple) -> None:
-        """Rebuild, in place, the entries and counters a :meth:`snapshot` recorded."""
-        lines, owners, sharer_counts, sharer_ids, counts = snapshot
+        """Rebuild, in place, the entries a :meth:`snapshot` recorded."""
+        lines, owners, sharer_counts, sharer_ids = snapshot
         remaining = iter(sharer_ids)
         self._entries.clear()
         self._entries.update(
@@ -182,8 +163,6 @@ class Directory:
                 ),
             )
         )
-        self._counts.clear()
-        self._counts.update(counts)
 
     def __len__(self) -> int:
         return len(self._entries)

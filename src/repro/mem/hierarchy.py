@@ -96,9 +96,11 @@ class MemoryHierarchy:
             config.interconnect, config.memory, line_bytes=self.line_bytes
         )
         self.memory = MainMemory(config.memory)
+        # The memory system's one set of counters, with the interconnect's
+        # and the DRAM's (see merged_stats); the caches and the directory keep
+        # none.  The access paths bump the dict directly rather than calling
+        # StatSet.add once or more per data access.
         self.stats = StatSet()
-        # Hot-path binding: the access paths below bump counters directly
-        # rather than calling StatSet.add once or more per data access.
         self._counts = self.stats.counters
         # Per-access constants hoisted out of the access paths: the line size
         # is a validated power of two, and the config is immutable.
@@ -107,7 +109,6 @@ class MemoryHierarchy:
         # place, so the miss paths can consult it directly (addresses reaching
         # them are already line-aligned, making peek()'s alignment a no-op).
         self._dir_entries = self.directory._entries
-        self._dir_counts = self.directory._counts
         self._l1d_hit_latency = config.l1d.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
         self._l3_hit_latency = config.l3.hit_latency
@@ -144,12 +145,12 @@ class MemoryHierarchy:
         One flat pass doing what ``SetAssociativeCache.insert`` on the L2, the
         inclusive-L1 invalidation of the LRU victim, the victim's directory
         eviction and its insert into the exclusive L3 did as separate calls:
-        cache contents, LRU stamps, directory state and every counter evolve
-        exactly as through them.  Every caller has just missed in this L2, so
-        the line is never already resident.  A coherent victim's line object
-        becomes the L3 line (it is unreachable once evicted, so the reuse is
-        unobservable), as ``fill_absent`` recycles L1 victims; an incoherent
-        (mute-fetched) victim is dropped.
+        cache contents, LRU stamps, directory state and the hierarchy's
+        counters evolve exactly as through them.  Every caller has just missed
+        in this L2, so the line is never already resident.  A coherent
+        victim's line object becomes the L3 line (it is unreachable once
+        evicted, so the reuse is unobservable), as ``fill_absent`` recycles L1
+        victims; an incoherent (mute-fetched) victim is dropped.
         """
         l2 = self.l2[core_id]
         l2._touch_counter = counter = l2._touch_counter + 1
@@ -160,17 +161,14 @@ class MemoryHierarchy:
         if cache_set is None:
             cache_set = l2._sets[index] = {}
         l2_lines = l2._lines
-        l2_counts = l2._counts
         victim = None
         if len(cache_set) >= l2._associativity:
             victim = min(cache_set.values(), key=_BY_LAST_TOUCH)
             del cache_set[victim.line_addr]
             del l2_lines[victim.line_addr]
-            l2_counts["evictions"] += 1
         cache_set[line_addr] = l2_lines[line_addr] = CacheLine(
             line_addr, state, dirty, coherent, counter
         )
-        l2_counts["fills"] += 1
         if victim is None:
             return
 
@@ -189,7 +187,6 @@ class MemoryHierarchy:
             if entry.owner == core_id:
                 entry.owner = None
             entry.sharers.discard(core_id)
-            self._dir_counts["evictions"] += 1
 
         counts = self._counts
         if not victim.coherent:
@@ -213,16 +210,13 @@ class MemoryHierarchy:
         l3_set = l3._sets.get(index)
         if l3_set is None:
             l3_set = l3._sets[index] = {}
-        l3_counts = l3._counts
         l3_victim = None
         if len(l3_set) >= l3._associativity:
             l3_victim = min(l3_set.values(), key=_BY_LAST_TOUCH)
             del l3_set[l3_victim.line_addr]
             del l3_lines[l3_victim.line_addr]
-            l3_counts["evictions"] += 1
         victim.last_touch = l3_counter
         l3_set[victim_addr] = l3_lines[victim_addr] = victim
-        l3_counts["fills"] += 1
         counts["l2.victims_to_l3"] += 1
         if l3_victim is not None and l3_victim.needs_writeback:
             self.interconnect.record_offchip_transfer()
@@ -241,22 +235,23 @@ class MemoryHierarchy:
     # Coherent access path (normal and vocal cores)
     # ------------------------------------------------------------------ #
 
-    def _remote_holder(self, line_addr: int, requester: int) -> Optional[int]:
-        """Find a remote private L2 currently holding the line.
+    def _remote_holder(
+        self, entry: DirectoryEntry, line_addr: int, requester: int
+    ) -> Optional[int]:
+        """Find a remote private L2 currently holding the line of ``entry``.
 
         The directory's shadow tags know both the owner (M/O) and the sharers
         of a line; because the L3 is exclusive with the L2s, a line held only
         by sharers is *not* in the L3 and must be forwarded from one of them
         (a clean cache-to-cache transfer).  The owner is preferred when there
-        is one (dirty cache-to-cache transfer).
+        is one (dirty cache-to-cache transfer), then the lowest-numbered
+        sharer.  Sorting only matters with two or more sharers.
         """
-        entry = self._dir_entries.get(line_addr)
-        if entry is None:
-            return None
         owner = entry.owner
         if owner is not None and owner != requester and line_addr in self.l2[owner]._lines:
             return owner
-        for sharer in sorted(entry.sharers):
+        sharers = entry.sharers
+        for sharer in sharers if len(sharers) < 2 else sorted(sharers):
             if sharer != requester and line_addr in self.l2[sharer]._lines:
                 return sharer
         return None
@@ -272,7 +267,7 @@ class MemoryHierarchy:
         counts = self._counts
         l3_latency = self._l3_hit_latency
         entry = self._dir_entries.get(line_addr)
-        owner = None if entry is None else self._remote_holder(line_addr, core_id)
+        owner = None if entry is None else self._remote_holder(entry, line_addr, core_id)
         invalidations = 0
 
         if owner is not None:
@@ -296,24 +291,20 @@ class MemoryHierarchy:
 
         # No remote copy: an L3 hit moves the line up (the L3 is exclusive),
         # otherwise it is fetched off-chip.  The L3 touch/invalidate pair is
-        # inlined; its state and counters evolve exactly as through the calls.
+        # inlined; its state evolves exactly as through the calls.
         l3 = self.l3
-        l3_counts = l3._counts
         l3_line = l3._lines.pop(line_addr, None)
         if l3_line is not None:
             l3._touch_counter += 1
-            l3_counts["hits"] += 1
             tag = line_addr >> l3._line_shift
             mask = l3._set_mask
             del l3._sets[tag & mask if mask is not None else tag % l3._num_sets][line_addr]
-            l3_counts["invalidations"] += 1
             counts["l3.hits"] += 1
             latency = l3_latency
             level = "l3"
             offchip = False
             dirty = l3_line.dirty
         else:
-            l3_counts["misses"] += 1
             counts["l3.misses"] += 1
             self.interconnect.record_offchip_transfer()
             latency = l3_latency + self.memory.access_latency(
@@ -336,23 +327,20 @@ class MemoryHierarchy:
                 entry = self._dir_entries[line_addr] = DirectoryEntry()
             if entry.owner != core_id:
                 entry.sharers.add(core_id)
-            self._dir_counts["shared_fetches"] += 1
             self._fill_l2(core_id, line_addr, _OWNED if dirty else _SHARED, dirty, True)
             self.l1d[core_id].fill_absent(line_addr, True)
         return (latency, level, False, offchip, invalidations)
 
     def _coherent_load(self, core_id: int, address: int):
         # The L1/L2 hit checks inline SetAssociativeCache.touch (flat-map get
-        # plus LRU stamp plus hit/miss counters) -- this is the single most
-        # frequent operation in the whole simulator, and the method call per
-        # level is measurable.  Statistics evolve exactly as through touch().
+        # plus LRU stamp) -- this is the single most frequent operation in the
+        # whole simulator, and the method call per level is measurable.
         line_addr = address & self._line_neg_mask
         l1 = self.l1d[core_id]
         line = l1._lines.get(line_addr)
         if line is not None:
             l1._touch_counter = counter = l1._touch_counter + 1
             line.last_touch = counter
-            l1._counts["hits"] += 1
             self._counts["l1d.hits"] += 1
             return (self._l1d_hit_latency, "l1", False, False, 0)
         return self._l1_miss_load(core_id, line_addr)
@@ -367,19 +355,15 @@ class MemoryHierarchy:
         through ``fill_absent``.
         """
         counts = self._counts
-        l1 = self.l1d[core_id]
-        l1._counts["misses"] += 1
         counts["l1d.misses"] += 1
         l2 = self.l2[core_id]
         l2_line = l2._lines.get(line_addr)
         if l2_line is not None:
             l2._touch_counter = counter = l2._touch_counter + 1
             l2_line.last_touch = counter
-            l2._counts["hits"] += 1
-            l1.fill_absent(line_addr, l2_line.coherent)
+            self.l1d[core_id].fill_absent(line_addr, l2_line.coherent)
             counts["l2.hits"] += 1
             return (self._l2_hit_latency, "l2", False, False, 0)
-        l2._counts["misses"] += 1
         counts["l2.misses"] += 1
         return self._coherent_miss_fill(core_id, line_addr, False)
 
@@ -394,7 +378,6 @@ class MemoryHierarchy:
         if l2_line is not None:
             l2._touch_counter = counter = l2._touch_counter + 1
             l2_line.last_touch = counter
-            l2._counts["hits"] += 1
             counts["l2.hits"] += 1
             latency = self._l2_hit_latency
             invalidations = 0
@@ -412,7 +395,6 @@ class MemoryHierarchy:
             if (dir_entry.owner if dir_entry is not None else None) != core_id:
                 self.directory.record_exclusive_fetch(line_addr, core_id)
             return (latency, "l2", False, False, invalidations)
-        l2._counts["misses"] += 1
         counts["l2.misses"] += 1
         return self._coherent_miss_fill(core_id, line_addr, True)
 
@@ -430,7 +412,6 @@ class MemoryHierarchy:
         if line is not None:
             l1._touch_counter = counter = l1._touch_counter + 1
             line.last_touch = counter
-            l1._counts["hits"] += 1
             counts["mute.l1d.hits"] += 1
             if is_store:
                 l2_line = l2._lines.get(line_addr)
@@ -438,23 +419,21 @@ class MemoryHierarchy:
                     l2_line.dirty = True
                     l2_line.coherent = False
             return (self._l1d_hit_latency, "l1", False, False, 0)
-        l1._counts["misses"] += 1
         l2_line = l2._lines.get(line_addr)
         if l2_line is not None:
             l2._touch_counter = counter = l2._touch_counter + 1
             l2_line.last_touch = counter
-            l2._counts["hits"] += 1
             counts["mute.l2.hits"] += 1
             if is_store:
                 l2_line.dirty = True
                 l2_line.coherent = False
             return (self._l2_hit_latency, "l2", False, False, 0)
-        l2._counts["misses"] += 1
 
         # Best-effort fill without changing global state.
         counts["mute.l2.misses"] += 1
         l3_latency = self._l3_hit_latency
-        holder = self._remote_holder(line_addr, core_id)
+        entry = self._dir_entries.get(line_addr)
+        holder = None if entry is None else self._remote_holder(entry, line_addr, core_id)
         if holder is not None:
             latency = self._c2c_latency
             level = "c2c"
@@ -490,7 +469,7 @@ class MemoryHierarchy:
 
         Returns ``(latency, level, c2c, offchip, invalidations)``.  This is
         the form the core timing model's hot loop consumes; behaviour and
-        statistics are identical to :meth:`access`.
+        counters are identical to :meth:`access`.
         """
         self._check_core(core_id)
         if address < 0:
@@ -530,16 +509,14 @@ class MemoryHierarchy:
             self._check_core(secondary_core)
         l1_miss_load = self._l1_miss_load
         mute_access = self._mute_access
-        # Re-warming after a VM switch mostly re-touches resident lines, so
-        # the L1-hit path of _coherent_load (and of the mute load) is inlined
-        # here; a coherent miss continues on the one L1-miss load path, a
-        # mute miss takes the full mute access.  Counters evolve exactly as
-        # through the out-of-line calls.
+        # The L1D check is the first step of every touch, so it is inlined
+        # here (the mute's too); a coherent miss continues on the one L1-miss
+        # load path, a mute miss takes the full mute access.  Counters evolve
+        # exactly as through the out-of-line calls.
         neg_mask = self._line_neg_mask
         counts = self._counts
         l1 = self.l1d[core_id]
         l1_lines = l1._lines
-        l1_counts = l1._counts
         count = 0
         if secondary_core is None:
             for address in addresses:
@@ -548,7 +525,6 @@ class MemoryHierarchy:
                 if line is not None:
                     l1._touch_counter = counter = l1._touch_counter + 1
                     line.last_touch = counter
-                    l1_counts["hits"] += 1
                     counts["l1d.hits"] += 1
                 else:
                     l1_miss_load(core_id, line_addr)
@@ -556,14 +532,12 @@ class MemoryHierarchy:
             return count
         m_l1 = self.l1d[secondary_core]
         m_lines = m_l1._lines
-        m_counts = m_l1._counts
         for address in addresses:
             line_addr = address & neg_mask
             line = l1_lines.get(line_addr)
             if line is not None:
                 l1._touch_counter = counter = l1._touch_counter + 1
                 line.last_touch = counter
-                l1_counts["hits"] += 1
                 counts["l1d.hits"] += 1
             else:
                 l1_miss_load(core_id, line_addr)
@@ -571,7 +545,6 @@ class MemoryHierarchy:
             if m_line is not None:
                 m_l1._touch_counter = counter = m_l1._touch_counter + 1
                 m_line.last_touch = counter
-                m_counts["hits"] += 1
                 counts["mute.l1d.hits"] += 1
             else:
                 mute_access(secondary_core, address, False)
@@ -638,7 +611,7 @@ class MemoryHierarchy:
 
         Kept, with :meth:`access_reference`, as the executable specification
         of the access paths: :meth:`warm` and :meth:`access_raw` must leave
-        every cache, the directory, every counter and the off-chip window
+        every cache, the directory, the counters and the off-chip window
         bit-identical to these (``tests/test_warm_parity.py``).
         """
         count = 0
@@ -820,12 +793,8 @@ class MemoryHierarchy:
         """
         interconnect = self.interconnect
         return (
-            not any(
-                cache._sets or cache._touch_counter or cache._counts
-                for cache in self._caches()
-            )
+            not any(cache._sets or cache._touch_counter for cache in self._caches())
             and not self._dir_entries
-            and not self._dir_counts
             and not self._counts
             and not interconnect._counts
             and not self.memory._counts

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.common.stats import StatSet
 from repro.config.system import TlbConfig
 from repro.errors import ProtectionError
 from repro.tlb.page_table import PageFlags, PageTable
@@ -70,10 +69,6 @@ class TranslationLookasideBuffer:
         # its PAB's hook, so a demap invalidates the PAB entry (Section
         # 3.4.1: the PAB is kept coherent during a TLB demap operation).
         self._demap_listener = demap_listener
-        self.stats = StatSet()
-        # Hot-path binding: translate_raw bumps counters directly instead of
-        # calling StatSet.add once or twice per translation.
-        self._counts = self.stats.counters
         self._page_size = page_table.page_size
         self._fill_latency = config.fill_latency
         # Page sizes are powers of two in every configuration, which turns
@@ -101,7 +96,6 @@ class TranslationLookasideBuffer:
             return
         victim = min(self._entries.values(), key=lambda entry: entry.last_touch)
         del self._entries[victim.virtual_page]
-        self.stats.add("evictions")
 
     def _fill(self, virtual_page: int) -> TlbEntry:
         pte = self.page_table.lookup_page(virtual_page)
@@ -117,15 +111,14 @@ class TranslationLookasideBuffer:
             last_touch=self._touch,
         )
         self._entries[virtual_page] = entry
-        self.stats.add("fills")
         return entry
 
     def translate_raw(self, virtual_address: int, is_store: bool, privileged: bool):
         """Translate without building a :class:`TranslationResult`.
 
         Returns ``(physical_address, flags, domain, hit, latency,
-        permitted)``; the behaviour and statistics are identical to
-        :meth:`translate`, which wraps this.  The core timing model's hot
+        permitted)``; the behaviour is identical to :meth:`translate`, which
+        wraps this.  The core timing model's hot
         loop consumes the tuple directly.
         """
         page_shift = self._page_shift
@@ -134,18 +127,15 @@ class TranslationLookasideBuffer:
         else:
             virtual_page = virtual_address // self._page_size
         entry = self._entries.get(virtual_page)
-        counts = self._counts
         if entry is None:
             hit = False
             latency = self._fill_latency
             entry = self._fill(virtual_page)
-            counts["misses"] += 1
         else:
             hit = True
             latency = 0
             self._touch += 1
             entry.last_touch = self._touch
-            counts["hits"] += 1
 
         flags = entry.flags
         permitted = True
@@ -155,8 +145,6 @@ class TranslationLookasideBuffer:
                 permitted = False
             if flag_bits & _PRIVILEGED_ONLY:
                 permitted = False
-            if not permitted:
-                counts["permission_denials"] += 1
 
         if page_shift is not None:
             physical = (entry.physical_page << page_shift) + (
@@ -192,7 +180,6 @@ class TranslationLookasideBuffer:
         entry = self._entries.pop(virtual_page, None)
         if entry is None:
             return False
-        self.stats.add("demaps")
         if self._demap_listener is not None:
             self._demap_listener(entry.physical_page)
         return True
@@ -204,7 +191,6 @@ class TranslationLookasideBuffer:
             for entry in list(self._entries.values()):
                 self._demap_listener(entry.physical_page)
         self._entries.clear()
-        self.stats.add("flushes")
         return count
 
     # ------------------------------------------------------------------ #
@@ -236,7 +222,6 @@ class TranslationLookasideBuffer:
             entry.flags = entry.flags | PageFlags.USER_WRITE
             if entry.flags & PageFlags.PRIVILEGED_ONLY:
                 entry.flags = entry.flags & ~PageFlags.PRIVILEGED_ONLY
-        self.stats.add("injected_faults")
         return entry
 
     @property

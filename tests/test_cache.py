@@ -23,11 +23,11 @@ def test_geometry(cache):
 
 def test_miss_then_hit(cache):
     assert cache.touch(0x100) is None
+    assert cache.occupancy == 0  # a miss fills nothing
     cache.insert(0x100)
-    line = cache.touch(0x17F)  # same 64-byte line as 0x140? no: 0x140..0x17F
-    assert cache.touch(0x100) is not None
-    assert cache.stats.get("hits") >= 1
-    assert cache.stats.get("misses") >= 1
+    assert cache.touch(0x13F) is cache.lookup(0x100)  # same 64-byte line
+    assert cache.touch(0x140) is None  # the next line was never filled
+    assert [line.line_addr for line in cache.resident_lines()] == [0x100]
 
 
 def test_line_granularity(cache):
@@ -89,12 +89,17 @@ def test_clear(cache):
     assert cache.occupancy == 0
 
 
-def test_resident_lines_and_miss_rate(cache):
+def test_resident_lines(cache):
     cache.touch(0x0)       # miss
     cache.insert(0x0)
+    cache.insert(0x40, state=LineState.MODIFIED, dirty=True)
     cache.touch(0x0)       # hit
-    assert isinstance(cache.resident_lines()[0], CacheLine)
-    assert cache.miss_rate() == 0.5
+    resident = sorted(cache.resident_lines(), key=lambda line: line.line_addr)
+    assert all(isinstance(line, CacheLine) for line in resident)
+    assert [(line.line_addr, line.state, line.dirty) for line in resident] == [
+        (0x0, LineState.SHARED, False),
+        (0x40, LineState.MODIFIED, True),
+    ]
 
 
 def test_needs_writeback_logic():

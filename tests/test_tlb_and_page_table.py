@@ -89,7 +89,9 @@ class TestTlb:
         for page in range(10):
             tlb.translate(page * 8192, is_store=False, privileged=False)
         assert tlb.occupancy == 8
-        assert tlb.stats.get("evictions") == 2
+        # The two least recently used pages went.
+        resident = sorted(entry.virtual_page for entry in tlb.resident_entries())
+        assert resident == list(range(2, 10))
 
     def test_fill_of_unmapped_page_raises(self, tlb):
         with pytest.raises(ProtectionError):

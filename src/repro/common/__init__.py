@@ -5,8 +5,7 @@ blocks:
 
 * :mod:`repro.common.rng` -- deterministic random number generation,
 * :mod:`repro.common.addresses` -- address, page and cache-line arithmetic,
-* :mod:`repro.common.stats` -- counters, means and confidence intervals,
-* :mod:`repro.common.events` -- a tiny discrete-event queue.
+* :mod:`repro.common.stats` -- counters, means and confidence intervals.
 """
 
 from repro.common.addresses import (
@@ -15,7 +14,6 @@ from repro.common.addresses import (
     align_down,
     align_up,
 )
-from repro.common.events import Event, EventQueue
 from repro.common.rng import DeterministicRng
 from repro.common.stats import (
     ConfidenceInterval,
@@ -28,8 +26,6 @@ __all__ = [
     "Region",
     "align_down",
     "align_up",
-    "Event",
-    "EventQueue",
     "DeterministicRng",
     "ConfidenceInterval",
     "StatSet",

@@ -110,10 +110,6 @@ class DeterministicRng:
         """Pick one element with the given (unnormalised) weights."""
         return self._random.choices(items, weights=weights, k=1)[0]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(items)
-
     def sample_address(self, base: int, span: int, alignment: int = 1) -> int:
         """Uniform address in ``[base, base + span)`` aligned to ``alignment``.
 

@@ -152,15 +152,12 @@ class InterconnectConfig:
     """On-chip point-to-point interconnect and fingerprint network."""
 
     hop_latency: int = 10
-    #: Latency of a 3-hop cache-to-cache transfer (requester -> directory ->
-    #: owner -> requester); the paper notes these cost more than a 2-hop L3 hit.
+    #: Hops of a cache-to-cache transfer (requester -> directory -> owner ->
+    #: requester); the paper notes these cost more than a 2-hop L3 hit.
+    #: ``Interconnect.cache_to_cache_latency`` turns them into cycles.
     cache_to_cache_hops: int = 3
     fingerprint_latency: int = 10
     link_bytes_per_cycle: float = 64.0
-
-    def cache_to_cache_latency(self) -> int:
-        """Latency added by a dirty cache-to-cache transfer."""
-        return self.hop_latency * self.cache_to_cache_hops
 
     def validate(self) -> None:
         """Check interconnect latencies are positive."""

@@ -4,7 +4,6 @@ This package assembles the substrates (cores, caches, DMR, protection,
 virtualisation) into a machine that can run reliable and performance
 applications simultaneously:
 
-* :mod:`repro.core.modes` -- reliability modes and helpers,
 * :mod:`repro.core.transitions` -- the Enter-DMR / Leave-DMR state machine
   with full cycle accounting (Table 1),
 * :mod:`repro.core.policies` -- VCPU-to-core mapping policies: the DMR and
@@ -18,7 +17,6 @@ applications simultaneously:
 from repro.core.adaptive import AdaptiveMmmPolicy, AdaptiveReliabilityController
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.mmm import MixedModeMulticore
-from repro.core.modes import ReliabilityMode, requires_dmr
 from repro.core.policies import (
     AlwaysDmrPolicy,
     MappingPolicy,
@@ -36,8 +34,6 @@ __all__ = [
     "MixedModeMachine",
     "VmSpec",
     "MixedModeMulticore",
-    "ReliabilityMode",
-    "requires_dmr",
     "AlwaysDmrPolicy",
     "MappingPolicy",
     "MmmIpcPolicy",

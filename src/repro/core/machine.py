@@ -3,16 +3,17 @@
 :class:`MixedModeMachine` takes a :class:`~repro.config.system.SystemConfig`,
 a list of guest-VM specifications and a mapping policy, and constructs the
 complete simulated machine: physical address-space layout, page table, PAT,
-per-core TLBs and PABs, the cache hierarchy, the Reunion fingerprint network,
-the VCPU scratchpad and state-transfer engine, the mode-transition engine,
-the synthetic workloads, the VCPUs and guest VMs, and (optionally) a fault
-injector.  The :meth:`simulator` method returns a ready-to-run
+per-core TLBs and PABs, the cache hierarchy, the core timing model, the core
+allocator, the VCPU scratchpad and state-transfer engine, the mode-transition
+engine, the synthetic workloads, the VCPUs and guest VMs, and (optionally) a
+fault injector.  Reunion pairs are made on demand by :meth:`pair_factory`.
+The :meth:`simulator` method returns a ready-to-run
 :class:`repro.sim.simulator.Simulator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.common.addresses import AddressSpaceLayout, align_up
@@ -20,9 +21,7 @@ from repro.common.rng import DeterministicRng
 from repro.config.system import SystemConfig
 from repro.core.policies import MappingPolicy, policy_by_name
 from repro.core.transitions import ModeTransitionEngine
-from repro.cpu.core import PhysicalCore
 from repro.cpu.timing import CoreTimingModel
-from repro.dmr.fingerprint_network import FingerprintNetwork
 from repro.dmr.reunion import ReunionPair
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector, FaultRates
@@ -117,14 +116,10 @@ class MixedModeMachine:
             )
             for core_id in range(self.config.num_cores)
         ]
-        self.tlbs: List[TranslationLookasideBuffer] = []
-        for core_id in range(self.config.num_cores):
-            tlb = TranslationLookasideBuffer(
-                config=self.config.tlb,
-                page_table=self.page_table,
-                demap_listener=self.pabs[core_id].on_tlb_demap,
-            )
-            self.tlbs.append(tlb)
+        self.tlbs: List[TranslationLookasideBuffer] = [
+            TranslationLookasideBuffer(config=self.config.tlb, page_table=self.page_table)
+            for _ in range(self.config.num_cores)
+        ]
 
         self.fault_injector = self._build_fault_injector(fault_rates)
         self.timing_model = CoreTimingModel(
@@ -136,11 +131,7 @@ class MixedModeMachine:
             fault_hook=self.fault_injector,
         )
 
-        self.cores: List[PhysicalCore] = [
-            PhysicalCore(core_id=core_id) for core_id in range(self.config.num_cores)
-        ]
-        self.allocator = CoreAllocator(self.cores)
-        self.fingerprint_network = FingerprintNetwork(self.config.interconnect)
+        self.allocator = CoreAllocator(self.config.num_cores)
 
         self.vms: List[GuestVM] = []
         self.vcpus: Dict[int, VirtualCPU] = {}
@@ -293,7 +284,6 @@ class MixedModeMachine:
             vocal_core_id=vocal_core,
             mute_core_id=mute_core,
             config=self.config.reunion,
-            network=self.fingerprint_network,
         )
 
     @property

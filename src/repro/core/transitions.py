@@ -21,7 +21,7 @@ that Table 1's asymmetry emerges from the machine configuration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict, Optional
 
@@ -60,7 +60,6 @@ class TransitionBreakdown:
     flush_cycles: int = 0
     pipeline_cycles: int = 0
     verify_failed: bool = False
-    details: StatSet = field(default_factory=StatSet)
 
     @property
     def total_cycles(self) -> int:
@@ -177,11 +176,9 @@ class ModeTransitionEngine:
         if outgoing_vocal_vcpu is not None:
             result = self.transfer_engine.save_state(vocal_core, outgoing_vocal_vcpu.vcpu_id)
             breakdown.save_cycles += result.cycles
-            breakdown.details.add("outgoing_vocal_lines", result.lines)
         if outgoing_mute_vcpu is not None:
             result = self.transfer_engine.save_state(mute_core, outgoing_mute_vcpu.vcpu_id)
             breakdown.save_cycles += result.cycles
-            breakdown.details.add("outgoing_mute_lines", result.lines)
 
         if outgoing_vocal_vcpu is None or outgoing_vocal_vcpu.vcpu_id == vcpu.vcpu_id:
             # Same-VCPU escalation (system call from performance mode): the
@@ -252,10 +249,7 @@ class ModeTransitionEngine:
                 mute_core, vcpu.vcpu_id, copy=ScratchpadManager.REDUNDANT
             )
             breakdown.save_cycles = save_vocal.cycles + save_mute.cycles
-            flush = self.hierarchy.flush_l2(mute_core)
-            breakdown.flush_cycles = flush.cycles
-            breakdown.details.add("flush_lines_inspected", flush.lines_inspected)
-            breakdown.details.add("flush_dirty_writebacks", flush.dirty_writebacks)
+            breakdown.flush_cycles = self.hierarchy.flush_l2(mute_core).cycles
 
         self._snapshot_redundant(vcpu)
 

@@ -11,7 +11,6 @@ the ablation experiments (larger window, TSO store buffer) change behaviour
 through the same mechanisms the paper discusses.
 """
 
-from repro.cpu.core import PhysicalCore
 from repro.cpu.parameters import TimingModelParameters
 from repro.cpu.timing import (
     CoreAssignment,
@@ -22,7 +21,6 @@ from repro.cpu.timing import (
 )
 
 __all__ = [
-    "PhysicalCore",
     "TimingModelParameters",
     "CoreAssignment",
     "CoreTimingModel",

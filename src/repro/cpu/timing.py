@@ -343,9 +343,10 @@ class CoreTimingModel:
         dmr_mute = dmr and mute_id is not None
         pair_sync = dmr_pair.synchronize if dmr_pair is not None else None
         # Inline bindings for the per-instruction fingerprint-token path
-        # (observe_commit_token's body, unrolled below).  flush() clears the
-        # pending lists in place, so the list bindings stay valid across
-        # interval emissions and synchronize() calls.
+        # (both units' observe_token and the pair's compare, unrolled
+        # below).  flush() clears the pending lists in place, so the list
+        # bindings stay valid across interval emissions and synchronize()
+        # calls.
         if dmr_pair is not None:
             vocal_unit = dmr_pair.vocal_unit
             mute_unit = dmr_pair.mute_unit

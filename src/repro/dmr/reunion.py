@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.stats import StatSet
 from repro.config.system import ReunionConfig
-from repro.dmr.fingerprint_network import FingerprintNetwork
 from repro.errors import SchedulingError
 from repro.isa.fingerprints import FingerprintUnit
 from repro.isa.instructions import Instruction
@@ -43,17 +41,14 @@ class ReunionPair:
         vocal_core_id: int,
         mute_core_id: int,
         config: ReunionConfig,
-        network: FingerprintNetwork,
     ) -> None:
         if vocal_core_id == mute_core_id:
             raise SchedulingError("a DMR pair needs two distinct cores")
         self.vocal_core_id = vocal_core_id
         self.mute_core_id = mute_core_id
         self.config = config
-        self.network = network
         self.vocal_unit = FingerprintUnit(interval=config.fingerprint_interval)
         self.mute_unit = FingerprintUnit(interval=config.fingerprint_interval)
-        self.stats = StatSet()
 
     def observe_commit(
         self,
@@ -102,33 +97,6 @@ class ReunionPair:
             mute_fp = mute_fp or self.mute_unit.flush()
         return self._compare(vocal_fp, mute_fp)
 
-    def observe_commit_token(
-        self, seq: int, vocal_token: int, mute_token: int
-    ) -> Optional[CheckOutcome]:
-        """Feed one committed instruction as precomputed fingerprint tokens.
-
-        The timing model's hot loop computes the vocal/mute tokens inline
-        (via :func:`repro.isa.fingerprints.instruction_token`; the tokens
-        differ only when the fault injector corrupted one side) and avoids
-        the per-instruction :class:`Instruction` allocation that
-        :meth:`observe_commit` requires.  Unit state, comparisons and
-        statistics evolve exactly as with :meth:`observe_commit`.
-        """
-        vocal_unit = self.vocal_unit
-        mute_unit = self.mute_unit
-        if vocal_unit._first_seq is None:
-            vocal_unit._first_seq = seq
-        vocal_unit._last_seq = seq
-        pending = vocal_unit._pending
-        pending.append(vocal_token)
-        if mute_unit._first_seq is None:
-            mute_unit._first_seq = seq
-        mute_unit._last_seq = seq
-        mute_unit._pending.append(mute_token)
-        if len(pending) >= vocal_unit.interval:
-            return self._compare(vocal_unit.flush(), mute_unit.flush())
-        return None
-
     def synchronize(self) -> Optional[CheckOutcome]:
         """Force a fingerprint comparison for any partial interval.
 
@@ -140,7 +108,6 @@ class ReunionPair:
         if vocal_fp is None and mute_fp is None:
             return None
         if vocal_fp is None or mute_fp is None:
-            self.stats.add("unbalanced_synchronisations")
             return CheckOutcome(
                 matched=False,
                 penalty_cycles=self.config.recovery_penalty_cycles,
@@ -149,14 +116,10 @@ class ReunionPair:
         return self._compare(vocal_fp, mute_fp)
 
     def _compare(self, vocal_fp, mute_fp) -> CheckOutcome:
-        self.network.exchange_latency()
-        matched = vocal_fp.value == mute_fp.value
-        self.stats.add("comparisons")
-        if matched:
+        if vocal_fp.value == mute_fp.value:
             return CheckOutcome(
                 matched=True, penalty_cycles=0, interval_instructions=vocal_fp.count
             )
-        self.stats.add("mismatches")
         return CheckOutcome(
             matched=False,
             penalty_cycles=self.config.recovery_penalty_cycles,
@@ -167,7 +130,3 @@ class ReunionPair:
     def cores(self) -> tuple[int, int]:
         """``(vocal, mute)`` core identifiers."""
         return (self.vocal_core_id, self.mute_core_id)
-
-    def mismatch_count(self) -> int:
-        """Number of fingerprint mismatches detected so far."""
-        return int(self.stats.get("mismatches"))

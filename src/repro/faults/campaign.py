@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.common.addresses import AddressSpaceLayout
 from repro.common.rng import DeterministicRng
 from repro.config.system import ReunionConfig, SystemConfig
-from repro.dmr.fingerprint_network import FingerprintNetwork
 from repro.dmr.reunion import ReunionPair
 from repro.errors import FaultInjectionError
 from repro.faults.models import FaultSite, FaultSpec, FaultType
@@ -168,7 +167,6 @@ class FaultInjectionCampaign:
             vocal_core_id=0,
             mute_core_id=1,
             config=ReunionConfig(fingerprint_interval=4),
-            network=FingerprintNetwork(self.config.interconnect),
         )
         outcome = FaultOutcome.MASKED
         for seq in range(8):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.config.system import CacheConfig
 from repro.errors import MemorySystemError
@@ -260,7 +260,3 @@ class SetAssociativeCache:
     def contains(self, address: int) -> bool:
         """True when the line containing ``address`` is resident."""
         return self.lookup(address) is not None
-
-    def set_occupancies(self) -> List[Tuple[int, int]]:
-        """Per-set ``(index, lines)`` occupancy, for diagnostics and tests."""
-        return sorted((index, len(lines)) for index, lines in self._sets.items())

@@ -28,18 +28,6 @@ class DirectoryEntry:
     owner: Optional[int] = None
     sharers: Set[int] = field(default_factory=set)
 
-    @property
-    def cached_anywhere(self) -> bool:
-        """True when some private hierarchy holds the line."""
-        return self.owner is not None or bool(self.sharers)
-
-    def holders(self) -> Set[int]:
-        """All cores holding the line (owner plus sharers)."""
-        holders = set(self.sharers)
-        if self.owner is not None:
-            holders.add(self.owner)
-        return holders
-
 
 class Directory:
     """Line-granularity MOSI directory."""
@@ -71,11 +59,6 @@ class Directory:
         """Core currently owning the line (M or O state), or ``None``."""
         entry = self.peek(address)
         return entry.owner if entry is not None else None
-
-    def sharers_of(self, address: int) -> Set[int]:
-        """Cores sharing the line (excluding the owner)."""
-        entry = self.peek(address)
-        return set(entry.sharers) if entry is not None else set()
 
     # ------------------------------------------------------------------ #
     # Coherent transitions
@@ -120,20 +103,6 @@ class Directory:
         if entry.owner == core_id:
             entry.owner = None
         entry.sharers.discard(core_id)
-
-    def drop_core(self, core_id: int) -> int:
-        """Remove ``core_id`` from every entry (used when flushing a core).
-
-        Returns the number of entries that referenced the core.
-        """
-        touched = 0
-        for entry in self._entries.values():
-            if entry.owner == core_id or core_id in entry.sharers:
-                touched += 1
-            if entry.owner == core_id:
-                entry.owner = None
-            entry.sharers.discard(core_id)
-        return touched
 
     def snapshot(self) -> tuple:
         """A packed, immutable copy of every entry (see :meth:`restore`)."""

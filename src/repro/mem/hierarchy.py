@@ -244,14 +244,15 @@ class MemoryHierarchy:
         of a line; because the L3 is exclusive with the L2s, a line held only
         by sharers is *not* in the L3 and must be forwarded from one of them
         (a clean cache-to-cache transfer).  The owner is preferred when there
-        is one (dirty cache-to-cache transfer), then the lowest-numbered
-        sharer.  Sorting only matters with two or more sharers.
+        is one (dirty cache-to-cache transfer).  Which sharer forwards is not
+        observable -- callers read only whether there is a holder, and the
+        downgrade applies to an owner alone -- so the sharers are tried in
+        set order; ``access_reference`` tries the lowest-numbered first.
         """
         owner = entry.owner
         if owner is not None and owner != requester and line_addr in self.l2[owner]._lines:
             return owner
-        sharers = entry.sharers
-        for sharer in sharers if len(sharers) < 2 else sorted(sharers):
+        for sharer in entry.sharers:
             if sharer != requester and line_addr in self.l2[sharer]._lines:
                 return sharer
         return None
@@ -841,24 +842,6 @@ class MemoryHierarchy:
             interconnect._window_offchip_bytes,
             interconnect._window_capacity,
         ) = window
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers
-    # ------------------------------------------------------------------ #
-
-    def l2_for(self, core_id: int) -> SetAssociativeCache:
-        """The private L2 of ``core_id``."""
-        self._check_core(core_id)
-        return self.l2[core_id]
-
-    def l1d_for(self, core_id: int) -> SetAssociativeCache:
-        """The private L1 data cache of ``core_id``."""
-        self._check_core(core_id)
-        return self.l1d[core_id]
-
-    def c2c_transfer_count(self) -> int:
-        """Total dirty cache-to-cache transfers observed so far."""
-        return int(self.stats.get("c2c_transfers"))
 
     def merged_stats(self) -> StatSet:
         """Hierarchy-wide statistics including interconnect and DRAM counters."""

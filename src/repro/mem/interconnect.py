@@ -52,11 +52,6 @@ class Interconnect:
         """Average latency of one interconnect hop."""
         return self.config.hop_latency
 
-    def l3_access_latency(self, l3_hit_latency: int) -> int:
-        """Latency of a 2-hop shared-L3 access (the L3 latency already
-        includes the average round trip in the paper's configuration)."""
-        return l3_hit_latency
-
     def cache_to_cache_latency(self, l3_hit_latency: int, l2_hit_latency: int) -> int:
         """Latency of a 3-hop dirty cache-to-cache transfer.
 

@@ -14,9 +14,10 @@ either in parallel with or serially before the L2 access:
 * a **miss** fetches the PAT block through the ordinary cacheable hierarchy
   and then repeats the check.
 
-The PAB is not consulted in reliable (DMR) mode.  It is kept coherent with
-TLB demap operations: when the TLB drops a translation it forwards the
-physical page to the PAB, which invalidates the covering entry.
+The PAB is not consulted in reliable (DMR) mode.  The paper keeps it
+coherent with TLB demaps and PAT updates; a simulated machine never demaps a
+translation or changes a PAT bit once it is built, so no invalidation is
+modelled.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.stats import StatSet
 from repro.config.system import PabConfig, PabLookupMode
 from repro.errors import ProtectionError
 from repro.mem.hierarchy import MemoryHierarchy
@@ -75,7 +75,6 @@ class ProtectionAssistanceBuffer:
         self.hierarchy = hierarchy
         self._entries: Dict[int, _PabEntry] = {}
         self._touch = 0
-        self.stats = StatSet()
 
     # ------------------------------------------------------------------ #
     # Geometry helpers
@@ -110,7 +109,6 @@ class ProtectionAssistanceBuffer:
             return
         victim = min(self._entries.values(), key=lambda entry: entry.last_touch)
         del self._entries[victim.block_index]
-        self.stats.add("evictions")
 
     def _fill(self, block_index: int) -> tuple[_PabEntry, int]:
         """Fetch a PAT block through the cache hierarchy; return (entry, latency)."""
@@ -129,7 +127,6 @@ class ProtectionAssistanceBuffer:
             last_touch=self._touch,
         )
         self._entries[block_index] = entry
-        self.stats.add("fills")
         return entry, latency
 
     def check_store(self, physical_address: int) -> PabCheckResult:
@@ -143,7 +140,6 @@ class ProtectionAssistanceBuffer:
         if physical_page >= self.pat.num_pages:
             # An address outside the installed physical memory can only be the
             # product of a fault; treat it as a violation.
-            self.stats.add("out_of_range_stores")
             return PabCheckResult(
                 allowed=False,
                 hit=False,
@@ -156,17 +152,13 @@ class ProtectionAssistanceBuffer:
         hit = entry is not None
         fill_latency = 0
         if entry is None:
-            self.stats.add("misses")
             entry, fill_latency = self._fill(block_index)
         else:
             self._touch += 1
             entry.last_touch = self._touch
-            self.stats.add("hits")
 
         bit = (entry.reliable_bits >> (physical_page % self.pages_per_entry)) & 1
         allowed = bit == 0
-        if not allowed:
-            self.stats.add("violations_blocked")
 
         serialized = self.config.lookup_mode is PabLookupMode.SERIAL
         lookup_latency = self.config.serial_lookup_latency if serialized else 0
@@ -177,30 +169,6 @@ class ProtectionAssistanceBuffer:
             physical_page=physical_page,
             serialized=serialized or fill_latency > 0,
         )
-
-    # ------------------------------------------------------------------ #
-    # Coherence with the TLB and the PAT
-    # ------------------------------------------------------------------ #
-
-    def on_tlb_demap(self, physical_page: int) -> bool:
-        """Invalidate the entry covering ``physical_page`` (TLB demap hook)."""
-        block_index = self._block_of(physical_page)
-        if block_index in self._entries:
-            del self._entries[block_index]
-            self.stats.add("demap_invalidations")
-            return True
-        return False
-
-    def on_pat_update(self, physical_page: int) -> bool:
-        """Invalidate the entry covering a page whose PAT bit changed."""
-        return self.on_tlb_demap(physical_page)
-
-    def invalidate_all(self) -> int:
-        """Drop every cached entry; returns the number dropped."""
-        count = len(self._entries)
-        self._entries.clear()
-        self.stats.add("full_invalidations")
-        return count
 
     @property
     def occupancy(self) -> int:

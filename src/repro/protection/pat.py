@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterator, Set
 
 from repro.common.addresses import DEFAULT_PAGE_SIZE, Region
-from repro.common.stats import StatSet
 from repro.errors import ProtectionError
 
 
@@ -38,7 +37,6 @@ class ProtectionAssistanceTable:
         #: Region of physical memory where the PAT itself is stored; PAB
         #: misses fetch their entries from here through the cache hierarchy.
         self.backing_region = backing_region
-        self.stats = StatSet()
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -75,13 +73,6 @@ class ProtectionAssistanceTable:
         """Set the PAT bit: only reliable-mode software may write the page."""
         self._check_page(physical_page)
         self._reliable_pages.add(physical_page)
-        self.stats.add("pages_marked_reliable")
-
-    def mark_open_page(self, physical_page: int) -> None:
-        """Clear the PAT bit: the page may be written by any software."""
-        self._check_page(physical_page)
-        self._reliable_pages.discard(physical_page)
-        self.stats.add("pages_marked_open")
 
     def mark_reliable_region(self, region: Region) -> int:
         """Mark every page of ``region`` reliable-only; return the page count."""
@@ -89,14 +80,6 @@ class ProtectionAssistanceTable:
         last = (region.end - 1) // self.page_size
         for page in range(first, last + 1):
             self.mark_reliable_page(page)
-        return last - first + 1
-
-    def mark_open_region(self, region: Region) -> int:
-        """Mark every page of ``region`` writable by any software."""
-        first = region.base // self.page_size
-        last = (region.end - 1) // self.page_size
-        for page in range(first, last + 1):
-            self.mark_open_page(page)
         return last - first + 1
 
     # ------------------------------------------------------------------ #

@@ -148,6 +148,14 @@ class Simulator:
             timeslice,
             options.quantum_cycles if options.quantum_cycles is not None else timeslice,
         )
+        if self._quantum <= options.minimum_quantum_cycles:
+            # At or below the floor, fine-grained switching never runs a
+            # PERFORMANCE_USER_ONLY VCPU and a boundary transition costs no
+            # cycles, so a quantum this short cannot be simulated.
+            raise SimulationError(
+                f"a {self._quantum}-cycle quantum is not longer than the "
+                f"{options.minimum_quantum_cycles}-cycle quantum floor"
+            )
         self.gang = GangScheduler(
             vm_ids=[vm.vm_id for vm in machine.active_vms],
             timeslice_cycles=timeslice,

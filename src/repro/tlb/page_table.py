@@ -99,18 +99,6 @@ class PageTable:
             self.map_page(page, flags, domain)
         return last - first + 1
 
-    def unmap_page(self, virtual_page: int) -> Optional[PageTableEntry]:
-        """Remove the mapping for ``virtual_page`` (returns the old entry)."""
-        return self._entries.pop(virtual_page, None)
-
-    def update_flags(self, virtual_page: int, flags: PageFlags) -> PageTableEntry:
-        """Replace the flags of an existing mapping."""
-        entry = self._entries.get(virtual_page)
-        if entry is None:
-            raise ProtectionError(f"page {virtual_page:#x} is not mapped")
-        entry.flags = flags
-        return entry
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #

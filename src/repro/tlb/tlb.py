@@ -5,15 +5,16 @@ Wells & Sohi) so that TLB refills do not inflate the number of serialising
 instructions.  The reproduction does the same: a TLB miss costs a fixed
 hardware-walk latency and never traps to software.
 
-The TLB is also one of the fault-injection targets: a bit flip in a cached
-entry can change the physical page or the permission bits, which is precisely
-the failure mode the PAB is designed to catch for performance-mode cores.
+A fault in a cached entry can change the physical page or the permission
+bits, which is precisely the failure mode the PAB is designed to catch for
+performance-mode cores; the fault injector models it as a store whose
+physical address is redirected (:mod:`repro.faults.injector`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.config.system import TlbConfig
 from repro.errors import ProtectionError
@@ -54,21 +55,12 @@ class TranslationResult:
 class TranslationLookasideBuffer:
     """A small fully-associative, hardware-filled TLB."""
 
-    def __init__(
-        self,
-        config: TlbConfig,
-        page_table: PageTable,
-        demap_listener: Optional[Callable[[int], None]] = None,
-    ) -> None:
+    def __init__(self, config: TlbConfig, page_table: PageTable) -> None:
         config.validate()
         self.config = config
         self.page_table = page_table
         self._entries: Dict[int, TlbEntry] = {}
         self._touch = 0
-        # Called with the physical page on each demap: the machine passes
-        # its PAB's hook, so a demap invalidates the PAB entry (Section
-        # 3.4.1: the PAB is kept coherent during a TLB demap operation).
-        self._demap_listener = demap_listener
         self._page_size = page_table.page_size
         self._fill_latency = config.fill_latency
         # Page sizes are powers of two in every configuration, which turns
@@ -170,59 +162,6 @@ class TranslationLookasideBuffer:
             latency=latency,
             permitted=permitted,
         )
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def demap(self, virtual_page: int) -> bool:
-        """Remove one translation; notifies the PAB via the demap listener."""
-        entry = self._entries.pop(virtual_page, None)
-        if entry is None:
-            return False
-        if self._demap_listener is not None:
-            self._demap_listener(entry.physical_page)
-        return True
-
-    def flush(self) -> int:
-        """Drop every cached translation; returns the number dropped."""
-        count = len(self._entries)
-        if self._demap_listener is not None:
-            for entry in list(self._entries.values()):
-                self._demap_listener(entry.physical_page)
-        self._entries.clear()
-        return count
-
-    # ------------------------------------------------------------------ #
-    # Fault-injection hooks
-    # ------------------------------------------------------------------ #
-
-    def resident_entries(self) -> List[TlbEntry]:
-        """Every cached entry (fault injection picks a victim from these)."""
-        return list(self._entries.values())
-
-    def corrupt_entry(
-        self,
-        virtual_page: int,
-        new_physical_page: Optional[int] = None,
-        grant_user_write: bool = False,
-    ) -> TlbEntry:
-        """Model a hardware fault in the TLB array.
-
-        Either redirects the translation to a different physical page or
-        erroneously grants user write permission -- the two corruptions the
-        paper's protection discussion singles out.
-        """
-        entry = self._entries.get(virtual_page)
-        if entry is None:
-            raise ProtectionError(f"cannot corrupt non-resident page {virtual_page:#x}")
-        if new_physical_page is not None:
-            entry.physical_page = new_physical_page
-        if grant_user_write:
-            entry.flags = entry.flags | PageFlags.USER_WRITE
-            if entry.flags & PageFlags.PRIVILEGED_ONLY:
-                entry.flags = entry.flags & ~PageFlags.PRIVILEGED_ONLY
-        return entry
 
     @property
     def occupancy(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.stats import StatSet
 from repro.config.system import VirtualizationConfig
 from repro.errors import TransitionError
 from repro.mem.hierarchy import MemoryHierarchy
@@ -51,7 +50,6 @@ class VcpuStateTransferEngine:
         self.config = config
         self.overlap_factor = overlap_factor
         self.per_line_beat = per_line_beat
-        self.stats = StatSet()
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -78,9 +76,6 @@ class VcpuStateTransferEngine:
         cycles = int(round(total_latency / self.overlap_factor)) + int(
             round(len(addresses) * self.per_line_beat)
         )
-        self.stats.add("transfers")
-        self.stats.add("lines_moved", len(addresses))
-        self.stats.add("transfer_cycles", cycles)
         return TransferResult(cycles=cycles, lines=len(addresses), total_latency=total_latency)
 
     # ------------------------------------------------------------------ #
@@ -130,7 +125,6 @@ class VcpuStateTransferEngine:
         """Move a VCPU between cores (save on one core, load on the other)."""
         save = self.save_state(from_core, vcpu_id)
         load = self.load_state(to_core, vcpu_id)
-        self.stats.add("migrations")
         return TransferResult(
             cycles=save.cycles + load.cycles,
             lines=save.lines + load.lines,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cpu.core import PhysicalCore
 from repro.cpu.timing import CoreAssignment
 from repro.errors import SchedulingError
 
@@ -94,15 +93,15 @@ class CoreAllocator:
     the failure at the next quantum.
     """
 
-    def __init__(self, cores: Sequence[PhysicalCore]) -> None:
-        self.cores = list(cores)
+    def __init__(self, num_cores: int) -> None:
+        self._num_cores = num_cores
         self._retired: Set[int] = set()
-        self._free: List[int] = [core.core_id for core in self.cores]
+        self._free: List[int] = list(range(num_cores))
 
     @property
     def num_cores(self) -> int:
         """Total physical cores managed by the allocator."""
-        return len(self.cores)
+        return self._num_cores
 
     @property
     def free_count(self) -> int:
@@ -117,11 +116,11 @@ class CoreAllocator:
     @property
     def num_healthy_cores(self) -> int:
         """Cores that are not retired (the machine's current capacity)."""
-        return len(self.cores) - len(self._retired)
+        return self._num_cores - len(self._retired)
 
     def retire(self, core_id: int) -> None:
         """Permanently remove one core from the pool (a core failure)."""
-        if not 0 <= core_id < len(self.cores):
+        if not 0 <= core_id < self._num_cores:
             raise SchedulingError(f"cannot retire core {core_id}: no such core")
         if core_id in self._retired:
             raise SchedulingError(f"core {core_id} is already retired")
@@ -137,11 +136,8 @@ class CoreAllocator:
 
     def reset(self) -> None:
         """Return every healthy core to the free pool (start of a quantum)."""
-        for core in self.cores:
-            if not core.is_idle:
-                core.release()
         self._free = [
-            core.core_id for core in self.cores if core.core_id not in self._retired
+            core_id for core_id in range(self._num_cores) if core_id not in self._retired
         ]
 
     def allocate_single(self) -> Optional[int]:

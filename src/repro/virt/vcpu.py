@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Optional
 
-from repro.common.stats import StatSet
 from repro.errors import SchedulingError
 from repro.isa.instructions import PrivilegeLevel
 from repro.isa.registers import ArchitecturalState
@@ -46,8 +45,6 @@ class VirtualCPU:
     workload: SyntheticWorkload
     mode_register: ReliabilityMode = ReliabilityMode.RELIABLE
     arch_state: ArchitecturalState = field(default_factory=ArchitecturalState)
-    paused: bool = False
-    stats: StatSet = field(default_factory=StatSet)
 
     # Accumulated results (read by the simulation results module).
     committed_instructions: int = 0
@@ -66,7 +63,6 @@ class VirtualCPU:
                 "the reliability-mode register is writable only by privileged software"
             )
         self.mode_register = mode
-        self.stats.add("mode_register_writes")
 
     def requires_dmr(self, privilege: Optional[PrivilegeLevel] = None) -> bool:
         """Whether the VCPU must execute redundantly right now.
@@ -95,18 +91,3 @@ class VirtualCPU:
         """Accumulate the cost of one mode transition charged to this VCPU."""
         self.mode_switches += 1
         self.mode_switch_cycles += cycles
-
-    def pause(self) -> None:
-        """Mark the VCPU paused (no core pair available this quantum)."""
-        self.paused = True
-        self.stats.add("pauses")
-
-    def resume(self) -> None:
-        """Mark the VCPU runnable again."""
-        self.paused = False
-
-    def user_ipc(self, total_cycles: int) -> float:
-        """User instructions per cycle over ``total_cycles`` machine cycles."""
-        if total_cycles <= 0:
-            return 0.0
-        return self.committed_user_instructions / total_cycles

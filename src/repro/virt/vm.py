@@ -44,35 +44,6 @@ class GuestVM:
         self.vcpus.append(vcpu)
 
     @property
-    def num_vcpus(self) -> int:
-        """Number of VCPUs exposed by this VM."""
-        return len(self.vcpus)
-
-    @property
     def is_reliable(self) -> bool:
         """True when the VM requires DMR for all of its execution."""
         return self.reliability is ReliabilityMode.RELIABLE
-
-    def committed_user_instructions(self) -> int:
-        """Total user instructions committed by this VM's VCPUs."""
-        return sum(vcpu.committed_user_instructions for vcpu in self.vcpus)
-
-    def committed_instructions(self) -> int:
-        """Total instructions committed by this VM's VCPUs."""
-        return sum(vcpu.committed_instructions for vcpu in self.vcpus)
-
-    def per_vcpu_user_ipc(self, total_cycles: int) -> List[float]:
-        """User IPC of each VCPU over the whole simulation."""
-        return [vcpu.user_ipc(total_cycles) for vcpu in self.vcpus]
-
-    def average_user_ipc(self, total_cycles: int) -> float:
-        """Average per-VCPU user IPC (the paper's per-thread metric)."""
-        if not self.vcpus or total_cycles <= 0:
-            return 0.0
-        return sum(self.per_vcpu_user_ipc(total_cycles)) / len(self.vcpus)
-
-    def throughput(self, total_cycles: int) -> float:
-        """Aggregate user instructions per cycle across all VCPUs."""
-        if total_cycles <= 0:
-            return 0.0
-        return self.committed_user_instructions() / total_cycles

@@ -71,11 +71,71 @@ def test_list_workloads_prints_all_six(capsys):
         assert name in out
 
 
-def test_run_consolidated_server_summary(capsys):
+_RUN_HEADER = (
+    "guest VM     VCPUs  per-thread user IPC  throughput  mode switches\n"
+    "-----------  -----  -------------------  ----------  -------------\n"
+)
+
+#: The exact summary ``repro run`` prints for each mapping policy (and the
+#: single-OS desktop) at the small settings below.  ``repro run`` builds its
+#: machine through ``MixedModeMulticore``, a path no committed baseline
+#: reaches, so these pins are what holds its core allocation, Reunion pairs
+#: and TLB/PAB wiring to their results.
+_PINNED_RUN_SUMMARIES = {
+    "no-dmr": (
+        "policy=no-dmr  cycles=8000\n" + _RUN_HEADER
+        + "reliable     2      0.129                0.258       0\n"
+        "performance  8      0.069                0.549       0\n"
+        "overall throughput: 0.8074 user instructions/cycle\n"
+        "mode transitions:   0\n"
+    ),
+    "dmr-base": (
+        "policy=dmr-base  cycles=8000\n" + _RUN_HEADER
+        + "reliable     2      0.059                0.117       0\n"
+        "performance  8      0.054                0.433       0\n"
+        "overall throughput: 0.5505 user instructions/cycle\n"
+        "mode transitions:   0\n"
+    ),
+    "mmm-ipc": (
+        "policy=mmm-ipc  cycles=8000\n" + _RUN_HEADER
+        + "reliable     2      0.064                0.128       4\n"
+        "performance  8      0.069                0.549       0\n"
+        "overall throughput: 0.6779 user instructions/cycle\n"
+        "mode transitions:   4\n"
+    ),
+    "mmm-tp": (
+        "policy=mmm-tp  cycles=8000\n" + _RUN_HEADER
+        + "reliable     2      0.056                0.113       4\n"
+        "performance  16     0.064                1.016       0\n"
+        "overall throughput: 1.1287 user instructions/cycle\n"
+        "mode transitions:   4\n"
+    ),
+    "mmm-adaptive": (
+        "policy=mmm-adaptive  cycles=8000\n" + _RUN_HEADER
+        + "reliable     2      0.059                0.118       4\n"
+        "performance  8      0.069                0.549       0\n"
+        "overall throughput: 0.6679 user instructions/cycle\n"
+        "mode transitions:   4\n"
+    ),
+    "single-os": (
+        "policy=mmm-ipc  cycles=8000\n"
+        "guest VM         VCPUs  per-thread user IPC  throughput  mode switches\n"
+        "---------------  -----  -------------------  ----------  -------------\n"
+        "reliable-app     2      0.070                0.141       4\n"
+        "performance-app  2      0.040                0.080       5\n"
+        "overall throughput: 0.2210 user instructions/cycle\n"
+        "mode transitions:   9\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("system", list(_PINNED_RUN_SUMMARIES))
+def test_run_consolidated_server_summary(capsys, system):
+    selector = ["--single-os"] if system == "single-os" else ["--policy", system]
     exit_code = main(
         [
             "run",
-            "--policy", "mmm-tp",
+            *selector,
             "--reliable", "oltp",
             "--performance", "apache",
             "--reliable-vcpus", "2",
@@ -87,10 +147,11 @@ def test_run_consolidated_server_summary(capsys):
         ]
     )
     assert exit_code == 0
-    out = capsys.readouterr().out
-    assert "reliable" in out and "performance" in out
-    assert "overall throughput" in out
-    assert "silent corruptions: 0" in out
+    assert capsys.readouterr().out == (
+        _PINNED_RUN_SUMMARIES[system]
+        + "protection events:  none\n"
+        + "silent corruptions: 0\n"
+    )
 
 
 def test_run_single_os_desktop(capsys):
@@ -455,6 +516,11 @@ def test_out_of_range_numbers_are_refused_at_parse_time(capsys, argv, message):
             ["--phase-scale", "1e308"],
             "oltp: phase scale 1e+308 makes a mean phase longer than 2**53 instructions",
             id="phase-scale-overflowing-a-phase",
+        ),
+        pytest.param(
+            ["--timeslice", "64"],
+            "a 64-cycle quantum is not longer than the 64-cycle quantum floor",
+            id="timeslice-at-the-quantum-floor",
         ),
     ],
 )

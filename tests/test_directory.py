@@ -10,7 +10,7 @@ def test_shared_fetch_records_sharers():
     directory.record_shared_fetch(0x100, core_id=0)
     directory.record_shared_fetch(0x100, core_id=1)
     assert directory.owner_of(0x100) is None
-    assert directory.sharers_of(0x100) == {0, 1}
+    assert directory.peek(0x100).sharers == {0, 1}
 
 
 def test_exclusive_fetch_claims_ownership_and_returns_invalidation_targets():
@@ -20,7 +20,7 @@ def test_exclusive_fetch_claims_ownership_and_returns_invalidation_targets():
     targets = directory.record_exclusive_fetch(0x200, 2)
     assert targets == {0, 1}
     assert directory.owner_of(0x200) == 2
-    assert directory.sharers_of(0x200) == set()
+    assert directory.peek(0x200).sharers == set()
 
 
 def test_exclusive_fetch_by_existing_sharer_excludes_itself():
@@ -36,7 +36,7 @@ def test_downgrade_moves_owner_to_sharers():
     directory.record_exclusive_fetch(0x300, 3)
     directory.record_downgrade(0x300, 3)
     assert directory.owner_of(0x300) is None
-    assert 3 in directory.sharers_of(0x300)
+    assert directory.peek(0x300).sharers == {3}
 
 
 def test_eviction_removes_core():
@@ -46,7 +46,7 @@ def test_eviction_removes_core():
     directory.record_eviction(0x400, 1)
     assert directory.owner_of(0x400) is None
     directory.record_eviction(0x400, 2)
-    assert directory.sharers_of(0x400) == set()
+    assert directory.peek(0x400).sharers == set()
     # Evicting an untracked line is harmless.
     directory.record_eviction(0x9999, 5)
 
@@ -56,28 +56,6 @@ def test_line_granularity_uses_line_address():
     directory.record_shared_fetch(0x1000, 0)
     assert 0 in directory.entry(0x103F).sharers
     assert directory.peek(0x1040) is None
-
-
-def test_drop_core_clears_every_reference():
-    directory = Directory()
-    directory.record_exclusive_fetch(0x500, 0)
-    directory.record_shared_fetch(0x540, 0)
-    directory.record_shared_fetch(0x540, 1)
-    touched = directory.drop_core(0)
-    assert touched == 2
-    assert directory.owner_of(0x500) is None
-    assert directory.sharers_of(0x540) == {1}
-
-
-def test_holders_and_cached_anywhere():
-    directory = Directory()
-    entry = directory.entry(0x600)
-    assert not entry.cached_anywhere
-    directory.record_exclusive_fetch(0x600, 4)
-    directory.record_shared_fetch(0x600, 5)
-    entry = directory.entry(0x600)
-    assert entry.cached_anywhere
-    assert entry.holders() == {4, 5}
 
 
 def test_len_counts_tracked_lines():

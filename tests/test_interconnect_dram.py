@@ -12,10 +12,10 @@ def make_interconnect(**kwargs):
 
 
 def test_cache_to_cache_costs_more_than_l3_hit():
-    interconnect = make_interconnect()
-    l3 = interconnect.l3_access_latency(55)
-    c2c = interconnect.cache_to_cache_latency(55, 12)
-    assert c2c > l3
+    # A 2-hop L3 access costs the L3 latency; the third hop and the remote
+    # L2 come on top.
+    interconnect = make_interconnect(hop_latency=10, cache_to_cache_hops=3)
+    assert interconnect.cache_to_cache_latency(55, 12) == 55 + 10 + 12
 
 
 def test_invalidation_latency():

@@ -31,7 +31,7 @@ class TestMachineBuilder:
         assert machine.num_cores == small_config.num_cores
         assert len(machine.tlbs) == small_config.num_cores
         assert len(machine.pabs) == small_config.num_cores
-        assert len(machine.cores) == small_config.num_cores
+        assert machine.allocator.num_cores == small_config.num_cores
         assert machine.total_vcpus == 3
         assert [vm.name for vm in machine.vms] == ["reliable", "performance"]
 
@@ -115,14 +115,14 @@ class TestFacade:
         names = [vm.name for vm in system.machine.vms]
         assert names == ["reliable", "performance"]
         # MMM-TP exposes one performance VCPU per core by default.
-        assert system.machine.vms[1].num_vcpus == eval_config.num_cores
+        assert len(system.machine.vms[1].vcpus) == eval_config.num_cores
 
     def test_consolidated_server_ipc_policy_uses_half_the_vcpus(self, eval_config):
         system = MixedModeMulticore.consolidated_server(
             config=eval_config, policy="mmm-ipc", reliable_vcpus=2,
             phase_scale=0.003, footprint_scale=0.05,
         )
-        assert system.machine.vms[1].num_vcpus == eval_config.num_cores // 2
+        assert len(system.machine.vms[1].vcpus) == eval_config.num_cores // 2
 
     def test_single_os_desktop_uses_user_only_mode_and_ipc_policy(self, eval_config):
         system = MixedModeMulticore.single_os_desktop(

@@ -61,7 +61,6 @@ def test_redundant_and_primary_copies_use_distinct_slots(engine):
 def test_migrate_combines_save_and_load(engine):
     result = engine.migrate(from_core=0, to_core=1, vcpu_id=5)
     assert result.lines == 74
-    assert engine.stats.get("migrations") == 1
 
 
 def test_overlap_factor_reduces_cycles(small_config):

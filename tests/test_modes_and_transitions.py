@@ -1,47 +1,16 @@
-"""Tests for reliability-mode decisions and the mode-transition engine."""
+"""Tests for the mode-transition engine.
+
+The mode decision itself (which privilege levels run under DMR for each
+reliability register) is pinned by ``tests/test_virt.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.modes import is_mode_transition_boundary, requires_dmr
-from repro.core.transitions import ModeTransitionEngine, TransitionFlavor
+from repro.core.transitions import TransitionFlavor
 from repro.errors import TransitionError
-from repro.isa.instructions import PrivilegeLevel
 from repro.protection.violations import ViolationKind
-from repro.virt.vcpu import ReliabilityMode
-
-
-class TestModeDecisions:
-    def test_hypervisor_always_reliable(self):
-        for mode in ReliabilityMode:
-            assert requires_dmr(mode, PrivilegeLevel.HYPERVISOR)
-
-    def test_reliable_mode_everywhere(self):
-        for privilege in PrivilegeLevel:
-            assert requires_dmr(ReliabilityMode.RELIABLE, privilege)
-
-    def test_performance_mode_only_escalates_for_the_hypervisor(self):
-        assert not requires_dmr(ReliabilityMode.PERFORMANCE, PrivilegeLevel.USER)
-        assert not requires_dmr(ReliabilityMode.PERFORMANCE, PrivilegeLevel.GUEST_OS)
-        assert requires_dmr(ReliabilityMode.PERFORMANCE, PrivilegeLevel.HYPERVISOR)
-
-    def test_user_only_mode_escalates_for_any_privileged_code(self):
-        assert not requires_dmr(ReliabilityMode.PERFORMANCE_USER_ONLY, PrivilegeLevel.USER)
-        assert requires_dmr(ReliabilityMode.PERFORMANCE_USER_ONLY, PrivilegeLevel.GUEST_OS)
-
-    def test_transition_boundary_detection(self):
-        assert is_mode_transition_boundary(
-            ReliabilityMode.PERFORMANCE_USER_ONLY,
-            PrivilegeLevel.USER,
-            PrivilegeLevel.GUEST_OS,
-        )
-        assert not is_mode_transition_boundary(
-            ReliabilityMode.RELIABLE, PrivilegeLevel.USER, PrivilegeLevel.GUEST_OS
-        )
-        assert not is_mode_transition_boundary(
-            ReliabilityMode.PERFORMANCE, PrivilegeLevel.USER, PrivilegeLevel.GUEST_OS
-        )
 
 
 @pytest.fixture

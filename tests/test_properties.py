@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +48,9 @@ class TestCacheProperties:
             if cache.touch(address) is None:
                 cache.insert(address)
         assert cache.occupancy <= cache.capacity_lines
-        for _, occupancy in cache.set_occupancies():
-            assert occupancy <= cache.config.associativity
+        line_bytes, num_sets = cache.config.line_bytes, cache.config.num_sets
+        per_set = Counter(line.line_addr // line_bytes % num_sets for line in cache.lines())
+        assert max(per_set.values()) <= cache.config.associativity
         # Everything resident is found by lookup at its line address.
         for line in cache.lines():
             assert cache.lookup(line.line_addr) is line
@@ -96,23 +99,15 @@ class TestDirectoryProperties:
 
 class TestPatProperties:
     @_SETTINGS
-    @given(
-        marks=st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=255)), max_size=200
-        )
-    )
+    @given(marks=st.lists(st.integers(min_value=0, max_value=255), max_size=200))
     def test_pat_reflects_the_last_marking_of_each_page(self, marks):
+        """A page is reliable-only once marked, however often; others stay open."""
         pat = ProtectionAssistanceTable(physical_memory_bytes=256 * 8192)
-        expected = {}
-        for reliable, page in marks:
-            if reliable:
-                pat.mark_reliable_page(page)
-            else:
-                pat.mark_open_page(page)
-            expected[page] = reliable
-        for page, reliable in expected.items():
-            assert pat.is_reliable_only(page) == reliable
-        assert pat.reliable_page_count == sum(expected.values())
+        for page in marks:
+            pat.mark_reliable_page(page)
+        for page in range(256):
+            assert pat.is_reliable_only(page) == (page in marks)
+        assert pat.reliable_page_count == len(set(marks))
 
 
 class TestFingerprintProperties:

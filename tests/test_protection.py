@@ -30,16 +30,13 @@ class TestPat:
         pat.mark_reliable_page(5)
         assert pat.is_reliable_only(5)
         assert pat.is_reliable_only_address(5 * PAGE + 100)
-        pat.mark_open_page(5)
-        assert not pat.is_reliable_only(5)
+        assert not pat.is_reliable_only(6)
 
     def test_mark_region(self, pat):
         count = pat.mark_reliable_region(Region("r", 10 * PAGE, 4 * PAGE))
         assert count == 4
         assert list(pat.reliable_pages()) == [10, 11, 12, 13]
         assert pat.reliable_page_count == 4
-        pat.mark_open_region(Region("r", 10 * PAGE, 2 * PAGE))
-        assert list(pat.reliable_pages()) == [12, 13]
 
     def test_out_of_range_page_rejected(self, pat):
         with pytest.raises(ProtectionError):
@@ -73,7 +70,6 @@ class TestPab:
         blocked = pab.check_store(7 * PAGE + 64)
         assert allowed.allowed
         assert not blocked.allowed
-        assert pab.stats.get("violations_blocked") == 1
 
     def test_parallel_hits_add_no_latency_serial_adds_two_cycles(self, pat):
         parallel = self.make_pab(pat, PabLookupMode.PARALLEL)
@@ -97,40 +93,34 @@ class TestPab:
         result = pab.check_store(10**12)
         assert not result.allowed
 
+    @staticmethod
+    def six_block_pat():
+        """A PAT covering six PAB blocks' worth of pages (512 pages per block)."""
+        return ProtectionAssistanceTable(physical_memory_bytes=6 * 512 * PAGE, page_size=PAGE)
+
     def test_lru_eviction_of_entries(self):
-        # A PAT covering six PAB blocks' worth of pages (512 pages per block).
-        big_pat = ProtectionAssistanceTable(
-            physical_memory_bytes=6 * 512 * PAGE, page_size=PAGE
-        )
-        pab = self.make_pab(big_pat)
-        pages_per_entry = pab.pages_per_entry
+        pab = self.make_pab(self.six_block_pat())
+        block_bytes = pab.pages_per_entry * PAGE
         for block in range(6):
-            pab.check_store(block * pages_per_entry * PAGE)
+            pab.check_store(block * block_bytes)
         assert pab.occupancy == 4
-        assert pab.stats.get("evictions") == 2
+        # The two least recently used blocks went.
+        assert [pab.check_store(block * block_bytes).hit for block in (2, 3, 4, 5)] == [
+            True, True, True, True
+        ]
+        assert not pab.check_store(0).hit
 
-    def test_demap_invalidates_covering_entry(self, pat):
+    def test_stale_entry_reflects_old_permissions_until_invalidated(self):
+        """The PAB is a cache: a PAT update shows once the stale entry is evicted."""
+        pat = self.six_block_pat()
         pab = self.make_pab(pat)
-        pab.check_store(0)
-        assert pab.on_tlb_demap(0) is True
-        assert pab.on_tlb_demap(0) is False
-        assert pab.occupancy == 0
-
-    def test_pat_update_invalidation_and_full_invalidate(self, pat):
-        pab = self.make_pab(pat)
-        pab.check_store(0)
-        assert pab.on_pat_update(1) is True
-        pab.check_store(0)
-        assert pab.invalidate_all() == 1
-
-    def test_stale_entry_reflects_old_permissions_until_invalidated(self, pat):
-        """The PAB is a cache: system software must invalidate it on PAT updates."""
-        pab = self.make_pab(pat)
+        block_bytes = pab.pages_per_entry * PAGE
         assert pab.check_store(9 * PAGE).allowed
         pat.mark_reliable_page(9)
         assert pab.check_store(9 * PAGE).allowed          # stale
-        pab.on_pat_update(9)
-        assert not pab.check_store(9 * PAGE).allowed      # refreshed
+        for block in range(1, 5):
+            pab.check_store(block * block_bytes)
+        assert not pab.check_store(9 * PAGE).allowed      # refetched
 
     def test_page_size_mismatch_rejected(self, pat):
         with pytest.raises(ProtectionError):

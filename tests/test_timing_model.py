@@ -35,8 +35,7 @@ def build_stack(config, mark_reliable=False):
         for core_id in range(config.num_cores)
     ]
     tlbs = [
-        TranslationLookasideBuffer(config.tlb, page_table, pabs[core].on_tlb_demap)
-        for core in range(config.num_cores)
+        TranslationLookasideBuffer(config.tlb, page_table) for _ in range(config.num_cores)
     ]
     log = ViolationLog()
     model = CoreTimingModel(
@@ -54,11 +53,9 @@ def make_workload(layout, name="oltp", seed=5, phase_scale=0.003):
 
 def run(model, workload, mode, budget=3000, **kwargs):
     if mode is ExecutionMode.DMR:
-        from repro.config.system import InterconnectConfig
-        from repro.dmr.fingerprint_network import FingerprintNetwork
         from repro.dmr.reunion import ReunionPair
 
-        pair = ReunionPair(0, 1, model.config.reunion, FingerprintNetwork(model.config.interconnect))
+        pair = ReunionPair(0, 1, model.config.reunion)
         assignment = CoreAssignment(mode=mode, primary_core=0, secondary_core=1, reunion_pair=pair)
     else:
         assignment = CoreAssignment(mode=mode, primary_core=0)
@@ -127,7 +124,7 @@ class TestDmrExecution:
     def test_dmr_populates_mute_cache_incoherently(self, small_config):
         layout, model, _ = build_stack(small_config)
         run(model, make_workload(layout), ExecutionMode.DMR, budget=4000)
-        mute_lines = model.hierarchy.l2_for(1).resident_lines()
+        mute_lines = model.hierarchy.l2[1].resident_lines()
         assert mute_lines
         assert any(not line.coherent for line in mute_lines)
 

@@ -48,14 +48,6 @@ class TestPageTable:
         assert len(reliable) == 8
         assert min(reliable) == 32
 
-    def test_update_flags_and_unmap(self, page_table):
-        page_table.update_flags(0, PageFlags.USER_READ)
-        assert not page_table.lookup_page(0).user_writable
-        assert page_table.unmap_page(0) is not None
-        assert page_table.lookup_page(0) is None
-        with pytest.raises(ProtectionError):
-            page_table.update_flags(0, PageFlags.USER_READ)
-
     def test_invalid_page_size_rejected(self):
         with pytest.raises(ProtectionError):
             PageTable(page_size=3000)
@@ -72,7 +64,7 @@ class TestTlb:
         assert second.physical_address == 0x100
 
     def test_permission_check_blocks_user_store_to_readonly_page(self, page_table):
-        page_table.update_flags(5, PageFlags.USER_READ)
+        page_table.map_page(5, PageFlags.USER_READ, domain=0)
         tlb = TranslationLookasideBuffer(TlbConfig(entries=8), page_table)
         result = tlb.translate(5 * 8192, is_store=True, privileged=False)
         assert not result.permitted
@@ -90,46 +82,13 @@ class TestTlb:
             tlb.translate(page * 8192, is_store=False, privileged=False)
         assert tlb.occupancy == 8
         # The two least recently used pages went.
-        resident = sorted(entry.virtual_page for entry in tlb.resident_entries())
-        assert resident == list(range(2, 10))
+        hits = [
+            tlb.translate(page * 8192, is_store=False, privileged=False).hit
+            for page in range(2, 10)
+        ]
+        assert hits == [True] * 8
+        assert not tlb.translate(0, is_store=False, privileged=False).hit
 
     def test_fill_of_unmapped_page_raises(self, tlb):
         with pytest.raises(ProtectionError):
             tlb.translate(500 * 8192, is_store=False, privileged=False)
-
-    def test_demap_notifies_listener(self, page_table):
-        demapped = []
-        tlb = TranslationLookasideBuffer(
-            TlbConfig(entries=8), page_table, demap_listener=demapped.append
-        )
-        tlb.translate(2 * 8192, is_store=False, privileged=False)
-        assert tlb.demap(2) is True
-        assert demapped == [2]
-        assert tlb.demap(2) is False
-
-    def test_flush_notifies_listener_for_every_entry(self, page_table):
-        demapped = []
-        tlb = TranslationLookasideBuffer(
-            TlbConfig(entries=8), page_table, demap_listener=demapped.append
-        )
-        for page in range(4):
-            tlb.translate(page * 8192, is_store=False, privileged=False)
-        assert tlb.flush() == 4
-        assert sorted(demapped) == [0, 1, 2, 3]
-        assert tlb.occupancy == 0
-
-    def test_corrupt_entry_redirects_translation(self, tlb):
-        tlb.translate(1 * 8192, is_store=False, privileged=False)
-        tlb.corrupt_entry(1, new_physical_page=40)
-        corrupted = tlb.translate(1 * 8192 + 8, is_store=False, privileged=False)
-        assert corrupted.physical_address == 40 * 8192 + 8
-
-    def test_corrupt_entry_grants_user_write(self, tlb):
-        tlb.translate(33 * 8192, is_store=True, privileged=True)
-        tlb.corrupt_entry(33, grant_user_write=True)
-        result = tlb.translate(33 * 8192, is_store=True, privileged=False)
-        assert result.permitted  # the fault defeated the TLB check
-
-    def test_corrupt_nonresident_entry_raises(self, tlb):
-        with pytest.raises(ProtectionError):
-            tlb.corrupt_entry(7)

@@ -98,10 +98,6 @@ class DeterministicRng:
         value = int(math.log(u) / math.log(1.0 - p)) + 1
         return max(1, value)
 
-    def gauss_positive(self, mean: float, stddev: float) -> float:
-        """A normal sample truncated below at a small positive value."""
-        return max(1e-9, self._random.gauss(mean, stddev))
-
     def choice(self, items: Sequence[T]) -> T:
         """Pick one element uniformly."""
         return self._random.choice(items)

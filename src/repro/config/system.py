@@ -238,11 +238,6 @@ class VirtualizationConfig:
     #: Whether the scheduler may expose more VCPUs than core pairs (overcommit).
     allow_overcommit: bool = True
 
-    @property
-    def vcpu_state_lines(self) -> int:
-        """Number of 64-byte lines needed to hold one VCPU's state."""
-        return (self.vcpu_state_bytes + 63) // 64
-
     def validate(self) -> None:
         """Check virtualisation parameters."""
         _require(self.timeslice_cycles > 0, "timeslice must be positive")
@@ -341,10 +336,3 @@ class SystemConfig:
     def with_consistency(self, model: ConsistencyModel) -> "SystemConfig":
         """Return a copy with a different memory consistency model (ablation)."""
         return replace(self, core=replace(self.core, consistency=model))
-
-    def with_timeslice(self, cycles: int) -> "SystemConfig":
-        """Return a copy with a different gang-scheduling timeslice."""
-        return replace(
-            self,
-            virtualization=replace(self.virtualization, timeslice_cycles=cycles),
-        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.config.presets import paper_system_config, small_system_config
+from repro.config.presets import paper_system_config
 from repro.config.system import SystemConfig
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.policies import MappingPolicy
@@ -222,8 +222,3 @@ class MixedModeMulticore:
     def policy_name(self) -> str:
         """Name of the mapping policy in use."""
         return self.machine.policy.name
-
-    @staticmethod
-    def small_test_config() -> SystemConfig:
-        """The scaled-down 4-core configuration used by the test suite."""
-        return small_system_config()

@@ -2,9 +2,9 @@
 
 :class:`CoreTimingModel` executes a slice of one VCPU's synthetic instruction
 stream on a physical core (or on a DMR pair) and returns how many cycles the
-slice consumed, how many instructions were committed, and a detailed stall
-breakdown.  The simulator drives one such call per VCPU per scheduling
-quantum.
+slice consumed, how many user and OS instructions were committed, and why
+the slice stopped.  The simulator drives one such call per VCPU per
+scheduling quantum.
 
 The model charges, per dynamic instruction:
 
@@ -29,11 +29,10 @@ The model charges, per dynamic instruction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
-from repro.common.stats import StatSet
 from repro.config.system import SystemConfig
 from repro.cpu.lsq import LoadStoreQueueModel
 from repro.cpu.parameters import TimingModelParameters
@@ -72,7 +71,6 @@ class StopReason(Enum):
     BUDGET_EXHAUSTED = auto()
     OS_ENTRY = auto()
     OS_EXIT = auto()
-    INSTRUCTION_LIMIT = auto()
 
 
 class FaultHook(Protocol):
@@ -122,22 +120,6 @@ class QuantumResult:
     user_instructions: int
     os_instructions: int
     stop_reason: StopReason
-    stats: StatSet = field(default_factory=StatSet)
-    violations: List[ProtectionViolation] = field(default_factory=list)
-
-    @property
-    def user_ipc(self) -> float:
-        """Committed user instructions per cycle for this quantum."""
-        if self.cycles == 0:
-            return 0.0
-        return self.user_instructions / self.cycles
-
-    @property
-    def total_ipc(self) -> float:
-        """All committed instructions per cycle for this quantum."""
-        if self.cycles == 0:
-            return 0.0
-        return self.instructions / self.cycles
 
 
 class CoreTimingModel:
@@ -201,18 +183,17 @@ class CoreTimingModel:
         vcpu_id: Optional[int],
         address: Optional[int],
         description: str,
-        sink: List[ProtectionViolation],
     ) -> None:
-        violation = ProtectionViolation(
-            kind=kind,
-            cycle=cycle,
-            core_id=core_id,
-            vcpu_id=vcpu_id,
-            physical_address=address,
-            description=description,
+        self.violation_log.record(
+            ProtectionViolation(
+                kind=kind,
+                cycle=cycle,
+                core_id=core_id,
+                vcpu_id=vcpu_id,
+                physical_address=address,
+                description=description,
+            )
         )
-        sink.append(violation)
-        self.violation_log.record(violation)
 
     # ------------------------------------------------------------------ #
     # Quantum execution
@@ -227,7 +208,6 @@ class CoreTimingModel:
         vcpu_id: Optional[int] = None,
         stop_on_os_entry: bool = False,
         stop_on_os_exit: bool = False,
-        max_instructions: Optional[int] = None,
         active_cores: Optional[int] = None,
     ) -> QuantumResult:
         """Run one VCPU until the cycle budget (or a stop condition) is reached.
@@ -240,11 +220,11 @@ class CoreTimingModel:
         instruction tuples from the workload, hoists every per-quantum
         constant (icache cost per privilege level, serialising-instruction
         cost, per-level load exposures, the branch threshold) out of the
-        loop, and accumulates statistics in locals that are flushed into the
-        result's :class:`StatSet` once at the end.  The float operations on
-        the cycle accumulator are performed in exactly the same order as
-        :meth:`run_quantum_reference`, so the two implementations return
-        bit-identical results (guarded by the exact-parity test suite).
+        loop, and mirrors the workload's stream position in locals.  The
+        float operations on the cycle accumulator are performed in exactly
+        the same order as :meth:`run_quantum_reference`, so the two
+        implementations return bit-identical results and leave the machine
+        in the same state (guarded by the exact-parity test suite).
         """
         if cycle_budget <= 0:
             raise SimulationError(f"cycle budget must be positive, got {cycle_budget}")
@@ -324,8 +304,6 @@ class CoreTimingModel:
         wl_seq = wl._seq
         wl_remaining = wl._remaining_in_phase
         wl_in_os = wl._in_os_phase
-        wl_user_emitted = 0
-        wl_os_emitted = 0
         # TLB internals for the inlined translation hit path (misses and
         # non-power-of-two page sizes delegate to translate_raw).
         tlb_entries = tlb._entries
@@ -355,7 +333,6 @@ class CoreTimingModel:
             fp_interval = vocal_unit.interval
             pair_compare = dmr_pair._compare
         check_stops = stop_on_os_entry or stop_on_os_exit
-        limited = max_instructions is not None
 
         USER_LEVEL = PrivilegeLevel.USER
         ALU_CLASS = InstructionClass.ALU
@@ -374,39 +351,10 @@ class CoreTimingModel:
         instructions = 0
         user_instructions = 0
         os_instructions = 0
-        violations: List[ProtectionViolation] = []
         stop_reason = StopReason.BUDGET_EXHAUSTED
-
-        # Local stat accumulators (flushed into a StatSet once at the end).
-        issue_cycles_total = 0
-        dmr_check_total = 0
-        n_branch_penalties = 0
-        branch_penalty_total = 0
-        n_si = 0
-        si_stall_total = 0
-        n_tlb_misses = 0
-        tlb_miss_total = 0
-        n_tlb_denials = 0
-        n_pab_stalls = 0
-        pab_stall_total = 0
-        n_pab_checks = 0
-        n_pab_violations = 0
-        n_c2c = 0
-        n_mute_c2c = 0
-        n_store_accesses = 0
-        store_stall_total = 0
-        n_load_accesses = 0
-        load_stall_total = 0
-        n_recoveries = 0
-        recovery_cycles_total = 0
-        n_corruptions = 0
-        acc_counts = {"l1": 0, "l2": 0, "l3": 0, "c2c": 0, "memory": 0}
 
         try:
           while cycles < cycle_budget:
-            if limited and instructions >= max_instructions:
-                stop_reason = StopReason.INSTRUCTION_LIMIT
-                break
             if wl_remaining <= 0:
                 # Rare phase boundary: delegate to the generator (it samples
                 # the next phase length and emits the SYSCALL instruction)
@@ -454,10 +402,6 @@ class CoreTimingModel:
                     result = wl_grb(17)
                 seq = wl_seq
                 wl_seq = seq + 1
-                if wl_in_os:
-                    wl_os_emitted += 1
-                else:
-                    wl_user_emitted += 1
             instructions += 1
             if privilege is USER_LEVEL:
                 user_instructions += 1
@@ -467,10 +411,8 @@ class CoreTimingModel:
                 os_instructions += 1
                 cycles += issue_cost
                 cycles += icache_os
-            issue_cycles_total += issue_cost
             if dmr:
                 cycles += dmr_check_cost
-                dmr_check_total += dmr_check_cost
 
             if iclass is ALU_CLASS:
                 pass
@@ -502,10 +444,7 @@ class CoreTimingModel:
                             address, is_store_op, privilege is not USER_LEVEL
                         )
                     if t_latency:
-                        exposed_tlb = t_latency * 0.7
-                        cycles += exposed_tlb
-                        tlb_miss_total += exposed_tlb
-                        n_tlb_misses += 1
+                        cycles += t_latency * 0.7
                     if not permitted:
                         # The TLB's own check caught the access (fault-free path).
                         self._record_violation(
@@ -515,9 +454,7 @@ class CoreTimingModel:
                             vcpu_id,
                             physical,
                             "TLB permission check denied a store",
-                            violations,
                         )
-                        n_tlb_denials += 1
                         continue
 
                     if is_store_op and fault_hook is not None:
@@ -533,13 +470,9 @@ class CoreTimingModel:
                             # itself, so its latency is exposed in full;
                             # PAT-fill latency behaves like any other
                             # store-completion latency.
-                            exposed_pab = check_latency * (
+                            cycles += check_latency * (
                                 1.0 if check.serialized else store_exposure
                             )
-                            cycles += exposed_pab
-                            pab_stall_total += exposed_pab
-                            n_pab_stalls += 1
-                        n_pab_checks += 1
                         if not check.allowed:
                             self._record_violation(
                                 ViolationKind.PAB_BLOCKED,
@@ -548,17 +481,11 @@ class CoreTimingModel:
                                 vcpu_id,
                                 physical,
                                 "PAB blocked a store to a reliable-only page",
-                                violations,
                             )
-                            n_pab_violations += 1
                             continue
 
                     if is_store_op:
-                        latency, level, c2c, _offchip, _inv = coherent_store(
-                            core_id, physical
-                        )
-                        if c2c:
-                            n_c2c += 1
+                        latency, level = coherent_store(core_id, physical)
                     else:
                         # Inline of _coherent_load's L1-hit path.
                         line_addr = physical & line_neg_mask
@@ -570,17 +497,9 @@ class CoreTimingModel:
                             latency = l1_hit_latency
                             level = "l1"
                         else:
-                            latency, level, c2c, _offchip, _inv = l1_miss_load(
-                                core_id, line_addr
-                            )
-                            if c2c:
-                                n_c2c += 1
+                            latency, level = l1_miss_load(core_id, line_addr)
                     if dmr_mute:
-                        m_latency, m_level, m_c2c, _mo, _mi = mute_access(
-                            mute_id, physical, is_store_op
-                        )
-                        if m_c2c:
-                            n_mute_c2c += 1
+                        m_latency, m_level = mute_access(mute_id, physical, is_store_op)
                         if m_latency > latency:
                             latency = m_latency
                             level = m_level
@@ -590,35 +509,22 @@ class CoreTimingModel:
                         # the effective latency of off-core accesses.
                         latency = latency * contention
                     if is_store_op:
-                        exposed = latency * store_exposure
-                        store_stall_total += exposed
-                        n_store_accesses += 1
+                        cycles += latency * store_exposure
                     else:
-                        exposed = latency * load_exposures[level] * load_pressure
-                        load_stall_total += exposed
-                        n_load_accesses += 1
-                    cycles += exposed
-                    acc_counts[level] += 1
+                        cycles += latency * load_exposures[level] * load_pressure
             elif iclass is BRANCH_CLASS:
                 # Deterministic pseudo-random misprediction decision derived
                 # from the instruction's synthetic result, reproducible runs.
                 if (result & 0xFF) < branch_threshold and branch_penalty:
                     cycles += branch_penalty
-                    branch_penalty_total += branch_penalty
-                    n_branch_penalties += 1
             elif iclass is not NOP_CLASS:
                 # Serialising classes (SERIALIZING, PRIVILEGED, SYSCALL_*).
                 cycles += si_total
-                n_si += 1
-                si_stall_total += si_total
                 if dmr_pair is not None:
                     # The pair must agree on architected state before the SI.
                     outcome = pair_sync()
                     if outcome is not None and not outcome.matched:
-                        penalty = outcome.penalty_cycles
-                        cycles += penalty
-                        n_recoveries += 1
-                        recovery_cycles_total += penalty
+                        cycles += outcome.penalty_cycles
 
             if dmr_pair is not None:
                 icv = iclass._value_
@@ -642,12 +548,8 @@ class CoreTimingModel:
                         outcome = pair_compare(vocal_unit.flush(), mute_unit.flush())
                     else:
                         outcome = None
-                    n_corruptions += 1
                     if outcome is not None and not outcome.matched:
-                        penalty = outcome.penalty_cycles
-                        cycles += penalty
-                        n_recoveries += 1
-                        recovery_cycles_total += penalty
+                        cycles += outcome.penalty_cycles
                         self._record_violation(
                             ViolationKind.DMR_DETECTED,
                             start_cycle + int(cycles),
@@ -655,7 +557,6 @@ class CoreTimingModel:
                             vcpu_id,
                             address,
                             "fingerprint mismatch detected an injected fault",
-                            violations,
                         )
                 else:
                     token = (
@@ -674,10 +575,7 @@ class CoreTimingModel:
                     else:
                         outcome = None
                     if outcome is not None and not outcome.matched:
-                        penalty = outcome.penalty_cycles
-                        cycles += penalty
-                        n_recoveries += 1
-                        recovery_cycles_total += penalty
+                        cycles += outcome.penalty_cycles
 
             if check_stops:
                 if stop_on_os_entry and iclass is ENTRY_CLASS:
@@ -692,61 +590,13 @@ class CoreTimingModel:
             wl._seq = wl_seq
             wl._remaining_in_phase = wl_remaining
             wl._in_os_phase = wl_in_os
-            if wl_user_emitted:
-                wl.user_instructions_emitted += wl_user_emitted
-            if wl_os_emitted:
-                wl.os_instructions_emitted += wl_os_emitted
 
-        # Flush the local accumulators into a StatSet, creating exactly the
-        # keys the reference implementation's per-instruction adds create.
-        counters: dict = {}
-        if instructions:
-            counters["issue_cycles"] = issue_cycles_total
-            if dmr:
-                counters["dmr_check_cycles"] = dmr_check_total
-        if n_branch_penalties:
-            counters["branch_penalty_cycles"] = branch_penalty_total
-        if n_si:
-            counters["si_count"] = n_si
-            counters["si_stall_cycles"] = si_stall_total
-        if n_tlb_misses:
-            counters["tlb_miss_cycles"] = tlb_miss_total
-        if n_tlb_denials:
-            counters["tlb_denials"] = n_tlb_denials
-        if n_pab_stalls:
-            counters["pab_stall_cycles"] = pab_stall_total
-        if n_pab_checks:
-            counters["pab_checks"] = n_pab_checks
-        if n_pab_violations:
-            counters["pab_violations"] = n_pab_violations
-        if n_c2c:
-            counters["c2c_transfers"] = n_c2c
-        if n_mute_c2c:
-            counters["mute_c2c_transfers"] = n_mute_c2c
-        if n_store_accesses:
-            counters["store_stall_cycles"] = store_stall_total
-        if n_load_accesses:
-            counters["load_stall_cycles"] = load_stall_total
-        for level, count in acc_counts.items():
-            if count:
-                counters[f"accesses.{level}"] = count
-        if n_recoveries:
-            counters["dmr_recoveries"] = n_recoveries
-            counters["dmr_recovery_cycles"] = recovery_cycles_total
-        if n_corruptions:
-            counters["dmr_corruptions_injected"] = n_corruptions
-
-        total_cycles = max(1, int(round(cycles)))
-        counters["cycles"] = total_cycles
-        counters["instructions"] = instructions
         return QuantumResult(
-            cycles=total_cycles,
+            cycles=max(1, int(round(cycles))),
             instructions=instructions,
             user_instructions=user_instructions,
             os_instructions=os_instructions,
             stop_reason=stop_reason,
-            stats=StatSet(counters),
-            violations=violations,
         )
 
     def run_quantum_reference(
@@ -758,15 +608,15 @@ class CoreTimingModel:
         vcpu_id: Optional[int] = None,
         stop_on_os_entry: bool = False,
         stop_on_os_exit: bool = False,
-        max_instructions: Optional[int] = None,
         active_cores: Optional[int] = None,
     ) -> QuantumResult:
         """Reference implementation of :meth:`run_quantum`.
 
-        One straightforward pass over :class:`Instruction` objects with a
-        StatSet update per event.  Kept as the executable specification of
-        the per-instruction cost model: the batched :meth:`run_quantum` must
-        return bit-identical results (``tests/test_hotpath_parity.py``).
+        One straightforward pass over :class:`Instruction` objects, one
+        method call per cost component.  Kept as the executable specification
+        of the per-instruction cost model: the batched :meth:`run_quantum`
+        must return bit-identical results and leave the machine in the same
+        state (``tests/test_hotpath_parity.py``).
         """
         if cycle_budget <= 0:
             raise SimulationError(f"cycle budget must be positive, got {cycle_budget}")
@@ -804,14 +654,9 @@ class CoreTimingModel:
         instructions = 0
         user_instructions = 0
         os_instructions = 0
-        stats = StatSet()
-        violations: List[ProtectionViolation] = []
         stop_reason = StopReason.BUDGET_EXHAUSTED
 
         while cycles < cycle_budget:
-            if max_instructions is not None and instructions >= max_instructions:
-                stop_reason = StopReason.INSTRUCTION_LIMIT
-                break
             instruction = workload.next_instruction()
             instructions += 1
             if instruction.is_user:
@@ -821,30 +666,22 @@ class CoreTimingModel:
 
             cycles += issue_cost
             cycles += self._icache_cost(workload, instruction.privilege)
-            stats.add("issue_cycles", issue_cost)
 
             if dmr:
                 cycles += dmr_check_cost
-                stats.add("dmr_check_cycles", dmr_check_cost)
 
             if instruction.is_branch:
                 penalty = self._branch_cost(instruction)
                 if penalty:
                     cycles += penalty
-                    stats.add("branch_penalty_cycles", penalty)
 
             elif instruction.is_serializing and not instruction.is_memory:
-                cost = self.si_model.cost(dmr)
-                cycles += cost.total
-                stats.add("si_count")
-                stats.add("si_stall_cycles", cost.total)
+                cycles += self.si_model.cost(dmr).total
                 if dmr and pair is not None:
                     # The pair must agree on architected state before the SI.
                     outcome = pair.synchronize()
                     if outcome is not None and not outcome.matched:
                         cycles += outcome.penalty_cycles
-                        stats.add("dmr_recoveries")
-                        stats.add("dmr_recovery_cycles", outcome.penalty_cycles)
 
             elif instruction.is_memory and instruction.address is not None:
                 translation = tlb.translate(
@@ -853,9 +690,7 @@ class CoreTimingModel:
                     privileged=instruction.is_privileged_code,
                 )
                 if translation.latency:
-                    exposed_tlb = translation.latency * 0.7
-                    cycles += exposed_tlb
-                    stats.add("tlb_miss_cycles", exposed_tlb)
+                    cycles += translation.latency * 0.7
                 if not translation.permitted:
                     # The TLB's own check caught the access (fault-free path).
                     self._record_violation(
@@ -865,9 +700,7 @@ class CoreTimingModel:
                         vcpu_id,
                         translation.physical_address,
                         "TLB permission check denied a store",
-                        violations,
                     )
-                    stats.add("tlb_denials")
                     continue
 
                 physical = translation.physical_address
@@ -883,10 +716,7 @@ class CoreTimingModel:
                         # so its latency is exposed in full; PAT-fill latency
                         # behaves like any other store-completion latency.
                         exposure = 1.0 if check.serialized else store_exposure
-                        exposed_pab = check.latency * exposure
-                        cycles += exposed_pab
-                        stats.add("pab_stall_cycles", exposed_pab)
-                    stats.add("pab_checks")
+                        cycles += check.latency * exposure
                     if not check.allowed:
                         self._record_violation(
                             ViolationKind.PAB_BLOCKED,
@@ -895,9 +725,7 @@ class CoreTimingModel:
                             vcpu_id,
                             physical,
                             "PAB blocked a store to a reliable-only page",
-                            violations,
                         )
-                        stats.add("pab_violations")
                         continue
 
                 vocal_access = self.hierarchy.access(
@@ -905,14 +733,10 @@ class CoreTimingModel:
                 )
                 latency = vocal_access.latency
                 level = vocal_access.level
-                if vocal_access.c2c:
-                    stats.add("c2c_transfers")
                 if dmr and mute_id is not None:
                     mute_access = self.hierarchy.access(
                         mute_id, physical, is_store=instruction.is_store, coherent=False
                     )
-                    if mute_access.c2c:
-                        stats.add("mute_c2c_transfers")
                     if mute_access.latency > latency:
                         latency = mute_access.latency
                         level = mute_access.level
@@ -923,22 +747,16 @@ class CoreTimingModel:
                     latency = latency * contention
                 if instruction.is_store:
                     exposed = latency * store_exposure
-                    stats.add("store_stall_cycles", exposed)
                 else:
                     exposure = self.window_model.exposure_for_level(level, dmr)
                     exposed = latency * exposure * load_pressure
-                    stats.add("load_stall_cycles", exposed)
                 cycles += exposed
-                stats.add(f"accesses.{level}")
 
             if dmr and pair is not None and self.fault_hook is not None:
                 if self.fault_hook.corrupt_execution(core_id, assignment.mode):
                     outcome = pair.observe_commit(instruction, mute_corrupted=True)
-                    stats.add("dmr_corruptions_injected")
                     if outcome is not None and not outcome.matched:
                         cycles += outcome.penalty_cycles
-                        stats.add("dmr_recoveries")
-                        stats.add("dmr_recovery_cycles", outcome.penalty_cycles)
                         self._record_violation(
                             ViolationKind.DMR_DETECTED,
                             start_cycle + int(cycles),
@@ -946,20 +764,15 @@ class CoreTimingModel:
                             vcpu_id,
                             instruction.address,
                             "fingerprint mismatch detected an injected fault",
-                            violations,
                         )
                 elif pair is not None:
                     outcome = pair.observe_commit(instruction)
                     if outcome is not None and not outcome.matched:
                         cycles += outcome.penalty_cycles
-                        stats.add("dmr_recoveries")
-                        stats.add("dmr_recovery_cycles", outcome.penalty_cycles)
             elif dmr and pair is not None:
                 outcome = pair.observe_commit(instruction)
                 if outcome is not None and not outcome.matched:
                     cycles += outcome.penalty_cycles
-                    stats.add("dmr_recoveries")
-                    stats.add("dmr_recovery_cycles", outcome.penalty_cycles)
 
             if stop_on_os_entry and instruction.enters_os:
                 stop_reason = StopReason.OS_ENTRY
@@ -968,15 +781,10 @@ class CoreTimingModel:
                 stop_reason = StopReason.OS_EXIT
                 break
 
-        total_cycles = max(1, int(round(cycles)))
-        stats.set("cycles", total_cycles)
-        stats.set("instructions", instructions)
         return QuantumResult(
-            cycles=total_cycles,
+            cycles=max(1, int(round(cycles))),
             instructions=instructions,
             user_instructions=user_instructions,
             os_instructions=os_instructions,
             stop_reason=stop_reason,
-            stats=stats,
-            violations=violations,
         )

@@ -11,19 +11,8 @@ identifies (Section 5.1, "Instruction Window Utilization").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config.system import CoreConfig
 from repro.cpu.parameters import TimingModelParameters
-
-
-@dataclass
-class WindowPressureSample:
-    """Snapshot of the window model's view for one quantum (diagnostics)."""
-
-    effective_entries: float
-    l3_exposure: float
-    memory_exposure: float
 
 
 class InstructionWindowModel:
@@ -92,11 +81,3 @@ class InstructionWindowModel:
         if dmr_active:
             drain *= self.parameters.dmr_window_pressure
         return drain * self.parameters.serializing_drain_fraction
-
-    def sample(self, dmr_active: bool) -> WindowPressureSample:
-        """Return the current exposure fractions (for tests and diagnostics)."""
-        return WindowPressureSample(
-            effective_entries=self.effective_entries(dmr_active),
-            l3_exposure=self.l3_exposure(dmr_active),
-            memory_exposure=self.memory_exposure(dmr_active),
-        )

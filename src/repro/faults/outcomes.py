@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.faults.models import FaultSite, FaultSpec
+from repro.faults.models import FaultSpec
 
 
 class FaultOutcome(Enum):
@@ -138,17 +138,6 @@ class CoverageReport:
         if not self.trials:
             return 0.0
         return self.count(FaultOutcome.SILENT_CORRUPTION) / len(self.trials)
-
-    def by_site(self) -> Dict[FaultSite, Tuple[int, int]]:
-        """Per-site ``(protected, total)`` counts."""
-        result: Dict[FaultSite, Tuple[int, int]] = {}
-        for trial in self.trials:
-            protected, total = result.get(trial.spec.site, (0, 0))
-            total += 1
-            if trial.outcome in PROTECTED_OUTCOMES:
-                protected += 1
-            result[trial.spec.site] = (protected, total)
-        return result
 
     def summary_rows(self) -> Iterable[Tuple[str, int, float]]:
         """``(outcome, count, fraction)`` rows for reporting."""

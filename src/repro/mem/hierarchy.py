@@ -58,9 +58,6 @@ class AccessResult:
 
     latency: int
     level: str
-    c2c: bool = False
-    offchip: bool = False
-    invalidations: int = 0
 
 
 @dataclass(slots=True)
@@ -260,16 +257,15 @@ class MemoryHierarchy:
     def _coherent_miss_fill(self, core_id: int, line_addr: int, is_store: bool):
         """Serve an L2 miss coherently from a remote L2, the L3, or memory.
 
-        Returns ``(latency, level, c2c, offchip, invalidations)``; the public
-        :meth:`access` wraps the tuple into an :class:`AccessResult`.  A load
-        reaches here only after missing in the L1D, so its L1D fill skips the
-        presence check; a store's write-through never looked.
+        Returns ``(latency, level)``; the public :meth:`access` wraps the
+        pair into an :class:`AccessResult`.  A load reaches here only after
+        missing in the L1D, so its L1D fill skips the presence check; a
+        store's write-through never looked.
         """
         counts = self._counts
         l3_latency = self._l3_hit_latency
         entry = self._dir_entries.get(line_addr)
         owner = None if entry is None else self._remote_holder(entry, line_addr, core_id)
-        invalidations = 0
 
         if owner is not None:
             # 3-hop dirty cache-to-cache transfer from the owning L2.
@@ -277,8 +273,7 @@ class MemoryHierarchy:
             counts["c2c_transfers"] += 1
             if is_store:
                 targets = self.directory.record_exclusive_fetch(line_addr, core_id)
-                invalidations = len(targets)
-                if invalidations:
+                if targets:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
                 self._fill_l2(core_id, line_addr, _MODIFIED, True, True)
@@ -288,7 +283,7 @@ class MemoryHierarchy:
                 self.directory.record_shared_fetch(line_addr, core_id)
                 self._fill_l2(core_id, line_addr, _SHARED, False, True)
                 self.l1d[core_id].fill_absent(line_addr, True)
-            return (latency, "c2c", True, False, invalidations)
+            return (latency, "c2c")
 
         # No remote copy: an L3 hit moves the line up (the L3 is exclusive),
         # otherwise it is fetched off-chip.  The L3 touch/invalidate pair is
@@ -303,7 +298,6 @@ class MemoryHierarchy:
             counts["l3.hits"] += 1
             latency = l3_latency
             level = "l3"
-            offchip = False
             dirty = l3_line.dirty
         else:
             counts["l3.misses"] += 1
@@ -312,12 +306,10 @@ class MemoryHierarchy:
                 self.interconnect.offchip_contention_factor()
             )
             level = "memory"
-            offchip = True
             dirty = False
         if is_store:
             targets = self.directory.record_exclusive_fetch(line_addr, core_id)
-            invalidations = len(targets)
-            if invalidations:
+            if targets:
                 latency += self._inv_latency
             self._invalidate_remote_copies(line_addr, targets)
             self._fill_l2(core_id, line_addr, _MODIFIED, True, True)
@@ -330,7 +322,7 @@ class MemoryHierarchy:
                 entry.sharers.add(core_id)
             self._fill_l2(core_id, line_addr, _OWNED if dirty else _SHARED, dirty, True)
             self.l1d[core_id].fill_absent(line_addr, True)
-        return (latency, level, False, offchip, invalidations)
+        return (latency, level)
 
     def _coherent_load(self, core_id: int, address: int):
         # The L1/L2 hit checks inline SetAssociativeCache.touch (flat-map get
@@ -343,7 +335,7 @@ class MemoryHierarchy:
             l1._touch_counter = counter = l1._touch_counter + 1
             line.last_touch = counter
             self._counts["l1d.hits"] += 1
-            return (self._l1d_hit_latency, "l1", False, False, 0)
+            return (self._l1d_hit_latency, "l1")
         return self._l1_miss_load(core_id, line_addr)
 
     def _l1_miss_load(self, core_id: int, line_addr: int):
@@ -364,7 +356,7 @@ class MemoryHierarchy:
             l2_line.last_touch = counter
             self.l1d[core_id].fill_absent(line_addr, l2_line.coherent)
             counts["l2.hits"] += 1
-            return (self._l2_hit_latency, "l2", False, False, 0)
+            return (self._l2_hit_latency, "l2")
         counts["l2.misses"] += 1
         return self._coherent_miss_fill(core_id, line_addr, False)
 
@@ -381,13 +373,11 @@ class MemoryHierarchy:
             l2_line.last_touch = counter
             counts["l2.hits"] += 1
             latency = self._l2_hit_latency
-            invalidations = 0
             state = l2_line.state
             if state is _SHARED or state is _OWNED:
                 targets = self.directory.record_exclusive_fetch(line_addr, core_id)
                 targets.discard(core_id)
-                invalidations = len(targets)
-                if invalidations:
+                if targets:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
             l2_line.state = _MODIFIED
@@ -395,7 +385,7 @@ class MemoryHierarchy:
             dir_entry = self._dir_entries.get(line_addr)
             if (dir_entry.owner if dir_entry is not None else None) != core_id:
                 self.directory.record_exclusive_fetch(line_addr, core_id)
-            return (latency, "l2", False, False, invalidations)
+            return (latency, "l2")
         counts["l2.misses"] += 1
         return self._coherent_miss_fill(core_id, line_addr, True)
 
@@ -419,7 +409,7 @@ class MemoryHierarchy:
                 if l2_line is not None:
                     l2_line.dirty = True
                     l2_line.coherent = False
-            return (self._l1d_hit_latency, "l1", False, False, 0)
+            return (self._l1d_hit_latency, "l1")
         l2_line = l2._lines.get(line_addr)
         if l2_line is not None:
             l2._touch_counter = counter = l2._touch_counter + 1
@@ -428,7 +418,7 @@ class MemoryHierarchy:
             if is_store:
                 l2_line.dirty = True
                 l2_line.coherent = False
-            return (self._l2_hit_latency, "l2", False, False, 0)
+            return (self._l2_hit_latency, "l2")
 
         # Best-effort fill without changing global state.
         counts["mute.l2.misses"] += 1
@@ -438,15 +428,11 @@ class MemoryHierarchy:
         if holder is not None:
             latency = self._c2c_latency
             level = "c2c"
-            c2c = True
-            offchip = False
             counts["c2c_transfers"] += 1
             counts["mute.c2c_transfers"] += 1
         elif self.l3.lookup(line_addr) is not None:
             latency = l3_latency
             level = "l3"
-            c2c = False
-            offchip = False
             counts["mute.l3_hits"] += 1
         else:
             self.interconnect.record_offchip_transfer()
@@ -454,12 +440,10 @@ class MemoryHierarchy:
                 self.interconnect.offchip_contention_factor()
             )
             level = "memory"
-            c2c = False
-            offchip = True
             counts["mute.memory_accesses"] += 1
         self._fill_l2(core_id, line_addr, _MODIFIED if is_store else _SHARED, is_store, False)
         l1.fill_absent(line_addr, False)
-        return (latency, level, c2c, offchip, 0)
+        return (latency, level)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -468,9 +452,8 @@ class MemoryHierarchy:
     def access_raw(self, core_id: int, address: int, is_store: bool, coherent: bool = True):
         """Perform one data access without building an :class:`AccessResult`.
 
-        Returns ``(latency, level, c2c, offchip, invalidations)``.  This is
-        the form the core timing model's hot loop consumes; behaviour and
-        counters are identical to :meth:`access`.
+        Returns ``(latency, level)``; behaviour and counters are identical
+        to :meth:`access`.
         """
         self._check_core(core_id)
         if address < 0:
@@ -484,17 +467,9 @@ class MemoryHierarchy:
     def access(
         self, core_id: int, address: int, is_store: bool, coherent: bool = True
     ) -> AccessResult:
-        """Perform one data access and return its latency and classification."""
-        latency, level, c2c, offchip, invalidations = self.access_raw(
-            core_id, address, is_store, coherent
-        )
-        return AccessResult(
-            latency=latency,
-            level=level,
-            c2c=c2c,
-            offchip=offchip,
-            invalidations=invalidations,
-        )
+        """Perform one data access; return its latency and the level that served it."""
+        latency, level = self.access_raw(core_id, address, is_store, coherent)
+        return AccessResult(latency=latency, level=level)
 
     def warm(self, core_id: int, addresses, secondary_core: Optional[int] = None) -> int:
         """Functionally warm caches by touching ``addresses`` with loads.
@@ -654,7 +629,7 @@ class MemoryHierarchy:
                     if line is not None:
                         line.dirty = True
                         line.coherent = False
-                return (self._l1d_hit_latency, "l1", False, False, 0)
+                return (self._l1d_hit_latency, "l1")
             if coherent:
                 counts["l1d.misses"] += 1
 
@@ -666,27 +641,25 @@ class MemoryHierarchy:
             if is_store:
                 line.dirty = True
                 line.coherent = False
-            return (self._l2_hit_latency, "l2", False, False, 0)
+            return (self._l2_hit_latency, "l2")
         if line is not None and not is_store:
             l1.insert(line_addr, LineState.SHARED, False, line.coherent)
             counts["l2.hits"] += 1
-            return (self._l2_hit_latency, "l2", False, False, 0)
+            return (self._l2_hit_latency, "l2")
         if line is not None:
             counts["l2.hits"] += 1
             latency = self._l2_hit_latency
-            invalidations = 0
             if line.state in (LineState.SHARED, LineState.OWNED):
                 targets = directory.record_exclusive_fetch(line_addr, core_id)
                 targets.discard(core_id)
-                invalidations = len(targets)
-                if invalidations:
+                if targets:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
             line.state = LineState.MODIFIED
             line.dirty = True
             if directory.owner_of(line_addr) != core_id:
                 directory.record_exclusive_fetch(line_addr, core_id)
-            return (latency, "l2", False, False, invalidations)
+            return (latency, "l2")
         counts[prefix + "l2.misses"] += 1
 
         # L2 miss: a remote L2 holding the line (the owner first) serves it.
@@ -703,34 +676,34 @@ class MemoryHierarchy:
         # fills an incoherent line.
         if not coherent:
             if holder is not None:
-                latency, level, offchip = self._c2c_latency, "c2c", False
+                latency, level = self._c2c_latency, "c2c"
                 counts["c2c_transfers"] += 1
                 counts["mute.c2c_transfers"] += 1
             elif self.l3.lookup(line_addr) is not None:
-                latency, level, offchip = self._l3_hit_latency, "l3", False
+                latency, level = self._l3_hit_latency, "l3"
                 counts["mute.l3_hits"] += 1
             else:
                 self.interconnect.record_offchip_transfer()
                 latency = self._l3_hit_latency + self.memory.access_latency(
                     self.interconnect.offchip_contention_factor()
                 )
-                level, offchip = "memory", True
+                level = "memory"
                 counts["mute.memory_accesses"] += 1
             state = LineState.MODIFIED if is_store else LineState.SHARED
             self._fill_l2_reference(core_id, line_addr, state, is_store, False)
             l1.insert(line_addr, LineState.SHARED, False, False)
-            return (latency, level, holder is not None, offchip, 0)
+            return (latency, level)
 
         # A coherent miss: cache-to-cache, else the exclusive L3 (the line
         # moves up), else memory; then the directory transition and fill.
         dirty = False
         if holder is not None:
-            latency, level, offchip = self._c2c_latency, "c2c", False
+            latency, level = self._c2c_latency, "c2c"
             counts["c2c_transfers"] += 1
         else:
             l3_line = self.l3.touch(line_addr)
             if l3_line is not None:
-                latency, level, offchip = self._l3_hit_latency, "l3", False
+                latency, level = self._l3_hit_latency, "l3"
                 dirty = l3_line.dirty
                 self.l3.invalidate(line_addr)
                 counts["l3.hits"] += 1
@@ -740,12 +713,10 @@ class MemoryHierarchy:
                 latency = self._l3_hit_latency + self.memory.access_latency(
                     self.interconnect.offchip_contention_factor()
                 )
-                level, offchip = "memory", True
-        invalidations = 0
+                level = "memory"
         if is_store:
             targets = directory.record_exclusive_fetch(line_addr, core_id)
-            invalidations = len(targets)
-            if invalidations:
+            if targets:
                 latency += self._inv_latency
             self._invalidate_remote_copies(line_addr, targets)
             self._fill_l2_reference(core_id, line_addr, LineState.MODIFIED, True, True)
@@ -756,7 +727,7 @@ class MemoryHierarchy:
             state = LineState.OWNED if dirty else LineState.SHARED
             self._fill_l2_reference(core_id, line_addr, state, dirty, True)
         l1.insert(line_addr, LineState.SHARED, False, True)
-        return (latency, level, holder is not None, offchip, invalidations)
+        return (latency, level)
 
     def _fill_l2_reference(
         self, core_id: int, line_addr: int, state: LineState, dirty: bool, coherent: bool

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
 class ViolationKind(Enum):
@@ -57,10 +57,6 @@ class ViolationLog:
         if kind is None:
             return len(self.events)
         return sum(1 for event in self.events if event.kind is kind)
-
-    def of_kind(self, kind: ViolationKind) -> Iterator[ProtectionViolation]:
-        """Iterate over events of one kind."""
-        return (event for event in self.events if event.kind is kind)
 
     @property
     def silent_corruptions(self) -> int:

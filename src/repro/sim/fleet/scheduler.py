@@ -93,10 +93,6 @@ class FleetPlan:
         """Fleet-wide migration count (each move counted once)."""
         return sum(plan.migrations_in for plan in self.machines)
 
-    def total_exposure_cycles(self) -> int:
-        """Fleet-wide upgrade exposure, summed over machines."""
-        return sum(plan.exposure_cycles for plan in self.machines)
-
 
 class _MachineState:
     """Mutable per-machine bookkeeping while a script is being planned."""

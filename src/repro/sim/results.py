@@ -165,10 +165,6 @@ class SimulationResult:
             return 0.0
         return sum(v.user_ipc(self.total_cycles) for v in vcpus) / len(vcpus)
 
-    def per_vm_throughput(self) -> Dict[str, float]:
-        """Throughput of every VM keyed by VM name."""
-        return {vm.name: vm.throughput(self.total_cycles) for vm in self.vm_results}
-
     def silent_corruptions(self) -> int:
         """Number of silent corruptions recorded (should be zero for an MMM)."""
         return int(self.violation_counts.get("SILENT_CORRUPTION", 0))

@@ -596,7 +596,6 @@ class Simulator:
             user_instructions=result.user_instructions,
             os_instructions=result.os_instructions,
         )
-        self.quantum_stats.merge(result.stats)
 
     def _run_fine_grained(
         self,
@@ -649,7 +648,6 @@ class Simulator:
                 user_instructions=result.user_instructions,
                 os_instructions=result.os_instructions,
             )
-            self.quantum_stats.merge(result.stats)
             remaining -= result.cycles
 
             if result.stop_reason is StopReason.OS_ENTRY:

@@ -73,11 +73,6 @@ class MappingPlan:
         return self
 
     @property
-    def active_vcpu_ids(self) -> List[int]:
-        """VCPUs that execute this quantum."""
-        return [placement.vcpu_id for placement in self.placements]
-
-    @property
     def cores_in_use(self) -> int:
         """Number of physical cores consumed by the plan."""
         return sum(len(p.assignment.cores) for p in self.placements)
@@ -102,11 +97,6 @@ class CoreAllocator:
     def num_cores(self) -> int:
         """Total physical cores managed by the allocator."""
         return self._num_cores
-
-    @property
-    def free_count(self) -> int:
-        """Cores still available in the current allocation round."""
-        return len(self._free)
 
     @property
     def retired_cores(self) -> FrozenSet[int]:

@@ -71,8 +71,3 @@ class ScratchpadManager:
         """Line-aligned physical addresses covering one VCPU's save area."""
         slot = self.slot_for(vcpu_id, copy)
         return [slot.base + offset for offset in range(0, self.slot_bytes, self.line_size)]
-
-    @property
-    def allocated_slots(self) -> int:
-        """Number of save slots handed out so far."""
-        return self._next_index

@@ -81,7 +81,6 @@ class SyntheticWorkload:
         self._seq = 0
         self._in_os_phase = False
         self._remaining_in_phase = self._sample_phase_length(user=True)
-        self._iterator: Optional[Iterator[Instruction]] = None
 
         # Hot-path bindings and per-privilege threshold tables.  The profile
         # is immutable after construction, so the cumulative mix thresholds
@@ -89,17 +88,10 @@ class SyntheticWorkload:
         # the sums are built left-to-right exactly as the per-instruction code
         # used to, so the comparisons see bit-identical floats.
         self._random01 = self._rng.raw.random
-        self._randint = self._rng.raw.randint
         self._getrandbits = self._rng.raw.getrandbits
         self._next_address = self._addresses.next_address
         self._user_thresholds = self._mix_thresholds(PrivilegeLevel.USER)
         self._os_thresholds = self._mix_thresholds(self._os_privilege)
-
-        # Statistics the Table 2 experiment reads back.
-        self.user_phases_completed = 0
-        self.os_phases_completed = 0
-        self.user_instructions_emitted = 0
-        self.os_instructions_emitted = 0
 
     def _mix_thresholds(
         self, privilege: PrivilegeLevel
@@ -156,12 +148,10 @@ class SyntheticWorkload:
         """
         if self._remaining_in_phase <= 0:
             if self._in_os_phase:
-                self.os_phases_completed += 1
                 self._in_os_phase = False
                 self._remaining_in_phase = self._sample_phase_length(user=True)
                 iclass = InstructionClass.SYSCALL_EXIT
             else:
-                self.user_phases_completed += 1
                 self._in_os_phase = True
                 self._remaining_in_phase = self._sample_phase_length(user=False)
                 iclass = InstructionClass.SYSCALL_ENTRY
@@ -218,10 +208,6 @@ class SyntheticWorkload:
             result = getrandbits(17)
         seq = self._seq
         self._seq = seq + 1
-        if user:
-            self.user_instructions_emitted += 1
-        else:
-            self.os_instructions_emitted += 1
         return (seq, iclass, privilege, address, result, is_shared)
 
     def next_instruction(self) -> Instruction:
@@ -246,8 +232,3 @@ class SyntheticWorkload:
         if count < 0:
             raise WorkloadError("cannot take a negative number of instructions")
         return [self.next_instruction() for _ in range(count)]
-
-    @property
-    def instructions_emitted(self) -> int:
-        """Total dynamic instructions emitted so far (including boundaries)."""
-        return self._seq

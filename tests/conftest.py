@@ -123,3 +123,44 @@ def make_small_machine(
 def small_machine(small_config):
     """A tiny two-VM MMM-TP machine on the 4-core configuration."""
     return make_small_machine(small_config)
+
+
+def hierarchy_state(hierarchy: MemoryHierarchy):
+    """Everything a later access can observe, in comparable form."""
+    caches = []
+    for cache in hierarchy._caches():
+        caches.append(
+            (
+                [
+                    (
+                        index,
+                        [
+                            (line.line_addr, line.state, line.dirty, line.coherent, line.last_touch)
+                            for line in cache_set.values()
+                        ],
+                    )
+                    for index, cache_set in cache._sets.items()
+                ],
+                sorted(cache._lines),
+                cache._touch_counter,
+            )
+        )
+        # The flat map must mirror the sets, object for object.
+        assert all(
+            cache._lines[line.line_addr] is line for line in cache.lines()
+        ), cache.config.name
+        assert len(cache._lines) == sum(len(s) for s in cache._sets.values())
+    directory = hierarchy.directory
+    interconnect = hierarchy.interconnect
+    return (
+        caches,
+        [(line, entry.owner, sorted(entry.sharers)) for line, entry in directory._entries.items()],
+        list(hierarchy._counts.items()),
+        list(interconnect._counts.items()),
+        list(hierarchy.memory._counts.items()),
+        (
+            interconnect._window_cycles,
+            interconnect._window_offchip_bytes,
+            interconnect._window_capacity,
+        ),
+    )

@@ -21,7 +21,6 @@ from repro.config.system import (
     ReunionConfig,
     SystemConfig,
     TlbConfig,
-    VirtualizationConfig,
 )
 from repro.errors import ConfigurationError
 
@@ -75,11 +74,6 @@ def test_memory_bytes_per_cycle():
     assert 13.0 < memory.bytes_per_cycle() < 13.5
 
 
-def test_virtualization_state_lines():
-    virt = VirtualizationConfig(vcpu_state_bytes=2355)
-    assert virt.vcpu_state_lines == 37
-
-
 class TestSystemConfig:
     def test_paper_preset_validates(self):
         config = paper_system_config()
@@ -116,10 +110,6 @@ class TestSystemConfig:
         assert modified.core.window_entries == 256
         assert modified.core.consistency is ConsistencyModel.TSO
         assert config.core.window_entries == 128
-
-    def test_with_timeslice(self):
-        config = paper_system_config().with_timeslice(1234)
-        assert config.virtualization.timeslice_cycles == 1234
 
 
 class TestEvaluationPreset:

@@ -67,12 +67,6 @@ class TestWindowModel:
         window = InstructionWindowModel(core_config, parameters)
         assert window.drain_cycles(True) > window.drain_cycles(False)
 
-    def test_sample_reports_current_view(self, core_config, parameters):
-        window = InstructionWindowModel(core_config, parameters)
-        sample = window.sample(dmr_active=True)
-        assert sample.effective_entries < core_config.window_entries
-        assert sample.memory_exposure >= sample.l3_exposure
-
 
 class TestLsqModel:
     def test_sc_exposes_much_more_than_tso(self, parameters):

@@ -130,11 +130,6 @@ class TestCoverageReport:
         assert rows[0][0] == "DETECTED_PAB"
         assert rows[0][1] == 2
 
-    def test_by_site(self):
-        report = self.make_report([FaultOutcome.DETECTED_DMR, FaultOutcome.SILENT_CORRUPTION])
-        protected, total = report.by_site()[FaultSite.EXECUTION_RESULT]
-        assert (protected, total) == (1, 2)
-
 
 class TestCampaign:
     @pytest.fixture(scope="class")

@@ -21,7 +21,7 @@ class TestCoherentLoads:
     def test_first_load_misses_to_memory(self, hierarchy):
         result = hierarchy.load(0, ADDR)
         assert result.level == "memory"
-        assert result.offchip
+        assert hierarchy.memory.stats.get("accesses") == 1
         assert result.latency >= hierarchy.config.memory.load_to_use_latency
 
     def test_second_load_hits_l1(self, hierarchy):
@@ -44,7 +44,6 @@ class TestCoherentLoads:
         hierarchy.load(0, ADDR)
         result = hierarchy.load(1, ADDR)
         assert result.level == "c2c"
-        assert result.c2c
         # A 3-hop transfer costs more than a plain L3 hit.
         assert result.latency > hierarchy.config.l3.hit_latency
 
@@ -69,8 +68,10 @@ class TestCoherentStores:
     def test_store_invalidates_remote_sharers(self, hierarchy):
         hierarchy.load(0, ADDR)
         hierarchy.load(1, ADDR)
-        result = hierarchy.store(2, ADDR)
-        assert result.invalidations >= 1
+        before = hierarchy.stats.get("remote_invalidations")
+        hierarchy.store(2, ADDR)
+        # Both sharers, cores 0 and 1, lose their copies.
+        assert hierarchy.stats.get("remote_invalidations") - before == 2
         assert not hierarchy.l2[0].contains(ADDR)
         assert not hierarchy.l1d[1].contains(ADDR)
         assert hierarchy.directory.owner_of(ADDR) == 2

@@ -154,6 +154,3 @@ class TestFacade:
         simulator = system.simulator(SimulationOptions(total_cycles=3_000, warmup_cycles=0))
         result = simulator.run()
         assert result.policy_name == "no-dmr"
-
-    def test_small_test_config_helper(self):
-        assert MixedModeMulticore.small_test_config().num_cores == 4

@@ -138,4 +138,3 @@ class TestViolationLog:
         assert len(log) == 3
         assert log.count(ViolationKind.PAB_BLOCKED) == 2
         assert log.silent_corruptions == 1
-        assert len(list(log.of_kind(ViolationKind.PAB_BLOCKED))) == 2

@@ -95,7 +95,3 @@ def test_weighted_choice_and_choice_return_members():
     assert rng.choice(items) in items
     assert rng.weighted_choice(items, [1, 1, 8]) in items
 
-
-def test_gauss_positive_never_returns_nonpositive():
-    rng = DeterministicRng(23)
-    assert all(rng.gauss_positive(1.0, 5.0) > 0 for _ in range(500))

@@ -74,10 +74,8 @@ class TestSimulationResult:
         assert result.overall_throughput() == pytest.approx(0.7)
         # Average over three VCPUs: (0.1 + 0.2 + 0.4) / 3
         assert result.average_user_ipc() == pytest.approx(0.7 / 3)
-        assert result.per_vm_throughput() == {
-            "reliable": pytest.approx(0.3),
-            "performance": pytest.approx(0.4),
-        }
+        assert result.vm("reliable").throughput(result.total_cycles) == pytest.approx(0.3)
+        assert result.vm("performance").throughput(result.total_cycles) == pytest.approx(0.4)
 
     def test_violations_and_to_dict(self):
         result = make_result()

@@ -84,6 +84,31 @@ class TestBasicRuns:
         assert result.quantum_stats.get("quanta", 0) > 0
         assert result.quantum_stats.get("placed_vcpus", 0) > 0
 
+    @pytest.mark.parametrize(
+        "policy, performance_mode",
+        [
+            ("mmm-tp", ReliabilityMode.PERFORMANCE),
+            # Fine-grained switching runs its own execute loop.
+            ("mmm-ipc", ReliabilityMode.PERFORMANCE_USER_ONLY),
+        ],
+    )
+    def test_quantum_stats_hold_only_the_simulators_keys(
+        self, small_config, policy, performance_mode
+    ):
+        machine = make_small_machine(
+            small_config, policy=policy, performance_mode=performance_mode
+        )
+        result = run_machine(machine)
+        assert set(result.quantum_stats) == {
+            "quanta",
+            "placed_vcpus",
+            "paused_vcpus",
+            "plan_reuses",
+            "core_cycles_used",
+            "core_cycles_capacity",
+            "core_cycles_nominal",
+        }
+
 
 class TestPolicyBehaviour:
     def test_dmr_base_never_transitions(self, small_config):

@@ -32,7 +32,7 @@ import pytest
 
 from repro.sim.distributed import CoordinatorServer, DistributedBackend, run_worker
 from repro.sim.experiments import figure5_jobs
-from repro.sim.jobs import ExperimentJob
+from repro.sim.jobs import ExperimentJob, code_fingerprint
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
 from repro.sim.store import DATABASE_NAME, ResultCache
@@ -109,14 +109,19 @@ class TestRecords:
 # ===================================================================== #
 
 
+# Each child script takes the test process's code_fingerprint() as its last
+# argument and keys its cells with it, so the keys match the test's even when
+# a source file changes while the suite runs.
 _WRITER_CHILD = """\
 import os, sys, time
 
+import repro.sim.jobs
 from repro.sim.jobs import ExperimentJob
 from repro.sim.settings import ExperimentSettings
 from repro.sim.store import ResultCache
 
 cache_dir, first = sys.argv[1], int(sys.argv[2])
+repro.sim.jobs._CODE_FINGERPRINT = sys.argv[3]
 settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
 cache = ResultCache(cache_dir)
 open(os.path.join(cache_dir, f"ready-{first}"), "w").close()
@@ -162,7 +167,10 @@ class TestSharing:
         # their commits interleave and each must wait out the other's locks.
         writers = [
             subprocess.Popen(
-                [sys.executable, "-c", _WRITER_CHILD, str(tmp_path), str(first)],
+                [
+                    sys.executable, "-c", _WRITER_CHILD, str(tmp_path), str(first),
+                    code_fingerprint(),
+                ],
                 env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )
             for first in (0, 1000)
@@ -195,6 +203,7 @@ class TestSharing:
 _CRASH_CHILD = """\
 import os, sqlite3, sys
 
+import repro.sim.jobs
 from repro.sim.experiments import figure5_jobs
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
@@ -219,6 +228,7 @@ def traced_connect(*args, **kwargs):
 
 
 sqlite3.connect = traced_connect
+repro.sim.jobs._CODE_FINGERPRINT = sys.argv[2]
 settings = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
 runner = ExperimentRunner(jobs=1, cache_dir=sys.argv[1])
 for job in figure5_jobs(settings):  # one batch, so one store transaction, per cell
@@ -230,7 +240,7 @@ class TestCrashSafety:
     def test_run_killed_inside_a_transaction_recovers_on_rerun(self, tmp_path):
         cache_dir = tmp_path / "cache"
         child = subprocess.run(
-            [sys.executable, "-c", _CRASH_CHILD, str(cache_dir)],
+            [sys.executable, "-c", _CRASH_CHILD, str(cache_dir), code_fingerprint()],
             env=child_env(), capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 1, child.stderr

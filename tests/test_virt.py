@@ -144,9 +144,12 @@ class TestScratchpad:
         for i, a in enumerate(slots):
             for b in slots[i + 1:]:
                 assert a.end <= b.base or b.end <= a.base
-        # Repeated requests return the same slot.
+        # Repeated requests return the same slot and allocate none: the next
+        # new copy takes the fourth slot.
         assert scratchpad.slot_for(0, ScratchpadManager.PRIMARY) == slots[0]
-        assert scratchpad.allocated_slots == 3
+        assert scratchpad.slot_for(1, ScratchpadManager.REDUNDANT) == layout.scratchpad_slot(
+            3, scratchpad.slot_bytes
+        )
 
     def test_line_addresses_cover_the_slot(self):
         layout = AddressSpaceLayout(scratchpad_bytes=64 * 1024)
@@ -178,7 +181,9 @@ class TestCoreAllocator:
         assert allocator.allocate_single() is None
         assert allocator.allocate_pair() is None
         allocator.reset()
-        assert allocator.free_count == 4
+        assert allocator.allocate_pair() == (0, 1)
+        assert allocator.allocate_pair() == (2, 3)
+        assert allocator.allocate_single() is None
 
     def test_pair_needs_two_cores(self):
         allocator = CoreAllocator(1)
@@ -228,7 +233,6 @@ class TestMappingPlan:
             ],
             paused_vcpu_ids=[5],
         )
-        assert plan.active_vcpu_ids == [0]
         assert plan.cores_in_use == 2
 
 

@@ -26,6 +26,7 @@ from repro.config.presets import small_system_config
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.jobs import ExperimentJob, simulate_cell, simulation_identity
 from repro.sim.settings import ExperimentSettings
+from tests.conftest import hierarchy_state
 
 
 def _small_with_l1d_ways(associativity: int):
@@ -50,47 +51,6 @@ CONFIGS = {
 # rule from iterating the directory's sharer set as stored; the 16-core
 # config mixes cores numbered 8 and up into the sharer sets.
 CORES = {"small-16core": [2, 6, 9, 13]}
-
-
-def hierarchy_state(hierarchy: MemoryHierarchy):
-    """Everything a later access can observe, in comparable form."""
-    caches = []
-    for cache in hierarchy._caches():
-        caches.append(
-            (
-                [
-                    (
-                        index,
-                        [
-                            (line.line_addr, line.state, line.dirty, line.coherent, line.last_touch)
-                            for line in cache_set.values()
-                        ],
-                    )
-                    for index, cache_set in cache._sets.items()
-                ],
-                sorted(cache._lines),
-                cache._touch_counter,
-            )
-        )
-        # The flat map must mirror the sets, object for object.
-        assert all(
-            cache._lines[line.line_addr] is line for line in cache.lines()
-        ), cache.config.name
-        assert len(cache._lines) == sum(len(s) for s in cache._sets.values())
-    directory = hierarchy.directory
-    interconnect = hierarchy.interconnect
-    return (
-        caches,
-        [(line, entry.owner, sorted(entry.sharers)) for line, entry in directory._entries.items()],
-        list(hierarchy._counts.items()),
-        list(interconnect._counts.items()),
-        list(hierarchy.memory._counts.items()),
-        (
-            interconnect._window_cycles,
-            interconnect._window_offchip_bytes,
-            interconnect._window_capacity,
-        ),
-    )
 
 
 class Twins:

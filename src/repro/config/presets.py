@@ -37,31 +37,26 @@ def paper_system_config(timeslice_cycles: int = 30_000) -> SystemConfig:
     config = SystemConfig(
         num_cores=16,
         core=CoreConfig(
-            pipeline_stages=8,
             issue_width=2,
             window_entries=128,
             lsq_load_entries=32,
             lsq_store_entries=32,
-            frequency_ghz=3.0,
         ),
         l1i=CacheConfig(
             name="L1I", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         ),
         l1d=CacheConfig(
             name="L1D", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         ),
         l2=CacheConfig(name="L2", size_bytes=512 * 1024, associativity=4, hit_latency=12),
         l3=CacheConfig(
             name="L3", size_bytes=8 * 1024 * 1024, associativity=16, hit_latency=55,
-            shared=True, exclusive_of_upper=True,
         ),
         memory=MemoryConfig(load_to_use_latency=350, bandwidth_gb_per_s=40.0),
         interconnect=InterconnectConfig(hop_latency=10, fingerprint_latency=10),
         reunion=ReunionConfig(),
         pab=PabConfig(entries=128),
-        tlb=TlbConfig(entries=128, fill_latency=30, hardware_filled=True),
+        tlb=TlbConfig(entries=128, fill_latency=30),
         virtualization=VirtualizationConfig(timeslice_cycles=timeslice_cycles),
     )
     return config.validate()
@@ -95,14 +90,12 @@ def evaluation_system_config(
             size_bytes=max(1024, paper.l1i.size_bytes // capacity_scale),
             associativity=paper.l1i.associativity,
             hit_latency=paper.l1i.hit_latency,
-            write_through=True,
         ),
         l1d=CacheConfig(
             name="L1D",
             size_bytes=max(1024, paper.l1d.size_bytes // capacity_scale),
             associativity=paper.l1d.associativity,
             hit_latency=paper.l1d.hit_latency,
-            write_through=True,
         ),
         l2=CacheConfig(
             name="L2",
@@ -115,8 +108,6 @@ def evaluation_system_config(
             size_bytes=max(64 * 1024, paper.l3.size_bytes // capacity_scale),
             associativity=paper.l3.associativity,
             hit_latency=paper.l3.hit_latency,
-            shared=True,
-            exclusive_of_upper=True,
         ),
         memory=paper.memory,
         interconnect=paper.interconnect,
@@ -125,7 +116,6 @@ def evaluation_system_config(
         tlb=TlbConfig(
             entries=max(16, paper.tlb.entries // 2),
             fill_latency=paper.tlb.fill_latency,
-            hardware_filled=True,
         ),
         virtualization=VirtualizationConfig(timeslice_cycles=timeslice_cycles),
     )
@@ -142,25 +132,20 @@ def small_system_config(timeslice_cycles: int = 4_000) -> SystemConfig:
     config = SystemConfig(
         num_cores=4,
         core=CoreConfig(
-            pipeline_stages=8,
             issue_width=2,
             window_entries=32,
             lsq_load_entries=8,
             lsq_store_entries=8,
-            frequency_ghz=3.0,
         ),
         l1i=CacheConfig(
             name="L1I", size_bytes=2 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         ),
         l1d=CacheConfig(
             name="L1D", size_bytes=2 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         ),
         l2=CacheConfig(name="L2", size_bytes=16 * 1024, associativity=4, hit_latency=8),
         l3=CacheConfig(
             name="L3", size_bytes=128 * 1024, associativity=8, hit_latency=30,
-            shared=True, exclusive_of_upper=True,
         ),
         memory=MemoryConfig(load_to_use_latency=200, bandwidth_gb_per_s=40.0),
         interconnect=InterconnectConfig(hop_latency=8, fingerprint_latency=8),

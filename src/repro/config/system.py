@@ -3,7 +3,11 @@
 Every structural and timing parameter of the simulated machine lives here, in
 immutable dataclasses, so that experiments are fully described by a
 :class:`SystemConfig` value plus a workload specification.  The defaults of
-each dataclass match the target multicore of the paper (Section 4.1):
+each dataclass match the target multicore of the paper (Section 4.1).  Some
+of what the list names has no field: the pipeline depth is not modelled, the
+clock is :class:`MemoryConfig`'s (it turns the off-chip bandwidth into bytes
+per cycle), and the hierarchy and the TLB build in the write-through L1s, the
+shared L3 exclusive of the L2s and the hardware TLB fill:
 
 * 16 out-of-order cores, 2-wide issue, 8-stage pipeline (9 with Reunion's
   Check stage), 128-entry instruction window, 32+32 entry load/store queue,
@@ -59,12 +63,10 @@ class ConsistencyModel(str, Enum):
 class CoreConfig:
     """Parameters of one out-of-order core."""
 
-    pipeline_stages: int = 8
     issue_width: int = 2
     window_entries: int = 128
     lsq_load_entries: int = 32
     lsq_store_entries: int = 32
-    frequency_ghz: float = 3.0
     consistency: ConsistencyModel = ConsistencyModel.SEQUENTIAL
     #: Extra cycles a serialising instruction spends draining the pipeline
     #: before it may execute (on top of waiting for the window to empty).
@@ -76,12 +78,10 @@ class CoreConfig:
 
     def validate(self) -> None:
         """Check internal consistency of the core parameters."""
-        _require(self.pipeline_stages >= 4, "pipeline needs at least 4 stages")
         _require(self.issue_width >= 1, "issue width must be at least 1")
         _require(self.window_entries >= 8, "instruction window too small")
         _require(self.lsq_load_entries >= 1, "load queue too small")
         _require(self.lsq_store_entries >= 1, "store queue too small")
-        _require(self.frequency_ghz > 0, "core frequency must be positive")
         _require(
             0.0 <= self.branch_mispredict_rate <= 1.0,
             "branch mispredict rate must be a probability",
@@ -97,9 +97,6 @@ class CacheConfig:
     associativity: int
     line_bytes: int = 64
     hit_latency: int = 2
-    write_through: bool = False
-    shared: bool = False
-    exclusive_of_upper: bool = False
 
     @property
     def num_lines(self) -> int:
@@ -157,7 +154,6 @@ class InterconnectConfig:
     #: ``Interconnect.cache_to_cache_latency`` turns them into cycles.
     cache_to_cache_hops: int = 3
     fingerprint_latency: int = 10
-    link_bytes_per_cycle: float = 64.0
 
     def validate(self) -> None:
         """Check interconnect latencies are positive."""
@@ -235,8 +231,6 @@ class VirtualizationConfig:
     #: Latency of the core-local state machine steps that do not touch memory
     #: (synchronising the pair, swapping mode bits).
     sync_cycles: int = 30
-    #: Whether the scheduler may expose more VCPUs than core pairs (overcommit).
-    allow_overcommit: bool = True
 
     def validate(self) -> None:
         """Check virtualisation parameters."""
@@ -251,7 +245,6 @@ class TlbConfig:
 
     entries: int = 128
     fill_latency: int = 30
-    hardware_filled: bool = True
 
     def validate(self) -> None:
         """Check the TLB geometry."""
@@ -268,13 +261,11 @@ class SystemConfig:
     l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             name="L1I", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         )
     )
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             name="L1D", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-            write_through=True,
         )
     )
     l2: CacheConfig = field(
@@ -285,7 +276,6 @@ class SystemConfig:
     l3: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             name="L3", size_bytes=8 * 1024 * 1024, associativity=16, hit_latency=55,
-            shared=True, exclusive_of_upper=True,
         )
     )
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -314,9 +304,6 @@ class SystemConfig:
             self.l1d.line_bytes == self.l2.line_bytes == self.l3.line_bytes,
             "all cache levels must share one line size",
         )
-        _require(not self.l1d.shared, "L1 caches are private per core")
-        _require(not self.l2.shared, "L2 caches are private per core")
-        _require(self.l3.shared, "the L3 cache is shared")
         self.memory.validate()
         self.interconnect.validate()
         self.reunion.validate()

@@ -155,8 +155,8 @@ class AdaptiveMmmPolicy(MmmTpPolicy):
     name = "mmm-adaptive"
     mixed_mode = True
     #: The controller accumulates protection debt every quantum, so the plan
-    #: is *not* a pure function of the VCPUs' current DMR requirements; the
-    #: simulator must re-plan (and re-consult the controller) each quantum.
+    #: is *not* a pure function of the VCPUs' current DMR requirements and
+    #: may re-pair a VM between quanta with no event in between.
     stateless_plans = False
 
     def __init__(

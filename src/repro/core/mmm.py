@@ -13,11 +13,11 @@ library.  It wraps the machine builder and the simulator behind a small API::
     result = system.run(total_cycles=40_000, warmup_cycles=10_000)
     print(result.vm("performance").throughput(result.total_cycles))
 
-Class methods cover the three system shapes the paper discusses: a
+Class methods cover the two system shapes the paper discusses: a
 consolidated server with one reliable and one performance guest VM (Figure
-2), a single-OS desktop mixing a reliable and a performance application
-(Figure 1), and the single-workload baselines used for the DMR overhead
-study (Figure 5).
+2) and a single-OS desktop mixing a reliable and a performance application
+(Figure 1).  The constructor takes any other shape as a list of
+:class:`VmSpec` values.
 """
 
 from __future__ import annotations
@@ -155,30 +155,6 @@ class MixedModeMulticore:
             fault_rates=fault_rates,
         )
 
-    @classmethod
-    def baseline(
-        cls,
-        workload: str,
-        num_vcpus: int,
-        policy: Union[str, MappingPolicy],
-        config: Optional[SystemConfig] = None,
-        seed: int = 0,
-        phase_scale: float = 0.02,
-        footprint_scale: float = 1.0,
-    ) -> "MixedModeMulticore":
-        """A single-workload machine for the DMR overhead baselines (Figure 5)."""
-        specs = [
-            VmSpec(
-                name="baseline",
-                workload=workload,
-                num_vcpus=num_vcpus,
-                reliability=ReliabilityMode.RELIABLE,
-                phase_scale=phase_scale,
-                footprint_scale=footprint_scale,
-            )
-        ]
-        return cls(vm_specs=specs, policy=policy, config=config, seed=seed)
-
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
@@ -188,29 +164,23 @@ class MixedModeMulticore:
         return self.machine.simulator(options)
 
     def run(
-        self,
-        total_cycles: int = 40_000,
-        warmup_cycles: int = 10_000,
-        quantum_cycles: Optional[int] = None,
-        transition_cost_scale: Optional[float] = None,
-        fine_grained_switching: bool = True,
+        self, total_cycles: int = 40_000, warmup_cycles: int = 10_000
     ) -> SimulationResult:
         """Simulate the system and return its results.
 
-        ``transition_cost_scale`` defaults to the ratio of the configured
-        timeslice to the paper's 1 ms timeslice, preserving the paper's
-        amortisation of consolidated-server mode switches.
+        Quanta are one timeslice long, ``PERFORMANCE_USER_ONLY`` VCPUs switch
+        modes at every OS entry and exit, and mode-transition costs are
+        scaled by the ratio of the configured timeslice to the paper's 1 ms
+        timeslice, preserving the paper's amortisation of consolidated-server
+        mode switches.  :meth:`simulator` takes any other
+        :class:`SimulationOptions`.
         """
-        if transition_cost_scale is None:
-            transition_cost_scale = paper_transition_cost_scale(
-                self.config.virtualization.timeslice_cycles
-            )
         options = SimulationOptions(
             total_cycles=total_cycles,
             warmup_cycles=warmup_cycles,
-            quantum_cycles=quantum_cycles,
-            transition_cost_scale=transition_cost_scale,
-            fine_grained_switching=fine_grained_switching,
+            transition_cost_scale=paper_transition_cost_scale(
+                self.config.virtualization.timeslice_cycles
+            ),
         )
         return self.simulator(options).run()
 

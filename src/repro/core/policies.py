@@ -42,11 +42,11 @@ class MappingPolicy(ABC):
     #: mode-transition accounting performed by the simulator).
     mixed_mode: bool = False
     #: Whether ``plan_quantum`` is a pure function of the VCPUs' identities
-    #: and current DMR requirements.  The simulator reuses the previous
-    #: quantum's plan when those inputs are unchanged and no timeline event
-    #: fired -- a policy carrying its own per-quantum state (e.g. the
-    #: duty-cycled adaptive policy) must set this to ``False`` so it is
-    #: consulted every quantum.
+    #: and current DMR requirements.  The simulator re-plans every quantum
+    #: either way; the fuzz oracle ``check_dmr_pairs`` reads this to expect
+    #: the same DMR pairs across a VM's quanta with no event between them.
+    #: A policy carrying its own per-quantum state (e.g. the duty-cycled
+    #: adaptive policy) sets it to ``False``.
     stateless_plans: bool = True
 
     @abstractmethod

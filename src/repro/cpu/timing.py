@@ -25,19 +25,20 @@ The model charges, per dynamic instruction:
 * in performance mode within an MMM: the PAB store-permission check
   (parallel lookups are free on a hit; serial lookups and PAT fills expose
   latency on the store path).
+
+The constants of these charges that depend only on the configuration and
+the DMR flag (exposures, the Check-stage cost, the serialising-instruction
+cost) come from one cost function, :func:`quantum_costs`, whose calibration
+is the module's upper-case constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Optional, Protocol, Sequence
+from typing import Dict, Optional, Protocol, Sequence
 
-from repro.config.system import SystemConfig
-from repro.cpu.lsq import LoadStoreQueueModel
-from repro.cpu.parameters import TimingModelParameters
-from repro.cpu.serializing import SerializingInstructionModel
-from repro.cpu.window import InstructionWindowModel
+from repro.config.system import ConsistencyModel, SystemConfig
 from repro.dmr.reunion import ReunionPair
 from repro.errors import SimulationError
 from repro.isa.instructions import Instruction, InstructionClass, PrivilegeLevel
@@ -50,6 +51,42 @@ from repro.protection.violations import (
 )
 from repro.tlb.tlb import _PRIVILEGED_ONLY, _USER_WRITE, TranslationLookasideBuffer
 from repro.workloads.generator import SyntheticWorkload
+
+# Calibration of the analytic model.  The values were calibrated so that the
+# reproduction's *relative* results land in the ranges the paper reports
+# (``repro run-all`` prints every table, ``benchmarks/bench_paper.py`` checks
+# their shapes); they are not claimed to be cycle-accurate for any machine.
+
+#: Exposed fraction of an L2 hit's latency at the reference window size
+#: (the out-of-order window hides most of a 12-cycle hit).
+L2_HIT_EXPOSURE = 0.25
+#: Exposed fraction of a shared-L3 or cache-to-cache latency at the
+#: reference window size.
+L3_EXPOSURE = 0.35
+#: Exposed fraction of a DRAM latency at the reference window size
+#: (out-of-order overlap, memory-level parallelism and prefetching hide the
+#: rest).
+MEMORY_EXPOSURE = 0.35
+#: Window size the three exposures above were calibrated at.
+REFERENCE_WINDOW_ENTRIES = 128
+#: Growth of the exposed off-core latency when every core of the chip is
+#: active (linear in the active cores from one): queueing on the shared L3,
+#: interconnect and memory channels.  It separates the paper's ``No DMR``
+#: (8 active cores) from ``No DMR 2X`` (16).
+SHARED_RESOURCE_CONTENTION = 0.6
+#: Exposed fraction of a store's completion latency under sequential
+#: consistency (a store retires only when its write-through completes).
+STORE_EXPOSURE_SC = 0.35
+#: The same with a TSO store buffer (the original Reunion configuration),
+#: which hides nearly all of it.
+STORE_EXPOSURE_TSO = 0.06
+#: Factor by which Reunion's Check stage shrinks the effective window.  The
+#: paper sees full structures about twice as often under DMR; the value is
+#: lower because the per-instruction Check cost already carries part of it.
+DMR_WINDOW_PRESSURE = 1.55
+#: Exposed Check-stage cycles per committed instruction, as a fraction of
+#: the fingerprint latency amortised over the fingerprint interval.
+DMR_CHECK_UTILISATION = 0.3
 
 
 class ExecutionMode(Enum):
@@ -122,6 +159,93 @@ class QuantumResult:
     stop_reason: StopReason
 
 
+@dataclass(frozen=True)
+class QuantumCosts:
+    """The cost constants of one configuration's cores in one mode."""
+
+    #: Exposed Check-stage cycles per committed instruction (0 without DMR).
+    check_cycles: float
+    #: Exposed fraction of a store's completion latency.
+    store_exposure: float
+    #: Multiplier (at least 1) on load exposure from a small load queue.
+    load_pressure: float
+    #: Exposed cycles of one serialising instruction.
+    serializing_cycles: float
+    #: Exposed fraction of a load's latency, by the level that served it.
+    load_exposures: Dict[str, float]
+
+
+def quantum_costs(config: SystemConfig, dmr: bool) -> QuantumCosts:
+    """The cost constants of ``config``'s cores, with or without DMR.
+
+    They carry the three sources of Reunion's IPC loss that the paper
+    identifies (Section 5.1):
+
+    * **Instruction window.**  The model tracks no window entries: the
+      window's size sets the share of a long-latency load it cannot hide,
+      scaled from the reference window and kept within [0.05, 1].  Under DMR,
+      instructions wait in the Check stage before releasing their entries,
+      so the effective window shrinks by ``DMR_WINDOW_PRESSURE``.  That only
+      bites off-core accesses: an L2 hit is short enough that even a
+      Check-delayed window hides it.
+    * **Load/store queue.**  Under sequential consistency a store holds its
+      window and store-queue entry until the write-through completes; DMR
+      delays the commit point that frees it by a further 40%, and a store
+      queue smaller than 32 entries exposes proportionally more.  A TSO
+      store buffer hides nearly all of it.  A load queue smaller than 32
+      entries multiplies the load exposure.
+    * **Serialising instructions.**  One waits for a half-full window to
+      retire at the issue width, then drains the pipeline.  Under DMR,
+      younger instructions must clear Check first (the wait grows by the
+      window pressure), and the instruction is validated by one fingerprint
+      exchange plus the Check and serialising-check hand-shakes before
+      younger instructions may enter the pipeline.
+    """
+    core = config.core
+    window = max(8.0, float(core.window_entries))
+    check_window = (
+        max(8.0, float(core.window_entries) / DMR_WINDOW_PRESSURE) if dmr else window
+    )
+    reference = float(REFERENCE_WINDOW_ENTRIES)
+    l2 = min(1.0, max(0.05, L2_HIT_EXPOSURE * (reference / window)))
+    l3 = min(1.0, max(0.05, L3_EXPOSURE * (reference / check_window)))
+    memory = min(1.0, max(0.05, MEMORY_EXPOSURE * (reference / check_window)))
+
+    if core.consistency is ConsistencyModel.TSO:
+        store_exposure = STORE_EXPOSURE_TSO
+    else:
+        store_exposure = STORE_EXPOSURE_SC
+        if dmr:
+            store_exposure = min(1.0, store_exposure * 1.4)
+        store_exposure = min(
+            1.0, store_exposure * (32.0 / max(4.0, float(core.lsq_store_entries)))
+        )
+
+    serializing = window * 0.5 / max(1, core.issue_width)
+    if dmr:
+        serializing *= DMR_WINDOW_PRESSURE
+    serializing += core.serializing_drain_cycles
+    check_cycles = 0.0
+    if dmr:
+        serializing += float(
+            config.interconnect.fingerprint_latency
+            + config.reunion.serializing_check_cycles
+            + config.reunion.check_stage_cycles
+        )
+        check_cycles = (
+            config.interconnect.fingerprint_latency / config.reunion.fingerprint_interval
+        ) * DMR_CHECK_UTILISATION
+    return QuantumCosts(
+        check_cycles=check_cycles,
+        store_exposure=store_exposure,
+        load_pressure=max(
+            1.0, 32.0 / max(4.0, float(core.lsq_load_entries)) * 0.5 + 0.5
+        ),
+        serializing_cycles=serializing,
+        load_exposures={"l1": 0.0, "l2": l2, "l3": l3, "c2c": l3, "memory": memory},
+    )
+
+
 class CoreTimingModel:
     """Analytic timing model shared by every core of the machine."""
 
@@ -130,9 +254,8 @@ class CoreTimingModel:
         config: SystemConfig,
         hierarchy: MemoryHierarchy,
         tlbs: Sequence[TranslationLookasideBuffer],
-        pabs: Optional[Sequence[ProtectionAssistanceBuffer]] = None,
-        parameters: Optional[TimingModelParameters] = None,
-        violation_log: Optional[ViolationLog] = None,
+        pabs: Sequence[ProtectionAssistanceBuffer],
+        violation_log: ViolationLog,
         fault_hook: Optional[FaultHook] = None,
     ) -> None:
         config.validate()
@@ -140,23 +263,16 @@ class CoreTimingModel:
             raise SimulationError(
                 f"expected {config.num_cores} TLBs, got {len(tlbs)}"
             )
-        if pabs is not None and len(pabs) != config.num_cores:
+        if len(pabs) != config.num_cores:
             raise SimulationError(
                 f"expected {config.num_cores} PABs, got {len(pabs)}"
             )
         self.config = config
         self.hierarchy = hierarchy
         self.tlbs = list(tlbs)
-        self.pabs = list(pabs) if pabs is not None else None
-        self.parameters = (parameters or TimingModelParameters()).validate()
-        # Note: an empty ViolationLog is falsy, so "or" must not be used here.
-        self.violation_log = violation_log if violation_log is not None else ViolationLog()
+        self.pabs = list(pabs)
+        self.violation_log = violation_log
         self.fault_hook = fault_hook
-        self.window_model = InstructionWindowModel(config.core, self.parameters)
-        self.lsq_model = LoadStoreQueueModel(config.core, self.parameters)
-        self.si_model = SerializingInstructionModel(
-            config.core, config.reunion, config.interconnect, self.window_model
-        )
 
     # ------------------------------------------------------------------ #
     # Per-instruction cost components
@@ -172,8 +288,7 @@ class CoreTimingModel:
 
     def _icache_cost(self, workload: SyntheticWorkload, privilege: PrivilegeLevel) -> float:
         mpki = workload.profile.icache_mpki_for(privilege)
-        miss_latency = self.config.l2.hit_latency * self.parameters.icache_exposure
-        return (mpki / 1000.0) * miss_latency
+        return (mpki / 1000.0) * self.config.l2.hit_latency
 
     def _record_violation(
         self,
@@ -235,47 +350,36 @@ class CoreTimingModel:
         mute_id = assignment.secondary_core
         pair = assignment.reunion_pair
         tlb = self.tlbs[core_id]
-        pab = (
-            self.pabs[core_id]
-            if performance_mode and self.pabs is not None
-            else None
-        )
+        pab = self.pabs[core_id] if performance_mode else None
         fault_hook = self.fault_hook
 
         core_config = self.config.core
         issue_cost = 1.0 / core_config.issue_width
-        dmr_check_cost = 0.0
-        if dmr:
-            dmr_check_cost = (
-                self.config.interconnect.fingerprint_latency
-                / self.config.reunion.fingerprint_interval
-            ) * self.parameters.dmr_check_utilisation
-        store_exposure = self.lsq_model.store_exposure(dmr)
-        load_pressure = self.lsq_model.load_queue_pressure()
+        costs = quantum_costs(self.config, dmr)
+        dmr_check_cost = costs.check_cycles
+        store_exposure = costs.store_exposure
+        load_pressure = costs.load_pressure
         if active_cores is None:
             active_cores = len(assignment.cores)
         contention = 1.0
         if self.config.num_cores > 1:
-            contention += self.parameters.shared_resource_contention * (
+            contention += SHARED_RESOURCE_CONTENTION * (
                 max(0, min(active_cores, self.config.num_cores) - 1)
                 / (self.config.num_cores - 1)
             )
 
-        # Per-quantum constants the reference loop recomputes per instruction.
-        # Each is a pure function of the configuration (and the DMR flag), so
-        # hoisting preserves the exact float values the loop accumulates.
-        icache_miss_latency = self.config.l2.hit_latency * self.parameters.icache_exposure
+        # Per-quantum constants the reference loop reads or computes per
+        # instruction.  Each is a pure function of the configuration (and the
+        # DMR flag), so hoisting preserves the exact float values the loop
+        # accumulates.
+        icache_miss_latency = self.config.l2.hit_latency
         profile = workload.profile
         icache_user = (profile.user_icache_mpki / 1000.0) * icache_miss_latency
         icache_os = (profile.os_icache_mpki / 1000.0) * icache_miss_latency
         branch_threshold = int(core_config.branch_mispredict_rate * 256)
         branch_penalty = float(core_config.branch_penalty_cycles)
-        si_total = self.si_model.cost(dmr).total
-        window_model = self.window_model
-        load_exposures = {
-            level: window_model.exposure_for_level(level, dmr)
-            for level in ("l1", "l2", "l3", "c2c", "memory")
-        }
+        si_total = costs.serializing_cycles
+        load_exposures = costs.load_exposures
 
         # Hot bindings.  The hierarchy's internal access paths are bound
         # directly (the core-id validation that access_raw would repeat per
@@ -613,10 +717,11 @@ class CoreTimingModel:
         """Reference implementation of :meth:`run_quantum`.
 
         One straightforward pass over :class:`Instruction` objects, one
-        method call per cost component.  Kept as the executable specification
-        of the per-instruction cost model: the batched :meth:`run_quantum`
-        must return bit-identical results and leave the machine in the same
-        state (``tests/test_hotpath_parity.py``).
+        method call per cost component, reading the same
+        :func:`quantum_costs` as :meth:`run_quantum`.  Kept as the executable
+        specification of the per-instruction cost model: the batched
+        :meth:`run_quantum` must return bit-identical results and leave the
+        machine in the same state (``tests/test_hotpath_parity.py``).
         """
         if cycle_budget <= 0:
             raise SimulationError(f"cycle budget must be positive, got {cycle_budget}")
@@ -626,26 +731,17 @@ class CoreTimingModel:
         mute_id = assignment.secondary_core
         pair = assignment.reunion_pair
         tlb = self.tlbs[core_id]
-        pab = (
-            self.pabs[core_id]
-            if performance_mode and self.pabs is not None
-            else None
-        )
+        pab = self.pabs[core_id] if performance_mode else None
 
         issue_cost = 1.0 / self.config.core.issue_width
-        dmr_check_cost = 0.0
-        if dmr:
-            dmr_check_cost = (
-                self.config.interconnect.fingerprint_latency
-                / self.config.reunion.fingerprint_interval
-            ) * self.parameters.dmr_check_utilisation
-        store_exposure = self.lsq_model.store_exposure(dmr)
-        load_pressure = self.lsq_model.load_queue_pressure()
+        costs = quantum_costs(self.config, dmr)
+        store_exposure = costs.store_exposure
+        load_pressure = costs.load_pressure
         if active_cores is None:
             active_cores = len(assignment.cores)
         contention = 1.0
         if self.config.num_cores > 1:
-            contention += self.parameters.shared_resource_contention * (
+            contention += SHARED_RESOURCE_CONTENTION * (
                 max(0, min(active_cores, self.config.num_cores) - 1)
                 / (self.config.num_cores - 1)
             )
@@ -668,7 +764,7 @@ class CoreTimingModel:
             cycles += self._icache_cost(workload, instruction.privilege)
 
             if dmr:
-                cycles += dmr_check_cost
+                cycles += costs.check_cycles
 
             if instruction.is_branch:
                 penalty = self._branch_cost(instruction)
@@ -676,7 +772,7 @@ class CoreTimingModel:
                     cycles += penalty
 
             elif instruction.is_serializing and not instruction.is_memory:
-                cycles += self.si_model.cost(dmr).total
+                cycles += costs.serializing_cycles
                 if dmr and pair is not None:
                     # The pair must agree on architected state before the SI.
                     outcome = pair.synchronize()
@@ -748,7 +844,7 @@ class CoreTimingModel:
                 if instruction.is_store:
                     exposed = latency * store_exposure
                 else:
-                    exposure = self.window_model.exposure_for_level(level, dmr)
+                    exposure = costs.load_exposures[level]
                     exposed = latency * exposure * load_pressure
                 cycles += exposed
 

@@ -531,10 +531,6 @@ class MemoryHierarchy:
         """Convenience wrapper for a load access."""
         return self.access(core_id, address, is_store=False, coherent=coherent)
 
-    def store(self, core_id: int, address: int, coherent: bool = True) -> AccessResult:
-        """Convenience wrapper for a store access."""
-        return self.access(core_id, address, is_store=True, coherent=coherent)
-
     def flush_l2(self, core_id: int) -> FlushResult:
         """Flush one core's private L2 (and L1s) line by line.
 

@@ -7,11 +7,8 @@ through five composable phases:
 1. **schedule** -- ask the gang scheduler which *active* guest VM owns the
    machine for this quantum,
 2. **place** -- ask the mapping policy to place that VM's VCPUs onto the
-   healthy cores (DMR pairs, single performance cores, or paused); when no
-   timeline event fired and the scheduling decision is unchanged since the
-   previous quantum, the previous :class:`MappingPlan` is reused instead of
-   re-planning (the hot-path optimisation; ``plan_reuses`` in the quantum
-   stats counts the hits),
+   healthy cores (DMR pairs, single performance cores, or paused); every
+   quantum plans afresh, with fresh Reunion pairs,
 3. **transition-charge** -- charge mode-transition costs at timeslice
    boundaries where the machine switches between a reliable VM and a
    performance VM (scaled by ``transition_cost_scale`` so scaled-down
@@ -175,11 +172,6 @@ class Simulator:
         #: executed, not the mode the VM has now.
         self._previous_vm_reliable: Optional[bool] = None
         self._previous_plan: Optional[MappingPlan] = None
-        #: Per-VM (decision signature, plan) cache for the place phase, so
-        #: plan reuse fires on multi-VM rotations too (each VM's slice
-        #: re-plans only when its own decision inputs changed).  Cleared
-        #: whenever a timeline event reshapes the machine.
-        self._plan_cache: Dict[int, Tuple[tuple, MappingPlan]] = {}
         self._warmup_clamp_cycles = 0
         self._measuring = False
         self._transitions = 0
@@ -280,8 +272,6 @@ class Simulator:
             self._timeline_stats[event.KIND] = (
                 self._timeline_stats.get(event.KIND, 0) + 1
             )
-            # The machine changed shape: every cached plan is suspect.
-            self._plan_cache.clear()
 
     def _apply_event(self, event: TimelineEvent, cycle: int) -> None:
         machine = self.machine
@@ -303,8 +293,7 @@ class Simulator:
             # Unlike a core failure, the previous plan's pairs are still
             # physically intact, so _previous_plan is kept: the Leave-DMR
             # boundary charge for the slice that already ran must still be
-            # paid.  Re-planning under the new policy happens anyway (the
-            # event cleared the plan cache).
+            # paid.  The next quantum plans under the new policy.
             machine.set_policy(event.policy)
         elif isinstance(event, ReliabilityModeChanged):
             try:
@@ -441,55 +430,22 @@ class Simulator:
         machine = self.machine
         machine.hierarchy.begin_window(budget)
         vm = self._phase_schedule(cycle)
-        plan, reused = self._phase_place(vm)
+        plan = self._phase_place(vm)
         effective_budget = self._phase_transition_charge(vm, plan, cycle, budget)
         self._phase_execute(vm, plan, effective_budget, cycle)
-        self._phase_account(vm, plan, reused, budget)
+        self._phase_account(vm, plan, budget)
 
     def _phase_schedule(self, cycle: int):
         """Which active guest VM owns the machine for this quantum."""
         return self.machine.vms[self.gang.vm_at(cycle)]
 
-    def _plan_signature(self, vm) -> tuple:
-        """Everything the mapping policy's decision depends on.
-
-        When this signature matches the one cached for the VM and no
-        timeline event fired in between (events clear the cache),
-        ``plan_quantum`` would reproduce the same plan -- so the cached one
-        is reused without re-planning.
-        """
-        return (
-            vm.vm_id,
-            self.machine.policy.name,
-            tuple((vcpu.vcpu_id, vcpu.requires_dmr()) for vcpu in vm.vcpus),
-        )
-
-    def _phase_place(self, vm) -> Tuple[MappingPlan, bool]:
-        """Map the VM's VCPUs onto healthy cores (or reuse the VM's last plan)."""
+    def _phase_place(self, vm) -> MappingPlan:
+        """Map the VM's VCPUs onto healthy cores."""
         machine = self.machine
-        if not machine.policy.stateless_plans or machine.fault_injector is not None:
-            # A stateful policy (e.g. the duty-cycled adaptive policy) must
-            # be consulted every quantum.  Fault-injected machines also
-            # always re-plan: a reused plan would carry its ReunionPair
-            # fingerprint state across quanta, making fault-detection timing
-            # depend on whether the plan cache happened to hit.
-            machine.allocator.reset()
-            return (
-                machine.policy.plan_quantum(
-                    vm.vcpus, machine.allocator, machine.pair_factory
-                ).validate(machine.num_cores, machine.retired_cores),
-                False,
-            )
-        signature = self._plan_signature(vm)
-        cached = self._plan_cache.get(vm.vm_id)
-        if cached is not None and cached[0] == signature:
-            return cached[1], True
         machine.allocator.reset()
-        plan = machine.policy.plan_quantum(
+        return machine.policy.plan_quantum(
             vm.vcpus, machine.allocator, machine.pair_factory
         ).validate(machine.num_cores, machine.retired_cores)
-        self._plan_cache[vm.vm_id] = (signature, plan)
-        return plan, False
 
     def _phase_transition_charge(
         self, vm, plan: MappingPlan, cycle: int, budget: int
@@ -540,16 +496,12 @@ class Simulator:
                     vcpu, placement.assignment, effective_budget, cycle, active_cores
                 )
 
-    def _phase_account(
-        self, vm, plan: MappingPlan, reused: bool, budget: int
-    ) -> None:
+    def _phase_account(self, vm, plan: MappingPlan, budget: int) -> None:
         """Fold the quantum into the machine-wide statistics."""
         self._paused_quanta += len(plan.paused_vcpu_ids)
         self.quantum_stats.add("quanta")
         self.quantum_stats.add("placed_vcpus", len(plan.placements))
         self.quantum_stats.add("paused_vcpus", len(plan.paused_vcpu_ids))
-        if reused:
-            self.quantum_stats.add("plan_reuses")
         # Utilisation accounting: executing core-cycles vs the machine's
         # healthy capacity (the consolidation-churn metric).  Weighted by
         # the quantum's cycle budget -- quanta clamped at events or
@@ -792,9 +744,12 @@ class Simulator:
         # The engine's counters feed enter/leave_dmr_transitions and the
         # average transition costs of the result; without this reset they
         # would include warmup-period transitions that the simulator's own
-        # counters (reset above) exclude.
+        # counters (reset above) exclude.  The fault injector's counts are
+        # read beside the violation log, so both cover the measured window.
         machine.transition_engine.reset_stats()
         machine.violation_log.events.clear()
+        if machine.fault_injector is not None:
+            machine.fault_injector.stats = StatSet()
 
     def _violation_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -19,7 +19,7 @@ it stopped.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.common.addresses import AddressSpaceLayout
 from repro.common.rng import DeterministicRng
@@ -221,14 +221,3 @@ class SyntheticWorkload:
             result=result,
             is_shared=is_shared,
         )
-
-    def stream(self) -> Iterator[Instruction]:
-        """An infinite iterator over the VCPU's dynamic instruction stream."""
-        while True:
-            yield self.next_instruction()
-
-    def take(self, count: int) -> List[Instruction]:
-        """Return the next ``count`` instructions as a list (mainly for tests)."""
-        if count < 0:
-            raise WorkloadError("cannot take a negative number of instructions")
-        return [self.next_instruction() for _ in range(count)]

@@ -43,7 +43,6 @@ class TestCacheConfig:
 class TestCoreConfig:
     def test_defaults_match_paper(self):
         core = CoreConfig()
-        assert core.pipeline_stages == 8
         assert core.issue_width == 2
         assert core.window_entries == 128
         assert core.lsq_load_entries == 32
@@ -79,9 +78,6 @@ class TestSystemConfig:
         config = paper_system_config()
         assert config.num_cores == 16
         assert config.max_dmr_pairs == 8
-        assert config.l3.shared
-        assert config.l3.exclusive_of_upper
-        assert config.l1d.write_through
 
     def test_small_preset_validates_and_is_small(self):
         config = small_system_config()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.common.rng import DeterministicRng
-from repro.config.presets import paper_system_config
+from repro.config.presets import paper_system_config, small_system_config
+from repro.core.mmm import MixedModeMulticore
 from repro.cpu.timing import ExecutionMode
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
@@ -95,6 +96,28 @@ class TestInjector:
             mode_register=ReliabilityMode.PERFORMANCE,
         )
         assert injector.maybe_corrupt_privileged_register(vcpu) is None
+
+    def test_counts_cover_only_the_measured_window(self):
+        # Every redirected store in performance mode is blocked by the PAB,
+        # so the two counts agree when both cover the measured window.  With
+        # a 12,000-cycle warmup, two of the run's five faults strike before
+        # measurement begins.
+        system = MixedModeMulticore.consolidated_server(
+            reliable_workload="oltp",
+            performance_workload="apache",
+            policy="mmm-tp",
+            reliable_vcpus=2,
+            config=small_system_config(),
+            seed=2,
+            phase_scale=0.003,
+            footprint_scale=0.1,
+            fault_rates=FaultRates(store_address=0.02),
+        )
+        result = system.run(total_cycles=32_000, warmup_cycles=12_000)
+        assert result.violation_counts == {"PAB_BLOCKED": 3}
+        assert system.machine.fault_injector.stats.as_dict() == {
+            "store_address_faults": 3
+        }
 
 
 class TestCoverageReport:

@@ -59,7 +59,7 @@ class TestCoherentLoads:
 
 class TestCoherentStores:
     def test_store_gains_ownership(self, hierarchy):
-        hierarchy.store(0, ADDR)
+        hierarchy.access(0, ADDR, is_store=True)
         assert hierarchy.directory.owner_of(ADDR) == 0
         line = hierarchy.l2[0].lookup(ADDR)
         assert line.state is LineState.MODIFIED
@@ -69,7 +69,7 @@ class TestCoherentStores:
         hierarchy.load(0, ADDR)
         hierarchy.load(1, ADDR)
         before = hierarchy.stats.get("remote_invalidations")
-        hierarchy.store(2, ADDR)
+        hierarchy.access(2, ADDR, is_store=True)
         # Both sharers, cores 0 and 1, lose their copies.
         assert hierarchy.stats.get("remote_invalidations") - before == 2
         assert not hierarchy.l2[0].contains(ADDR)
@@ -77,8 +77,8 @@ class TestCoherentStores:
         assert hierarchy.directory.owner_of(ADDR) == 2
 
     def test_store_hit_in_own_l2_is_cheap(self, hierarchy):
-        hierarchy.store(0, ADDR)
-        result = hierarchy.store(0, ADDR)
+        hierarchy.access(0, ADDR, is_store=True)
+        result = hierarchy.access(0, ADDR, is_store=True)
         assert result.level == "l2"
         assert result.latency == hierarchy.config.l2.hit_latency
 
@@ -92,14 +92,14 @@ class TestMuteAccesses:
         assert not line.coherent
 
     def test_mute_read_of_vocal_line_is_c2c_and_leaves_owner_intact(self, hierarchy):
-        hierarchy.store(0, ADDR)  # vocal owns the line dirty
+        hierarchy.access(0, ADDR, is_store=True)  # vocal owns the line dirty
         result = hierarchy.load(1, ADDR, coherent=False)
         assert result.level == "c2c"
         assert hierarchy.directory.owner_of(ADDR) == 0
         assert hierarchy.l2[0].lookup(ADDR).dirty
 
     def test_mute_store_never_marks_lines_coherent(self, hierarchy):
-        hierarchy.store(1, ADDR, coherent=False)
+        hierarchy.access(1, ADDR, is_store=True, coherent=False)
         line = hierarchy.l2[1].lookup(ADDR)
         assert line.dirty and not line.coherent
         assert not line.needs_writeback
@@ -124,8 +124,8 @@ class TestFlush:
         assert result.cycles >= hierarchy.config.l2.num_lines
 
     def test_flush_writes_back_coherent_dirty_lines_only(self, hierarchy):
-        hierarchy.store(0, ADDR)                      # coherent dirty
-        hierarchy.store(0, ADDR + 0x800_0, coherent=False)  # incoherent dirty
+        hierarchy.access(0, ADDR, is_store=True)  # coherent dirty
+        hierarchy.access(0, ADDR + 0x800_0, is_store=True, coherent=False)  # incoherent dirty
         result = hierarchy.flush_l2(0)
         assert result.dirty_writebacks == 1
         assert result.incoherent_dropped >= 1
@@ -159,6 +159,6 @@ class TestErrorsAndStats:
         assert merged.get("l1d.misses") >= 1
 
     def test_c2c_counter(self, hierarchy):
-        hierarchy.store(0, ADDR)
+        hierarchy.access(0, ADDR, is_store=True)
         hierarchy.load(1, ADDR)
         assert hierarchy.stats.get("c2c_transfers") >= 1

@@ -68,12 +68,14 @@ class TestMachineBuilder:
                       footprint_scale=0.1)
         machine = MixedModeMachine(small_config, [spec], policy="no-dmr")
         workload = machine.vms[0].vcpus[0].workload
-        privileges = {i.privilege for i in workload.take(4000) if not i.is_user}
+        sample = [workload.next_instruction() for _ in range(4000)]
+        privileges = {i.privilege for i in sample if not i.is_user}
         assert privileges == {PrivilegeLevel.HYPERVISOR}
 
     def test_multi_vm_machines_use_guest_os_privilege(self, small_machine):
         workload = small_machine.vms[1].vcpus[0].workload
-        privileges = {i.privilege for i in workload.take(4000) if not i.is_user}
+        sample = [workload.next_instruction() for _ in range(4000)]
+        privileges = {i.privilege for i in sample if not i.is_user}
         assert privileges == {PrivilegeLevel.GUEST_OS}
 
     def test_pair_factory_produces_distinct_pairs(self, small_machine):
@@ -133,8 +135,9 @@ class TestFacade:
         assert system.machine.vms[1].reliability is ReliabilityMode.PERFORMANCE_USER_ONLY
 
     def test_baseline_requires_at_least_one_vcpu(self, eval_config):
+        spec = VmSpec("baseline", "apache", 0, ReliabilityMode.RELIABLE)
         with pytest.raises(ConfigurationError):
-            MixedModeMulticore.baseline("apache", 0, "no-dmr", config=eval_config)
+            MixedModeMulticore([spec], "no-dmr", config=eval_config)
 
     def test_run_returns_results(self, eval_config):
         system = MixedModeMulticore.consolidated_server(
@@ -147,10 +150,11 @@ class TestFacade:
         assert result.overall_throughput() > 0
 
     def test_simulator_accepts_explicit_options(self, eval_config):
-        system = MixedModeMulticore.baseline(
-            "pmake", 2, "no-dmr", config=eval_config, phase_scale=0.003,
+        spec = VmSpec(
+            "baseline", "pmake", 2, ReliabilityMode.RELIABLE, phase_scale=0.003,
             footprint_scale=0.05,
         )
+        system = MixedModeMulticore([spec], "no-dmr", config=eval_config)
         simulator = system.simulator(SimulationOptions(total_cycles=3_000, warmup_cycles=0))
         result = simulator.run()
         assert result.policy_name == "no-dmr"

@@ -103,7 +103,6 @@ class TestBasicRuns:
             "quanta",
             "placed_vcpus",
             "paused_vcpus",
-            "plan_reuses",
             "core_cycles_used",
             "core_cycles_capacity",
             "core_cycles_nominal",

@@ -457,53 +457,14 @@ class TestWarmupClamp:
 
 
 # ===================================================================== #
-# Plan reuse (the hot-path optimisation)
+# Placement after a reliability-mode change
 # ===================================================================== #
 
 
 class TestPlanReuse:
-    def test_unchanged_decisions_reuse_the_previous_plan(self, small_config):
-        # A single-VM machine with several quanta per timeslice re-plans
-        # only when something changed.
-        machine = make_small_machine(small_config)
-        result = run_machine(make_small_machine(small_config), quantum_cycles=1_000)
-        assert result.quantum_stats.get("plan_reuses", 0) > 0
-
-    def test_events_invalidate_the_previous_plan(self, small_config):
-        # Cycle 5000 sits inside a timeslice (not on a VM boundary), where
-        # the plan would otherwise have been reused.
-        timeline = Timeline.of(CoreFailed(cycle=5_000, core_id=3))
-        with_event = run_machine(
-            make_small_machine(small_config), timeline=timeline,
-            quantum_cycles=1_000,
-        )
-        without = run_machine(
-            make_small_machine(small_config), quantum_cycles=1_000
-        )
-        assert (
-            with_event.quantum_stats["plan_reuses"]
-            < without.quantum_stats["plan_reuses"]
-        )
-
-    def test_policy_change_invalidates_cached_plans(self, small_config):
-        # Cycle 5000 sits inside a timeslice: without the event the plan
-        # would have been reused, so a policy hot-swap must cost reuses.
-        timeline = Timeline.of(PolicyChanged(cycle=5_000, policy="no-dmr"))
-        with_event = run_machine(
-            make_small_machine(small_config), timeline=timeline,
-            quantum_cycles=1_000,
-        )
-        without = run_machine(
-            make_small_machine(small_config), quantum_cycles=1_000
-        )
-        assert (
-            with_event.quantum_stats["plan_reuses"]
-            < without.quantum_stats["plan_reuses"]
-        )
-
     def test_reliability_mode_change_replans_with_dmr_pairs(self, small_config):
-        # A cached plan must not survive a ReliabilityModeChanged event:
-        # the very next placement of the flipped VM has to carry DMR pairs.
+        # The very next placement of a VM flipped to RELIABLE carries DMR
+        # pairs.
         machine = make_small_machine(small_config)
         timeline = Timeline.of(
             ReliabilityModeChanged(cycle=1_000, vm_name="performance",
@@ -515,39 +476,16 @@ class TestPlanReuse:
             timeline=timeline,
         )
         vm = next(v for v in machine.active_vms if v.name == "performance")
-        plan, reused = sim._phase_place(vm)
-        assert not reused
+        plan = sim._phase_place(vm)
         assert all(
             p.assignment.secondary_core is None for p in plan.placements
         )
-        again, reused = sim._phase_place(vm)
-        assert reused and again is plan
         sim._apply_due_events(1_000)
-        replanned, reused = sim._phase_place(vm)
-        assert not reused
+        plan = sim._phase_place(vm)
         assert all(
             p.assignment.secondary_core is not None
-            for p in replanned.placements
+            for p in plan.placements
         )
-
-    def test_fault_injected_machines_always_replan(self, small_config):
-        # Reusing a plan would carry ReunionPair fingerprint state across
-        # quanta, making fault-detection timing depend on cache hits.
-        machine = make_small_machine(
-            small_config, fault_rates=FaultRates(execution_result=0.0001)
-        )
-        result = run_machine(machine, quantum_cycles=1_000)
-        assert result.quantum_stats.get("plan_reuses", 0) == 0
-
-    def test_stateful_policies_are_never_reused(self, small_config):
-        machine = make_small_machine(
-            small_config,
-            policy="mmm-adaptive",
-            performance_mode=ReliabilityMode.PERFORMANCE_USER_ONLY,
-        )
-        result = run_machine(machine, quantum_cycles=1_000,
-                             fine_grained_switching=False)
-        assert result.quantum_stats.get("plan_reuses", 0) == 0
 
 
 # ===================================================================== #

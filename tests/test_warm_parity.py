@@ -234,7 +234,7 @@ def test_any_touch_leaves_the_pristine_state():
     assert MemoryHierarchy(config).is_pristine()
     touches = [
         lambda h: h.load(0, 0x1000),
-        lambda h: h.store(1, 0x1000),
+        lambda h: h.access(1, 0x1000, is_store=True),
         lambda h: h.load(2, 0x2000, coherent=False),
         lambda h: h.warm(0, (0x40,)),
         lambda h: h.flush_l2(3),

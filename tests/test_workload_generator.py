@@ -31,7 +31,7 @@ def make_workload(layout, name="apache", phase_scale=0.002, seed=11, **kwargs):
 
 def test_sequence_numbers_are_monotonic(layout):
     workload = make_workload(layout)
-    instructions = workload.take(500)
+    instructions = [workload.next_instruction() for _ in range(500)]
     assert [i.seq for i in instructions] == list(range(500))
     assert workload.next_instruction().seq == 500
 
@@ -39,7 +39,8 @@ def test_sequence_numbers_are_monotonic(layout):
 def test_same_seed_gives_identical_streams(layout):
     a = make_workload(layout, seed=5)
     b = make_workload(layout, seed=5)
-    for left, right in zip(a.take(300), b.take(300)):
+    for _ in range(300):
+        left, right = a.next_instruction(), b.next_instruction()
         assert (left.iclass, left.address, left.privilege, left.result) == (
             right.iclass, right.address, right.privilege, right.result
         )
@@ -48,8 +49,10 @@ def test_same_seed_gives_identical_streams(layout):
 def test_different_vcpus_get_different_streams(layout):
     a = SyntheticWorkload(get_profile("oltp"), layout, vcpu_index=0, num_vcpus=2, seed=1)
     b = SyntheticWorkload(get_profile("oltp"), layout, vcpu_index=1, num_vcpus=2, seed=1)
-    addresses_a = [i.address for i in a.take(200) if i.address is not None]
-    addresses_b = [i.address for i in b.take(200) if i.address is not None]
+    sample_a = [a.next_instruction() for _ in range(200)]
+    sample_b = [b.next_instruction() for _ in range(200)]
+    addresses_a = [i.address for i in sample_a if i.address is not None]
+    addresses_b = [i.address for i in sample_b if i.address is not None]
     assert addresses_a != addresses_b
 
 
@@ -57,7 +60,7 @@ def test_phases_alternate_between_user_and_os(layout):
     workload = make_workload(layout, phase_scale=0.001)
     seen_entry = seen_exit = False
     previous_privilege = PrivilegeLevel.USER
-    sample = workload.take(3000)
+    sample = [workload.next_instruction() for _ in range(3000)]
     for instruction in sample:
         if instruction.enters_os:
             seen_entry = True
@@ -75,7 +78,8 @@ def test_phases_alternate_between_user_and_os(layout):
 
 def test_memory_instructions_always_carry_addresses(layout):
     workload = make_workload(layout)
-    for instruction in workload.take(1000):
+    for _ in range(1000):
+        instruction = workload.next_instruction()
         if instruction.is_memory:
             assert instruction.address is not None
         else:
@@ -85,7 +89,7 @@ def test_memory_instructions_always_carry_addresses(layout):
 def test_instruction_mix_roughly_matches_profile(layout):
     workload = make_workload(layout, name="oltp", phase_scale=0.01)
     profile = get_profile("oltp")
-    sample = workload.take(8000)
+    sample = [workload.next_instruction() for _ in range(8000)]
     user_sample = [i for i in sample if i.is_user]
     loads = sum(1 for i in user_sample if i.is_load) / len(user_sample)
     stores = sum(1 for i in user_sample if i.is_store) / len(user_sample)
@@ -95,14 +99,16 @@ def test_instruction_mix_roughly_matches_profile(layout):
 
 def test_os_phase_uses_requested_privilege(layout):
     workload = make_workload(layout, os_privilege=PrivilegeLevel.HYPERVISOR, phase_scale=0.001)
-    privileges = {i.privilege for i in workload.take(3000) if not i.is_user}
+    sample = [workload.next_instruction() for _ in range(3000)]
+    privileges = {i.privilege for i in sample if not i.is_user}
     assert privileges == {PrivilegeLevel.HYPERVISOR}
 
 
 def test_user_os_instruction_balance_tracks_profile(layout):
     workload = make_workload(layout, name="zeus", phase_scale=0.002)
     # The phase bodies, without the SYSCALL instructions between them.
-    body = [i for i in workload.take(20000) if not (i.enters_os or i.exits_os)]
+    sample = [workload.next_instruction() for _ in range(20000)]
+    body = [i for i in sample if not (i.enters_os or i.exits_os)]
     profile = get_profile("zeus")
     expected_os_share = profile.os_intensity
     observed = sum(1 for i in body if not i.is_user) / len(body)
@@ -117,26 +123,15 @@ def test_current_privilege_reflects_phase(layout):
     assert workload.current_privilege is PrivilegeLevel.GUEST_OS
 
 
-def test_take_rejects_negative_and_user_os_privilege_rejected(layout):
-    workload = make_workload(layout)
-    with pytest.raises(WorkloadError):
-        workload.take(-1)
+def test_user_os_privilege_is_rejected(layout):
     with pytest.raises(WorkloadError):
         make_workload(layout, os_privilege=PrivilegeLevel.USER)
-
-
-def test_stream_iterator_matches_next_instruction(layout):
-    workload = make_workload(layout, seed=9)
-    reference = make_workload(layout, seed=9)
-    stream = reference.stream()
-    for _ in range(100):
-        assert next(stream).iclass == workload.next_instruction().iclass
 
 
 def test_syscall_boundaries_are_serializing(layout):
     workload = make_workload(layout, phase_scale=0.001)
     boundaries = [
-        i for i in workload.take(5000)
+        i for i in (workload.next_instruction() for _ in range(5000))
         if i.iclass in (InstructionClass.SYSCALL_ENTRY, InstructionClass.SYSCALL_EXIT)
     ]
     assert boundaries

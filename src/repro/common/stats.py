@@ -11,9 +11,10 @@ hierarchy's misses and C2C transfers, window-full cycles, PAB violations,
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, Mapping
 
 
@@ -82,6 +83,18 @@ def _t_quantile(dof: int) -> float:
     return 1.96
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, rounding after every addition.
+
+    From Python 3.12 on, the built-in ``sum()`` compensates float rounding,
+    which moves some averaged metrics in their last digit.  This fold gives
+    the bits that ``sum()`` gave before 3.12, on every version; results that
+    reach a document are summed through it.  (``math.fsum`` would change
+    them on every version.)
+    """
+    return reduce(operator.add, values, 0)
+
+
 def confidence_interval_95(values: Iterable[float]) -> ConfidenceInterval:
     """Return the sample mean and 95% confidence half-width of ``values``.
 
@@ -92,10 +105,10 @@ def confidence_interval_95(values: Iterable[float]) -> ConfidenceInterval:
     if not data:
         return ConfidenceInterval(mean=0.0, half_width=0.0, count=0)
     n = len(data)
-    mean = sum(data) / n
+    mean = left_sum(data) / n
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=0.0, count=1)
-    variance = sum((x - mean) ** 2 for x in data) / (n - 1)
+    variance = left_sum((x - mean) ** 2 for x in data) / (n - 1)
     sem = math.sqrt(variance / n)
     return ConfidenceInterval(mean=mean, half_width=_t_quantile(n - 1) * sem, count=n)
 
@@ -105,7 +118,7 @@ def mean(values: Iterable[float]) -> float:
     data = list(values)
     if not data:
         return 0.0
-    return sum(data) / len(data)
+    return left_sum(data) / len(data)
 
 
 class StatSet:

@@ -14,7 +14,6 @@ applications simultaneously:
   recommended public entry point.
 """
 
-from repro.core.adaptive import AdaptiveMmmPolicy, AdaptiveReliabilityController
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.mmm import MixedModeMulticore
 from repro.core.policies import (
@@ -24,13 +23,10 @@ from repro.core.policies import (
     MmmTpPolicy,
     NoDmrPolicy,
     policy_by_name,
-    register_policy,
 )
 from repro.core.transitions import ModeTransitionEngine, TransitionBreakdown, TransitionFlavor
 
 __all__ = [
-    "AdaptiveMmmPolicy",
-    "AdaptiveReliabilityController",
     "MixedModeMachine",
     "VmSpec",
     "MixedModeMulticore",
@@ -40,7 +36,6 @@ __all__ = [
     "MmmTpPolicy",
     "NoDmrPolicy",
     "policy_by_name",
-    "register_policy",
     "ModeTransitionEngine",
     "TransitionBreakdown",
     "TransitionFlavor",

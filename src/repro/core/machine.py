@@ -142,10 +142,7 @@ class MixedModeMachine:
             vcpu_state_bytes=self.config.virtualization.vcpu_state_bytes,
         )
         self.transfer_engine = VcpuStateTransferEngine(
-            hierarchy=self.hierarchy,
-            scratchpad=self.scratchpad,
-            config=self.config.virtualization,
-            overlap_factor=2.0,
+            hierarchy=self.hierarchy, scratchpad=self.scratchpad
         )
         self.transition_engine = ModeTransitionEngine(
             config=self.config,

@@ -16,6 +16,10 @@ want to run are placed onto physical cores:
   single cores; because the cores are overcommitted, VCPUs that do not fit
   are paused for the quantum.  This is the policy that needs the hardware
   virtualisation layer.
+
+Every policy is stateless: a plan depends only on the VCPUs and their
+current DMR requirements, which the fuzz oracle ``check_dmr_pairs`` relies
+on.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ class MappingPolicy(ABC):
     #: Whether this policy is a mixed-mode policy (affects the PAB and the
     #: mode-transition accounting performed by the simulator).
     mixed_mode: bool = False
-    #: Whether ``plan_quantum`` is a pure function of the VCPUs' identities
-    #: and current DMR requirements.  The simulator re-plans every quantum
-    #: either way; the fuzz oracle ``check_dmr_pairs`` reads this to expect
-    #: the same DMR pairs across a VM's quanta with no event between them.
-    #: A policy carrying its own per-quantum state (e.g. the duty-cycled
-    #: adaptive policy) sets it to ``False``.
-    stateless_plans: bool = True
 
     @abstractmethod
     def plan_quantum(
@@ -229,18 +226,6 @@ _POLICIES: Dict[str, Type[MappingPolicy]] = {
     MmmIpcPolicy.name: MmmIpcPolicy,
     MmmTpPolicy.name: MmmTpPolicy,
 }
-
-
-def register_policy(policy_class: Type[MappingPolicy]) -> Type[MappingPolicy]:
-    """Register an additional mapping policy under its ``name``.
-
-    Used by extensions (e.g. the adaptive duty-cycled policy) and available to
-    downstream users experimenting with their own scheduling strategies.
-    """
-    if not policy_class.name or policy_class.name == "abstract":
-        raise SchedulingError("a mapping policy needs a concrete name to be registered")
-    _POLICIES[policy_class.name] = policy_class
-    return policy_class
 
 
 def policy_by_name(name: str) -> MappingPolicy:

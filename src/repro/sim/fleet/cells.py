@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
+from repro.common.stats import left_sum
 from repro.sim.fleet.cluster import FleetTopology
 from repro.sim.fleet.scheduler import BURST_SLOTS, FleetPlan, FleetScheduler, MachinePlan
 from repro.sim.fleet.traffic import scenario_model
@@ -162,9 +163,9 @@ def fleet_samples(
         throughputs = [float(results[job]["machine_throughput"]) for job in members]
         availabilities = [float(results[job]["availability"]) for job in members]
         yield (scenario,), {
-            "fleet_throughput": sum(throughputs),
+            "fleet_throughput": left_sum(throughputs),
             "p99_degraded_throughput": tail_percentile(throughputs),
-            "availability": sum(availabilities) / len(availabilities),
+            "availability": left_sum(availabilities) / len(availabilities),
             "migrations": sum(int(job.param("migrations_in", 0)) for job in members),
             "exposure_cycles": sum(
                 int(job.param("exposure_cycles", 0)) for job in members

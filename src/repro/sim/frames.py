@@ -47,7 +47,7 @@ from typing import (
 )
 
 from repro.analysis.tables import TextTable
-from repro.common.stats import ConfidenceInterval, confidence_interval_95, mean
+from repro.common.stats import ConfidenceInterval, confidence_interval_95, left_sum, mean
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -592,7 +592,7 @@ def _aggregate(column: MetricColumn, batch: Sequence[object]) -> CellValue:
     if column.aggregate == "mean":
         return mean(float(v) for v in batch)
     if column.aggregate == "sum":
-        total = sum(batch) if batch else 0
+        total = left_sum(batch)
         return int(total) if column.dtype == "int" else total
     if column.aggregate == "last":
         return batch[-1] if batch else None

@@ -14,9 +14,9 @@ so the events beyond the run's horizon (deliberately generated to exercise
 the pending-event ledger) would also apply cleanly if the horizon grew.
 
 ``PERFORMANCE_USER_ONLY`` is deliberately absent from the generated mode
-pool: under the default fine-grained-switching options, a user-only VCPU on
-any mixed-mode policy except MMM-IPC is a configuration error (it needs a
-reserved partner core), so drawing it would fuzz the *configuration
+pool: a user-only VCPU switches modes at every OS entry and exit, which
+needs a reserved partner core, so on any mixed-mode policy except MMM-IPC it
+is a configuration error, and drawing it would fuzz the *configuration
 validator* rather than the lifecycle machinery.
 
 All randomness flows through identity-derived
@@ -63,7 +63,6 @@ POLICY_POOL: Tuple[str, ...] = (
     "dmr-base",
     "mmm-ipc",
     "mmm-tp",
-    "mmm-adaptive",
 )
 
 #: Reliability modes the generator draws (see the module docstring for why

@@ -57,10 +57,6 @@ class QuantumObservation:
     #: Whether the quantum falls inside the measured window.
     measuring: bool
     policy_name: str
-    #: Whether the policy's plans are pure functions of its inputs (stateful
-    #: policies like the duty-cycled adaptive one may legitimately re-pair
-    #: between quanta without any event in between).
-    stateless: bool
     #: DMR pairings in the executed plan: (vcpu_id, primary, secondary).
     pairs: Tuple[Tuple[int, int, int], ...]
     #: Every core the plan occupies (assignments plus reserved partners).
@@ -85,7 +81,6 @@ class ObservedSimulator(Simulator):
                 vm_id=vm.vm_id,
                 measuring=self._measuring,
                 policy_name=self.machine.policy.name,
-                stateless=self.machine.policy.stateless_plans,
                 pairs=tuple(
                     sorted(
                         (
@@ -248,9 +243,9 @@ def check_dmr_pairs(context: OracleContext) -> List[str]:
     """DMR pairs never split without a recorded transition.
 
     Between two quanta of the same VM with no timeline event in between, a
-    stateless policy has no reason to re-pair: the executed plan's DMR
-    pairings must be identical.  (Stateful policies may re-pair on their own
-    schedule and are exempt; events legitimately force re-planning.)
+    policy has no reason to re-pair: every policy plans from the VCPUs and
+    their DMR requirements alone, so the executed plan's DMR pairings must be
+    identical.  (Events legitimately force re-planning.)
     """
     details: List[str] = []
     last_by_vm: Dict[int, QuantumObservation] = {}
@@ -258,8 +253,6 @@ def check_dmr_pairs(context: OracleContext) -> List[str]:
         previous = last_by_vm.get(observation.vm_id)
         if (
             previous is not None
-            and observation.stateless
-            and previous.stateless
             and observation.policy_name == previous.policy_name
             and observation.events_applied == previous.events_applied
             and observation.pairs != previous.pairs

@@ -11,8 +11,9 @@ cache statistics).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.common.stats import left_sum
 from repro.errors import SimulationError
 from repro.virt.vcpu import ReliabilityMode
 
@@ -66,7 +67,7 @@ class VmResult:
         """Average per-VCPU user IPC (the paper's per-thread metric)."""
         if not self.vcpus or machine_cycles <= 0:
             return 0.0
-        return sum(v.user_ipc(machine_cycles) for v in self.vcpus) / len(self.vcpus)
+        return left_sum(v.user_ipc(machine_cycles) for v in self.vcpus) / len(self.vcpus)
 
     def throughput(self, machine_cycles: int) -> float:
         """Aggregate user instructions per cycle for the VM."""
@@ -163,7 +164,7 @@ class SimulationResult:
         vcpus = [v for vm in self.vm_results for v in vm.vcpus]
         if not vcpus or self.total_cycles <= 0:
             return 0.0
-        return sum(v.user_ipc(self.total_cycles) for v in vcpus) / len(vcpus)
+        return left_sum(v.user_ipc(self.total_cycles) for v in vcpus) / len(vcpus)
 
     def silent_corruptions(self) -> int:
         """Number of silent corruptions recorded (should be zero for an MMM)."""

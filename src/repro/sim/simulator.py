@@ -79,6 +79,10 @@ _WARM_CHECKPOINT_SLOTS = 2
 _warm_checkpoints: "OrderedDict[bytes, tuple]" = OrderedDict()
 _warm_checkpoints_lock = threading.Lock()
 
+#: Floor on the usable cycles of a quantum after transition costs.  A
+#: timeslice at or below it is refused when the :class:`Simulator` is built.
+MINIMUM_QUANTUM_CYCLES = 64
+
 
 @dataclass(frozen=True)
 class SimulationOptions:
@@ -91,24 +95,16 @@ class SimulationOptions:
     #: clamped at the boundary so measurement starts exactly here, and the
     #: trimmed cycles are surfaced as ``SimulationResult.warmup_clamp_cycles``.
     warmup_cycles: int = 10_000
-    #: Quantum length; defaults to the gang-scheduling timeslice.
-    quantum_cycles: Optional[int] = None
     #: Factor applied to mode-transition costs charged at timeslice
     #: boundaries.  The paper uses 1 ms timeslices with transitions of a few
     #: thousand cycles; scaled-down runs pass ``scaled_timeslice / 3e6`` here
     #: so the amortisation ratio is preserved.
     transition_cost_scale: float = 1.0
-    #: Whether VCPUs in PERFORMANCE_USER_ONLY mode switch modes at every OS
-    #: entry/exit (single-OS behaviour).  Requires a policy that reserves a
-    #: partner core (MMM-IPC).
-    fine_grained_switching: bool = True
     #: Touch every VCPU's working set through the hierarchy before simulation
     #: starts, reproducing the steady-state cache contents a long-running
     #: workload would have (the paper's methodology starts from warmed
     #: checkpoints).  Costs no simulated cycles.
     functional_warming: bool = True
-    #: Floor on the usable cycles of a quantum after transition costs.
-    minimum_quantum_cycles: int = 64
 
     def validate(self) -> "SimulationOptions":
         """Check the options are usable; return ``self``."""
@@ -116,14 +112,8 @@ class SimulationOptions:
             raise SimulationError("total_cycles must be positive")
         if self.warmup_cycles < 0:
             raise SimulationError("warmup_cycles cannot be negative")
-        if self.quantum_cycles is not None and self.quantum_cycles <= 0:
-            raise SimulationError("quantum_cycles must be positive when given")
         if not 0.0 <= self.transition_cost_scale <= 10.0:
             raise SimulationError("transition_cost_scale outside [0, 10]")
-        if self.minimum_quantum_cycles <= 0:
-            # A non-positive floor would let fine-grained switching spin
-            # forever on a budget it can never exhaust.
-            raise SimulationError("minimum_quantum_cycles must be positive")
         return self
 
 
@@ -141,17 +131,13 @@ class Simulator:
         self.timeline = (timeline if timeline is not None else Timeline()).validate()
         self.quantum_stats = StatSet()
         timeslice = machine.config.virtualization.timeslice_cycles
-        self._quantum = min(
-            timeslice,
-            options.quantum_cycles if options.quantum_cycles is not None else timeslice,
-        )
-        if self._quantum <= options.minimum_quantum_cycles:
+        if timeslice <= MINIMUM_QUANTUM_CYCLES:
             # At or below the floor, fine-grained switching never runs a
             # PERFORMANCE_USER_ONLY VCPU and a boundary transition costs no
             # cycles, so a quantum this short cannot be simulated.
             raise SimulationError(
-                f"a {self._quantum}-cycle quantum is not longer than the "
-                f"{options.minimum_quantum_cycles}-cycle quantum floor"
+                f"a {timeslice}-cycle quantum is not longer than the "
+                f"{MINIMUM_QUANTUM_CYCLES}-cycle quantum floor"
             )
         self.gang = GangScheduler(
             vm_ids=[vm.vm_id for vm in machine.active_vms],
@@ -230,12 +216,12 @@ class Simulator:
         """First cycle after ``cycle`` at which the quantum must stop.
 
         The quantum is bounded by the end of the run, the gang-scheduling
-        boundary, the configured quantum length, the next pending timeline
+        boundary (at most one timeslice away), the next pending timeline
         event (so events apply exactly at their cycle), the end of an active
         fault-rate burst, and -- while still warming up -- the measurement
         boundary (the warmup clamp).
         """
-        bound = min(end, self.gang.next_boundary(cycle), cycle + self._quantum)
+        bound = min(end, self.gang.next_boundary(cycle))
         if self._next_event < len(self._events):
             pending = self._events[self._next_event].cycle
             if cycle < pending < bound:
@@ -471,9 +457,7 @@ class Simulator:
         # wall budget itself below the floor) executes only its real budget,
         # otherwise placed VCPUs would commit more work than the clock
         # advances and event-heavy runs would inflate throughput.
-        return min(
-            budget, max(self.options.minimum_quantum_cycles, budget - transition_cost)
-        )
+        return min(budget, max(MINIMUM_QUANTUM_CYCLES, budget - transition_cost))
 
     def _phase_execute(
         self, vm, plan: MappingPlan, effective_budget: int, cycle: int
@@ -484,8 +468,7 @@ class Simulator:
         for placement in plan.placements:
             vcpu = machine.vcpus[placement.vcpu_id]
             if (
-                self.options.fine_grained_switching
-                and machine.policy.mixed_mode
+                machine.policy.mixed_mode
                 and vcpu.mode_register is ReliabilityMode.PERFORMANCE_USER_ONLY
             ):
                 self._run_fine_grained(
@@ -561,7 +544,7 @@ class Simulator:
         machine = self.machine
         vocal, mute = self._pair_for_fine_grained(placement)
         remaining = budget
-        while remaining > self.options.minimum_quantum_cycles:
+        while remaining > MINIMUM_QUANTUM_CYCLES:
             needs_dmr = vcpu.requires_dmr()
             if needs_dmr:
                 assignment = CoreAssignment(

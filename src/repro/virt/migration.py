@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config.system import VirtualizationConfig
-from repro.errors import TransitionError
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.virt.scratchpad import ScratchpadManager
+
+#: Line transfers the state machine keeps in flight: a transfer costs its
+#: summed access latency over this, plus ``LINE_BEAT_CYCLES`` per line.
+TRANSFER_OVERLAP = 2.0
+#: Cycles each moved line adds on top of the overlapped latency.
+LINE_BEAT_CYCLES = 1
 
 
 @dataclass(frozen=True)
@@ -35,21 +39,9 @@ class TransferResult:
 class VcpuStateTransferEngine:
     """Moves VCPU state between cores via the scratchpad."""
 
-    def __init__(
-        self,
-        hierarchy: MemoryHierarchy,
-        scratchpad: ScratchpadManager,
-        config: VirtualizationConfig,
-        overlap_factor: float = 4.0,
-        per_line_beat: float = 1.0,
-    ) -> None:
-        if overlap_factor < 1.0:
-            raise TransitionError("overlap factor must be at least 1")
+    def __init__(self, hierarchy: MemoryHierarchy, scratchpad: ScratchpadManager) -> None:
         self.hierarchy = hierarchy
         self.scratchpad = scratchpad
-        self.config = config
-        self.overlap_factor = overlap_factor
-        self.per_line_beat = per_line_beat
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -73,9 +65,7 @@ class VcpuStateTransferEngine:
                 core_id, address, is_store=is_store, coherent=coherent
             )
             total_latency += result.latency
-        cycles = int(round(total_latency / self.overlap_factor)) + int(
-            round(len(addresses) * self.per_line_beat)
-        )
+        cycles = int(round(total_latency / TRANSFER_OVERLAP)) + len(addresses) * LINE_BEAT_CYCLES
         return TransferResult(cycles=cycles, lines=len(addresses), total_latency=total_latency)
 
     # ------------------------------------------------------------------ #
@@ -120,13 +110,3 @@ class VcpuStateTransferEngine:
         # Privileged state is a small fraction of the 2.3 KB VCPU state; two
         # cache lines comfortably hold the SPARC privileged registers.
         return max(1, min(2, self.scratchpad.slot_lines))
-
-    def migrate(self, from_core: int, to_core: int, vcpu_id: int) -> TransferResult:
-        """Move a VCPU between cores (save on one core, load on the other)."""
-        save = self.save_state(from_core, vcpu_id)
-        load = self.load_state(to_core, vcpu_id)
-        return TransferResult(
-            cycles=save.cycles + load.cycles,
-            lines=save.lines + load.lines,
-            total_latency=save.total_latency + load.total_latency,
-        )

@@ -179,24 +179,6 @@ class GangScheduler:
         slot = (cycle // self.timeslice_cycles) % len(self.vm_ids)
         return self.vm_ids[slot]
 
-    def slice_index(self, cycle: int) -> int:
-        """Index of the timeslice containing ``cycle``."""
-        return cycle // self.timeslice_cycles
-
     def next_boundary(self, cycle: int) -> int:
         """First cycle after ``cycle`` at which the scheduled VM changes."""
-        return (self.slice_index(cycle) + 1) * self.timeslice_cycles
-
-    def is_boundary(self, cycle: int) -> bool:
-        """True when ``cycle`` is the first cycle of a timeslice."""
-        return cycle % self.timeslice_cycles == 0
-
-    def schedule(self, total_cycles: int) -> List[Tuple[int, int, int]]:
-        """Return ``(start_cycle, end_cycle, vm_id)`` slices covering a run."""
-        slices: List[Tuple[int, int, int]] = []
-        cycle = 0
-        while cycle < total_cycles:
-            end = min(total_cycles, self.next_boundary(cycle))
-            slices.append((cycle, end, self.vm_at(cycle)))
-            cycle = end
-        return slices
+        return (cycle // self.timeslice_cycles + 1) * self.timeslice_cycles

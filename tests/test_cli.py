@@ -110,13 +110,6 @@ _PINNED_RUN_SUMMARIES = {
         "overall throughput: 1.1287 user instructions/cycle\n"
         "mode transitions:   4\n"
     ),
-    "mmm-adaptive": (
-        "policy=mmm-adaptive  cycles=8000\n" + _RUN_HEADER
-        + "reliable     2      0.059                0.118       4\n"
-        "performance  8      0.069                0.549       0\n"
-        "overall throughput: 0.6679 user instructions/cycle\n"
-        "mode transitions:   4\n"
-    ),
     "single-os": (
         "policy=mmm-ipc  cycles=8000\n"
         "guest VM         VCPUs  per-thread user IPC  throughput  mode switches\n"
@@ -235,6 +228,7 @@ def test_jobs_selects_the_process_backend(capsys):
         ["figure5", "--backend", "serial"],
         ["run-all", "--quick", "--backend", "thread"],
         ["report", "--quick"],
+        ["run", "--policy", "mmm-adaptive"],
     ],
 )
 def test_removed_backend_flag_and_report_alias_exit_2(argv):

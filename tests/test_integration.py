@@ -141,8 +141,7 @@ class TestCustomMachines:
     def test_explicit_simulation_options(self):
         system = consolidated("mmm-tp", seed=2)
         options = SimulationOptions(
-            total_cycles=8_000, warmup_cycles=2_000, quantum_cycles=3_000,
-            transition_cost_scale=0.002,
+            total_cycles=8_000, warmup_cycles=2_000, transition_cost_scale=0.002,
         )
         result = system.simulator(options).run()
         assert result.total_cycles == 8_000

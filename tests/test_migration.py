@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.addresses import AddressSpaceLayout
-from repro.config.system import VirtualizationConfig
-from repro.errors import TransitionError
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.virt.migration import VcpuStateTransferEngine
 from repro.virt.scratchpad import ScratchpadManager
@@ -17,12 +15,7 @@ def engine(small_config):
     layout = AddressSpaceLayout(scratchpad_bytes=128 * 1024)
     hierarchy = MemoryHierarchy(small_config)
     scratchpad = ScratchpadManager(layout, vcpu_state_bytes=2355)
-    return VcpuStateTransferEngine(
-        hierarchy=hierarchy,
-        scratchpad=scratchpad,
-        config=VirtualizationConfig(vcpu_state_bytes=2355),
-        overlap_factor=2.0,
-    )
+    return VcpuStateTransferEngine(hierarchy=hierarchy, scratchpad=scratchpad)
 
 
 def test_save_moves_all_state_lines(engine):
@@ -56,31 +49,3 @@ def test_redundant_and_primary_copies_use_distinct_slots(engine):
     primary = engine.scratchpad.slot_for(4, ScratchpadManager.PRIMARY)
     redundant = engine.scratchpad.slot_for(4, ScratchpadManager.REDUNDANT)
     assert primary.base != redundant.base
-
-
-def test_migrate_combines_save_and_load(engine):
-    result = engine.migrate(from_core=0, to_core=1, vcpu_id=5)
-    assert result.lines == 74
-
-
-def test_overlap_factor_reduces_cycles(small_config):
-    layout = AddressSpaceLayout(scratchpad_bytes=128 * 1024)
-
-    def build(overlap):
-        hierarchy = MemoryHierarchy(small_config)
-        scratchpad = ScratchpadManager(layout, vcpu_state_bytes=2355)
-        return VcpuStateTransferEngine(
-            hierarchy, scratchpad, VirtualizationConfig(), overlap_factor=overlap
-        )
-
-    slow = build(1.0).save_state(0, 0)
-    fast = build(4.0).save_state(0, 0)
-    assert fast.cycles < slow.cycles
-
-
-def test_invalid_overlap_rejected(small_config):
-    layout = AddressSpaceLayout()
-    hierarchy = MemoryHierarchy(small_config)
-    scratchpad = ScratchpadManager(layout, vcpu_state_bytes=2355)
-    with pytest.raises(TransitionError):
-        VcpuStateTransferEngine(hierarchy, scratchpad, VirtualizationConfig(), overlap_factor=0.5)

@@ -14,7 +14,6 @@ from repro.core.policies import (
 )
 from repro.cpu.timing import ExecutionMode
 from repro.errors import SchedulingError
-from repro.virt.vcpu import ReliabilityMode
 
 
 def plan_for(machine, policy, vcpus):
@@ -29,9 +28,7 @@ def all_vcpus(machine):
 
 class TestRegistry:
     def test_known_policies(self):
-        assert {"no-dmr", "dmr-base", "mmm-ipc", "mmm-tp", "mmm-adaptive"} <= set(
-            available_policies()
-        )
+        assert set(available_policies()) == {"no-dmr", "dmr-base", "mmm-ipc", "mmm-tp"}
         assert isinstance(policy_by_name("MMM-TP"), MmmTpPolicy)
 
     def test_unknown_policy_rejected(self):

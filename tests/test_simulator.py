@@ -7,7 +7,7 @@ import pytest
 from repro.cpu.timing import CoreAssignment, ExecutionMode
 from repro.errors import SimulationError
 from repro.faults.injector import FaultRates
-from repro.sim.simulator import SimulationOptions, Simulator
+from repro.sim.simulator import MINIMUM_QUANTUM_CYCLES, SimulationOptions, Simulator
 from repro.virt.scheduler import VcpuPlacement
 from repro.virt.vcpu import ReliabilityMode
 from tests.conftest import make_small_machine
@@ -26,18 +26,8 @@ class TestOptions:
         with pytest.raises(SimulationError):
             SimulationOptions(warmup_cycles=-1).validate()
         with pytest.raises(SimulationError):
-            SimulationOptions(quantum_cycles=0).validate()
-        with pytest.raises(SimulationError):
             SimulationOptions(transition_cost_scale=100.0).validate()
         assert SimulationOptions().validate() is not None
-
-    def test_minimum_quantum_cycles_must_be_positive(self):
-        # A non-positive floor would make fine-grained switching spin.
-        with pytest.raises(SimulationError):
-            SimulationOptions(minimum_quantum_cycles=0).validate()
-        with pytest.raises(SimulationError):
-            SimulationOptions(minimum_quantum_cycles=-64).validate()
-        assert SimulationOptions(minimum_quantum_cycles=1).validate() is not None
 
 
 class TestBasicRuns:
@@ -160,22 +150,6 @@ class TestFineGrainedSwitching:
         assert switches > 0
         assert result.transitions >= switches
 
-    def test_fine_grained_can_be_disabled(self, small_config):
-        machine = make_small_machine(
-            small_config,
-            policy="mmm-ipc",
-            performance_mode=ReliabilityMode.PERFORMANCE_USER_ONLY,
-            performance_vcpus=1,
-            seed=13,
-        )
-        result = run_machine(
-            machine, total_cycles=20_000, warmup_cycles=0, fine_grained_switching=False
-        )
-        performance = result.vm("performance")
-        # Without fine-grained switching the only transitions are at VM
-        # boundaries, charged per placement rather than per syscall.
-        assert sum(v.mode_switches for v in performance.vcpus) <= result.transitions
-
 
 class TestMeasurementBoundary:
     def test_transition_counters_exclude_warmup(self, small_config):
@@ -226,12 +200,12 @@ class TestFineGrainedEdgeCases:
         return machine.vcpus[placement.vcpu_id], placement
 
     def test_budget_exhausted_exactly_at_minimum_quantum(self, small_config):
-        # remaining == minimum_quantum_cycles means no useful work fits:
+        # remaining == MINIMUM_QUANTUM_CYCLES means no useful work fits:
         # the loop must not run (and certainly must not spin).
         machine, sim = make_fine_grained_simulator(small_config)
         vcpu, placement = self.fine_grained_placement(machine)
         sim._run_fine_grained(
-            vcpu, placement, sim.options.minimum_quantum_cycles, cycle=0, active_cores=2
+            vcpu, placement, MINIMUM_QUANTUM_CYCLES, cycle=0, active_cores=2
         )
         assert vcpu.committed_instructions == 0
         assert vcpu.mode_switches == 0

@@ -8,6 +8,8 @@ from repro.common.stats import (
     ConfidenceInterval,
     StatSet,
     confidence_interval_95,
+    left_sum,
+    mean,
 )
 
 
@@ -48,6 +50,16 @@ class TestConfidenceInterval:
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, count=5)
         assert ci.low == 8.0
         assert ci.high == 12.0
+
+
+def test_sums_round_after_every_addition_on_every_python():
+    # A compensated sum (the built-in sum() from Python 3.12 on) keeps the
+    # 1.0 that a left fold rounds away; documents must not depend on which.
+    data = [1e16, 1.0, -1e16]
+    assert left_sum(data) == 0.0
+    assert mean(data) == 0.0
+    assert confidence_interval_95(data).mean == 0.0
+    assert left_sum([]) == 0 and left_sum([1, 2, 3]) == 6
 
 
 class TestStatSet:

@@ -570,10 +570,10 @@ class TestFuzzRegressions:
         assert {vm.name for vm in machine.active_vms} == {"fuzz1", "fuzz2"}
         assert machine.retired_cores == frozenset()
 
-    def test_adaptive_policy_with_mid_warmup_churn_and_core_failure(self):
-        # fuzz case mixed:5:1 -- the stateful adaptive policy sees a VM
-        # arrive during warmup, three reliability flips, a core failure that
-        # lasts most of the run, and a policy swap to mmm-tp near the end.
+    def test_mmm_ipc_with_mid_warmup_churn_and_core_failure(self):
+        # fuzz case mixed:5:1, started under mmm-ipc: a VM arrives during
+        # warmup, three reliability flips, a core failure that lasts most of
+        # the run, and a policy swap to mmm-tp near the end.
         machine, result = run_fuzz_regression(
             vm_specs=[
                 fuzz_vm("fuzz0", "oltp", 1, ReliabilityMode.PERFORMANCE, True),
@@ -581,7 +581,7 @@ class TestFuzzRegressions:
                 fuzz_vm("fuzz2", "apache", 2, ReliabilityMode.PERFORMANCE, True),
                 fuzz_vm("fuzz3", "apache", 3, ReliabilityMode.PERFORMANCE, False),
             ],
-            policy="mmm-adaptive",
+            policy="mmm-ipc",
             seed=1,
             timeline=Timeline.of(
                 VmArrived(cycle=5847, vm_name="fuzz3"),

@@ -245,15 +245,6 @@ class TestGangScheduler:
         assert gang.vm_at(250) == 0
         assert gang.next_boundary(0) == 100
         assert gang.next_boundary(150) == 200
-        assert gang.is_boundary(200)
-        assert not gang.is_boundary(201)
-
-    def test_schedule_covers_the_whole_run(self):
-        gang = GangScheduler(vm_ids=[0, 1, 2], timeslice_cycles=50)
-        slices = gang.schedule(total_cycles=170)
-        assert slices[0] == (0, 50, 0)
-        assert slices[-1] == (150, 170, 0)
-        assert sum(end - start for start, end, _ in slices) == 170
 
     def test_invalid_construction(self):
         with pytest.raises(SchedulingError):

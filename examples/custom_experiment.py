@@ -2,10 +2,9 @@
 """Add your own experiment in ~30 lines: a declarative ``ExperimentSpec``.
 
 The experiment layer is driven by the central ``EXPERIMENTS`` registry of
-:mod:`repro.sim.specs`: an experiment is a spec object declaring its
-parameter grid, how grid points become engine jobs, and -- since the frame
-redesign -- a ``MetricSchema`` naming its key axes and typed metric
-columns.  Everything else is generated: the generic assembler folds the
+:mod:`repro.sim.specs`: an experiment is a spec object declaring how a
+request becomes engine jobs and a ``MetricSchema`` naming its key axes and
+typed metric columns.  Everything else is generated: the generic assembler folds the
 runner's metrics into a ``ResultFrame`` (aggregating over seeds with 95%
 confidence intervals), and ``to_table`` / ``to_json`` / ``to_csv`` render
 straight from the schema.  Registering the spec makes it a first-class
@@ -32,11 +31,11 @@ from repro.sim.experiments import ExperimentSettings
 from repro.sim.frames import FrameView, MetricColumn, MetricSchema
 from repro.sim.jobs import ExperimentJob
 from repro.sim.runner import ExperimentRunner
-from repro.sim.specs import ExperimentSpec, ParameterGrid, register_experiment
+from repro.sim.specs import ExperimentSpec, register_experiment
 
 TIMESLICES = (10_000, 25_000, 50_000)
 
-# --- the ~30 lines: grid, jobs, schema, registration ---------------------
+# --- the ~30 lines: jobs, schema, registration ----------------------------
 
 
 def timeslice_jobs(request):
@@ -72,9 +71,6 @@ SPEC = register_experiment(
     ExperimentSpec(
         name="timeslice-sweep",
         title="overall throughput vs gang-scheduling timeslice",
-        grid=lambda request: ParameterGrid.of(
-            ("timeslice", TIMESLICES), ("seed", request.settings.seeds)
-        ),
         enumerate_jobs=timeslice_jobs,
         schema=lambda request: SCHEMA,
     )
@@ -91,7 +87,6 @@ def main() -> None:
     print()
     print("as CSV:")
     print(frame.to_csv())
-    print(f"grid: {SPEC.grid(SPEC.request(settings)).describe()}")
     print(f"engine: {runner.stats.summary()}")
 
 

@@ -24,6 +24,8 @@ Run with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.metrics import normalize_to
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.config.presets import evaluation_system_config
@@ -76,8 +78,12 @@ def main() -> None:
     print()
     print("2. The same scenario as a sweep (the `degradation` spec)")
     print("-" * 58)
-    settings = ExperimentSettings.quick().with_workloads(("oltp",))
-    sweep = experiment("degradation").run(settings, failures=(0, 2, 4, 6))
+    settings = replace(
+        ExperimentSettings.quick(),
+        workloads=("oltp",),
+        degradation_failed_cores=(0, 2, 4, 6),
+    )
+    sweep = experiment("degradation").run(settings)
     print(sweep.to_table())
     throughput = {
         failed: sweep.mean_of("throughput", workload="oltp", failed_cores=failed)

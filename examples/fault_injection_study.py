@@ -29,6 +29,8 @@ Run with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import FaultRates, MixedModeMulticore
 from repro.config.presets import evaluation_system_config
 from repro.faults.cells import assemble_campaign_reports
@@ -40,9 +42,10 @@ from repro.sim.specs import experiment
 def coverage_campaign() -> None:
     print("=== Functional fault-injection campaign (100 faults per class) ===")
     runner = ExperimentRunner(jobs=4, use_cache=False)
-    run = experiment("faults").execute(
-        ExperimentSettings().with_seeds((0, 1, 2, 3, 4)), runner=runner, trials=100
+    settings = replace(
+        ExperimentSettings(), seeds=(0, 1, 2, 3, 4), fault_trials_per_site=100
     )
+    run = experiment("faults").execute(settings, runner=runner)
     print(run.frame().to_table())
     print()
     # The frame aggregates coverage per seed; the per-trial records behind
@@ -60,9 +63,8 @@ def fault_space_sweep() -> None:
     print("=== Fault-space sweep: silent corruption vs fault-rate scale ===")
     runner = ExperimentRunner(jobs=4, use_cache=False)
     sweep = experiment("faults").run(
-        ExperimentSettings(),
+        replace(ExperimentSettings(), fault_trials_per_site=100),
         runner=runner,
-        trials=100,
         sweep_rates=(0.1, 0.5, 1.0),
         all_configurations=True,
     )

@@ -24,6 +24,8 @@ Run with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.sim.experiments import ExperimentSettings
 from repro.sim.fleet.cells import fleet_plan, fleet_topology
 from repro.sim.specs import experiment
@@ -55,7 +57,9 @@ def main() -> None:
     print()
     print("2. The same storm as a sweep (the `fleet` spec, 2 seeds)")
     print("-" * 60)
-    frame = experiment("fleet").run(SETTINGS, scenarios=("failure-storm",))
+    frame = experiment("fleet").run(
+        replace(SETTINGS, fleet_scenarios=("failure-storm",))
+    )
     print(frame.to_table())
 
     # The frame's shape is the fleet SLO contract: one row per scenario,

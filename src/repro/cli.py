@@ -16,7 +16,7 @@ Five groups of subcommands:
   canonical multi-frame document (settings embedded), ``repro export
   --format csv|json`` exports frames for downstream analysis, and ``repro
   diff <baseline.json>`` re-runs a baseline's evaluation and exits non-zero
-  on metric drift beyond ``--rtol``/``--atol``;
+  on metric drift;
 * housekeeping: ``list`` prints the spec registry, ``list-workloads`` the
   calibrated workload profiles, and ``cache stats`` / ``cache clear`` /
   ``cache prune`` inspect and maintain the on-disk result cache (one
@@ -26,6 +26,12 @@ Five groups of subcommands:
   attaches a pull-based worker to it, and any experiment subcommand
   distributes its cells with ``--coordinator URL`` (see
   :mod:`repro.sim.distributed`).
+
+A spec subcommand's own flags either set an ``ExperimentSettings`` field
+(``faults --trials``, ``fleet --machines``, ...) or pass one of the spec's
+request options (``faults --sweep-rates``); a request the spec cannot run
+(``degradation --failures 16`` on a 16-core machine) prints ``cannot run
+<name>: <reason>`` and exits 2.
 
 The experiment subcommands share the experiment-engine flags, which also
 choose how a batch runs: serially by default, on a local process pool with
@@ -56,7 +62,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, replace
+from typing import List, Mapping, Optional, Sequence
 
 from repro.analysis.tables import TextTable
 from repro.config.presets import evaluation_system_config
@@ -70,6 +77,8 @@ from repro.sim.experiments import (
     run_all_spec_names,
 )
 from repro.sim.frames import (
+    ABS_TOL,
+    REL_TOL,
     diff_documents,
     document_frames,
     frames_document,
@@ -84,9 +93,10 @@ from repro.sim.runner import (
 )
 from repro.sim.specs import (
     EXPERIMENTS,
+    SETTINGS_FIELDS,
     ExperimentSpec,
     SpecRun,
-    jsonify,
+    job_axis_value,
     parse_nonnegative_int,
     parse_positive_int,
     parse_seed_list,
@@ -233,6 +243,25 @@ def _announce_dropped_seeds(spec: ExperimentSpec, args: argparse.Namespace) -> N
         )
 
 
+def _announce_dropped_workloads(
+    names: Sequence[str], args: argparse.Namespace, settings: ExperimentSettings
+) -> None:
+    """A batch runs a spec with a workload limit on its first workloads even
+    under ``--workloads``; say on stderr which workloads each such spec drops,
+    rather than dropping them silently."""
+    if not getattr(args, "workloads", None):
+        return
+    for name in names:
+        kept = EXPERIMENTS[name].request(settings).settings.workloads
+        dropped = [workload for workload in settings.workloads if workload not in kept]
+        if dropped:
+            print(
+                f"note: {name} runs its first {len(kept)} workloads in a batch; "
+                f"dropping {' '.join(dropped)} from --workloads",
+                file=sys.stderr,
+            )
+
+
 def _execute_and_print(
     spec: ExperimentSpec,
     args: argparse.Namespace,
@@ -240,21 +269,29 @@ def _execute_and_print(
     runner: ExperimentRunner,
 ) -> SpecRun:
     """Run ``spec`` as the parsed flags ask and print its frame as a table,
-    or under ``--json`` as the spec's uniform document with its grid."""
-    options = {option.name: getattr(args, option.name) for option in spec.options}
+    or under ``--json`` as the spec's uniform document.
+
+    A spec flag named after an ``ExperimentSettings`` field sets that field
+    (an unset flag keeps the settings' value); every other spec flag is a
+    request option.
+    """
+    overrides = {}
+    options = {}
+    for option in spec.options:
+        value = getattr(args, option.name)
+        if option.name not in SETTINGS_FIELDS:
+            options[option.name] = value
+        elif value is not None:
+            overrides[option.name] = value
     request = spec.request(
-        settings,
+        replace(settings, **overrides),
         explicit_workloads=bool(getattr(args, "workloads", None)),
         **options,
     )
     run = spec.execute(runner=runner, request=request)
     frame = run.frame()
     if args.json:
-        document = spec.to_json(frame)
-        document["grid"] = jsonify(
-            {name: list(values) for name, values in spec.grid(request).axes}
-        )
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(spec.to_json(frame), indent=2, sort_keys=True))
     else:
         print(frame.to_table())
     return run
@@ -264,7 +301,11 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     """Generic handler behind every registry-generated subcommand."""
     runner = _runner_from_args(args)
     _announce_dropped_seeds(spec, args)
-    _execute_and_print(spec, args, _settings_from_args(args), runner)
+    try:
+        _execute_and_print(spec, args, _settings_from_args(args), runner)
+    except ReproError as error:
+        print(f"cannot run {spec.name}: {error}", file=sys.stderr)
+        return 2
     _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
@@ -288,7 +329,11 @@ def _run_fuzz(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             print(f"cannot reproduce: {error}", file=sys.stderr)
             return 2
     runner = _runner_from_args(args)
-    run = _execute_and_print(spec, args, settings, runner)
+    try:
+        run = _execute_and_print(spec, args, settings, runner)
+    except ReproError as error:
+        print(f"cannot run {spec.name}: {error}", file=sys.stderr)
+        return 2
     failing = [
         (job, metrics)
         for job, metrics in run.results.items()
@@ -314,10 +359,13 @@ def _add_spec_subcommands(subparsers) -> None:
         _add_sweep_arguments(sub, spec)
         for option in spec.options:
             if option.is_flag:
-                sub.add_argument(option.flag, action="store_true", help=option.help)
+                sub.add_argument(
+                    option.flag, dest=option.name, action="store_true", help=option.help
+                )
             else:
                 sub.add_argument(
                     option.flag,
+                    dest=option.name,
                     type=option.parse,
                     default=option.default,
                     metavar=option.metavar,
@@ -332,29 +380,29 @@ def _add_spec_subcommands(subparsers) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    """Print the experiment-spec registry (names, families, grids)."""
+    """Print the experiment-spec registry: names, families, and the cells of
+    each spec's default request, with the values every schema key and the
+    seed take over them (each key read off a job as frame samples read it)."""
+    specs = []
+    for name, spec in EXPERIMENTS.items():
+        request = spec.request()
+        jobs = spec.enumerate_jobs(request)
+        specs.append(
+            {
+                "name": name,
+                "title": spec.title,
+                "family": spec.family,
+                "axes": {
+                    axis: list(dict.fromkeys(job_axis_value(job, axis) for job in jobs))
+                    for axis in spec.metric_schema(request).keys + ("seed",)
+                },
+                "cells": len(jobs),
+                "job_kinds": sorted({job.kind for job in jobs}),
+                "options": [option.flag for option in spec.options],
+                "run_all_group": spec.run_all_group,
+            }
+        )
     if getattr(args, "json", False):
-        specs = []
-        for name, spec in EXPERIMENTS.items():
-            request = spec.request()
-            grid = spec.grid(request)
-            specs.append(
-                {
-                    "name": name,
-                    "title": spec.title,
-                    "family": spec.family,
-                    "axes": {
-                        axis: [jsonify(value) for value in values]
-                        for axis, values in grid.axes
-                    },
-                    "cells": grid.size(),
-                    "job_kinds": sorted(
-                        {job.kind for job in spec.enumerate_jobs(request)}
-                    ),
-                    "options": [option.flag for option in spec.options],
-                    "run_all_group": spec.run_all_group,
-                }
-            )
         document = {
             "registered_job_kinds": list(registered_job_kinds()),
             "specs": specs,
@@ -365,10 +413,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
         ["experiment", "family", "grid", "cells", "title"],
         title="Registered experiment specs (run with `repro <experiment>`)",
     )
-    for name, spec in EXPERIMENTS.items():
-        grid = spec.grid(spec.request())
+    for entry in specs:
+        grid = " x ".join(
+            f"{axis}({len(values)})" for axis, values in entry["axes"].items()
+        )
         table.add_row(
-            [name, spec.family, grid.describe(), grid.size(), spec.title]
+            [entry["name"], entry["family"], grid, entry["cells"], entry["title"]]
         )
     print(table.render())
     return 0
@@ -498,11 +548,6 @@ def parse_size(value: str) -> int:
     return int(
         _parse_amount(value, _SIZE_UNITS, "a size", "'1048576', '512k', '100m' or '2g'")
     )
-
-
-def parse_tolerance(value: str) -> float:
-    """``--rtol``/``--atol`` values: a plain finite, non-negative number."""
-    return _parse_amount(value, {}, "a tolerance", "'1e-9' or '0.01'")
 
 
 def parse_positive_number(value: str) -> float:
@@ -635,13 +680,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
-    everything = run_all_experiments(
-        _settings_from_args(args),
-        runner=runner,
-        include_switching=not args.skip_switching,
-        include_ablation=not args.skip_ablation,
-        include_faults=not args.skip_faults,
-    )
+    settings = _settings_from_args(args)
+    names = _frame_names_from_args(args)
+    _announce_dropped_workloads(names, args, settings)
+    try:
+        everything = run_all_experiments(settings, runner=runner, names=names)
+    except ReproError as error:
+        print(f"cannot run run-all: {error}", file=sys.stderr)
+        return 2
     if args.json:
         # The canonical results document: frames keyed by experiment, with
         # the settings embedded so `repro diff <file>` can re-run it.
@@ -652,8 +698,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frame_names_from_args(args: argparse.Namespace) -> list:
-    """The spec names an export covers: ``--experiments`` or the run-all set."""
+def _frame_names_from_args(args: argparse.Namespace) -> List[str]:
+    """The spec names a batch covers: ``--experiments`` or the run-all set."""
     if getattr(args, "experiments", None):
         unknown = [name for name in args.experiments if name not in EXPERIMENTS]
         if unknown:
@@ -679,16 +725,16 @@ def _write_output(text: str, output: Optional[str]) -> None:
 def _cmd_export(args: argparse.Namespace) -> int:
     """Run the selected experiments (warm-cache friendly) and export frames."""
     runner = _runner_from_args(args)
+    settings = _settings_from_args(args)
     try:
         names = _frame_names_from_args(args)
-        frames = collect_frames(_settings_from_args(args), names, runner=runner)
+        _announce_dropped_workloads(names, args, settings)
+        frames = collect_frames(settings, names, runner=runner)
     except ExperimentError as error:
         print(f"cannot export: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
-        from dataclasses import asdict
-
-        document = frames_document(frames, settings=asdict(_settings_from_args(args)))
+        document = frames_document(frames, settings=asdict(settings))
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     elif len(frames) == 1:
         # A single experiment exports in its schema's wide CSV shape...
@@ -748,12 +794,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     except (ExperimentError, TypeError, ValueError) as error:
         print(f"cannot re-run baseline evaluation: {error}", file=sys.stderr)
         return 2
-    drifts += diff_documents(
-        {name: baseline[name] for name in known},
-        current,
-        rel_tol=args.rtol,
-        abs_tol=args.atol,
-    )
+    drifts += diff_documents({name: baseline[name] for name in known}, current)
     if drifts:
         print(f"results drifted from {args.baseline} ({len(drifts)} difference(s)):")
         for drift in drifts:
@@ -762,7 +803,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 1
     print(
         f"results match {args.baseline} "
-        f"({len(known)} frame(s), rtol={args.rtol:g}, atol={args.atol:g})"
+        f"({len(known)} frame(s), rtol={REL_TOL:g}, atol={ABS_TOL:g})"
     )
     _print_engine_stats(runner, to_stderr=True)
     return 0
@@ -789,9 +830,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     current = _load_document(args.current)
     if baseline is None or current is None:
         return 2
-    drifts = diff_documents(
-        baseline, current, rel_tol=args.rtol, abs_tol=args.atol
-    )
+    drifts = diff_documents(baseline, current)
     by_frame: dict = {}
     for drift in drifts:
         by_frame.setdefault(drift.frame, []).append(drift)
@@ -811,27 +850,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 1
     print(
         f"documents match ({len(baseline)} frame(s), "
-        f"rtol={args.rtol:g}, atol={args.atol:g})"
+        f"rtol={REL_TOL:g}, atol={ABS_TOL:g})"
     )
     return 0
-
-
-def _add_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``--rtol``/``--atol`` flags of ``diff`` and ``compare``."""
-    parser.add_argument(
-        "--rtol",
-        type=parse_tolerance,
-        default=1e-9,
-        metavar="R",
-        help="relative tolerance for numeric comparisons (default: 1e-9)",
-    )
-    parser.add_argument(
-        "--atol",
-        type=parse_tolerance,
-        default=1e-12,
-        metavar="A",
-        help="absolute tolerance for numeric comparisons (default: 1e-12)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -933,7 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline",
         help="baseline document written by `repro run-all --json` or `repro export`",
     )
-    _add_tolerance_arguments(diff_parser)
     _add_engine_arguments(diff_parser)
     diff_parser.set_defaults(handler=_cmd_diff)
 
@@ -950,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument(
         "current", help="document to compare against the baseline"
     )
-    _add_tolerance_arguments(compare_parser)
     compare_parser.set_defaults(handler=_cmd_compare)
 
     cache_parser = subparsers.add_parser(

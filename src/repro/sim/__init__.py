@@ -45,7 +45,6 @@ from repro.sim.settings import ExperimentSettings
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
-    ParameterGrid,
     SpecOption,
     SpecRequest,
     experiment,
@@ -99,7 +98,6 @@ __all__ = [
     "using_runner",
     "EXPERIMENTS",
     "ExperimentSpec",
-    "ParameterGrid",
     "SpecOption",
     "SpecRequest",
     "experiment",

@@ -365,9 +365,8 @@ def _run_batch(
         batch: List[ExperimentJob] = []
         for name in names:
             spec = experiment(name)
-            # No per-spec options: every spec sizes itself from the settings
-            # object (the faults spec, for instance, falls back to
-            # ``settings.fault_trials_per_site``).
+            # No per-spec options: every knob a batch varies is a settings
+            # field, so the settings alone size every spec.
             requests[name] = spec.request(settings)
             jobs_by_spec[name] = spec.enumerate_jobs(requests[name])
             batch += jobs_by_spec[name]
@@ -404,27 +403,21 @@ def collect_frames(
 def run_all_experiments(
     settings: Optional[ExperimentSettings] = None,
     runner: Optional[ExperimentRunner] = None,
-    include_switching: bool = True,
-    include_ablation: bool = True,
-    include_faults: bool = True,
+    names: Optional[Sequence[str]] = None,
 ) -> AllExperimentsResult:
     """Run the whole evaluation -- every registered spec -- as one job batch.
 
-    The experiment list comes from the ``EXPERIMENTS`` registry of
-    :mod:`repro.sim.specs` (:func:`run_all_spec_names`): every spec's cells
-    (simulation cells and fault-campaign cells alike, plus any
+    ``names`` defaults to :func:`run_all_spec_names` (every spec of the
+    ``EXPERIMENTS`` registry of :mod:`repro.sim.specs`): every named spec's
+    cells (simulation cells and fault-campaign cells alike, plus any
     user-registered spec's) are enumerated up front and handed to the runner
     in a single call, so a multi-worker runner overlaps cells *across*
     experiments (not just within one) and a warm cache re-run executes
     nothing at all.  Each spec's results land as one :class:`ResultFrame`.
     """
     settings = settings or ExperimentSettings()
-    included = {
-        "switching": include_switching,
-        "ablation": include_ablation,
-        "faults": include_faults,
-    }
-    names = run_all_spec_names(group for group, keep in included.items() if not keep)
+    if names is None:
+        names = run_all_spec_names()
     frames, results = _run_batch(settings, names, runner or default_runner())
     return AllExperimentsResult(
         settings=settings,

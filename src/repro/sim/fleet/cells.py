@@ -34,8 +34,14 @@ __all__ = [
 
 
 def fleet_topology(settings: ExperimentSettings) -> FleetTopology:
-    """The fleet layout the settings describe."""
-    return FleetTopology.build(settings.fleet_machines, settings.fleet_racks)
+    """The fleet layout the settings describe.
+
+    A fleet has at most one rack per machine: more racks than machines
+    lay the fleet out one machine per rack.
+    """
+    return FleetTopology.build(
+        settings.fleet_machines, min(settings.fleet_racks, settings.fleet_machines)
+    )
 
 
 def fleet_plan(

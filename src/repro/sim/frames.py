@@ -52,6 +52,8 @@ from repro.errors import ExperimentError
 
 __all__ = [
     "FRAME_SCHEMA_VERSION",
+    "REL_TOL",
+    "ABS_TOL",
     "AGGREGATES",
     "DTYPES",
     "MetricColumn",
@@ -668,9 +670,17 @@ class FrameDrift:
         return f"[{self.frame}] {self.kind}: {self.detail}"
 
 
-def _cells_close(
-    baseline: CellValue, current: CellValue, rel_tol: float, abs_tol: float
-) -> bool:
+#: Two numeric cells match when ``math.isclose`` at these tolerances; the
+#: one comparison ``repro diff`` and ``repro compare`` make.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+def _close(baseline: float, current: float) -> bool:
+    return math.isclose(baseline, current, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def _cells_close(baseline: CellValue, current: CellValue) -> bool:
     if isinstance(baseline, ConfidenceInterval) or isinstance(
         current, ConfidenceInterval
     ):
@@ -681,34 +691,22 @@ def _cells_close(
             return False
         return (
             baseline.count == current.count
-            and math.isclose(
-                baseline.mean, current.mean, rel_tol=rel_tol, abs_tol=abs_tol
-            )
-            and math.isclose(
-                baseline.half_width,
-                current.half_width,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            )
+            and _close(baseline.mean, current.mean)
+            and _close(baseline.half_width, current.half_width)
         )
     if isinstance(baseline, bool) or isinstance(current, bool):
         return baseline == current
     if isinstance(baseline, (int, float)) and isinstance(current, (int, float)):
-        return math.isclose(float(baseline), float(current), rel_tol=rel_tol, abs_tol=abs_tol)
+        return _close(float(baseline), float(current))
     return baseline == current
 
 
-def diff_frames(
-    baseline: ResultFrame,
-    current: ResultFrame,
-    *,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> List[FrameDrift]:
+def diff_frames(baseline: ResultFrame, current: ResultFrame) -> List[FrameDrift]:
     """Compare two frames of the same experiment, within tolerances.
 
     Reports schema mismatches, rows present on only one side, and every
-    metric cell whose values differ by more than the given tolerances.
+    metric cell whose values differ by more than :data:`REL_TOL` and
+    :data:`ABS_TOL`.
     Returns an empty list when the frames agree.
     """
     drifts: List[FrameDrift] = []
@@ -740,7 +738,7 @@ def diff_frames(
             continue
         seen.add(key)
         for metric in baseline.schema.metric_names():
-            if not _cells_close(row.get(metric), other.get(metric), rel_tol, abs_tol):
+            if not _cells_close(row.get(metric), other.get(metric)):
                 drifts.append(
                     FrameDrift(
                         frame=baseline.name,
@@ -761,11 +759,7 @@ def diff_frames(
 
 
 def diff_documents(
-    baseline: Mapping[str, ResultFrame],
-    current: Mapping[str, ResultFrame],
-    *,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
+    baseline: Mapping[str, ResultFrame], current: Mapping[str, ResultFrame]
 ) -> List[FrameDrift]:
     """Compare two ``{experiment: frame}`` documents frame by frame."""
     drifts: List[FrameDrift] = []
@@ -775,7 +769,7 @@ def diff_documents(
                 FrameDrift(frame=name, kind="missing-frame", detail="not in current run")
             )
             continue
-        drifts += diff_frames(frame, current[name], rel_tol=rel_tol, abs_tol=abs_tol)
+        drifts += diff_frames(frame, current[name])
     for name in current:
         if name not in baseline:
             drifts.append(

@@ -4,22 +4,21 @@ Registers the fuzz campaign in the central ``EXPERIMENTS`` registry, so
 ``repro fuzz --cases N --profile mixed --seeds ...`` runs through every
 engine backend, the campaign joins ``run-all`` / ``export`` / ``diff``
 documents, and ``repro list`` shows the profiles axis -- all without
-touching the CLI beyond the ``--reproduce`` replay path.
+touching the CLI beyond the ``--reproduce`` replay path.  ``--cases`` and
+``--profile`` set the ``fuzz_cases`` and ``fuzz_profiles`` settings fields,
+which size the campaign on every path.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.sim.frames import FrameView, MetricColumn, MetricSchema
 from repro.sim.fuzz.cells import fuzz_jobs, fuzz_samples, oracle_metric_names
 from repro.sim.fuzz.generate import PROFILE_NAMES
-from repro.sim.settings import ExperimentSettings
 from repro.sim.specs import (
     ExperimentSpec,
-    ParameterGrid,
     SpecOption,
     SpecRequest,
     parse_positive_int,
@@ -45,33 +44,6 @@ def parse_profile_list(value: str) -> Tuple[str, ...]:
     return names
 
 
-def _fuzz_settings(request: SpecRequest) -> ExperimentSettings:
-    """The request's settings with the fuzz flags folded in.
-
-    With no explicit flags this is the settings object itself, which is what
-    lets ``run_all_experiments`` and ``collect_frames`` size the campaign
-    purely through settings (their shared batch path passes no per-spec
-    options)."""
-    overrides: Dict[str, object] = {}
-    cases = request.option("cases")
-    if cases is not None:
-        overrides["fuzz_cases"] = int(cases)
-    profiles = request.option("profile")
-    if profiles is not None:
-        overrides["fuzz_profiles"] = tuple(profiles)
-    settings = request.settings
-    return dataclasses.replace(settings, **overrides) if overrides else settings
-
-
-def _fuzz_grid(request: SpecRequest) -> ParameterGrid:
-    settings = _fuzz_settings(request)
-    return ParameterGrid.of(
-        ("profile", settings.fuzz_profiles),
-        ("case", tuple(range(settings.fuzz_cases))),
-        ("seed", settings.seeds),
-    )
-
-
 def _count_metric(name: str, label: str) -> MetricColumn:
     return MetricColumn(
         name, dtype="int", aggregate="sum", label=label, fmt="{:d}"
@@ -79,7 +51,6 @@ def _count_metric(name: str, label: str) -> MetricColumn:
 
 
 def _fuzz_schema(request: SpecRequest) -> MetricSchema:
-    settings = _fuzz_settings(request)
     planted = bool(request.option("planted"))
     oracle_columns = tuple(
         _count_metric(name, name[len("viol_"):].replace("_", "-"))
@@ -98,7 +69,7 @@ def _fuzz_schema(request: SpecRequest) -> MetricSchema:
         views=(
             FrameView(
                 title=(
-                    f"Fuzz campaign: {settings.fuzz_cases} cases per "
+                    f"Fuzz campaign: {request.settings.fuzz_cases} cases per "
                     "(profile, seed), invariant oracles on every run"
                 ),
                 metrics=(
@@ -121,9 +92,8 @@ register_experiment(
     ExperimentSpec(
         name="fuzz",
         title="property-based scenario fuzzing with invariant oracles",
-        grid=_fuzz_grid,
         enumerate_jobs=lambda request: fuzz_jobs(
-            _fuzz_settings(request), planted=bool(request.option("planted"))
+            request.settings, planted=bool(request.option("planted"))
         ),
         schema=_fuzz_schema,
         cell_samples=lambda request, jobs, results: fuzz_samples(
@@ -131,14 +101,14 @@ register_experiment(
         ),
         options=(
             SpecOption(
-                name="cases",
+                name="fuzz_cases",
                 flag="--cases",
                 parse=parse_positive_int,
                 metavar="N",
                 help="scenarios per (profile, seed) (default: the settings')",
             ),
             SpecOption(
-                name="profile",
+                name="fuzz_profiles",
                 flag="--profile",
                 parse=parse_profile_list,
                 metavar="P1,P2,...",

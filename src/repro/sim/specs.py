@@ -2,15 +2,21 @@
 
 Every evaluation of the reproduction -- each paper figure/table and the
 fault-injection campaigns -- is described by one :class:`ExperimentSpec`: a
-plain-value object naming the experiment, the :class:`ParameterGrid` of axes
-it sweeps (workload x configuration x seed, ...), how its cells are
-enumerated as :class:`~repro.sim.jobs.ExperimentJob` values, and -- since
-the frame redesign -- a :class:`~repro.sim.frames.MetricSchema` declaring
-its key axes and metric columns.  Running a spec returns a typed
+plain-value object naming the experiment, how a request's cells are
+enumerated as :class:`~repro.sim.jobs.ExperimentJob` values, and a
+:class:`~repro.sim.frames.MetricSchema` declaring its key axes and metric
+columns.  Running a spec returns a typed
 :class:`~repro.sim.frames.ResultFrame`; the generic assembler of
 :mod:`repro.sim.frames` folds the runner's ``{job: metrics}`` output into
 the frame, aggregating over seeds in one place, and ``to_table`` /
 ``to_json`` / ``to_csv`` are *generated* from the schema.
+
+A request is an :class:`ExperimentSettings` value plus the few options a
+spec reads that have no settings field (``sweep_rates``,
+``all_configurations``, ``planted``).  Every other knob -- trials per
+fault site, failed-core counts, the fleet's shape, the fuzz campaign's
+size -- is a settings field, so ``run-all``, ``export`` and ``diff``, which
+pass settings alone, reach all of them.
 
 Specs are registered in the module-level :data:`EXPERIMENTS` registry, which
 is the single source of truth the rest of the system iterates:
@@ -25,20 +31,18 @@ is the single source of truth the rest of the system iterates:
   new experiment shows up in ``repro <name>``, ``repro list``, ``repro
   export`` and ``repro diff`` without touching :mod:`repro.cli`.
 
-Adding a new scenario is therefore a ~30-line spec: declare a grid, an
-enumerator mapping grid points to jobs (reusing a registered job kind, or
-registering a new one via :func:`repro.sim.jobs.register_job_kind`), a
-:class:`MetricSchema`, and call :func:`register_experiment`.  See
-``examples/custom_experiment.py`` for a worked example.
+Adding a new scenario is therefore a ~30-line spec: an enumerator mapping
+a request to jobs (reusing a registered job kind, or registering a new one
+via :func:`repro.sim.jobs.register_job_kind`), a :class:`MetricSchema`, and
+a call to :func:`register_experiment`.  See ``examples/custom_experiment.py``
+for a worked example.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import (
     Callable,
     Dict,
@@ -51,23 +55,11 @@ from typing import (
     Tuple,
 )
 
-from repro.config.system import PabLookupMode
 from repro.errors import ExperimentError
-from repro.faults.campaign import (
-    DEFAULT_CONFIGURATIONS,
-    SWEEP_CONFIGURATIONS,
-    TRIAL_SITES,
-)
-from repro.faults.cells import (
-    DEFAULT_TRIALS_PER_CELL,
-    assemble_campaign_reports,
-    fault_campaign_jobs,
-)
+from repro.faults.campaign import DEFAULT_CONFIGURATIONS, SWEEP_CONFIGURATIONS
+from repro.faults.cells import assemble_campaign_reports, fault_campaign_jobs
 from repro.sim.experiments import (
-    ABLATION_VARIANTS,
     FAULT_COVERAGE_TITLE,
-    FIGURE5_CONFIGS,
-    FIGURE6_CONFIGS,
     ExperimentSettings,
     churn_jobs,
     degradation_jobs,
@@ -86,14 +78,14 @@ from repro.sim.runner import ExperimentRunner, Metrics, default_runner
 
 __all__ = [
     "EXPERIMENTS",
+    "SETTINGS_FIELDS",
     "ExperimentSpec",
-    "ParameterGrid",
     "SpecOption",
     "SpecRequest",
     "SpecRun",
     "experiment",
+    "job_axis_value",
     "register_experiment",
-    "jsonify",
     "parse_count_list",
     "parse_nonnegative_int",
     "parse_positive_int",
@@ -106,64 +98,6 @@ JobResults = Mapping[ExperimentJob, Metrics]
 #: One raw frame sample: a key tuple (schema key order) plus a mapping of
 #: metric samples contributed at that coordinate.
 FrameSample = Tuple[Tuple[object, ...], Mapping[str, object]]
-
-
-# ===================================================================== #
-# Parameter grids
-# ===================================================================== #
-
-
-@dataclass(frozen=True)
-class ParameterGrid:
-    """The cartesian axes one experiment sweeps, in nesting order.
-
-    Purely descriptive -- the grid names the cell space (its size equals the
-    number of enumerated jobs), which is what ``repro list`` prints and what
-    :meth:`ExperimentSpec.to_json` records alongside the results.
-    """
-
-    #: Ordered (axis name, axis values) pairs; the last axis varies fastest.
-    axes: Tuple[Tuple[str, Tuple[object, ...]], ...]
-
-    @classmethod
-    def of(cls, *axes: Tuple[str, Sequence[object]]) -> "ParameterGrid":
-        """Build a grid from (name, values) pairs, normalising to tuples."""
-        return cls(axes=tuple((name, tuple(values)) for name, values in axes))
-
-    def names(self) -> Tuple[str, ...]:
-        """The axis names, outermost first."""
-        return tuple(name for name, _ in self.axes)
-
-    def axis(self, name: str) -> Tuple[object, ...]:
-        """The values of one axis."""
-        for axis_name, values in self.axes:
-            if axis_name == name:
-                return values
-        raise ExperimentError(f"grid has no axis named {name!r}")
-
-    def size(self) -> int:
-        """Number of grid points (cells)."""
-        return math.prod(len(values) for _, values in self.axes) if self.axes else 0
-
-    def points(self) -> Iterator[Dict[str, object]]:
-        """Every grid point as an ``{axis: value}`` dict, row-major."""
-
-        def expand(index: int, point: Dict[str, object]) -> Iterator[Dict[str, object]]:
-            if index == len(self.axes):
-                yield dict(point)
-                return
-            name, values = self.axes[index]
-            for value in values:
-                point[name] = value
-                yield from expand(index + 1, point)
-
-        yield from expand(0, {})
-
-    def describe(self) -> str:
-        """Compact human-readable shape, e.g. ``workload(6) x seed(10)``."""
-        if not self.axes:
-            return "(empty)"
-        return " x ".join(f"{name}({len(values)})" for name, values in self.axes)
 
 
 # ===================================================================== #
@@ -237,15 +171,58 @@ def parse_rate_list(value: str) -> Tuple[float, ...]:
     return rates
 
 
+#: The :class:`ExperimentSettings` field names.  A :class:`SpecOption` named
+#: after one sets that field, so the spec reads the value off the settings
+#: like every caller that passes settings alone.
+SETTINGS_FIELDS = frozenset(
+    settings_field.name for settings_field in dataclasses.fields(ExperimentSettings)
+)
+
+#: Keywords that requests once took as options, each with the settings
+#: field that now holds the value (named when a caller still passes one).
+_SETTINGS_FIELD_OF = {
+    "trials": "fault_trials_per_site",
+    "failures": "degradation_failed_cores",
+    "extra_vms": "churn_extra_vms",
+    "scenarios": "fleet_scenarios",
+    "machines": "fleet_machines",
+    "racks": "fleet_racks",
+    "cases": "fuzz_cases",
+    "profile": "fuzz_profiles",
+    "transitions_to_measure": "switch_transitions",
+    "warmup_cycles": "switch_warmup_cycles",
+    "phases_to_measure": "frequency_phases",
+    "measurement_phase_scale": "frequency_phase_scale",
+}
+
+
+def _refusal(spec: str, name: str, takes: Sequence[str]) -> str:
+    """Why ``spec`` refuses the request option ``name``, with the settings
+    field (or fields) to set instead when there is one."""
+    message = (
+        f"{spec} takes no option {name!r} (its options: {', '.join(takes) or 'none'})"
+    )
+    settings_fields = [
+        candidate
+        for candidate in (_SETTINGS_FIELD_OF.get(name), name)
+        if candidate in SETTINGS_FIELDS
+    ]
+    if settings_fields:
+        message += f"; set ExperimentSettings.{' or '.join(settings_fields)} instead"
+    return message
+
+
 @dataclass(frozen=True)
 class SpecOption:
     """One experiment-specific CLI flag, declared as spec metadata.
 
-    The CLI materialises every option as an ``argparse`` argument; the
-    parsed values reach the spec through :attr:`SpecRequest.options`.
+    The CLI materialises every option as an ``argparse`` argument.  When
+    ``name`` is an :class:`ExperimentSettings` field the parsed value sets
+    that field; otherwise it reaches the spec through
+    :attr:`SpecRequest.options`.
     """
 
-    #: Option name and ``argparse`` destination (underscored).
+    #: Settings field or request option name; the ``argparse`` destination.
     name: str
     #: Command-line flag (dashed), e.g. ``--sweep-rates``.
     flag: str
@@ -269,7 +246,7 @@ class SpecRequest:
 
     Built by :meth:`ExperimentSpec.request` (which applies the spec's
     workload limit and single-seed policy), and passed verbatim to the
-    spec's ``grid`` / ``enumerate_jobs`` / ``schema`` hooks.
+    spec's ``enumerate_jobs`` / ``schema`` hooks.
     """
 
     settings: ExperimentSettings
@@ -298,8 +275,6 @@ class ExperimentSpec:
     #: Spec family (``simulation``, ``measurement``, ``faults``) -- how the
     #: cells execute, used for grouping in ``repro list`` and the tests.
     family: str = "simulation"
-    #: The swept axes, given the resolved request.
-    grid: Callable[[SpecRequest], ParameterGrid] = lambda request: ParameterGrid(())
     #: The request's cells as picklable engine jobs.
     enumerate_jobs: Callable[[SpecRequest], List[ExperimentJob]] = (
         lambda request: []
@@ -344,7 +319,19 @@ class ExperimentSpec:
         explicit_workloads: bool = False,
         **options: object,
     ) -> SpecRequest:
-        """Resolve settings + options into the request the hooks consume."""
+        """Resolve settings + options into the request the hooks consume.
+
+        ``options`` may name only the spec's own request options (its
+        :class:`SpecOption` names that are not settings fields); any other
+        keyword raises :class:`~repro.errors.ExperimentError`, naming the
+        settings field that holds the value when there is one.
+        """
+        takes = [
+            option.name for option in self.options if option.name not in SETTINGS_FIELDS
+        ]
+        for name in options:
+            if name not in takes:
+                raise ExperimentError(_refusal(self.name, name, takes))
         settings = settings or ExperimentSettings()
         if (
             self.workload_limit is not None
@@ -414,7 +401,7 @@ class ExperimentSpec:
         schema = self.metric_schema(request)
         return (
             (
-                tuple(_job_axis_value(job, axis) for axis in schema.keys),
+                tuple(job_axis_value(job, axis) for axis in schema.keys),
                 results[job],
             )
             for job in jobs
@@ -476,7 +463,7 @@ class SpecRun:
         return self._frame
 
 
-def _job_axis_value(job: ExperimentJob, axis: str) -> object:
+def job_axis_value(job: ExperimentJob, axis: str) -> object:
     """Default mapping from a schema key axis to a job's coordinate.
 
     ``workload`` and ``seed`` are job fields; any other axis is looked up
@@ -491,32 +478,6 @@ def _job_axis_value(job: ExperimentJob, axis: str) -> object:
     if value is not None:
         return value
     return job.variant
-
-
-def jsonify(value: object) -> object:
-    """Recursively convert spec metadata (e.g. grid axis values) to JSON values.
-
-    Dataclasses become field dicts (honouring a ``to_dict`` method when one
-    exists), enums their names, mappings get string keys; anything else
-    unknown falls back to ``str``.
-    """
-    to_dict = getattr(value, "to_dict", None)
-    if callable(to_dict) and not isinstance(value, type):
-        return jsonify(to_dict())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: jsonify(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Enum):
-        return value.name
-    if isinstance(value, Mapping):
-        return {str(key): jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [jsonify(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
 
 
 # ===================================================================== #
@@ -551,14 +512,6 @@ def experiment(name: str) -> ExperimentSpec:
 # ===================================================================== #
 
 
-def _seed_grid(request: SpecRequest, configurations: Sequence[object]) -> ParameterGrid:
-    return ParameterGrid.of(
-        ("workload", request.settings.workloads),
-        ("configuration", configurations),
-        ("seed", request.settings.seeds),
-    )
-
-
 def _ipc_metric(name: str, label: str = "") -> MetricColumn:
     return MetricColumn(name, unit="instr/cycle", label=label)
 
@@ -590,7 +543,6 @@ register_experiment(
     ExperimentSpec(
         name="figure5",
         title="Figure 5: DMR overhead (IPC and throughput)",
-        grid=lambda request: _seed_grid(request, FIGURE5_CONFIGS),
         enumerate_jobs=lambda request: figure5_jobs(request.settings),
         schema=lambda request: _FIGURE5_SCHEMA,
     )
@@ -631,12 +583,7 @@ register_experiment(
     ExperimentSpec(
         name="figure6",
         title="Figure 6: mixed-mode performance",
-        grid=lambda request: _seed_grid(
-            request, request.option("configurations", FIGURE6_CONFIGS)
-        ),
-        enumerate_jobs=lambda request: figure6_jobs(
-            request.settings, request.option("configurations", FIGURE6_CONFIGS)
-        ),
+        enumerate_jobs=lambda request: figure6_jobs(request.settings),
         schema=lambda request: _FIGURE6_SCHEMA,
     )
 )
@@ -664,11 +611,6 @@ register_experiment(
     ExperimentSpec(
         name="pab",
         title="Section 5.2: serial vs parallel PAB lookup",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads),
-            ("lookup", tuple(mode.value for mode in (PabLookupMode.PARALLEL, PabLookupMode.SERIAL))),
-            ("seed", request.settings.seeds),
-        ),
         enumerate_jobs=lambda request: pab_jobs(request.settings),
         schema=lambda request: _PAB_SCHEMA,
     )
@@ -679,11 +621,8 @@ def _table1_jobs(request: SpecRequest) -> List[ExperimentJob]:
     settings = request.settings
     return switch_overhead_jobs(
         settings.workloads,
-        transitions_to_measure=request.option(
-            "transitions_to_measure", settings.switch_transitions
-        ),
-        warmup_cycles=request.option("warmup_cycles", settings.switch_warmup_cycles),
-        config=request.option("config"),
+        transitions_to_measure=settings.switch_transitions,
+        warmup_cycles=settings.switch_warmup_cycles,
         seed=settings.seeds[0],
     )
 
@@ -714,9 +653,6 @@ register_experiment(
         name="table1",
         title="Table 1: mode-switch overheads",
         family="measurement",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads)
-        ),
         enumerate_jobs=_table1_jobs,
         schema=lambda request: _TABLE1_SCHEMA,
         multi_seed=False,
@@ -729,13 +665,8 @@ def _table2_jobs(request: SpecRequest) -> List[ExperimentJob]:
     settings = request.settings
     return switch_frequency_jobs(
         settings.workloads,
-        phases_to_measure=request.option(
-            "phases_to_measure", settings.frequency_phases
-        ),
-        measurement_phase_scale=request.option(
-            "measurement_phase_scale", settings.frequency_phase_scale
-        ),
-        config=request.option("config"),
+        phases_to_measure=settings.frequency_phases,
+        measurement_phase_scale=settings.frequency_phase_scale,
         seed=settings.seeds[0],
     )
 
@@ -766,9 +697,6 @@ register_experiment(
         name="table2",
         title="Table 2: cycles between mode switches",
         family="measurement",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads)
-        ),
         enumerate_jobs=_table2_jobs,
         schema=lambda request: _TABLE2_SCHEMA,
         multi_seed=False,
@@ -837,10 +765,6 @@ register_experiment(
         name="single-os",
         title="Section 5.3: single-OS switching overhead",
         family="measurement",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads),
-            ("measurement", ("table1", "table2")),
-        ),
         enumerate_jobs=_single_os_jobs,
         schema=lambda request: _SINGLE_OS_SCHEMA,
         cell_samples=_single_os_samples,
@@ -873,10 +797,6 @@ register_experiment(
     ExperimentSpec(
         name="ablation",
         title="window-size / consistency ablation",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads),
-            ("variant", tuple(ABLATION_VARIANTS)),
-        ),
         enumerate_jobs=lambda request: window_ablation_jobs(request.settings),
         schema=lambda request: _ABLATION_SCHEMA,
         multi_seed=False,
@@ -884,13 +804,6 @@ register_experiment(
         run_all_group="ablation",
     )
 )
-
-
-def _degradation_failures(request: SpecRequest) -> Tuple[int, ...]:
-    explicit = request.options.get("failures")
-    if explicit is not None:
-        return tuple(int(failed) for failed in explicit)
-    return tuple(request.settings.degradation_failed_cores)
 
 
 def _degradation_schema(request: SpecRequest) -> MetricSchema:
@@ -921,18 +834,13 @@ register_experiment(
     ExperimentSpec(
         name="degradation",
         title="graceful degradation: throughput vs surviving cores (timeline-driven)",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads),
-            ("failed_cores", _degradation_failures(request)),
-            ("seed", request.settings.seeds),
-        ),
         enumerate_jobs=lambda request: degradation_jobs(
-            request.settings, _degradation_failures(request)
+            request.settings, request.settings.degradation_failed_cores
         ),
         schema=_degradation_schema,
         options=(
             SpecOption(
-                name="failures",
+                name="degradation_failed_cores",
                 flag="--failures",
                 parse=parse_count_list,
                 metavar="N1,N2,...",
@@ -947,17 +855,8 @@ register_experiment(
 )
 
 
-def _churn_extra_vms(request: SpecRequest) -> int:
-    # `is not None`, not truthiness: an explicit `extra_vms=0` is the
-    # no-churn baseline, not "use the default".
-    explicit = request.options.get("extra_vms")
-    if explicit is not None:
-        return int(explicit)
-    return int(request.settings.churn_extra_vms)
-
-
 def _churn_schema(request: SpecRequest) -> MetricSchema:
-    extra_vms = _churn_extra_vms(request)
+    extra_vms = request.settings.churn_extra_vms
     return MetricSchema(
         keys=("workload",),
         metrics=(
@@ -992,17 +891,13 @@ register_experiment(
     ExperimentSpec(
         name="consolidation-churn",
         title="consolidation churn: VMs arriving/departing mid-run (timeline-driven)",
-        grid=lambda request: ParameterGrid.of(
-            ("workload", request.settings.workloads),
-            ("seed", request.settings.seeds),
-        ),
         enumerate_jobs=lambda request: churn_jobs(
-            request.settings, _churn_extra_vms(request)
+            request.settings, request.settings.churn_extra_vms
         ),
         schema=_churn_schema,
         options=(
             SpecOption(
-                name="extra_vms",
+                name="churn_extra_vms",
                 flag="--extra-vms",
                 parse=parse_nonnegative_int,
                 metavar="N",
@@ -1017,57 +912,23 @@ register_experiment(
 )
 
 
-def _faults_configurations(request: SpecRequest) -> Sequence[object]:
-    explicit = request.option("configurations")
-    if explicit is not None:
-        return explicit
-    return SWEEP_CONFIGURATIONS if request.option("all_configurations") else DEFAULT_CONFIGURATIONS
-
-
 def _faults_rates(request: SpecRequest) -> Tuple[float, ...]:
-    sweep = request.option("sweep_rates")
-    if sweep:
-        return tuple(sweep)
-    return (float(request.option("fault_rate", 1.0)),)
-
-
-def _faults_trials(request: SpecRequest) -> int:
-    """Trials per site: the explicit option, else the settings' campaign size.
-
-    Falling back to ``settings.fault_trials_per_site`` is what lets
-    ``run_all_experiments`` drive the campaign purely through the settings
-    object, with no spec-specific plumbing."""
-    return int(request.option("trials", request.settings.fault_trials_per_site))
-
-
-def _faults_grid(request: SpecRequest) -> ParameterGrid:
-    trials = _faults_trials(request)
-    chunks = math.ceil(trials / int(request.option("trials_per_cell", DEFAULT_TRIALS_PER_CELL)))
-    axes: List[Tuple[str, Sequence[object]]] = []
-    rates = _faults_rates(request)
-    if len(rates) > 1:
-        axes.append(("rate", rates))
-    axes += [
-        ("configuration", tuple(c.name for c in _faults_configurations(request))),
-        ("site", TRIAL_SITES),
-        ("seed", request.settings.seeds),
-        ("chunk", tuple(range(chunks))),
-    ]
-    return ParameterGrid.of(*axes)
+    return tuple(request.option("sweep_rates") or (1.0,))
 
 
 def _faults_jobs(request: SpecRequest) -> List[ExperimentJob]:
+    configurations = (
+        SWEEP_CONFIGURATIONS
+        if request.option("all_configurations")
+        else DEFAULT_CONFIGURATIONS
+    )
     jobs: List[ExperimentJob] = []
     for rate in _faults_rates(request):
         jobs += fault_campaign_jobs(
-            trials_per_site=_faults_trials(request),
-            configurations=_faults_configurations(request),
+            trials_per_site=request.settings.fault_trials_per_site,
+            configurations=configurations,
             seeds=request.settings.seeds,
             fault_rate=rate,
-            config=request.option("config"),
-            trials_per_cell=int(
-                request.option("trials_per_cell", DEFAULT_TRIALS_PER_CELL)
-            ),
         )
     return jobs
 
@@ -1084,7 +945,7 @@ def _faults_schema(request: SpecRequest) -> MetricSchema:
             FrameView(
                 title=(
                     "Fault-space sweep: silent corruption rate vs fault-rate scale "
-                    f"({_faults_trials(request)} trials/site, "
+                    f"({request.settings.fault_trials_per_site} trials/site, "
                     f"{len(tuple(request.settings.seeds))} seeds)"
                 ),
                 metrics=("silent_corruption_rate",),
@@ -1142,13 +1003,12 @@ register_experiment(
         name="faults",
         title="fault-injection coverage campaign (cell-shaped: parallel and cached)",
         family="faults",
-        grid=_faults_grid,
         enumerate_jobs=_faults_jobs,
         schema=_faults_schema,
         cell_samples=_faults_samples,
         options=(
             SpecOption(
-                name="trials",
+                name="fault_trials_per_site",
                 flag="--trials",
                 parse=parse_positive_int,
                 default=50,
@@ -1196,38 +1056,9 @@ def parse_scenario_list(value: str) -> Tuple[str, ...]:
     return names
 
 
-def _fleet_settings(request: SpecRequest) -> ExperimentSettings:
-    """The request's settings with the fleet flags folded in.
-
-    With no explicit flags this is the settings object itself, which is what
-    lets ``run_all_experiments`` and ``collect_frames`` size the fleet
-    purely through settings (their shared batch path passes no per-spec
-    options)."""
-    overrides: Dict[str, object] = {}
-    scenarios = request.option("scenarios")
-    if scenarios is not None:
-        overrides["fleet_scenarios"] = tuple(scenarios)
-    machines = request.option("machines")
-    if machines is not None:
-        overrides["fleet_machines"] = int(machines)
-    racks = request.option("racks")
-    if racks is not None:
-        overrides["fleet_racks"] = min(int(racks), int(machines or request.settings.fleet_machines))
-    settings = request.settings
-    return dataclasses.replace(settings, **overrides) if overrides else settings
-
-
-def _fleet_grid(request: SpecRequest) -> ParameterGrid:
-    settings = _fleet_settings(request)
-    return ParameterGrid.of(
-        ("scenario", settings.fleet_scenarios),
-        ("machine", fleet_topology(settings).machines()),
-        ("seed", settings.seeds),
-    )
-
-
 def _fleet_schema(request: SpecRequest) -> MetricSchema:
-    settings = _fleet_settings(request)
+    settings = request.settings
+    racks = fleet_topology(settings).num_racks
     return MetricSchema(
         keys=("scenario",),
         metrics=(
@@ -1244,7 +1075,7 @@ def _fleet_schema(request: SpecRequest) -> MetricSchema:
             FrameView(
                 title=(
                     f"Fleet SLOs: {settings.fleet_machines} machines / "
-                    f"{settings.fleet_racks} racks under scripted traffic "
+                    f"{racks} racks under scripted traffic "
                     "(per-machine cells, MMM-TP)"
                 ),
                 metrics=(
@@ -1263,15 +1094,14 @@ register_experiment(
     ExperimentSpec(
         name="fleet",
         title="fleet scenarios: traffic-driven datacenter of mixed-mode machines",
-        grid=_fleet_grid,
-        enumerate_jobs=lambda request: fleet_jobs(_fleet_settings(request)),
+        enumerate_jobs=lambda request: fleet_jobs(request.settings),
         schema=_fleet_schema,
         cell_samples=lambda request, jobs, results: fleet_samples(
             request, jobs, results
         ),
         options=(
             SpecOption(
-                name="scenarios",
+                name="fleet_scenarios",
                 flag="--scenarios",
                 parse=parse_scenario_list,
                 metavar="S1,S2,...",
@@ -1281,18 +1111,21 @@ register_experiment(
                 ),
             ),
             SpecOption(
-                name="machines",
+                name="fleet_machines",
                 flag="--machines",
                 parse=parse_positive_int,
                 metavar="N",
                 help="fleet size in machines (default: the settings' fleet size)",
             ),
             SpecOption(
-                name="racks",
+                name="fleet_racks",
                 flag="--racks",
                 parse=parse_positive_int,
                 metavar="N",
-                help="racks to spread the fleet over (default: the settings')",
+                help=(
+                    "racks to spread the fleet over, at most one per machine "
+                    "(default: the settings')"
+                ),
             ),
         ),
         workload_limit=2,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.runner import ExperimentRunner
+from repro.sim.settings import ExperimentSettings
+from repro.sim.specs import experiment
 
 
 @pytest.fixture(autouse=True)
@@ -248,7 +253,7 @@ def test_json_output_is_the_spec_document(capsys):
     document = json.loads(captured.out)
     assert "experiment engine:" in captured.err
     assert document["experiment"] == "figure5"
-    assert document["grid"]["workload"] == ["apache"]
+    assert set(document) == {"experiment", "title", "family", "result"}
     assert document["result"]["rows"][0]["workload"] == "apache"
 
 
@@ -395,6 +400,93 @@ def test_seed_list_and_count_forms():
     assert parser.parse_args(["figure5", "--seeds", "4,4,7"]).seeds == (4, 7)
 
 
+_QUICK_APACHE = ExperimentSettings.quick().with_workloads(("apache",))
+_QUICK_ARGV = ["--quick", "--workloads", "apache"]
+
+
+@pytest.mark.parametrize(
+    "argv,settings,field,value",
+    [
+        pytest.param(
+            ["faults", "--seeds", "1", "--trials", "3"],
+            ExperimentSettings().with_seeds((0,)),
+            "fault_trials_per_site", 3, id="trials",
+        ),
+        pytest.param(
+            ["degradation", *_QUICK_ARGV, "--failures", "0,2"],
+            _QUICK_APACHE, "degradation_failed_cores", (0, 2), id="failures",
+        ),
+        pytest.param(
+            ["consolidation-churn", *_QUICK_ARGV, "--extra-vms", "0"],
+            _QUICK_APACHE, "churn_extra_vms", 0, id="extra-vms",
+        ),
+        pytest.param(
+            ["fleet", *_QUICK_ARGV, "--machines", "2", "--scenarios", "diurnal"],
+            replace(_QUICK_APACHE, fleet_machines=2),
+            "fleet_scenarios", ("diurnal",), id="scenarios",
+        ),
+        pytest.param(
+            ["fleet", *_QUICK_ARGV, "--machines", "3"],
+            _QUICK_APACHE, "fleet_machines", 3, id="machines",
+        ),
+        pytest.param(
+            ["fleet", *_QUICK_ARGV, "--machines", "2", "--racks", "1"],
+            replace(_QUICK_APACHE, fleet_machines=2),
+            "fleet_racks", 1, id="racks",
+        ),
+        pytest.param(
+            ["fuzz", *_QUICK_ARGV, "--cases", "1"],
+            _QUICK_APACHE, "fuzz_cases", 1, id="cases",
+        ),
+        pytest.param(
+            ["fuzz", *_QUICK_ARGV, "--cases", "1", "--profile", "churn-heavy"],
+            replace(_QUICK_APACHE, fuzz_cases=1),
+            "fuzz_profiles", ("churn-heavy",), id="profile",
+        ),
+    ],
+)
+def test_spec_flags_set_their_settings_field(capsys, argv, settings, field, value):
+    # A spec flag with a settings field prints exactly the table of a
+    # library run on settings with that field set.
+    assert main([*argv, "--no-cache"]) == 0
+    table = capsys.readouterr().out.split("\n\nexperiment engine:")[0]
+    frame = experiment(argv[0]).run(
+        replace(settings, **{field: value}),
+        runner=ExperimentRunner(use_cache=False),
+        explicit_workloads="--workloads" in argv,
+    )
+    assert table == frame.to_table()
+
+
+def test_fleet_with_fewer_machines_than_racks_runs_one_per_rack(capsys):
+    assert main(["fleet", "--quick", "--machines", "1", "--no-cache"]) == 0
+    assert "Fleet SLOs: 1 machines / 1 racks" in capsys.readouterr().out
+
+
+def test_a_request_the_spec_cannot_run_is_refused_with_exit_2(capsys):
+    assert main(["degradation", "--quick", "--failures", "16", "--no-cache"]) == 2
+    assert capsys.readouterr().err == (
+        "cannot run degradation: cannot fail 16 of 16 cores "
+        "(at least one core must survive)\n"
+    )
+
+
+def test_batches_announce_the_workloads_a_spec_drops(capsys):
+    argv = [
+        "export", "--experiments", "degradation", "--quick",
+        "--workloads", "apache", "pmake", "oltp", "--no-cache", "--format", "csv",
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (
+        "note: degradation runs its first 2 workloads in a batch; "
+        "dropping oltp from --workloads"
+    ) in captured.err
+    # The export itself keeps the batch's rows: apache and pmake only.
+    rows = captured.out.splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"apache", "pmake"}
+
+
 def test_single_seed_measurements_announce_dropped_seeds(capsys):
     assert main(["table2", "--workloads", "apache", "--seeds", "5,6"]) == 0
     out = capsys.readouterr().out
@@ -457,10 +549,6 @@ _ABOVE_ZERO = "must be finite and above 0"
 @pytest.mark.parametrize(
     "argv,message",
     [
-        pytest.param(["compare", "a.json", "a.json", "--atol", "-1"], _NON_NEGATIVE, id="compare-negative-atol"),
-        pytest.param(["compare", "a.json", "a.json", "--rtol", "inf"], _NON_NEGATIVE, id="compare-infinite-rtol"),
-        pytest.param(["compare", "a.json", "a.json", "--rtol", "nan"], _NON_NEGATIVE, id="compare-nan-rtol"),
-        pytest.param(["diff", "baseline.json", "--rtol", "-1"], _NON_NEGATIVE, id="diff-negative-rtol"),
         pytest.param(["cache", "prune", "--max-bytes", "inf"], _NON_NEGATIVE, id="prune-infinite-max-bytes"),
         pytest.param(["cache", "prune", "--max-bytes", "1e300g"], _NON_NEGATIVE, id="prune-overflowing-max-bytes"),
         pytest.param(["cache", "prune", "--max-age", "nan"], _NON_NEGATIVE, id="prune-nan-max-age"),

@@ -9,6 +9,8 @@ The full-scale tables are printed by ``repro run-all``, and
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.metrics import normalize_to
@@ -116,9 +118,12 @@ class TestSwitchOverheads:
     def frame(self):
         # The full-size (paper) configuration is the point of Table 1.
         return experiment("table1").run(
-            ExperimentSettings().with_workloads(("apache",)),
-            transitions_to_measure=3,
-            warmup_cycles=3_000,
+            replace(
+                ExperimentSettings(),
+                workloads=("apache",),
+                switch_transitions=3,
+                switch_warmup_cycles=3_000,
+            )
         )
 
     def test_leave_is_much_more_expensive_than_enter(self, frame):
@@ -140,12 +145,18 @@ class TestSwitchOverheads:
 
 
 class TestSwitchFrequencyAndSingleOs:
-    SETTINGS = ExperimentSettings().with_workloads(("apache", "pgbench"))
-    TABLE2_OPTIONS = dict(phases_to_measure=1, measurement_phase_scale=0.02)
+    SETTINGS = replace(
+        ExperimentSettings(),
+        workloads=("apache", "pgbench"),
+        switch_transitions=2,
+        switch_warmup_cycles=2_000,
+        frequency_phases=1,
+        frequency_phase_scale=0.02,
+    )
 
     @pytest.fixture(scope="class")
     def frequency(self):
-        return experiment("table2").run(self.SETTINGS, **self.TABLE2_OPTIONS)
+        return experiment("table2").run(self.SETTINGS)
 
     def test_pgbench_has_much_longer_user_phases_than_apache(self, frequency):
         assert frequency.value("user_cycles", workload="pgbench") > 2 * frequency.value(
@@ -153,12 +164,7 @@ class TestSwitchFrequencyAndSingleOs:
         )
 
     def test_single_os_overhead_is_small_and_apache_is_worst(self, frequency):
-        study = experiment("single-os").run(
-            self.SETTINGS,
-            transitions_to_measure=2,
-            warmup_cycles=2_000,
-            **self.TABLE2_OPTIONS,
-        )
+        study = experiment("single-os").run(self.SETTINGS)
         # The study folds the same Table 2 cells the frequency frame holds.
         for workload in ("apache", "pgbench"):
             assert study.value("round_trip_cycles", workload=workload) == (

@@ -15,6 +15,7 @@ The campaign's engine contract mirrors the simulation cells':
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +23,6 @@ from repro.config.presets import paper_system_config
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
     DEFAULT_CONFIGURATIONS,
-    PAB_WITH_DMR,
-    SWEEP_CONFIGURATIONS,
     TRIAL_SITES,
     FaultInjectionCampaign,
     run_trial_chunk,
@@ -53,11 +52,11 @@ def fresh_runner(jobs: int = 1, **kwargs) -> ExperimentRunner:
     return ExperimentRunner(jobs=jobs, **kwargs)
 
 
-def run_campaign(seeds, **options):
-    """Run the ``faults`` spec on ``seeds``, keeping the raw trial cells."""
-    return experiment("faults").execute(
-        ExperimentSettings().with_seeds(seeds), runner=fresh_runner(), **options
-    )
+def run_campaign(seeds, trials, **options):
+    """Run the ``faults`` spec on ``seeds`` with ``trials`` per site, keeping
+    the raw trial cells."""
+    settings = replace(ExperimentSettings(), seeds=seeds, fault_trials_per_site=trials)
+    return experiment("faults").execute(settings, runner=fresh_runner(), **options)
 
 
 def serialized_reports(reports) -> str:
@@ -202,15 +201,14 @@ class TestFaultSpace:
             campaign.run_trial(DEFAULT_CONFIGURATIONS[0], "bogus-site", 0)
 
     def test_pab_with_dmr_keeps_full_coverage(self):
-        run = run_campaign((0,), trials=10, configurations=(PAB_WITH_DMR,))
+        run = run_campaign((0,), trials=10, all_configurations=True)
         assert run.frame().mean_of("coverage", configuration="dmr-plus-pab") == 1.0
         merged, _ = assemble_campaign_reports(run.jobs, run.results)
         assert merged["dmr-plus-pab"].count(FaultOutcome.DETECTED_DMR) > 0
 
     def test_fault_rate_scales_silent_corruption(self):
         frame = run_campaign(
-            (0, 1), trials=20, configurations=SWEEP_CONFIGURATIONS,
-            sweep_rates=(0.1, 1.0),
+            (0, 1), trials=20, all_configurations=True, sweep_rates=(0.1, 1.0)
         ).frame()
 
         def mean(metric, rate, configuration):

@@ -8,7 +8,8 @@ Four contracts:
 * **serialization** -- ``to_json`` -> ``from_json`` round trips
   byte-identically, and ``to_csv`` matches a golden rendering;
 * **schema/grid consistency** -- every registered spec declares a
-  ``MetricSchema`` whose key axes are grid axes;
+  ``MetricSchema`` whose key axes, with the seed, are the grid ``repro
+  list`` reads off the spec's cells;
 * **diffing** -- identical runs diff clean, perturbed metrics are flagged,
   and the ``repro diff`` CLI exits non-zero on drift.
 """
@@ -16,6 +17,7 @@ Four contracts:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -207,43 +209,63 @@ class TestSchemaGridConsistency:
         for name, spec in EXPERIMENTS.items():
             assert isinstance(spec.metric_schema(spec.request(QUICK)), MetricSchema), name
 
-    def test_schema_keys_are_grid_axes(self):
+    def test_schema_keys_are_grid_axes(self, capsys):
+        # The grid `repro list` prints is each spec's schema keys plus the
+        # seed, read off the cells its default request enumerates.
+        assert main(["list", "--json"]) == 0
+        listed = {
+            entry["name"]: entry
+            for entry in json.loads(capsys.readouterr().out)["specs"]
+        }
         for name, spec in EXPERIMENTS.items():
-            request = spec.request(QUICK)
+            request = spec.request()
             schema = spec.metric_schema(request)
-            grid_names = spec.grid(request).names()
+            entry = listed[name]
+            assert entry["cells"] == len(spec.enumerate_jobs(request)) > 0, name
+            assert set(entry["axes"]) == {*schema.keys, "seed"}, name
+            assert entry["axes"]["seed"] == list(request.settings.seeds), name
             for key in schema.keys:
-                assert key in grid_names, (name, key)
+                values = entry["axes"][key]
+                assert values and None not in values, (name, key)
             # Seeds are aggregated over, never a frame axis.
             assert "seed" not in schema.keys, name
 
     def test_faults_sweep_gains_the_rate_axis(self):
         spec = EXPERIMENTS["faults"]
-        request = spec.request(QUICK, sweep_rates=(0.5, 1.0), trials=2)
+        request = spec.request(
+            replace(QUICK, fault_trials_per_site=2), sweep_rates=(0.5, 1.0)
+        )
         schema = spec.metric_schema(request)
         assert schema.keys == ("rate", "configuration")
-        assert "rate" in spec.grid(request).names()
+        jobs = spec.enumerate_jobs(request)
+        assert {job.param("fault_rate") for job in jobs} == {0.5, 1.0}
 
 
 class TestFramesAgreeWithIndependentRuns:
     """A frame equals what a separate run of the same cells reports."""
 
     def test_single_os_overhead_derives_from_the_table_frames(self, tmp_path):
-        settings = ExperimentSettings().with_workloads(("apache",)).with_seeds((0,))
-        switching = dict(transitions_to_measure=2, warmup_cycles=2_000)
-        frequency = dict(phases_to_measure=1, measurement_phase_scale=0.02)
+        settings = replace(
+            ExperimentSettings(),
+            workloads=("apache",),
+            seeds=(0,),
+            switch_transitions=2,
+            switch_warmup_cycles=2_000,
+            frequency_phases=1,
+            frequency_phase_scale=0.02,
+        )
         table1 = EXPERIMENTS["table1"].run(
             settings, runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
-            explicit_workloads=True, **switching,
+            explicit_workloads=True,
         )
         table2 = EXPERIMENTS["table2"].run(
             settings, runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
-            explicit_workloads=True, **frequency,
+            explicit_workloads=True,
         )
         # single-os is the table1 + table2 cells: all of them come from cache.
         warm = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         frame = EXPERIMENTS["single-os"].run(
-            settings, runner=warm, explicit_workloads=True, **switching, **frequency
+            settings, runner=warm, explicit_workloads=True
         )
         assert warm.stats.executed == 0
         switch = table1.value("enter_dmr_cycles", workload="apache") + table1.value(
@@ -262,9 +284,8 @@ class TestFramesAgreeWithIndependentRuns:
     def test_faults_frame_matches_the_inline_campaign(self):
         seeds = (0, 1)
         frame = EXPERIMENTS["faults"].run(
-            ExperimentSettings().with_seeds(seeds),
+            replace(ExperimentSettings(), seeds=seeds, fault_trials_per_site=4),
             runner=ExperimentRunner(jobs=1, use_cache=False),
-            trials=4,
         )
         inline = {
             seed: {
@@ -304,8 +325,12 @@ class TestDiff:
         drifts = diff_frames(baseline, current)
         assert len(drifts) == 1
         assert drifts[0].kind == "value-drift" and "ipc" in drifts[0].detail
-        # A 0.1% drift passes under a 1% relative tolerance.
-        assert diff_frames(baseline, current, rel_tol=0.01) == []
+        # A drift of 1e-12 relative passes: it is below REL_TOL (1e-9).
+        current.rows[0]["ipc"] = ConfidenceInterval(
+            mean=cell.mean * (1 + 1e-12), half_width=cell.half_width, count=cell.count
+        )
+        assert current.rows[0]["ipc"] != cell
+        assert diff_frames(baseline, current) == []
 
     def test_missing_and_extra_rows_and_frames(self):
         baseline, current = unit_frame(), unit_frame()

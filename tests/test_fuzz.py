@@ -365,9 +365,6 @@ class TestEngineIntegration:
     def test_fuzz_spec_is_registered_with_profiles_axis(self):
         spec = experiment("fuzz")
         request = spec.request(QUICK)
-        grid = spec.grid(request)
-        assert grid.size() == len(spec.enumerate_jobs(request))
-        assert grid.axis("profile") == QUICK.fuzz_profiles
         assert spec.metric_schema(request).keys == ("profile",)
 
     def test_cells_are_pure_and_cacheable(self):

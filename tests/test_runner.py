@@ -33,6 +33,7 @@ from repro.sim.experiments import (
     figure6_jobs,
     pab_jobs,
     run_all_experiments,
+    run_all_spec_names,
     switch_overhead_jobs,
     window_ablation_jobs,
 )
@@ -463,24 +464,13 @@ class TestSpecReproducibility:
     """Two fresh runners running one spec produce byte-identical frames --
     the contract the cache key relies on."""
 
-    TABLE1 = dict(transitions_to_measure=2, warmup_cycles=2_000)
-    TABLE2 = dict(phases_to_measure=1, measurement_phase_scale=0.02)
-    CASES = {
-        "figure5": {},
-        "figure6": dict(configurations=("dmr-base", "mmm-tp")),
-        "pab": {},
-        "ablation": {},
-        "table1": TABLE1,
-        "table2": TABLE2,
-        "single-os": {**TABLE1, **TABLE2},
-    }
+    NAMES = ("figure5", "figure6", "pab", "ablation", "table1", "table2", "single-os")
 
-    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("name", NAMES)
     def test_two_fresh_runners_agree(self, name):
         def run():
             frame = experiment(name).run(
-                QUICK, runner=ExperimentRunner(jobs=1, use_cache=False),
-                **self.CASES[name],
+                QUICK, runner=ExperimentRunner(jobs=1, use_cache=False)
             )
             return json.dumps(frame.to_json(), sort_keys=True)
 
@@ -534,9 +524,7 @@ class TestRunAllParity:
         report = run_all_experiments(
             ExperimentSettings.quick(),
             runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
-            include_switching=False,
-            include_ablation=False,
-            include_faults=True,
+            names=run_all_spec_names(("switching", "ablation")),
         ).render()
         for marker in ("Figure 5(a)", "Figure 5(b)", "Figure 6(a)", "Figure 6(b)",
                        "PAB", "Fault-injection coverage"):

@@ -16,6 +16,7 @@ Four contracts:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,10 +30,8 @@ from repro.sim.runner import ExperimentRunner
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
-    ParameterGrid,
     SpecRequest,
     experiment,
-    jsonify,
     register_experiment,
 )
 
@@ -41,28 +40,6 @@ QUICK = ExperimentSettings.quick().with_workloads(("apache",))
 
 def fresh(jobs: int = 1, backend=None) -> ExperimentRunner:
     return ExperimentRunner(jobs=jobs, use_cache=False, backend=backend)
-
-
-class TestParameterGrid:
-    def test_points_are_row_major_and_sized(self):
-        grid = ParameterGrid.of(("a", (1, 2)), ("b", ("x", "y", "z")))
-        points = list(grid.points())
-        assert len(points) == grid.size() == 6
-        assert points[0] == {"a": 1, "b": "x"}
-        assert points[1] == {"a": 1, "b": "y"}  # last axis varies fastest
-        assert points[-1] == {"a": 2, "b": "z"}
-
-    def test_axis_lookup_and_describe(self):
-        grid = ParameterGrid.of(("workload", ("apache",)), ("seed", (0, 1)))
-        assert grid.axis("seed") == (0, 1)
-        assert grid.names() == ("workload", "seed")
-        assert grid.describe() == "workload(1) x seed(2)"
-        with pytest.raises(ExperimentError):
-            grid.axis("nope")
-
-    def test_empty_grid(self):
-        assert ParameterGrid(()).size() == 0
-        assert ParameterGrid(()).describe() == "(empty)"
 
 
 class TestRegistry:
@@ -75,13 +52,6 @@ class TestRegistry:
             "figure5", "figure6", "pab", "table1", "table2", "single-os",
             "ablation", "faults",
         }
-
-    def test_every_spec_grid_matches_its_job_count(self):
-        # The grid is the declared cell space: its size must equal the
-        # number of enumerated jobs for any request.
-        for name, spec in EXPERIMENTS.items():
-            request = spec.request(QUICK)
-            assert spec.grid(request).size() == len(spec.enumerate_jobs(request)), name
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ExperimentError):
@@ -112,25 +82,45 @@ class TestRequestResolution:
             assert job.seed == 7
 
     def test_options_reach_the_request(self):
-        request = SpecRequest(settings=QUICK, options={"trials": 3})
-        assert request.option("trials") == 3
-        assert request.option("missing", 42) == 42
+        request = EXPERIMENTS["faults"].request(QUICK, sweep_rates=(0.5, 1.0))
+        assert request.option("sweep_rates") == (0.5, 1.0)
+        assert request.option("all_configurations", False) is False
         # Explicit None falls back to the default too.
         assert SpecRequest(settings=QUICK, options={"x": None}).option("x", 1) == 1
+
+    @pytest.mark.parametrize(
+        "name,options,settings_field",
+        [
+            ("table1", {"transitions_to_measure": 2}, "switch_transitions"),
+            ("faults", {"trials": 3}, "fault_trials_per_site"),
+            (
+                "degradation",
+                {"degradation_failed_cores": (0, 2)},
+                "degradation_failed_cores",
+            ),
+            ("figure5", {"bogus": 1}, None),
+        ],
+    )
+    def test_other_keywords_are_refused_naming_the_settings_field(
+        self, name, options, settings_field
+    ):
+        # Only a spec's own request options reach it; a value with a settings
+        # field is set there, never passed beside the settings.
+        with pytest.raises(ExperimentError, match=name) as refusal:
+            EXPERIMENTS[name].run(QUICK, runner=fresh(), **options)
+        message = str(refusal.value)
+        assert repr(next(iter(options))) in message
+        if settings_field is None:
+            assert "ExperimentSettings" not in message
+        else:
+            assert f"ExperimentSettings.{settings_field}" in message
 
 
 class TestFramesMatchRawCells:
     """A spec's frame recomputes from the raw cells of the same run."""
 
     def test_single_os_overhead_derives_from_the_table_cells(self):
-        run = EXPERIMENTS["single-os"].execute(
-            QUICK,
-            runner=fresh(),
-            transitions_to_measure=2,
-            warmup_cycles=2_000,
-            phases_to_measure=1,
-            measurement_phase_scale=0.02,
-        )
+        run = EXPERIMENTS["single-os"].execute(QUICK, runner=fresh())
         cells = {job.kind: run.results[job] for job in run.jobs}
         switch = cells["table1"]["enter_dmr_cycles"] + cells["table1"]["leave_dmr_cycles"]
         round_trip = cells["table2"]["user_cycles"] + cells["table2"]["os_cycles"]
@@ -144,7 +134,8 @@ class TestFramesMatchRawCells:
 
     def test_faults_coverage_matches_the_campaign_reports(self):
         run = EXPERIMENTS["faults"].execute(
-            ExperimentSettings().with_seeds((0, 1)), runner=fresh(), trials=4
+            replace(ExperimentSettings(), seeds=(0, 1), fault_trials_per_site=4),
+            runner=fresh(),
         )
         frame = run.frame()
         merged, per_seed = assemble_campaign_reports(run.jobs, run.results)
@@ -171,21 +162,17 @@ class TestFramesMatchRawCells:
 class TestBackendDeterminism:
     """serial == process, byte for byte, one spec per family."""
 
-    CASES = {
-        "figure5": dict(),                      # simulation family
-        "table2": dict(phases_to_measure=1, measurement_phase_scale=0.02),
-        "faults": dict(trials=4),               # faults family
-    }
+    #: One spec per family: simulation, measurement, faults.
+    NAMES = ("faults", "figure5", "table2")
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", NAMES)
     def test_backends_agree(self, name):
         spec = EXPERIMENTS[name]
         settings = QUICK.with_seeds((0, 1)) if spec.multi_seed else QUICK
+        settings = replace(settings, fault_trials_per_site=4)
         documents = {}
         for backend in ("serial", "process"):
-            result = spec.run(
-                settings, runner=fresh(jobs=2, backend=backend), **self.CASES[name]
-            )
+            result = spec.run(settings, runner=fresh(jobs=2, backend=backend))
             documents[backend] = json.dumps(spec.to_json(result), sort_keys=True)
         assert documents["serial"] == documents["process"]
 
@@ -219,27 +206,15 @@ class TestUniformRendering:
         parsed = json.loads(json.dumps(document))
         assert parsed["result"]["rows"][0]["workload"] == "apache"
 
-    def test_jsonify_handles_enums_dataclass_and_odd_keys(self):
-        from enum import Enum
-
-        class Colour(Enum):
-            RED = 1
-
-        assert jsonify(Colour.RED) == "RED"
-        assert jsonify({1: (Colour.RED,)}) == {"1": ["RED"]}
-        assert jsonify(frozenset(["x"])) == ["x"]
-        assert jsonify(object()).startswith("<object object")
-
 
 class TestCustomSpecIntegration:
     def test_registered_spec_joins_run_all_frames(self, tmp_path):
-        from repro.sim.experiments import run_all_experiments
+        from repro.sim.experiments import run_all_experiments, run_all_spec_names
         from repro.sim.jobs import ExperimentJob
 
         spec = ExperimentSpec(
             name="spec-test-extra",
             title="test extra",
-            grid=lambda request: ParameterGrid.of(("seed", request.settings.seeds)),
             enumerate_jobs=lambda request: [
                 ExperimentJob(
                     kind="figure5", workload="apache", variant="no-dmr", seed=seed,
@@ -257,9 +232,7 @@ class TestCustomSpecIntegration:
             everything = run_all_experiments(
                 QUICK,
                 runner=ExperimentRunner(jobs=1, cache_dir=tmp_path),
-                include_switching=False,
-                include_ablation=False,
-                include_faults=False,
+                names=run_all_spec_names(("switching", "ablation", "faults")),
             )
             frame = everything.frame("spec-test-extra")
             assert frame.axis_values("workload") == ("apache",)

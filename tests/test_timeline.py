@@ -27,6 +27,7 @@ from repro.sim.experiments import (
     churn_jobs,
     degradation_jobs,
     run_all_experiments,
+    run_all_spec_names,
 )
 from repro.sim.jobs import simulate_cell
 from repro.sim.runner import ExperimentRunner
@@ -695,9 +696,7 @@ class TestTimelineDeterminism:
         everything = run_all_experiments(
             QUICK,
             runner=fresh(),
-            include_switching=False,
-            include_ablation=False,
-            include_faults=False,
+            names=run_all_spec_names(("switching", "ablation", "faults")),
         )
         assert "degradation" in everything.frames
         assert "consolidation-churn" in everything.frames

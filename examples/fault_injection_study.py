@@ -48,8 +48,8 @@ def coverage_campaign() -> None:
     run = experiment("faults").execute(settings, runner=runner)
     print(run.frame().to_table())
     print()
-    # The frame aggregates coverage per seed; the per-trial records behind
-    # it come from the run's raw cells.
+    # The frame aggregates coverage per seed; the outcome counts behind it
+    # come from the run's raw cells.
     reports, _ = assemble_campaign_reports(run.jobs, run.results)
     for report in reports.values():
         print(f"--- outcome breakdown: {report.configuration}")

@@ -233,13 +233,14 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
 
 
 def _announce_dropped_seeds(spec: ExperimentSpec, args: argparse.Namespace) -> None:
-    """Single-seed measurements say so out loud when a sweep was requested,
+    """Single-seed measurements say so on stderr when a sweep was requested,
     rather than silently dropping seeds."""
     seeds = getattr(args, "seeds", None)
     if not spec.multi_seed and seeds and len(seeds) > 1:
         print(
             f"note: this measurement uses a single seed; taking seed "
-            f"{seeds[0]} from --seeds"
+            f"{seeds[0]} from --seeds",
+            file=sys.stderr,
         )
 
 
@@ -367,7 +368,6 @@ def _add_spec_subcommands(subparsers) -> None:
                     option.flag,
                     dest=option.name,
                     type=option.parse,
-                    default=option.default,
                     metavar=option.metavar,
                     help=option.help,
                 )

@@ -9,6 +9,8 @@ paths.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.config.system import (
     CacheConfig,
     CoreConfig,
@@ -23,7 +25,8 @@ from repro.config.system import (
 
 
 def paper_system_config(timeslice_cycles: int = 30_000) -> SystemConfig:
-    """The paper's 16-core target machine.
+    """The paper's 16-core target machine: the :class:`SystemConfig`
+    defaults, with the given gang-scheduling timeslice.
 
     Parameters
     ----------
@@ -34,32 +37,9 @@ def paper_system_config(timeslice_cycles: int = 30_000) -> SystemConfig:
         the consolidated-server results).  Pass ``3_000_000`` to use the
         paper's literal value.
     """
-    config = SystemConfig(
-        num_cores=16,
-        core=CoreConfig(
-            issue_width=2,
-            window_entries=128,
-            lsq_load_entries=32,
-            lsq_store_entries=32,
-        ),
-        l1i=CacheConfig(
-            name="L1I", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-        ),
-        l1d=CacheConfig(
-            name="L1D", size_bytes=16 * 1024, associativity=2, hit_latency=1,
-        ),
-        l2=CacheConfig(name="L2", size_bytes=512 * 1024, associativity=4, hit_latency=12),
-        l3=CacheConfig(
-            name="L3", size_bytes=8 * 1024 * 1024, associativity=16, hit_latency=55,
-        ),
-        memory=MemoryConfig(load_to_use_latency=350, bandwidth_gb_per_s=40.0),
-        interconnect=InterconnectConfig(hop_latency=10, fingerprint_latency=10),
-        reunion=ReunionConfig(),
-        pab=PabConfig(entries=128),
-        tlb=TlbConfig(entries=128, fill_latency=30),
-        virtualization=VirtualizationConfig(timeslice_cycles=timeslice_cycles),
-    )
-    return config.validate()
+    return replace(
+        SystemConfig(), virtualization=VirtualizationConfig(timeslice_cycles=timeslice_cycles)
+    ).validate()
 
 
 def evaluation_system_config(

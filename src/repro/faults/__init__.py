@@ -14,17 +14,18 @@ handle:
 
 :class:`FaultInjector` plugs into the core timing model as its fault hook;
 :class:`FaultInjectionCampaign` runs functional coverage trials over the real
-protection components.  The campaign is cell-shaped: :mod:`repro.faults.cells`
-registers a ``faults`` job kind with the experiment engine, so campaigns run
-through :class:`repro.sim.runner.ExperimentRunner` -- parallel and cached --
-exactly like the timing experiments (that module is imported by the top-level
-``repro`` package rather than here, keeping this package free of engine
-imports).
+protection components.  Each trial ends in one :class:`FaultOutcome`, and a
+:class:`CoverageReport` counts them per protection configuration.  The
+campaign is cell-shaped: :mod:`repro.faults.cells` registers a ``faults`` job
+kind with the experiment engine, whose cells return outcome counts, so
+campaigns run through :class:`repro.sim.runner.ExperimentRunner` -- parallel
+and cached -- exactly like the timing experiments (that module is imported by
+the top-level ``repro`` package rather than here, keeping this package free of
+engine imports).
 """
 
 from repro.faults.campaign import CampaignConfiguration, FaultInjectionCampaign
 from repro.faults.injector import FaultInjector, FaultRates
-from repro.faults.models import FaultSite, FaultSpec, FaultType
 from repro.faults.outcomes import CoverageReport, FaultOutcome
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "FaultInjectionCampaign",
     "FaultInjector",
     "FaultRates",
-    "FaultSite",
-    "FaultSpec",
-    "FaultType",
     "CoverageReport",
     "FaultOutcome",
 ]

@@ -16,11 +16,11 @@ The campaign is decomposed into independent *trials*: every trial is fully
 identified by ``(configuration, fault site, seed, trial index)`` and draws
 its randomness from an rng forked from exactly that identity
 (:func:`trial_rng`), so its outcome does not depend on which other trials
-ran, in which order, or in which process.  :func:`run_trial_chunk` is the
-picklable unit of work the experiment engine executes -- see
-:mod:`repro.faults.cells` for the ``faults`` job kind built on top --
-while :meth:`FaultInjectionCampaign.run` remains the inline convenience
-driver for small interactive studies.
+ran, in which order, or in which process.  A trial ends in one
+:class:`~repro.faults.outcomes.FaultOutcome`.  The ``faults`` job kind of
+:mod:`repro.faults.cells` counts the outcomes of one contiguous run of
+trials per cell, while :meth:`FaultInjectionCampaign.run` remains the inline
+driver for small interactive studies; both count the same trials alike.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from repro.common.rng import DeterministicRng
 from repro.config.system import ReunionConfig, SystemConfig
 from repro.dmr.reunion import ReunionPair
 from repro.errors import FaultInjectionError
-from repro.faults.models import FaultSite, FaultSpec, FaultType
-from repro.faults.outcomes import CoverageReport, FaultOutcome, TrialRecord
+from repro.faults.outcomes import CoverageReport, FaultOutcome
 from repro.isa.instructions import Instruction, InstructionClass, PrivilegeLevel
 from repro.isa.registers import ArchitecturalState
 from repro.protection.pab import ProtectionAssistanceBuffer
@@ -130,45 +129,35 @@ class FaultInjectionCampaign:
         return rng.sample_address(region.base, region.size, 64)
 
     @staticmethod
-    def _masked_by_rate(
-        rng: DeterministicRng, fault_rate: float, spec: FaultSpec,
-        configuration: CampaignConfiguration,
-    ) -> TrialRecord | None:
-        """A MASKED record when rate scaling decides the fault never strikes."""
-        if fault_rate >= 1.0 or rng.chance(fault_rate):
-            return None
-        return TrialRecord(
-            spec=spec,
-            outcome=FaultOutcome.MASKED,
-            configuration=configuration.name,
-            detail="fault did not strike at this fault-rate scale",
+    def _masked_by_rate(rng: DeterministicRng, fault_rate: float) -> bool:
+        """Whether rate scaling decides the fault never strikes."""
+        return fault_rate < 1.0 and not rng.chance(fault_rate)
+
+    def _store_allowed(self, target: int) -> bool:
+        """Whether the PAB's physical-address permission check lets a
+        performance-mode store to ``target`` through."""
+        pab = ProtectionAssistanceBuffer(
+            config=self.config.pab, pat=self.pat, core_id=0, hierarchy=None
         )
+        return pab.check_store(target).allowed
 
     def _trial_execution_fault(
         self,
         configuration: CampaignConfiguration,
         rng: DeterministicRng,
-        fault_rate: float = 1.0,
-    ) -> TrialRecord:
-        spec = FaultSpec(site=FaultSite.EXECUTION_RESULT, fault_type=FaultType.TRANSIENT)
-        masked = self._masked_by_rate(rng, fault_rate, spec, configuration)
-        if masked is not None:
-            return masked
+        fault_rate: float,
+    ) -> FaultOutcome:
+        if self._masked_by_rate(rng, fault_rate):
+            return FaultOutcome.MASKED
         if not configuration.dmr_active:
             # Without redundancy the corrupted result lands in the performance
             # application's own state: tolerated, but only within its domain.
-            return TrialRecord(
-                spec=spec,
-                outcome=FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN,
-                configuration=configuration.name,
-                detail="no redundancy: corruption confined to the faulty application",
-            )
+            return FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN
         pair = ReunionPair(
             vocal_core_id=0,
             mute_core_id=1,
             config=ReunionConfig(fingerprint_interval=4),
         )
-        outcome = FaultOutcome.MASKED
         for seq in range(8):
             instruction = Instruction(
                 seq=seq,
@@ -178,141 +167,62 @@ class FaultInjectionCampaign:
             )
             check = pair.observe_commit(instruction, mute_corrupted=(seq == 2))
             if check is not None and not check.matched:
-                outcome = FaultOutcome.DETECTED_DMR
-                break
-        return TrialRecord(
-            spec=spec,
-            outcome=outcome,
-            configuration=configuration.name,
-            detail="fingerprint comparison",
-        )
+                return FaultOutcome.DETECTED_DMR
+        return FaultOutcome.MASKED
 
     def _trial_store_address_fault(
         self,
         configuration: CampaignConfiguration,
         rng: DeterministicRng,
-        fault_rate: float = 1.0,
-    ) -> TrialRecord:
+        fault_rate: float,
+    ) -> FaultOutcome:
         target = self._reliable_address(rng)
-        spec = FaultSpec(
-            site=FaultSite.STORE_ADDRESS_PATH,
-            fault_type=FaultType.TRANSIENT,
-            target_address=target,
-        ).validate()
-        masked = self._masked_by_rate(rng, fault_rate, spec, configuration)
-        if masked is not None:
-            return masked
+        if self._masked_by_rate(rng, fault_rate):
+            return FaultOutcome.MASKED
         if configuration.dmr_active:
             # The corrupted address differs between vocal and mute, so the
             # store's fingerprint mismatches before it can retire.
-            return TrialRecord(
-                spec=spec,
-                outcome=FaultOutcome.DETECTED_DMR,
-                configuration=configuration.name,
-                detail="store address diverges the fingerprints",
-            )
-        if configuration.pab_active:
-            pab = ProtectionAssistanceBuffer(
-                config=self.config.pab, pat=self.pat, core_id=0, hierarchy=None
-            )
-            check = pab.check_store(target)
-            outcome = (
-                FaultOutcome.DETECTED_PAB if not check.allowed else FaultOutcome.SILENT_CORRUPTION
-            )
-            return TrialRecord(
-                spec=spec,
-                outcome=outcome,
-                configuration=configuration.name,
-                detail="PAB physical-address permission check",
-            )
-        return TrialRecord(
-            spec=spec,
-            outcome=FaultOutcome.SILENT_CORRUPTION,
-            configuration=configuration.name,
-            detail="no redundant permission check on the store path",
-        )
+            return FaultOutcome.DETECTED_DMR
+        if configuration.pab_active and not self._store_allowed(target):
+            return FaultOutcome.DETECTED_PAB
+        # No check on the store path stopped it.
+        return FaultOutcome.SILENT_CORRUPTION
 
     def _trial_store_within_domain(
         self,
         configuration: CampaignConfiguration,
         rng: DeterministicRng,
-        fault_rate: float = 1.0,
-    ) -> TrialRecord:
+        fault_rate: float,
+    ) -> FaultOutcome:
         target = self._performance_address(rng)
-        spec = FaultSpec(
-            site=FaultSite.STORE_ADDRESS_PATH,
-            fault_type=FaultType.TRANSIENT,
-            target_address=target,
-        ).validate()
-        masked = self._masked_by_rate(rng, fault_rate, spec, configuration)
-        if masked is not None:
-            return masked
+        if self._masked_by_rate(rng, fault_rate):
+            return FaultOutcome.MASKED
         if configuration.dmr_active:
-            return TrialRecord(
-                spec=spec,
-                outcome=FaultOutcome.DETECTED_DMR,
-                configuration=configuration.name,
-                detail="store address diverges the fingerprints",
-            )
-        if configuration.pab_active:
-            pab = ProtectionAssistanceBuffer(
-                config=self.config.pab, pat=self.pat, core_id=0, hierarchy=None
-            )
-            check = pab.check_store(target)
-            outcome = (
-                FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN
-                if check.allowed
-                else FaultOutcome.DETECTED_PAB
-            )
-            return TrialRecord(
-                spec=spec,
-                outcome=outcome,
-                configuration=configuration.name,
-                detail="corrupted store stays inside the performance VM's memory",
-            )
-        return TrialRecord(
-            spec=spec,
-            outcome=FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN,
-            configuration=configuration.name,
-            detail="corrupted store stays inside the performance VM's memory",
-        )
+            return FaultOutcome.DETECTED_DMR
+        if configuration.pab_active and not self._store_allowed(target):
+            return FaultOutcome.DETECTED_PAB
+        # The corrupted store stays inside the performance VM's memory.
+        return FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN
 
     def _trial_privileged_register_fault(
         self,
         configuration: CampaignConfiguration,
         rng: DeterministicRng,
-        fault_rate: float = 1.0,
-    ) -> TrialRecord:
-        spec = FaultSpec(
-            site=FaultSite.PRIVILEGED_REGISTER,
-            fault_type=FaultType.TRANSIENT,
-            register_name="tba",
-        ).validate()
-        masked = self._masked_by_rate(rng, fault_rate, spec, configuration)
-        if masked is not None:
-            return masked
+        fault_rate: float,
+    ) -> FaultOutcome:
+        if self._masked_by_rate(rng, fault_rate):
+            return FaultOutcome.MASKED
         if configuration.dmr_active:
-            return TrialRecord(
-                spec=spec,
-                outcome=FaultOutcome.DETECTED_DMR,
-                configuration=configuration.name,
-                detail="register writes are fingerprinted",
-            )
+            # Register writes are fingerprinted.
+            return FaultOutcome.DETECTED_DMR
+        if not configuration.transition_verification:
+            # Nothing verifies the registers when the core re-enters DMR.
+            return FaultOutcome.SILENT_CORRUPTION
         live = ArchitecturalState()
         redundant = live.copy()
         live.privileged["tba"] ^= 0x40
-        if configuration.transition_verification:
-            ok, mismatches = live.verify_privileged_against(redundant)
-            outcome = (
-                FaultOutcome.DETECTED_TRANSITION if not ok else FaultOutcome.MASKED
-            )
-            detail = f"Enter-DMR verification mismatches: {', '.join(mismatches)}"
-        else:
-            outcome = FaultOutcome.SILENT_CORRUPTION
-            detail = "no verification when re-entering DMR"
-        return TrialRecord(
-            spec=spec, outcome=outcome, configuration=configuration.name, detail=detail
-        )
+        ok, _ = live.verify_privileged_against(redundant)
+        return FaultOutcome.MASKED if ok else FaultOutcome.DETECTED_TRANSITION
 
     # ------------------------------------------------------------------ #
     # Campaign driver
@@ -324,7 +234,7 @@ class FaultInjectionCampaign:
         site: str,
         index: int,
         fault_rate: float = 1.0,
-    ) -> TrialRecord:
+    ) -> FaultOutcome:
         """Run the ``index``-th trial of one (configuration, site) family.
 
         Deterministic in ``(seed, configuration, site, index, fault_rate)``
@@ -352,9 +262,11 @@ class FaultInjectionCampaign:
         reports: List[CoverageReport] = []
         for configuration in configurations:
             report = CoverageReport(configuration=configuration.name)
-            for site in TRIAL_SITES:
-                for index in range(trials_per_site):
-                    report.record(self.run_trial(configuration, site, index, fault_rate))
+            report.counts.update(
+                self.run_trial(configuration, site, index, fault_rate)
+                for site in TRIAL_SITES
+                for index in range(trials_per_site)
+            )
             reports.append(report)
         return reports
 
@@ -366,29 +278,3 @@ _TRIAL_HANDLERS: Dict[str, object] = {
     "store-performance": FaultInjectionCampaign._trial_store_within_domain,
     "privileged-register": FaultInjectionCampaign._trial_privileged_register_fault,
 }
-
-
-def run_trial_chunk(
-    config: SystemConfig,
-    configuration: CampaignConfiguration,
-    site: str,
-    seed: int,
-    first_trial: int,
-    trials: int,
-    fault_rate: float = 1.0,
-) -> List[TrialRecord]:
-    """Run one contiguous chunk of a (configuration, site, seed) trial family.
-
-    This is the picklable unit of work behind the ``faults`` job kind: a
-    process-pool worker rebuilds the (cheap) campaign context and runs trials
-    ``first_trial .. first_trial + trials - 1``.  Because every trial's rng
-    comes from :func:`trial_rng`, the concatenation of any chunking of the
-    same family is identical to running it in one piece.
-    """
-    if trials < 1:
-        raise FaultInjectionError("a trial chunk needs at least one trial")
-    campaign = FaultInjectionCampaign(config=config, seed=seed)
-    return [
-        campaign.run_trial(configuration, site, index, fault_rate)
-        for index in range(first_trial, first_trial + trials)
-    ]

@@ -8,13 +8,12 @@ This module is the glue between the fault-injection campaign
   :class:`~repro.sim.jobs.ExperimentJob` per ``(configuration, fault site,
   seed, trials chunk)`` cell;
 * :func:`execute_fault_cell` (registered as the ``faults`` kind) runs one
-  chunk of trials and returns the serialized
-  :class:`~repro.faults.outcomes.TrialRecord` list as the cell's metrics;
-* :func:`assemble_coverage_reports` folds any mix of fresh and cached cell
-  results back into per-configuration
-  :class:`~repro.faults.outcomes.CoverageReport` values, in enumeration
-  order, so serial, parallel and warm-cache runs assemble byte-identical
-  reports.
+  chunk of trials on the paper's machine and returns its outcome counts, a
+  flat ``{outcome name: count}`` mapping, as the cell's metrics;
+* :func:`assemble_campaign_reports` adds any mix of fresh and cached cell
+  counts into per-configuration (and per-seed)
+  :class:`~repro.faults.outcomes.CoverageReport` values, so serial,
+  parallel and warm-cache runs assemble identical reports.
 
 It lives apart from :mod:`repro.faults.campaign` (and is imported by the
 ``repro`` package *after* the simulator) so the campaign itself stays free
@@ -25,25 +24,25 @@ At the experiment layer, the campaign is declared as the ``faults``
 :class:`~repro.sim.specs.ExperimentSpec` (see :mod:`repro.sim.specs`),
 whose ``--sweep-rates`` option turns the coverage comparison into the
 fault-space sweep.  The spec's frame carries the aggregate coverage
-columns; callers that need the per-trial records run
+columns; callers that need the outcome counts behind them run
 ``experiment("faults").execute(...)`` and pass the run's ``jobs`` and
 ``results`` to :func:`assemble_campaign_reports`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.config.presets import paper_system_config
-from repro.config.system import SystemConfig
-from repro.errors import ExperimentError, FaultInjectionError
+from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
     DEFAULT_CONFIGURATIONS,
     TRIAL_SITES,
     CampaignConfiguration,
-    run_trial_chunk,
+    FaultInjectionCampaign,
 )
-from repro.faults.outcomes import CoverageReport, TrialRecord
+from repro.faults.outcomes import CoverageReport
 from repro.sim.jobs import ExperimentJob, register_job_kind
 
 #: Trials grouped into one cell: small enough to fan a campaign out across
@@ -52,11 +51,10 @@ DEFAULT_TRIALS_PER_CELL = 25
 
 
 def fault_campaign_jobs(
-    trials_per_site: int = 50,
+    trials_per_site: int,
     configurations: Sequence[CampaignConfiguration] = DEFAULT_CONFIGURATIONS,
     seeds: Sequence[int] = (0,),
     fault_rate: float = 1.0,
-    config: Optional[SystemConfig] = None,
     trials_per_cell: int = DEFAULT_TRIALS_PER_CELL,
 ) -> List[ExperimentJob]:
     """Every (configuration, fault-site, seed, trials-chunk) campaign cell.
@@ -74,7 +72,6 @@ def fault_campaign_jobs(
     # A duplicated seed would enumerate duplicate cells and double-count
     # their trials in the assembled reports.
     seeds = tuple(dict.fromkeys(seeds))
-    resolved = (config or paper_system_config()).validate()
     jobs: List[ExperimentJob] = []
     for configuration in configurations:
         for site in TRIAL_SITES:
@@ -87,7 +84,6 @@ def fault_campaign_jobs(
                             workload=site,
                             variant=configuration.name,
                             seed=seed,
-                            config=resolved,
                             params=(
                                 ("dmr_active", configuration.dmr_active),
                                 ("fault_rate", float(fault_rate)),
@@ -101,72 +97,48 @@ def fault_campaign_jobs(
     return jobs
 
 
-def _configuration_from_job(job: ExperimentJob) -> CampaignConfiguration:
-    """Rebuild the campaign configuration a cell describes in its params."""
-    return CampaignConfiguration(
-        name=job.variant,
-        dmr_active=bool(job.param("dmr_active")),
-        pab_active=bool(job.param("pab_active")),
-        transition_verification=bool(job.param("transition_verification", True)),
-    )
-
-
 @register_job_kind("faults")
-def execute_fault_cell(job: ExperimentJob) -> Dict[str, object]:
-    """Run one campaign cell and return its serialized trial records.
+def execute_fault_cell(job: ExperimentJob) -> Dict[str, int]:
+    """Run one campaign cell and count its trials' outcomes by name.
 
     Module-level (and registered at import time) so process-pool workers can
     execute fault cells exactly like simulation cells.
     """
-    if job.config is None:
-        raise ExperimentError(f"fault cell {job.label} needs a SystemConfig")
-    records = run_trial_chunk(
-        config=job.config,
-        configuration=_configuration_from_job(job),
-        site=job.workload,
-        seed=job.seed,
-        first_trial=int(job.param("first_trial", 0)),
-        trials=int(job.param("trials", DEFAULT_TRIALS_PER_CELL)),
-        fault_rate=float(job.param("fault_rate", 1.0)),
+    configuration = CampaignConfiguration(
+        name=job.variant,
+        dmr_active=bool(job.param("dmr_active")),
+        pab_active=bool(job.param("pab_active")),
+        transition_verification=bool(job.param("transition_verification")),
     )
-    return {"trials": [record.to_dict() for record in records]}
-
-
-def _cell_records(metrics: Mapping[str, object]) -> List[TrialRecord]:
-    return [TrialRecord.from_dict(payload) for payload in metrics["trials"]]
+    campaign = FaultInjectionCampaign(config=paper_system_config(), seed=job.seed)
+    first = int(job.param("first_trial"))
+    fault_rate = float(job.param("fault_rate"))
+    outcomes = Counter(
+        campaign.run_trial(configuration, job.workload, index, fault_rate).name
+        for index in range(first, first + int(job.param("trials")))
+    )
+    return dict(outcomes)
 
 
 def assemble_campaign_reports(
     jobs: Sequence[ExperimentJob],
-    results: Mapping[ExperimentJob, Mapping[str, object]],
+    results: Mapping[ExperimentJob, Mapping[str, int]],
 ) -> Tuple[Dict[str, CoverageReport], Dict[Tuple[str, int], CoverageReport]]:
     """Both views of a campaign batch in one pass: merged and per-seed.
 
-    Returns ``(by_configuration, by_configuration_and_seed)``.  Trials are
-    concatenated in the order the cells were *enumerated*, never the order
-    they executed, so serial, parallel and warm-cache runs of the same sweep
-    produce byte-identical reports; each cell's records are deserialized
-    once and shared between the two views.  The per-seed view feeds the
-    multi-seed confidence intervals of the ``faults`` spec's frame.
+    Returns ``(by_configuration, by_configuration_and_seed)``, each keyed
+    in the order the cells were *enumerated*, never the order they
+    executed.  The per-seed view feeds the multi-seed confidence intervals
+    of the ``faults`` spec's frame.
     """
     merged: Dict[str, CoverageReport] = {}
     per_seed: Dict[Tuple[str, int], CoverageReport] = {}
     for job in jobs:
         if job.kind != "faults":
             continue
-        records = _cell_records(results[job])
-        merged.setdefault(
-            job.variant, CoverageReport(configuration=job.variant)
-        ).extend(records)
+        counts = results[job]
+        merged.setdefault(job.variant, CoverageReport(configuration=job.variant)).add(counts)
         per_seed.setdefault(
             (job.variant, job.seed), CoverageReport(configuration=job.variant)
-        ).extend(records)
+        ).add(counts)
     return merged, per_seed
-
-
-def assemble_coverage_reports(
-    jobs: Sequence[ExperimentJob],
-    results: Mapping[ExperimentJob, Mapping[str, object]],
-) -> Dict[str, CoverageReport]:
-    """One merged coverage report per configuration, in enumeration order."""
-    return assemble_campaign_reports(jobs, results)[0]

@@ -1,19 +1,18 @@
 """Classification of fault-injection outcomes and coverage reporting.
 
-:class:`TrialRecord` and :class:`CoverageReport` round-trip through plain
-JSON dictionaries (:meth:`~TrialRecord.to_dict` / ``from_dict``), which is
-what lets the experiment engine cache fault-campaign cells on disk and
-reassemble byte-identical coverage reports from any mix of fresh and cached
-cells.
+Every trial of a campaign ends in one :class:`FaultOutcome`, and a
+:class:`CoverageReport` counts them per protection configuration.  A
+campaign cell's result is the same count as a flat ``{outcome name:
+count}`` mapping (see :mod:`repro.faults.cells`), so fresh and cached cells
+add into byte-identical reports.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Dict, Iterable, List, Mapping, Tuple
-
-from repro.faults.models import FaultSpec
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 class FaultOutcome(Enum):
@@ -27,8 +26,6 @@ class FaultOutcome(Enum):
     DETECTED_PAB = auto()
     #: The Enter-DMR privileged-register verification caught the corruption.
     DETECTED_TRANSITION = auto()
-    #: The TLB's own (fault-free) permission check caught the access.
-    DETECTED_TLB = auto()
     #: The corruption reached state owned by the performance application
     #: itself -- tolerated by definition of performance mode.
     CONTAINED_TO_PERFORMANCE_DOMAIN = auto()
@@ -43,104 +40,52 @@ PROTECTED_OUTCOMES = frozenset(
         FaultOutcome.DETECTED_DMR,
         FaultOutcome.DETECTED_PAB,
         FaultOutcome.DETECTED_TRANSITION,
-        FaultOutcome.DETECTED_TLB,
         FaultOutcome.CONTAINED_TO_PERFORMANCE_DOMAIN,
     }
 )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One injected fault and its outcome."""
-
-    spec: FaultSpec
-    outcome: FaultOutcome
-    configuration: str
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe description of the trial (the cell-result format)."""
-        return {
-            "spec": self.spec.to_dict(),
-            "outcome": self.outcome.name,
-            "configuration": self.configuration,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "TrialRecord":
-        """Rebuild a trial from :meth:`to_dict` output."""
-        return cls(
-            spec=FaultSpec.from_dict(payload["spec"]),
-            outcome=FaultOutcome[str(payload["outcome"])],
-            configuration=str(payload["configuration"]),
-            detail=str(payload.get("detail", "")),
-        )
-
-
 @dataclass
 class CoverageReport:
-    """Aggregated outcomes of a fault-injection campaign."""
+    """How many of one configuration's injected faults ended in each outcome."""
 
     configuration: str
-    trials: List[TrialRecord] = field(default_factory=list)
+    counts: Counter = field(default_factory=Counter)
 
-    def record(self, trial: TrialRecord) -> None:
-        """Append one trial."""
-        self.trials.append(trial)
-
-    def extend(self, trials: Iterable[TrialRecord]) -> None:
-        """Append a batch of trials (e.g. one campaign cell's records)."""
-        self.trials.extend(trials)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe description of the whole report."""
-        return {
-            "configuration": self.configuration,
-            "trials": [trial.to_dict() for trial in self.trials],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "CoverageReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        return cls(
-            configuration=str(payload["configuration"]),
-            trials=[TrialRecord.from_dict(t) for t in payload.get("trials", ())],
-        )
+    def add(self, counts: Mapping[str, int]) -> None:
+        """Add a campaign cell's ``{outcome name: count}`` metrics."""
+        for name, count in counts.items():
+            self.counts[FaultOutcome[name]] += int(count)
 
     @property
     def total(self) -> int:
         """Number of injected faults."""
-        return len(self.trials)
+        return sum(self.counts.values())
 
     def count(self, outcome: FaultOutcome) -> int:
         """Number of trials with the given outcome."""
-        return sum(1 for trial in self.trials if trial.outcome is outcome)
+        return self.counts[outcome]
 
     def outcome_histogram(self) -> Dict[FaultOutcome, int]:
-        """Counts per outcome."""
-        histogram: Dict[FaultOutcome, int] = {}
-        for trial in self.trials:
-            histogram[trial.outcome] = histogram.get(trial.outcome, 0) + 1
-        return histogram
+        """Counts of the outcomes that occurred, in declaration order."""
+        return {outcome: self.counts[outcome] for outcome in FaultOutcome if self.counts[outcome]}
 
     @property
     def coverage(self) -> float:
         """Fraction of faults from which reliable state was protected."""
-        if not self.trials:
+        if not self.total:
             return 1.0
-        protected = sum(1 for t in self.trials if t.outcome in PROTECTED_OUTCOMES)
-        return protected / len(self.trials)
+        return sum(self.counts[outcome] for outcome in PROTECTED_OUTCOMES) / self.total
 
     @property
     def silent_corruption_rate(self) -> float:
         """Fraction of faults that silently corrupted reliable state."""
-        if not self.trials:
+        if not self.total:
             return 0.0
-        return self.count(FaultOutcome.SILENT_CORRUPTION) / len(self.trials)
+        return self.count(FaultOutcome.SILENT_CORRUPTION) / self.total
 
     def summary_rows(self) -> Iterable[Tuple[str, int, float]]:
-        """``(outcome, count, fraction)`` rows for reporting."""
+        """``(outcome, count, fraction)`` rows for reporting, by outcome name."""
         for outcome, count in sorted(
             self.outcome_histogram().items(), key=lambda item: item[0].name
         ):

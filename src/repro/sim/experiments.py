@@ -20,10 +20,11 @@ Everything at once       :func:`run_all_experiments`
 =======================  ================================================
 
 This module keeps the domain pieces the specs are built from -- the job
-enumerators and the timeline builders -- plus :func:`run_all_experiments`
-and :func:`collect_frames`, which share one batch path: enumerate every
-named spec's cells into one runner batch, run it, and fold the shared
-results into one frame per spec.
+enumerators and the timeline builders -- plus :func:`collect_frames`, the
+one batch path (enumerate every named spec's cells into one runner batch,
+run it, and fold the shared results into one frame per spec), and
+:func:`run_all_experiments`, which wraps its frames in an
+:class:`AllExperimentsResult`.
 
 All experiments share :class:`ExperimentSettings` (see
 :mod:`repro.sim.settings`), which holds the scaled-down run lengths and the
@@ -34,10 +35,9 @@ laptop while preserving the relative behaviour the paper reports.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.config.presets import evaluation_system_config, paper_system_config
-from repro.config.system import PabLookupMode, SystemConfig
+from repro.config.system import PabLookupMode
 from repro.errors import ExperimentError
 from repro.sim.frames import ResultFrame, frames_document
 from repro.sim.jobs import (
@@ -47,10 +47,9 @@ from repro.sim.jobs import (
     ExperimentJob,
     burst_vm_name,
 )
-from repro.sim.runner import ExperimentRunner, Metrics, default_runner
+from repro.sim.runner import ExperimentRunner, default_runner
 from repro.sim.settings import ExperimentSettings
 from repro.sim.timeline import CoreFailed, Timeline, VmArrived, VmDeparted
-from repro.workloads.profiles import PAPER_WORKLOAD_NAMES
 
 __all__ = [
     "ExperimentSettings",
@@ -139,44 +138,22 @@ def window_ablation_jobs(settings: ExperimentSettings) -> List[ExperimentJob]:
 # ===================================================================== #
 
 
-def switch_overhead_jobs(
-    workloads: Sequence[str] = PAPER_WORKLOAD_NAMES,
-    transitions_to_measure: int = 8,
-    warmup_cycles: int = 8_000,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0,
-) -> List[ExperimentJob]:
-    """One Table 1 cell per workload."""
-    resolved = (config or paper_system_config()).validate()
-    params = (
-        ("transitions_to_measure", int(transitions_to_measure)),
-        ("warmup_cycles", int(warmup_cycles)),
-    )
+def switch_overhead_jobs(settings: ExperimentSettings) -> List[ExperimentJob]:
+    """One Table 1 cell per workload, on the first seed (the cell measures
+    ``switch_transitions`` round trips after ``switch_warmup_cycles``)."""
+    cell = settings.cell_settings()
     return [
-        ExperimentJob(
-            kind="table1", workload=workload, seed=seed, config=resolved, params=params,
-        )
-        for workload in workloads
+        ExperimentJob(kind="table1", workload=workload, seed=settings.seeds[0], settings=cell)
+        for workload in settings.workloads
     ]
 
-def switch_frequency_jobs(
-    workloads: Sequence[str] = PAPER_WORKLOAD_NAMES,
-    phases_to_measure: int = 3,
-    measurement_phase_scale: float = 0.1,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0,
-) -> List[ExperimentJob]:
-    """One Table 2 cell per workload."""
-    resolved = (config or evaluation_system_config()).validate()
-    params = (
-        ("phases_to_measure", int(phases_to_measure)),
-        ("measurement_phase_scale", float(measurement_phase_scale)),
-    )
+def switch_frequency_jobs(settings: ExperimentSettings) -> List[ExperimentJob]:
+    """One Table 2 cell per workload, on the first seed (the cell times
+    ``frequency_phases`` user/OS phase pairs at ``frequency_phase_scale``)."""
+    cell = settings.cell_settings()
     return [
-        ExperimentJob(
-            kind="table2", workload=workload, seed=seed, config=resolved, params=params,
-        )
-        for workload in workloads
+        ExperimentJob(kind="table2", workload=workload, seed=settings.seeds[0], settings=cell)
+        for workload in settings.workloads
     ]
 
 # ===================================================================== #
@@ -307,10 +284,6 @@ class AllExperimentsResult:
     #: One schema-assembled frame per registered spec, in registry
     #: (= presentation) order.
     frames: Dict[str, ResultFrame] = field(default_factory=dict)
-    #: Raw per-cell metrics keyed by cache key -- the canonical, fully
-    #: serializable record of the batch (used by the determinism tests to
-    #: compare serial and parallel runs byte for byte).
-    job_metrics: Dict[str, Metrics] = field(default_factory=dict)
 
     def frame(self, name: str) -> ResultFrame:
         """One spec's frame (raising when it was skipped)."""
@@ -346,19 +319,27 @@ def run_all_spec_names(skipped_groups: Iterable[str] = ()) -> List[str]:
     ]
 
 
-def _run_batch(
-    settings: ExperimentSettings, names: Sequence[str], runner: ExperimentRunner
-) -> Tuple[Dict[str, ResultFrame], Dict[ExperimentJob, Metrics]]:
-    """Enumerate every named spec's cells into one runner batch, run it, and
-    fold the shared results into one frame per spec.
+def collect_frames(
+    settings: Optional[ExperimentSettings] = None,
+    names: Optional[Sequence[str]] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> Dict[str, ResultFrame]:
+    """Run the named specs as one batch and return their frames.
 
-    The one batch path behind :func:`collect_frames` and
-    :func:`run_all_experiments`, so ``repro export``/``repro diff`` enumerate
-    exactly as the ``run-all --json`` baselines they compare against.
-    Returns the frames and the batch's ``{job: metrics}``.
+    ``names`` defaults to every registered spec.  Every named spec's cells
+    are enumerated into a single runner batch (overlapping across
+    experiments under a parallel runner), and each spec's frame is
+    assembled from the shared results.  This is the one batch path behind
+    ``run-all``, ``repro export`` and ``repro diff``, so the latter two
+    enumerate exactly as the ``run-all --json`` baselines they compare
+    against.
     """
     from repro.sim.specs import experiment
 
+    settings = settings or ExperimentSettings()
+    runner = runner or default_runner()
+    if names is None:
+        names = run_all_spec_names()
     with runner.stats.phase("enumerate"):
         requests = {}
         jobs_by_spec: Dict[str, List[ExperimentJob]] = {}
@@ -372,32 +353,10 @@ def _run_batch(
             batch += jobs_by_spec[name]
     results = runner.run_jobs(batch)
     with runner.stats.phase("assemble"):
-        frames = {
+        return {
             name: experiment(name).assemble_frame(request, jobs_by_spec[name], results)
             for name, request in requests.items()
         }
-    return frames, results
-
-
-def collect_frames(
-    settings: Optional[ExperimentSettings] = None,
-    names: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> Dict[str, ResultFrame]:
-    """Run the named specs as one batch and return their frames.
-
-    ``names`` defaults to every registered spec.  This is the engine behind
-    ``repro export`` and ``repro diff``: cells of all the selected specs are
-    enumerated into a single runner batch (overlapping across experiments
-    under a parallel runner) and each spec's frame is assembled from the
-    shared results.
-    """
-    if names is None:
-        names = run_all_spec_names()
-    frames, _ = _run_batch(
-        settings or ExperimentSettings(), names, runner or default_runner()
-    )
-    return frames
 
 
 def run_all_experiments(
@@ -408,19 +367,13 @@ def run_all_experiments(
     """Run the whole evaluation -- every registered spec -- as one job batch.
 
     ``names`` defaults to :func:`run_all_spec_names` (every spec of the
-    ``EXPERIMENTS`` registry of :mod:`repro.sim.specs`): every named spec's
-    cells (simulation cells and fault-campaign cells alike, plus any
-    user-registered spec's) are enumerated up front and handed to the runner
-    in a single call, so a multi-worker runner overlaps cells *across*
-    experiments (not just within one) and a warm cache re-run executes
-    nothing at all.  Each spec's results land as one :class:`ResultFrame`.
+    ``EXPERIMENTS`` registry of :mod:`repro.sim.specs`).  The batch is
+    :func:`collect_frames`'s, so a multi-worker runner overlaps cells
+    *across* experiments (not just within one) and a warm cache re-run
+    executes nothing at all.  Each spec's results land as one
+    :class:`ResultFrame`.
     """
     settings = settings or ExperimentSettings()
-    if names is None:
-        names = run_all_spec_names()
-    frames, results = _run_batch(settings, names, runner or default_runner())
     return AllExperimentsResult(
-        settings=settings,
-        frames=frames,
-        job_metrics={job.cache_key(): dict(metrics) for job, metrics in results.items()},
+        settings=settings, frames=collect_frames(settings, names, runner)
     )

@@ -13,6 +13,11 @@ configuration-variant, seed) combination -- is described by an
   :mod:`repro.sim.runner` sound: two jobs share a key exactly when they
   describe the same simulation.
 
+A job holds only what its cell varies in.  A machine that is the same for
+every cell of a kind -- the paper machine of Table 1 and of the fault
+campaign, the evaluation machine of Table 2 -- is built by the kind's
+executor rather than carried in each job.
+
 :func:`execute_job` maps a job to its JSON-serializable ``{metric: value}``
 dictionary.  It is a module-level function on purpose: process-pool workers
 import it by reference.  The experiment *specs* registered in
@@ -34,15 +39,12 @@ a :class:`~repro.sim.runner.RunnerBackend`.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
-import typing
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from enum import Enum
 from pathlib import Path
 from typing import (
     Callable,
@@ -86,7 +88,11 @@ from repro.virt.vcpu import ReliabilityMode
 #: compact (no pretty-printing).  The version numbers the record envelope,
 #: not the file layout of :mod:`repro.sim.store`.  Entries written under an
 #: older version are misses.
-CACHE_SCHEMA_VERSION = 3
+#:
+#: Version 4: a record holds only ``schema``, ``key`` and ``metrics``, and a
+#: ``faults`` cell's metrics are its outcome counts (``{outcome name:
+#: count}``) instead of serialized trial records.
+CACHE_SCHEMA_VERSION = 4
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -148,11 +154,9 @@ class ExperimentJob:
     variant: str = ""
     seed: int = 0
     #: Sweep settings for the cells driven by :class:`ExperimentSettings`
-    #: (normalised via :meth:`ExperimentSettings.cell_settings`).
+    #: (normalised via :meth:`ExperimentSettings.cell_settings`); every kind
+    #: but ``faults`` carries them.
     settings: Optional[ExperimentSettings] = None
-    #: Explicit machine configuration for the cells that do not derive it
-    #: from ``settings`` (Table 1 and Table 2).
-    config: Optional[SystemConfig] = None
     #: Extra kind-specific knobs as a sorted tuple of (name, scalar) pairs.
     params: Tuple[Tuple[str, ParamValue], ...] = ()
 
@@ -181,7 +185,6 @@ class ExperimentJob:
             "variant": self.variant,
             "seed": self.seed,
             "settings": asdict(self.settings) if self.settings is not None else None,
-            "config": asdict(self.config) if self.config is not None else None,
             "params": dict(self.params),
         }
 
@@ -214,11 +217,10 @@ class ExperimentJob:
     def from_wire(cls, payload: object) -> "ExperimentJob":
         """Rebuild a :meth:`to_wire` payload, verifying the embedded cache key.
 
-        ``settings`` and ``config`` are reconstructed into their
-        dataclasses, enums included, so equality and :meth:`cache_key`
-        survive a JSON round trip.  A missing or malformed field -- the
-        ``key`` included -- is refused with an :class:`ExperimentError`
-        naming it.
+        ``settings`` is reconstructed into its dataclass, so equality and
+        :meth:`cache_key` survive a JSON round trip.  A missing or malformed
+        field -- the ``key`` included -- is refused with an
+        :class:`ExperimentError` naming it.
 
         A key mismatch means the rebuild is not the cell the sender
         described -- most likely the two ends run *different code* (the
@@ -237,12 +239,9 @@ class ExperimentJob:
             variant=_wire_field(payload, "variant", str),
             seed=_wire_field(payload, "seed", int),
             settings=_wire_field(
-                payload, "settings", _optional(ExperimentSettings.from_dict)
-            ),
-            config=_wire_field(
                 payload,
-                "config",
-                _optional(lambda config: rebuild_dataclass(SystemConfig, config)),
+                "settings",
+                lambda value: None if value is None else ExperimentSettings.from_dict(value),
             ),
             params=_wire_field(
                 payload,
@@ -271,45 +270,6 @@ def _wire_field(
         return decode(payload[name])
     except (ReproError, TypeError, ValueError) as error:
         raise ExperimentError(f"wire cell field {name!r} is malformed: {error}") from None
-
-
-def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
-    """``decode`` for a field whose ``null`` means "none"."""
-    return lambda value: None if value is None else decode(value)
-
-
-def rebuild_dataclass(cls: type, payload: Mapping[str, object]) -> object:
-    """Rebuild a (possibly nested) plain-value dataclass from ``asdict`` output.
-
-    Field types are resolved via ``typing.get_type_hints``; nested
-    dataclasses recurse and ``Enum`` fields are rebuilt from their values
-    (the configuration enums are all value-based ``str`` enums).  Unknown
-    payload keys are ignored so newer senders stay readable.
-    """
-    hints = typing.get_type_hints(cls)
-    kwargs: Dict[str, object] = {}
-    for field in dataclasses.fields(cls):
-        if field.name not in payload:
-            continue
-        kwargs[field.name] = _rebuild_value(hints[field.name], payload[field.name])
-    return cls(**kwargs)
-
-
-def _rebuild_value(hint: object, value: object) -> object:
-    if value is None:
-        return None
-    origin = typing.get_origin(hint)
-    if origin is Union:
-        for arm in typing.get_args(hint):
-            if arm is type(None):
-                continue
-            return _rebuild_value(arm, value)
-    if isinstance(hint, type):
-        if dataclasses.is_dataclass(hint) and isinstance(value, Mapping):
-            return rebuild_dataclass(hint, value)
-        if issubclass(hint, Enum):
-            return hint(value)
-    return value
 
 
 # ===================================================================== #
@@ -773,9 +733,9 @@ def _execute_churn(job: ExperimentJob) -> Dict[str, float]:
 @register_job_kind("table1")
 def _execute_table1(job: ExperimentJob) -> Dict[str, float]:
     """Measure Enter/Leave-DMR costs for one workload (Table 1)."""
-    config = (job.config or paper_system_config()).validate()
-    transitions_to_measure = int(job.param("transitions_to_measure", 8))
-    warmup_cycles = int(job.param("warmup_cycles", 8_000))
+    settings = _require_settings(job)
+    config = paper_system_config()
+    warmup_cycles = settings.switch_warmup_cycles
     specs = [
         VmSpec(
             name="reliable",
@@ -830,7 +790,7 @@ def _execute_table1(job: ExperimentJob) -> Dict[str, float]:
 
     enter_costs: List[float] = []
     leave_costs: List[float] = []
-    for index in range(transitions_to_measure):
+    for index in range(settings.switch_transitions):
         leave = machine.transition_engine.leave_dmr(
             vocal_core=0,
             mute_core=1,
@@ -886,9 +846,9 @@ def _execute_table1(job: ExperimentJob) -> Dict[str, float]:
 @register_job_kind("table2")
 def _execute_table2(job: ExperimentJob) -> Dict[str, float]:
     """Time user and OS phases of one workload (Table 2)."""
-    config = (job.config or evaluation_system_config()).validate()
-    phases_to_measure = int(job.param("phases_to_measure", 3))
-    measurement_phase_scale = float(job.param("measurement_phase_scale", 0.1))
+    settings = _require_settings(job)
+    config = evaluation_system_config()
+    measurement_phase_scale = settings.frequency_phase_scale
     spec = VmSpec(
         name="baseline",
         workload=job.workload,
@@ -914,7 +874,7 @@ def _execute_table2(job: ExperimentJob) -> Dict[str, float]:
         vcpu_id=vcpu.vcpu_id,
         stop_on_os_entry=True,
     )
-    for _ in range(phases_to_measure):
+    for _ in range(settings.frequency_phases):
         os_run = machine.timing_model.run_quantum(
             workload=vcpu.workload,
             assignment=assignment,

@@ -74,7 +74,6 @@ from repro.sim.store import (  # noqa: F401  (re-exports)
     DEFAULT_CACHE_DIR,
     CacheKindStats,
     CachePruneResult,
-    JsonValue,
     Metrics,
     ResultCache,
     default_cache_dir,

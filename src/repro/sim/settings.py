@@ -67,8 +67,8 @@ class ExperimentSettings:
     #: cycles are scaled back up by its inverse).
     frequency_phase_scale: float = 0.1
     #: Fault-injection trials per (configuration, fault site, seed) run by
-    #: the ``faults`` spec (``repro faults --trials`` sets it, 50 when the
-    #: flag is not given).
+    #: the ``faults`` spec (``repro faults --trials`` sets it; without the
+    #: flag the spec runs this count, as ``run-all`` and ``export`` do).
     fault_trials_per_site: int = 25
     #: Failed-core counts swept by the graceful-degradation experiment (each
     #: count is one cell: that many cores fail on a schedule mid-run).

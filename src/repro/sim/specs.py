@@ -26,10 +26,10 @@ is the single source of truth the rest of the system iterates:
   alongside it;
 * ``run_all_experiments`` enumerates every registered spec's cells into one
   job batch and returns one frame per spec;
-* the CLI generates one subcommand per spec -- flags, help text and
-  defaults all come from the spec's metadata (:class:`SpecOption`), so a
-  new experiment shows up in ``repro <name>``, ``repro list``, ``repro
-  export`` and ``repro diff`` without touching :mod:`repro.cli`.
+* the CLI generates one subcommand per spec -- flags and help text come
+  from the spec's metadata (:class:`SpecOption`), so a new experiment
+  shows up in ``repro <name>``, ``repro list``, ``repro export`` and
+  ``repro diff`` without touching :mod:`repro.cli`.
 
 Adding a new scenario is therefore a ~30-line spec: an enumerator mapping
 a request to jobs (reusing a registered job kind, or registering a new one
@@ -227,7 +227,6 @@ class SpecOption:
     #: Command-line flag (dashed), e.g. ``--sweep-rates``.
     flag: str
     help: str = ""
-    default: object = None
     #: Parser for the flag's string value; ignored for boolean flags.
     parse: Optional[Callable[[str], object]] = None
     metavar: Optional[str] = None
@@ -358,7 +357,7 @@ class ExperimentSpec:
         keyword options be resolved via :meth:`request`.  The returned
         :class:`SpecRun` exposes the raw ``{job: metrics}`` mapping as well
         as the assembled :meth:`~SpecRun.frame`, for callers that need the
-        cells themselves (e.g. per-trial fault records via
+        cells themselves (e.g. the fault campaign's outcome counts via
         :func:`repro.faults.cells.assemble_campaign_reports`).
         """
         if request is None:
@@ -617,16 +616,6 @@ register_experiment(
 )
 
 
-def _table1_jobs(request: SpecRequest) -> List[ExperimentJob]:
-    settings = request.settings
-    return switch_overhead_jobs(
-        settings.workloads,
-        transitions_to_measure=settings.switch_transitions,
-        warmup_cycles=settings.switch_warmup_cycles,
-        seed=settings.seeds[0],
-    )
-
-
 _TABLE1_SCHEMA = MetricSchema(
     keys=("workload",),
     metrics=(
@@ -653,22 +642,12 @@ register_experiment(
         name="table1",
         title="Table 1: mode-switch overheads",
         family="measurement",
-        enumerate_jobs=_table1_jobs,
+        enumerate_jobs=lambda request: switch_overhead_jobs(request.settings),
         schema=lambda request: _TABLE1_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
     )
 )
-
-
-def _table2_jobs(request: SpecRequest) -> List[ExperimentJob]:
-    settings = request.settings
-    return switch_frequency_jobs(
-        settings.workloads,
-        phases_to_measure=settings.frequency_phases,
-        measurement_phase_scale=settings.frequency_phase_scale,
-        seed=settings.seeds[0],
-    )
 
 
 _TABLE2_SCHEMA = MetricSchema(
@@ -697,7 +676,7 @@ register_experiment(
         name="table2",
         title="Table 2: cycles between mode switches",
         family="measurement",
-        enumerate_jobs=_table2_jobs,
+        enumerate_jobs=lambda request: switch_frequency_jobs(request.settings),
         schema=lambda request: _TABLE2_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
@@ -706,7 +685,7 @@ register_experiment(
 
 
 def _single_os_jobs(request: SpecRequest) -> List[ExperimentJob]:
-    return _table1_jobs(request) + _table2_jobs(request)
+    return switch_overhead_jobs(request.settings) + switch_frequency_jobs(request.settings)
 
 
 def _single_os_samples(
@@ -976,10 +955,10 @@ def _faults_samples(
 ) -> Iterator[FrameSample]:
     """Per-seed coverage samples, derived across each seed's trial cells.
 
-    A campaign cell is one (configuration, site, seed, chunk) chunk of trial
-    records; coverage is only meaningful per seed-share of the campaign, so
-    the samples are the per-seed merged reports, and the ``mean_ci``
-    aggregation over them is the across-seed interval."""
+    A campaign cell counts the outcomes of one (configuration, site, seed,
+    chunk) chunk of trials; coverage is only meaningful per seed-share of
+    the campaign, so the samples are the per-seed merged reports, and the
+    ``mean_ci`` aggregation over them is the across-seed interval."""
     sweeping = _faults_sweeping(request)
     seeds = tuple(request.settings.seeds)
     for rate in _faults_rates(request):
@@ -1011,9 +990,11 @@ register_experiment(
                 name="fault_trials_per_site",
                 flag="--trials",
                 parse=parse_positive_int,
-                default=50,
                 metavar="N",
-                help="trials per (configuration, fault site, seed) (default: 50)",
+                help=(
+                    "trials per (configuration, fault site, seed) "
+                    "(default: the settings' count)"
+                ),
             ),
             SpecOption(
                 name="sweep_rates",

@@ -3,10 +3,12 @@
 The experiment engine persists one JSON record per finished cell.
 :class:`ResultCache` keeps them in ``<cache_dir>/results.sqlite3``, one row
 per cache key: the key, the job kind, the record's schema version, its
-timestamp, the CRC32 of the record text and the record text itself (the
-compact JSON envelope ``{"schema", "key", "kind", "ts", "job",
-"metrics"}``).  SQLite from the standard library supplies atomic
-transactions, locking between processes and crash recovery:
+timestamp, the CRC32 of the record text and the record text itself.  The
+record holds what a load reads, as compact JSON: ``{"schema", "key",
+"metrics"}``; the kind and the timestamp are table columns, and the cell's
+description is digested into its key.  SQLite from the standard library
+supplies atomic transactions, locking between processes and crash
+recovery:
 
 * each :meth:`ResultCache.store_many` chunk is one transaction, so a killed
   run keeps every committed chunk and loses only the chunk in flight;
@@ -18,7 +20,7 @@ transactions, locking between processes and crash recovery:
   durable defaults.
 
 Every read checks each row: the stored CRC32 against the text (SQLite keeps
-no checksums of its own), then the envelope's schema version, key and
+no checksums of its own), then the record's schema version, key and
 metrics.  A row that fails any check is a miss, which the next store
 replaces.  A file SQLite refuses as damaged is moved aside to
 ``results.sqlite3.damaged``: reads then miss and the run fills a fresh file.
@@ -44,13 +46,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from repro.errors import ExperimentError
 from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
 
-#: A cell result: metric name to JSON-serializable value.  Simulation cells
-#: return plain floats; other registered kinds may return nested structures
-#: (fault-campaign cells return their serialized trial records), as long as
-#: a ``json`` round trip reproduces the value exactly.  The alias is not
-#: recursive, so ``typing.get_type_hints`` resolves it in any module.
-JsonValue = Union[None, bool, int, float, str, List[Any], Dict[str, Any]]
-Metrics = Dict[str, JsonValue]
+#: A cell result: a flat mapping of metric name to JSON scalar.  Simulation
+#: cells return numbers, a fault-campaign cell its outcome counts, a fuzz
+#: cell also its case id and repro line; a ``json`` round trip reproduces
+#: every value exactly.
+Metrics = Dict[str, Union[None, bool, int, float, str]]
 
 #: Environment variable overriding the default on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -242,14 +242,7 @@ class ResultCache:
             _check_kind(job.kind)
             key = job.cache_key()
             text = json.dumps(
-                {
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "key": key,
-                    "kind": job.kind,
-                    "ts": now,
-                    "job": job.to_dict(),
-                    "metrics": metrics,
-                },
+                {"schema": CACHE_SCHEMA_VERSION, "key": key, "metrics": metrics},
                 sort_keys=True,
                 separators=COMPACT_SEPARATORS,
             )

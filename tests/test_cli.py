@@ -303,7 +303,7 @@ def test_cache_stats_reports_schema_version_breakdown(capsys, isolated_cache):
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "versions" in out
-    assert "v2:1 v3:3" in out
+    assert "v2:1 v4:3" in out
 
 
 @pytest.mark.parametrize("kind", ["..", "absolute"])
@@ -489,9 +489,34 @@ def test_batches_announce_the_workloads_a_spec_drops(capsys):
 
 def test_single_seed_measurements_announce_dropped_seeds(capsys):
     assert main(["table2", "--workloads", "apache", "--seeds", "5,6"]) == 0
-    out = capsys.readouterr().out
-    assert "note: this measurement uses a single seed; taking seed 5" in out
-    assert "Table 2" in out
+    captured = capsys.readouterr()
+    assert "note: this measurement uses a single seed; taking seed 5" in captured.err
+    assert "Table 2" in captured.out
+
+
+def test_dropped_seed_note_leaves_json_stdout_parseable(capsys):
+    import json
+
+    argv = ["table1", "--quick", "--workloads", "apache", "--seeds", "0,1", "--json"]
+    assert main([*argv, "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["experiment"] == "table1"
+    assert "note: this measurement uses a single seed; taking seed 0" in captured.err
+
+
+def test_faults_without_trials_runs_the_settings_count_like_export(capsys):
+    # One default for the knob: the subcommand without --trials and a batch
+    # export both run the settings' trials per site.
+    import json
+
+    assert main(["faults", "--seeds", "1", "--json", "--no-cache"]) == 0
+    spec_rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    argv = ["export", "--experiments", "faults", "--seeds", "1", "--format", "json"]
+    assert main([*argv, "--no-cache"]) == 0
+    export_rows = json.loads(capsys.readouterr().out)["frames"]["faults"]["rows"]
+    trials = ExperimentSettings().fault_trials_per_site * 4  # four fault sites
+    assert [row["trials"] for row in spec_rows] == [trials] * 3
+    assert [row["trials"] for row in export_rows] == [trials] * 3
 
 
 def test_engine_stats_stderr_line_is_machine_readable(capsys, isolated_cache):

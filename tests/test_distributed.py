@@ -3,7 +3,7 @@
 Four legs:
 
 * **wire fidelity** -- an :class:`ExperimentJob` survives the JSON wire
-  format exactly: equality, cache key and all (settings, config, params);
+  format exactly: equality, cache key and all (settings, params);
 * **job board** -- submit/lease/complete/collect semantics, cache-key
   dedupe across clients, the code-fingerprint handshake, and lease-expiry
   re-queue under an injected clock (no sleeping);
@@ -32,7 +32,8 @@ from repro.sim.distributed import (
     ProtocolError,
     run_worker,
 )
-from repro.sim.experiments import figure5_jobs, switch_overhead_jobs
+from repro.faults.cells import fault_campaign_jobs
+from repro.sim.experiments import degradation_jobs, figure5_jobs
 from repro.sim.jobs import ExperimentJob, code_fingerprint, register_job_kind
 from repro.sim.runner import ExperimentRunner, ResultCache
 from repro.sim.settings import ExperimentSettings
@@ -75,9 +76,8 @@ class FakeClock:
 class TestWireFormat:
     def _jobs_of_every_shape(self):
         jobs = figure5_jobs(QUICK)  # settings-carrying cells
-        jobs += switch_overhead_jobs(  # config + params cells
-            ("apache",), transitions_to_measure=2, warmup_cycles=500, seed=1
-        )
+        jobs += degradation_jobs(QUICK, (2,))  # settings + params cells
+        jobs += fault_campaign_jobs(trials_per_site=1, seeds=(1,))  # params cells
         jobs.append(stub_job(3))  # bare cell
         return jobs
 

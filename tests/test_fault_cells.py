@@ -8,8 +8,8 @@ The campaign's engine contract mirrors the simulation cells':
 * **determinism** -- serial, process-pool and warm-cache runs assemble
   byte-identical coverage reports, and trial outcomes are independent of
   the order cells execute in;
-* **serialization** -- trial records and coverage reports survive the JSON
-  round trip the on-disk result cache applies.
+* **cell format** -- a cell's metrics are its outcome counts, which the
+  on-disk result cache stores as they are.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ from repro.faults.campaign import (
     DEFAULT_CONFIGURATIONS,
     TRIAL_SITES,
     FaultInjectionCampaign,
-    run_trial_chunk,
     trial_rng,
 )
 from repro.faults.cells import (
     assemble_campaign_reports,
-    assemble_coverage_reports,
     execute_fault_cell,
     fault_campaign_jobs,
 )
-from repro.faults.models import FaultSite, FaultSpec
-from repro.faults.outcomes import CoverageReport, FaultOutcome, TrialRecord
+from repro.faults.outcomes import CoverageReport, FaultOutcome
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
 from repro.sim.specs import experiment
@@ -59,8 +56,18 @@ def run_campaign(seeds, trials, **options):
     return experiment("faults").execute(settings, runner=fresh_runner(), **options)
 
 
+def coverage_reports(jobs, results):
+    """One merged coverage report per configuration, in enumeration order."""
+    return assemble_campaign_reports(jobs, results)[0]
+
+
 def serialized_reports(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports.values()], sort_keys=True)
+    return json.dumps(
+        {
+            name: {outcome.name: count for outcome, count in report.outcome_histogram().items()}
+            for name, report in reports.items()
+        }
+    )
 
 
 class TestEnumeration:
@@ -102,9 +109,9 @@ class TestEnumeration:
         with pytest.raises(FaultInjectionError):
             fault_campaign_jobs(trials_per_site=0)
         with pytest.raises(FaultInjectionError):
-            fault_campaign_jobs(trials_per_cell=0)
+            fault_campaign_jobs(trials_per_site=1, trials_per_cell=0)
         with pytest.raises(FaultInjectionError):
-            fault_campaign_jobs(seeds=())
+            fault_campaign_jobs(trials_per_site=1, seeds=())
 
     def test_duplicate_seeds_do_not_duplicate_cells(self):
         assert small_jobs(seeds=(0, 0, 1)) == small_jobs(seeds=(0, 1))
@@ -113,8 +120,8 @@ class TestEnumeration:
 class TestDeterminism:
     def test_serial_and_pool_reports_are_byte_identical(self):
         jobs = small_jobs(seeds=(0, 1))
-        serial = assemble_coverage_reports(jobs, fresh_runner(1).run_jobs(jobs))
-        pooled = assemble_coverage_reports(jobs, fresh_runner(4).run_jobs(jobs))
+        serial = coverage_reports(jobs, fresh_runner(1).run_jobs(jobs))
+        pooled = coverage_reports(jobs, fresh_runner(4).run_jobs(jobs))
         assert serialized_reports(serial) == serialized_reports(pooled)
 
     def test_outcomes_independent_of_cell_execution_order(self):
@@ -128,8 +135,8 @@ class TestDeterminism:
         fine = small_jobs(trials_per_cell=2)
         coarse = small_jobs(trials_per_cell=10)
         assert len(fine) > len(coarse)
-        fine_reports = assemble_coverage_reports(fine, fresh_runner(1).run_jobs(fine))
-        coarse_reports = assemble_coverage_reports(
+        fine_reports = coverage_reports(fine, fresh_runner(1).run_jobs(fine))
+        coarse_reports = coverage_reports(
             coarse, fresh_runner(1).run_jobs(coarse)
         )
         assert serialized_reports(fine_reports) == serialized_reports(coarse_reports)
@@ -144,54 +151,99 @@ class TestDeterminism:
     def test_warm_cache_executes_zero_cells(self, tmp_path):
         jobs = small_jobs()
         cold = ExperimentRunner(jobs=1, cache_dir=tmp_path)
-        cold_reports = assemble_coverage_reports(jobs, cold.run_jobs(jobs))
+        cold_reports = coverage_reports(jobs, cold.run_jobs(jobs))
         assert cold.stats.executed == len(jobs)
 
         warm = ExperimentRunner(jobs=2, cache_dir=tmp_path)
-        warm_reports = assemble_coverage_reports(jobs, warm.run_jobs(jobs))
+        warm_reports = coverage_reports(jobs, warm.run_jobs(jobs))
         assert warm.stats.executed == 0
         assert warm.stats.cached == len(jobs)
         assert serialized_reports(cold_reports) == serialized_reports(warm_reports)
 
 
+#: The quick campaign's per-configuration (coverage, silent-corruption
+#: rate), at the full fault rate and at scale 0.5 with the extended
+#: configurations, recorded when cells still returned serialized trial
+#: records.
+QUICK_COVERAGE = {
+    "always-dmr": (1.0, 0.0),
+    "mmm": (1.0, 0.0),
+    "naive-mode-switch": (0.5, 0.5),
+}
+QUICK_HALF_RATE_COVERAGE = {
+    "always-dmr": (1.0, 0.0),
+    "mmm": (1.0, 0.0),
+    "naive-mode-switch": (0.85, 0.15),
+    "dmr-plus-pab": (1.0, 0.0),
+}
+
+#: The half-rate campaign's outcome counts, recorded alike.
+QUICK_HALF_RATE_HISTOGRAMS = {
+    "always-dmr": {"MASKED": 11, "DETECTED_DMR": 9},
+    "mmm": {"MASKED": 10, "DETECTED_PAB": 4, "DETECTED_TRANSITION": 2,
+            "CONTAINED_TO_PERFORMANCE_DOMAIN": 4},
+    "naive-mode-switch": {"MASKED": 10, "CONTAINED_TO_PERFORMANCE_DOMAIN": 7,
+                          "SILENT_CORRUPTION": 3},
+    "dmr-plus-pab": {"MASKED": 9, "DETECTED_DMR": 11},
+}
+
+
+def coverage_of(reports):
+    return {
+        name: (report.coverage, report.silent_corruption_rate)
+        for name, report in reports.items()
+    }
+
+
+class TestCellFormat:
+    def test_cell_metrics_are_outcome_counts_summing_to_its_trials(self):
+        for job in small_jobs(seeds=(0, 1), fault_rate=0.5):
+            metrics = execute_fault_cell(job)
+            assert set(metrics) <= {outcome.name for outcome in FaultOutcome}
+            assert all(type(count) is int and count > 0 for count in metrics.values())
+            assert sum(metrics.values()) == job.param("trials")
+
+    def test_quick_campaign_coverage_is_unchanged(self):
+        run = experiment("faults").execute(
+            ExperimentSettings.quick(), runner=fresh_runner()
+        )
+        assert coverage_of(assemble_campaign_reports(run.jobs, run.results)[0]) == (
+            QUICK_COVERAGE
+        )
+
+    def test_quick_half_rate_outcomes_are_unchanged(self):
+        run = experiment("faults").execute(
+            ExperimentSettings.quick(),
+            runner=fresh_runner(),
+            sweep_rates=(0.5,),
+            all_configurations=True,
+        )
+        merged, _ = assemble_campaign_reports(run.jobs, run.results)
+        assert coverage_of(merged) == QUICK_HALF_RATE_COVERAGE
+        assert {
+            name: {outcome.name: count for outcome, count in report.outcome_histogram().items()}
+            for name, report in merged.items()
+        } == QUICK_HALF_RATE_HISTOGRAMS
+
+
 class TestSerialization:
-    def test_trial_record_json_round_trip(self):
-        record = run_trial_chunk(
-            config=paper_system_config(),
-            configuration=DEFAULT_CONFIGURATIONS[1],
-            site="store-reliable",
-            seed=5,
-            first_trial=3,
-            trials=1,
-        )[0]
-        payload = json.loads(json.dumps(record.to_dict()))
-        assert TrialRecord.from_dict(payload) == record
-
     def test_coverage_report_json_round_trip(self):
+        # A cell's outcome counts survive the JSON round trip of the result
+        # cache and add into the report the inline campaign counts.
+        (job,) = [
+            job for job in small_jobs(trials_per_cell=10)
+            if (job.variant, job.workload) == ("mmm", "privileged-register")
+        ]
         report = CoverageReport(configuration="mmm")
-        report.extend(
-            run_trial_chunk(
-                config=paper_system_config(),
-                configuration=DEFAULT_CONFIGURATIONS[1],
-                site="privileged-register",
-                seed=0,
-                first_trial=0,
-                trials=4,
-            )
+        report.add(json.loads(json.dumps(execute_fault_cell(job))))
+        campaign = FaultInjectionCampaign(config=paper_system_config(), seed=0)
+        inline = CoverageReport(configuration="mmm")
+        inline.counts.update(
+            campaign.run_trial(DEFAULT_CONFIGURATIONS[1], "privileged-register", index)
+            for index in range(10)
         )
-        payload = json.loads(json.dumps(report.to_dict()))
-        rebuilt = CoverageReport.from_dict(payload)
-        assert rebuilt == report
-        assert rebuilt.coverage == report.coverage
-
-    def test_fault_spec_round_trip_preserves_every_field(self):
-        spec = FaultSpec(
-            site=FaultSite.STORE_ADDRESS_PATH,
-            target_address=0x1234,
-            core_id=2,
-            duration_operations=3,
-        )
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert report == inline
+        assert report.coverage == inline.coverage
 
 
 class TestFaultSpace:
@@ -240,9 +292,9 @@ class TestFaultSpace:
         campaign = FaultInjectionCampaign(config=paper_system_config(), seed=0)
         inline = {r.configuration: r for r in campaign.run(trials_per_site=10)}
         jobs = small_jobs()
-        engine = assemble_coverage_reports(jobs, fresh_runner().run_jobs(jobs))
+        engine = coverage_reports(jobs, fresh_runner().run_jobs(jobs))
         for name, report in engine.items():
-            assert report.to_dict() == inline[name].to_dict()
+            assert report == inline[name]
 
 
 class TestAssembly:
@@ -256,7 +308,7 @@ class TestAssembly:
         padded = dict(results)
         for job in extra:
             padded[job] = {"user_ipc": 0.0, "throughput": 0.0}
-        reports = assemble_coverage_reports([*jobs, *extra], padded)
+        reports = coverage_reports([*jobs, *extra], padded)
         assert set(reports) == {c.name for c in DEFAULT_CONFIGURATIONS}
 
     def test_seed_assembly_partitions_the_merged_report(self):
@@ -267,12 +319,3 @@ class TestAssembly:
             assert report.total == sum(
                 per_seed[(name, seed)].total for seed in (0, 1)
             )
-
-    def test_execute_fault_cell_requires_config(self):
-        from dataclasses import replace
-
-        from repro.errors import ExperimentError
-
-        job = replace(small_jobs()[0], config=None)
-        with pytest.raises(ExperimentError):
-            execute_fault_cell(job)

@@ -13,6 +13,7 @@ The engine's contract has three legs, each asserted here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 import zlib
@@ -25,7 +26,6 @@ import pytest
 
 import repro.sim.jobs as jobs_module
 
-from repro.config.presets import paper_system_config
 from repro.errors import ExperimentError
 from repro.sim.experiments import (
     ExperimentSettings,
@@ -72,9 +72,6 @@ def record_payload(job: ExperimentJob, **fields: object) -> str:
     record = {
         "schema": CACHE_SCHEMA_VERSION,
         "key": job.cache_key(),
-        "kind": job.kind,
-        "ts": 0.0,
-        "job": job.to_dict(),
         "metrics": {"user_ipc": 0.25},
     }
     record.update(fields)
@@ -150,14 +147,37 @@ class TestJobModel:
         assert pickle.loads(pickle.dumps(job)) == job
         assert len({job, quick_job()}) == 1
 
-    def test_table1_jobs_carry_config_and_params(self):
-        (job,) = switch_overhead_jobs(("apache",), transitions_to_measure=2,
-                                      warmup_cycles=500, seed=3)
-        assert job.kind == "table1"
-        assert job.config == paper_system_config()
-        assert job.param("transitions_to_measure") == 2
-        assert job.param("warmup_cycles") == 500
+    def test_a_job_holds_what_its_cell_varies_in(self):
+        # A machine preset every cell of a kind shares is the executor's,
+        # never a field of the job.
+        assert [field.name for field in dataclasses.fields(ExperimentJob)] == [
+            "kind", "workload", "variant", "seed", "settings", "params",
+        ]
+
+    def test_table1_jobs_carry_cell_settings(self):
+        settings = replace(QUICK, switch_transitions=2, switch_warmup_cycles=500)
+        (job,) = switch_overhead_jobs(settings.with_seeds((3, 4)))
+        assert (job.kind, job.workload, job.seed) == ("table1", "apache", 3)
+        assert job.settings == settings.cell_settings()
+        assert job.params == ()
         assert job.param("missing", 42) == 42
+
+    def test_table1_measures_the_settings_transition_count(self, monkeypatch):
+        from repro.core.transitions import ModeTransitionEngine
+
+        measured = []
+        enter_dmr = ModeTransitionEngine.enter_dmr
+
+        def counting_enter_dmr(self, *args, **kwargs):
+            measured.append(kwargs["current_cycle"])
+            return enter_dmr(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModeTransitionEngine, "enter_dmr", counting_enter_dmr)
+        settings = ExperimentSettings().with_workloads(("apache",))
+        (job,) = switch_overhead_jobs(replace(settings, switch_transitions=2))
+        metrics = execute_job(job)
+        assert measured == [0, 1]
+        assert set(metrics) == {"enter_dmr_cycles", "leave_dmr_cycles"}
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ExperimentError, match="registered kinds"):
@@ -491,8 +511,8 @@ class TestRunAllParity:
         four = run_all_experiments(settings, runner=parallel)
         assert serial.stats.executed == parallel.stats.executed > 0
         # Every spec in the batch: both backends, byte for byte.
-        assert json.dumps(one.job_metrics, sort_keys=True) == json.dumps(
-            four.job_metrics, sort_keys=True
+        assert json.dumps(one.to_document(), sort_keys=True) == json.dumps(
+            four.to_document(), sort_keys=True
         )
         assert one.render() == four.render()
 
@@ -503,7 +523,7 @@ class TestRunAllParity:
         again = run_all_experiments(settings, runner=warm)
         assert warm.stats.executed == 0
         assert warm.stats.cached == serial.stats.executed
-        assert again.job_metrics == one.job_metrics
+        assert again.to_document() == one.to_document()
         assert again.render() == one.render()
 
     def test_sections_cover_every_experiment(self, tmp_path):

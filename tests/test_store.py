@@ -2,9 +2,10 @@
 
 Four legs:
 
-* **records** -- every row is checked on read: a row whose CRC no longer
-  matches its text is a miss the next store replaces, and a probe of more
-  keys than SQLite's historic 999-parameter limit returns every hit;
+* **records** -- a record holds only what a load reads, and every row is
+  checked on read: a row whose CRC no longer matches its text is a miss the
+  next store replaces, and a probe of more keys than SQLite's historic
+  999-parameter limit returns every hit;
 * **sharing** -- a fresh instance reads what another stored, two instances
   or two processes storing into one directory at once both land, and the
   last write of a key wins;
@@ -32,7 +33,7 @@ import pytest
 
 from repro.sim.distributed import CoordinatorServer, DistributedBackend, run_worker
 from repro.sim.experiments import figure5_jobs
-from repro.sim.jobs import ExperimentJob, code_fingerprint
+from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob, code_fingerprint
 from repro.sim.runner import ExperimentRunner
 from repro.sim.settings import ExperimentSettings
 from repro.sim.store import DATABASE_NAME, ResultCache
@@ -102,6 +103,20 @@ class TestRecords:
         hits = ResultCache(tmp_path).load_many(jobs)
         assert len(hits) == len(jobs)
         assert all(hits[job] == {"m": float(job.seed)} for job in jobs)
+
+    def test_a_record_holds_what_a_load_reads(self, tmp_path):
+        # The kind and the timestamp are table columns, and the cell's
+        # description is digested into its key: the record carries neither.
+        job = quick_job()
+        ResultCache(tmp_path).store_many([(job, {"m": 1.0})])
+        with closing(sqlite3.connect(tmp_path / DATABASE_NAME)) as connection:
+            (kind, text), = connection.execute("SELECT kind, record FROM results")
+        assert kind == "figure5"
+        assert json.loads(text) == {
+            "schema": CACHE_SCHEMA_VERSION,
+            "key": job.cache_key(),
+            "metrics": {"m": 1.0},
+        }
 
 
 # ===================================================================== #

@@ -39,7 +39,7 @@ from enum import Enum, auto
 from typing import Dict, Optional, Protocol, Sequence
 
 from repro.config.system import ConsistencyModel, SystemConfig
-from repro.dmr.reunion import ReunionPair
+from repro.dmr.reunion import CheckOutcome, ReunionPair
 from repro.errors import SimulationError
 from repro.isa.instructions import Instruction, InstructionClass, PrivilegeLevel
 from repro.mem.hierarchy import MemoryHierarchy
@@ -310,6 +310,34 @@ class CoreTimingModel:
             )
         )
 
+    def _charge_check(
+        self,
+        outcome: Optional[CheckOutcome],
+        cycles: float,
+        start_cycle: int,
+        core_id: int,
+        vcpu_id: Optional[int],
+        address: Optional[int],
+    ) -> float:
+        """``cycles`` after one fingerprint comparison of a DMR pair.
+
+        A match (or no comparison) costs nothing.  A mismatch is a
+        detection: it adds the pair's recovery penalty and logs
+        ``DMR_DETECTED`` at the cycle the recovery ends.
+        """
+        if outcome is None or outcome.matched:
+            return cycles
+        cycles += outcome.penalty_cycles
+        self._record_violation(
+            ViolationKind.DMR_DETECTED,
+            start_cycle + int(cycles),
+            core_id,
+            vcpu_id,
+            address,
+            "fingerprint mismatch detected an injected fault",
+        )
+        return cycles
+
     # ------------------------------------------------------------------ #
     # Quantum execution
     # ------------------------------------------------------------------ #
@@ -421,15 +449,18 @@ class CoreTimingModel:
         l1_hit_latency = hierarchy._l1d_hit_latency
         line_neg_mask = hierarchy._line_neg_mask
         pab_check = pab.check_store if pab is not None else None
-        dmr_pair = pair if dmr and pair is not None else None
         dmr_mute = dmr and mute_id is not None
-        pair_sync = dmr_pair.synchronize if dmr_pair is not None else None
-        # Inline bindings for the per-instruction fingerprint-token path
-        # (both units' observe_token and the pair's compare, unrolled
-        # below).  flush() clears the pending lists in place, so the list
-        # bindings stay valid across interval emissions and synchronize()
-        # calls.
+        # The Reunion pair's fingerprint tokens run only under a fault hook.
+        # Without one both units would receive the same token, so every
+        # comparison would match and charge 0 cycles; the Check stage itself
+        # is charged through dmr_check_cost either way, and
+        # run_quantum_reference still compares every interval.  The bindings
+        # unroll both units' appends and the pair's compare below; flush()
+        # clears the pending lists in place, so the list bindings stay valid
+        # across interval emissions and synchronize() calls.
+        dmr_pair = pair if dmr and fault_hook is not None else None
         if dmr_pair is not None:
+            pair_sync = dmr_pair.synchronize
             vocal_unit = dmr_pair.vocal_unit
             mute_unit = dmr_pair.mute_unit
             vocal_pending = vocal_unit._pending
@@ -466,7 +497,7 @@ class CoreTimingModel:
                 wl._seq = wl_seq
                 wl._remaining_in_phase = wl_remaining
                 wl._in_os_phase = wl_in_os
-                seq, iclass, privilege, address, result, is_shared = next_raw()
+                _seq, iclass, privilege, address, result, is_shared = next_raw()
                 wl_seq = wl._seq
                 wl_remaining = wl._remaining_in_phase
                 wl_in_os = wl._in_os_phase
@@ -504,8 +535,7 @@ class CoreTimingModel:
                 result = wl_grb(17)
                 while result >= 65536:
                     result = wl_grb(17)
-                seq = wl_seq
-                wl_seq = seq + 1
+                wl_seq += 1
             instructions += 1
             if privilege is USER_LEVEL:
                 user_instructions += 1
@@ -626,60 +656,30 @@ class CoreTimingModel:
                 cycles += si_total
                 if dmr_pair is not None:
                     # The pair must agree on architected state before the SI.
-                    outcome = pair_sync()
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
+                    cycles = self._charge_check(
+                        pair_sync(), cycles, start_cycle, core_id, vcpu_id, address
+                    )
 
             if dmr_pair is not None:
                 icv = iclass._value_
                 saddr = address if (iclass is STORE_CLASS and address) else 0
-                if fault_hook is not None and fault_hook.corrupt_execution(core_id, mode):
-                    vocal_token = (
-                        icv * 0x9E3779B1 ^ result * 0x85EBCA77 ^ saddr
-                    ) & MASK64
-                    mute_token = (
+                token = (icv * 0x9E3779B1 ^ result * 0x85EBCA77 ^ saddr) & MASK64
+                vocal_pending.append(token)
+                if fault_hook.corrupt_execution(core_id, mode):
+                    # The fault flips bit 0 of the mute core's result.
+                    token = (
                         icv * 0x9E3779B1 ^ (result ^ 0x1) * 0x85EBCA77 ^ saddr
                     ) & MASK64
-                    if vocal_unit._first_seq is None:
-                        vocal_unit._first_seq = seq
-                    vocal_unit._last_seq = seq
-                    vocal_pending.append(vocal_token)
-                    if mute_unit._first_seq is None:
-                        mute_unit._first_seq = seq
-                    mute_unit._last_seq = seq
-                    mute_pending.append(mute_token)
-                    if len(vocal_pending) >= fp_interval:
-                        outcome = pair_compare(vocal_unit.flush(), mute_unit.flush())
-                    else:
-                        outcome = None
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
-                        self._record_violation(
-                            ViolationKind.DMR_DETECTED,
-                            start_cycle + int(cycles),
-                            core_id,
-                            vcpu_id,
-                            address,
-                            "fingerprint mismatch detected an injected fault",
-                        )
-                else:
-                    token = (
-                        icv * 0x9E3779B1 ^ result * 0x85EBCA77 ^ saddr
-                    ) & MASK64
-                    if vocal_unit._first_seq is None:
-                        vocal_unit._first_seq = seq
-                    vocal_unit._last_seq = seq
-                    vocal_pending.append(token)
-                    if mute_unit._first_seq is None:
-                        mute_unit._first_seq = seq
-                    mute_unit._last_seq = seq
-                    mute_pending.append(token)
-                    if len(vocal_pending) >= fp_interval:
-                        outcome = pair_compare(vocal_unit.flush(), mute_unit.flush())
-                    else:
-                        outcome = None
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
+                mute_pending.append(token)
+                if len(vocal_pending) >= fp_interval:
+                    cycles = self._charge_check(
+                        pair_compare(vocal_unit.flush(), mute_unit.flush()),
+                        cycles,
+                        start_cycle,
+                        core_id,
+                        vcpu_id,
+                        address,
+                    )
 
             if check_stops:
                 if stop_on_os_entry and iclass is ENTRY_CLASS:
@@ -694,6 +694,11 @@ class CoreTimingModel:
             wl._seq = wl_seq
             wl._remaining_in_phase = wl_remaining
             wl._in_os_phase = wl_in_os
+        if dmr_pair is not None:
+            # The pair compares its partial interval before it is released.
+            cycles = self._charge_check(
+                pair_sync(), cycles, start_cycle, core_id, vcpu_id, None
+            )
 
         return QuantumResult(
             cycles=max(1, int(round(cycles))),
@@ -775,9 +780,14 @@ class CoreTimingModel:
                 cycles += costs.serializing_cycles
                 if dmr and pair is not None:
                     # The pair must agree on architected state before the SI.
-                    outcome = pair.synchronize()
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
+                    cycles = self._charge_check(
+                        pair.synchronize(),
+                        cycles,
+                        start_cycle,
+                        core_id,
+                        vcpu_id,
+                        instruction.address,
+                    )
 
             elif instruction.is_memory and instruction.address is not None:
                 translation = tlb.translate(
@@ -848,27 +858,19 @@ class CoreTimingModel:
                     exposed = latency * exposure * load_pressure
                 cycles += exposed
 
-            if dmr and pair is not None and self.fault_hook is not None:
-                if self.fault_hook.corrupt_execution(core_id, assignment.mode):
-                    outcome = pair.observe_commit(instruction, mute_corrupted=True)
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
-                        self._record_violation(
-                            ViolationKind.DMR_DETECTED,
-                            start_cycle + int(cycles),
-                            core_id,
-                            vcpu_id,
-                            instruction.address,
-                            "fingerprint mismatch detected an injected fault",
-                        )
-                elif pair is not None:
-                    outcome = pair.observe_commit(instruction)
-                    if outcome is not None and not outcome.matched:
-                        cycles += outcome.penalty_cycles
-            elif dmr and pair is not None:
-                outcome = pair.observe_commit(instruction)
-                if outcome is not None and not outcome.matched:
-                    cycles += outcome.penalty_cycles
+            if dmr and pair is not None:
+                hook = self.fault_hook
+                corrupted = hook is not None and hook.corrupt_execution(
+                    core_id, assignment.mode
+                )
+                cycles = self._charge_check(
+                    pair.observe_commit(instruction, mute_corrupted=corrupted),
+                    cycles,
+                    start_cycle,
+                    core_id,
+                    vcpu_id,
+                    instruction.address,
+                )
 
             if stop_on_os_entry and instruction.enters_os:
                 stop_reason = StopReason.OS_ENTRY
@@ -876,6 +878,11 @@ class CoreTimingModel:
             if stop_on_os_exit and instruction.exits_os:
                 stop_reason = StopReason.OS_EXIT
                 break
+        if dmr and pair is not None:
+            # The pair compares its partial interval before it is released.
+            cycles = self._charge_check(
+                pair.synchronize(), cycles, start_cycle, core_id, vcpu_id, None
+            )
 
         return QuantumResult(
             cycles=max(1, int(round(cycles))),

@@ -30,11 +30,19 @@ class CheckOutcome:
 
     matched: bool
     penalty_cycles: int
-    interval_instructions: int
 
 
 class ReunionPair:
-    """A vocal/mute pair redundantly executing one VCPU."""
+    """A vocal/mute pair redundantly executing one VCPU.
+
+    The timing model feeds the fingerprint units only while a fault hook is
+    attached.  Without one both units would receive the same token for every
+    instruction, so every comparison would match and cost nothing;
+    ``CoreTimingModel.run_quantum_reference`` feeds them anyway, as the
+    check that skipping them is exact.  Either loop synchronises the pair
+    before each serialising instruction and when the quantum ends, so no
+    interval goes uncompared, and logs every mismatch as ``DMR_DETECTED``.
+    """
 
     def __init__(
         self,
@@ -100,8 +108,8 @@ class ReunionPair:
     def synchronize(self) -> Optional[CheckOutcome]:
         """Force a fingerprint comparison for any partial interval.
 
-        Used before serialising instructions and at mode-switch boundaries,
-        where the pair must agree on architected state before proceeding.
+        Used before serialising instructions and when a quantum ends, where
+        the pair must agree on architected state before proceeding.
         """
         vocal_fp = self.vocal_unit.flush()
         mute_fp = self.mute_unit.flush()
@@ -109,21 +117,15 @@ class ReunionPair:
             return None
         if vocal_fp is None or mute_fp is None:
             return CheckOutcome(
-                matched=False,
-                penalty_cycles=self.config.recovery_penalty_cycles,
-                interval_instructions=(vocal_fp or mute_fp).count,
+                matched=False, penalty_cycles=self.config.recovery_penalty_cycles
             )
         return self._compare(vocal_fp, mute_fp)
 
     def _compare(self, vocal_fp, mute_fp) -> CheckOutcome:
         if vocal_fp.value == mute_fp.value:
-            return CheckOutcome(
-                matched=True, penalty_cycles=0, interval_instructions=vocal_fp.count
-            )
+            return CheckOutcome(matched=True, penalty_cycles=0)
         return CheckOutcome(
-            matched=False,
-            penalty_cycles=self.config.recovery_penalty_cycles,
-            interval_instructions=vocal_fp.count,
+            matched=False, penalty_cycles=self.config.recovery_penalty_cycles
         )
 
     @property

@@ -47,12 +47,9 @@ def instruction_token(iclass_value: int, result: int, store_address: int) -> int
 
 @dataclass
 class Fingerprint:
-    """One emitted fingerprint covering ``count`` instructions."""
+    """One emitted fingerprint of an interval's instructions."""
 
     value: int
-    first_seq: int
-    last_seq: int
-    count: int
 
 
 @dataclass
@@ -69,33 +66,19 @@ class FingerprintUnit:
 
     interval: int = 16
     _pending: List[int] = field(default_factory=list, init=False)
-    _first_seq: Optional[int] = field(default=None, init=False)
-    _last_seq: int = field(default=0, init=False)
-    emitted: int = field(default=0, init=False)
 
     def observe(self, instruction: Instruction) -> Optional[Fingerprint]:
         """Record one committed instruction; return a fingerprint if due.
 
         The fingerprint input mixes the instruction class, result value, and
-        store address -- see :func:`instruction_token`.
+        store address -- see :func:`instruction_token`.  The timing model's
+        hot path appends the same tokens to ``_pending`` inline.
         """
         token = instruction_token(
             instruction.iclass.value,
             instruction.result,
             instruction.address if instruction.is_store and instruction.address else 0,
         )
-        return self.observe_token(instruction.seq, token)
-
-    def observe_token(self, seq: int, token: int) -> Optional[Fingerprint]:
-        """Record one committed instruction given its precomputed token.
-
-        The hot path computes tokens inline (via :func:`instruction_token`)
-        and feeds them here, avoiding an :class:`Instruction` allocation per
-        dynamic instruction; state evolution is identical to :meth:`observe`.
-        """
-        if self._first_seq is None:
-            self._first_seq = seq
-        self._last_seq = seq
         self._pending.append(token)
         if len(self._pending) >= self.interval:
             return self.flush()
@@ -105,15 +88,8 @@ class FingerprintUnit:
         """Emit a fingerprint for any pending instructions (or ``None``)."""
         if not self._pending:
             return None
-        fingerprint = Fingerprint(
-            value=fingerprint_of(self._pending),
-            first_seq=self._first_seq if self._first_seq is not None else 0,
-            last_seq=self._last_seq,
-            count=len(self._pending),
-        )
+        fingerprint = Fingerprint(value=fingerprint_of(self._pending))
         self._pending.clear()
-        self._first_seq = None
-        self.emitted += 1
         return fingerprint
 
     @property

@@ -60,7 +60,6 @@ class TestReunionPair:
         outcome = pair.synchronize()
         assert outcome is not None
         assert outcome.matched
-        assert outcome.interval_instructions == 2
         assert pair.synchronize() is None
 
     def test_synchronize_detects_pending_corruption(self):

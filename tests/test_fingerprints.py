@@ -22,13 +22,8 @@ def test_unit_emits_every_interval():
     for seq in range(8):
         fingerprint = unit.observe(make_instruction(seq, result=seq))
         if fingerprint is not None:
-            emitted.append(fingerprint)
-    assert len(emitted) == 2
-    assert emitted[0].count == 4
-    assert emitted[0].first_seq == 0
-    assert emitted[0].last_seq == 3
-    assert emitted[1].first_seq == 4
-    assert unit.emitted == 2
+            emitted.append(seq)
+    assert emitted == [3, 7]
 
 
 def test_identical_streams_produce_identical_fingerprints():
@@ -82,6 +77,5 @@ def test_flush_emits_partial_interval_and_clears():
     assert unit.pending_count == 2
     fingerprint = unit.flush()
     assert fingerprint is not None
-    assert fingerprint.count == 2
     assert unit.pending_count == 0
     assert unit.flush() is None

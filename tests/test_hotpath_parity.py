@@ -28,6 +28,7 @@ from repro.config.presets import paper_system_config
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.cpu.timing import CoreAssignment, ExecutionMode
 from repro.faults.injector import FaultRates
+from repro.isa.fingerprints import FingerprintUnit
 from repro.protection.violations import ViolationKind
 from repro.virt.vcpu import ReliabilityMode
 from tests.conftest import hierarchy_state
@@ -174,3 +175,51 @@ def test_parity_fault_recovery_observed():
         cycle_budget=60_000,
     )
     assert machine.violation_log.count(ViolationKind.DMR_DETECTED) > 0
+
+
+class _SilentFaultHook:
+    """A fault hook that is attached but never fires."""
+
+    def perturb_store_address(self, core_id, mode, physical_address):
+        return physical_address
+
+    def corrupt_execution(self, core_id, mode):
+        return False
+
+
+def test_fault_free_dmr_quantum_makes_no_fingerprint_comparison(monkeypatch):
+    """Without a fault hook both units would see the same tokens, so
+    run_quantum compares none; the reference still compares every interval."""
+    flushes = []
+    flush = FingerprintUnit.flush
+
+    def counting_flush(unit):
+        flushes.append(unit)
+        return flush(unit)
+
+    monkeypatch.setattr(FingerprintUnit, "flush", counting_flush)
+    machine = _build_machine(0)
+    result = _run(machine, "run_quantum", mode=ExecutionMode.DMR, vcpu_index=0,
+                  cycle_budget=20_000)
+    assert result.instructions > 0
+    assert flushes == []
+    _run(machine, "run_quantum_reference", mode=ExecutionMode.DMR, vcpu_index=0,
+         cycle_budget=20_000)
+    assert flushes
+
+
+@pytest.mark.parametrize("method_name", ["run_quantum", "run_quantum_reference"])
+def test_a_fault_hook_that_never_fires_changes_nothing(method_name):
+    """With a silent hook run_quantum drives the pair's fingerprint tokens;
+    without one it skips them.  Both must leave the same results and state."""
+    unhooked = _build_machine(0)
+    hooked = _build_machine(0)
+    hooked.timing_model.fault_hook = _SilentFaultHook()
+    for index in range(3):
+        results = [
+            _run(machine, method_name, mode=ExecutionMode.DMR, vcpu_index=0,
+                 cycle_budget=20_000, start_cycle=index * 20_000)
+            for machine in (unhooked, hooked)
+        ]
+        _assert_identical(unhooked, hooked, *results)
+        assert results[0].instructions > 0

@@ -87,6 +87,8 @@ DMR_WINDOW_PRESSURE = 1.55
 #: Exposed Check-stage cycles per committed instruction, as a fraction of
 #: the fingerprint latency amortised over the fingerprint interval.
 DMR_CHECK_UTILISATION = 0.3
+#: Exposed fraction of a TLB miss's page-walk latency.
+TLB_MISS_EXPOSURE = 0.7
 
 
 class ExecutionMode(Enum):
@@ -173,6 +175,8 @@ class QuantumCosts:
     serializing_cycles: float
     #: Exposed fraction of a load's latency, by the level that served it.
     load_exposures: Dict[str, float]
+    #: Exposed fraction of a TLB miss's latency.
+    tlb_miss_exposure: float
 
 
 def quantum_costs(config: SystemConfig, dmr: bool) -> QuantumCosts:
@@ -243,6 +247,7 @@ def quantum_costs(config: SystemConfig, dmr: bool) -> QuantumCosts:
         ),
         serializing_cycles=serializing,
         load_exposures={"l1": 0.0, "l2": l2, "l3": l3, "c2c": l3, "memory": memory},
+        tlb_miss_exposure=TLB_MISS_EXPOSURE,
     )
 
 
@@ -359,15 +364,21 @@ class CoreTimingModel:
         work this quantum (including this VCPU's own cores); it drives the
         shared-resource contention term applied to off-core access latencies.
 
-        This is the batched hot-path implementation: it consumes raw
-        instruction tuples from the workload, hoists every per-quantum
-        constant (icache cost per privilege level, serialising-instruction
-        cost, per-level load exposures, the branch threshold) out of the
-        loop, and mirrors the workload's stream position in locals.  The
-        float operations on the cycle accumulator are performed in exactly
-        the same order as :meth:`run_quantum_reference`, so the two
-        implementations return bit-identical results and leave the machine
-        in the same state (guarded by the exact-parity test suite).
+        This is the phase-blocked hot-path implementation.  Its outer loop
+        takes each phase-boundary trap from the workload
+        (:meth:`SyntheticWorkload.next_instruction`) and charges it as the
+        serialising OS instruction it is, with the stop checks; its inner
+        loop runs the rest of one user or OS phase, synthesising each
+        instruction itself with everything that depends only on the phase
+        (the mix thresholds, the address-draw table, the I-cache cost, the
+        TLB permission rule) bound once, the data-address draw of
+        :meth:`AddressStreamModel.next_address` inlined, and the phase's
+        instruction count added when it ends.  The draws from each of the
+        workload's and the address model's random streams, and the float
+        operations on the cycle accumulator, happen in exactly the same order
+        as in :meth:`run_quantum_reference`, so the two implementations return
+        bit-identical results and leave the machine in the same state
+        (guarded by the exact-parity test suites).
         """
         if cycle_budget <= 0:
             raise SimulationError(f"cycle budget must be positive, got {cycle_budget}")
@@ -387,6 +398,7 @@ class CoreTimingModel:
         dmr_check_cost = costs.check_cycles
         store_exposure = costs.store_exposure
         load_pressure = costs.load_pressure
+        tlb_miss_exposure = costs.tlb_miss_exposure
         if active_cores is None:
             active_cores = len(assignment.cores)
         contention = 1.0
@@ -417,25 +429,29 @@ class CoreTimingModel:
         hierarchy._check_core(core_id)
         if mute_id is not None:
             hierarchy._check_core(mute_id)
-        next_raw = workload.next_raw
         translate_raw = tlb.translate_raw
         l1_miss_load = hierarchy._l1_miss_load
         coherent_store = hierarchy._coherent_store
         mute_access = hierarchy._mute_access
-        # Workload internals for the inlined common-path instruction
-        # synthesis (the phase-boundary path still delegates to next_raw).
-        # Mutable generator state is mirrored in locals and written back in
-        # the finally block below.
+        # Workload and address-model internals for the inlined instruction
+        # synthesis.  The phase position is mirrored in a local and written
+        # back in the finally block below (and around each boundary trap).
         wl = workload
+        next_trap = wl.next_instruction
         wl_r01 = wl._random01
         wl_grb = wl._getrandbits
-        wl_next_address = wl._next_address
-        wl_user_thresholds = wl._user_thresholds
-        wl_os_thresholds = wl._os_thresholds
-        os_privilege = wl._os_privilege
-        wl_seq = wl._seq
         wl_remaining = wl._remaining_in_phase
-        wl_in_os = wl._in_os_phase
+        addresses = wl.address_model
+        a_r01 = addresses._r01
+        a_grb = addresses._getrandbits
+        line_mask = addresses._line_mask
+        hot_fraction = addresses._hot_fraction
+        hot_drawn = 0.0 < hot_fraction < 1.0
+        hot_always = hot_fraction >= 1.0
+        # What a phase binds once: (in OS, mix thresholds, I-cache cost,
+        # shared-access probability, shared/hot/cold draws).
+        user_phase = (False, *wl._user_thresholds, icache_user, *addresses._user_draws)
+        os_phase = (True, *wl._os_thresholds, icache_os, *addresses._kernel_draws)
         # TLB internals for the inlined translation hit path (misses and
         # non-power-of-two page sizes delegate to translate_raw).
         tlb_entries = tlb._entries
@@ -450,14 +466,26 @@ class CoreTimingModel:
         line_neg_mask = hierarchy._line_neg_mask
         pab_check = pab.check_store if pab is not None else None
         dmr_mute = dmr and mute_id is not None
+
+        ALU_CLASS = InstructionClass.ALU
+        LOAD_CLASS = InstructionClass.LOAD
+        STORE_CLASS = InstructionClass.STORE
+        BRANCH_CLASS = InstructionClass.BRANCH
+        ENTRY_CLASS = InstructionClass.SYSCALL_ENTRY
+        EXIT_CLASS = InstructionClass.SYSCALL_EXIT
+        SERIALIZING_CLASS = InstructionClass.SERIALIZING
+        PRIVILEGED_CLASS = InstructionClass.PRIVILEGED
+        OFFCORE_LEVELS = ("l3", "c2c", "memory")
+        MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
         # The Reunion pair's fingerprint tokens run only under a fault hook.
         # Without one both units would receive the same token, so every
         # comparison would match and charge 0 cycles; the Check stage itself
         # is charged through dmr_check_cost either way, and
-        # run_quantum_reference still compares every interval.  The bindings
-        # unroll both units' appends and the pair's compare below; flush()
-        # clears the pending lists in place, so the list bindings stay valid
-        # across interval emissions and synchronize() calls.
+        # run_quantum_reference still compares every interval.  feed_pair
+        # unrolls both units' appends and the pair's compare; flush() clears
+        # the pending lists in place, so the list bindings stay valid across
+        # interval emissions and synchronize() calls.
         dmr_pair = pair if dmr and fault_hook is not None else None
         if dmr_pair is not None:
             pair_sync = dmr_pair.synchronize
@@ -467,200 +495,9 @@ class CoreTimingModel:
             mute_pending = mute_unit._pending
             fp_interval = vocal_unit.interval
             pair_compare = dmr_pair._compare
-        check_stops = stop_on_os_entry or stop_on_os_exit
 
-        USER_LEVEL = PrivilegeLevel.USER
-        ALU_CLASS = InstructionClass.ALU
-        LOAD_CLASS = InstructionClass.LOAD
-        STORE_CLASS = InstructionClass.STORE
-        BRANCH_CLASS = InstructionClass.BRANCH
-        NOP_CLASS = InstructionClass.NOP
-        ENTRY_CLASS = InstructionClass.SYSCALL_ENTRY
-        EXIT_CLASS = InstructionClass.SYSCALL_EXIT
-        SERIALIZING_CLASS = InstructionClass.SERIALIZING
-        PRIVILEGED_CLASS = InstructionClass.PRIVILEGED
-        OFFCORE_LEVELS = ("l3", "c2c", "memory")
-        MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
-        cycles = 0.0
-        instructions = 0
-        user_instructions = 0
-        os_instructions = 0
-        stop_reason = StopReason.BUDGET_EXHAUSTED
-
-        try:
-          while cycles < cycle_budget:
-            if wl_remaining <= 0:
-                # Rare phase boundary: delegate to the generator (it samples
-                # the next phase length and emits the SYSCALL instruction)
-                # after syncing the mirrored state both ways.
-                wl._seq = wl_seq
-                wl._remaining_in_phase = wl_remaining
-                wl._in_os_phase = wl_in_os
-                _seq, iclass, privilege, address, result, is_shared = next_raw()
-                wl_seq = wl._seq
-                wl_remaining = wl._remaining_in_phase
-                wl_in_os = wl._in_os_phase
-            else:
-                # Inline of next_raw's common path: identical draw order and
-                # bit stream (guarded by the exact-parity suite).
-                wl_remaining -= 1
-                if wl_in_os:
-                    privilege = os_privilege
-                    t_si, t_load, t_store, t_branch = wl_os_thresholds
-                else:
-                    privilege = USER_LEVEL
-                    t_si, t_load, t_store, t_branch = wl_user_thresholds
-                roll = wl_r01()
-                address = None
-                is_shared = False
-                if roll >= t_si:
-                    if roll < t_load:
-                        iclass = LOAD_CLASS
-                        address, is_shared = wl_next_address(privilege, False)
-                    elif roll < t_store:
-                        iclass = STORE_CLASS
-                        address, is_shared = wl_next_address(privilege, True)
-                    elif roll < t_branch:
-                        iclass = BRANCH_CLASS
-                    else:
-                        iclass = ALU_CLASS
-                elif wl_in_os:
-                    iclass = (
-                        PRIVILEGED_CLASS if wl_r01() < 0.5 else SERIALIZING_CLASS
-                    )
-                else:
-                    iclass = SERIALIZING_CLASS
-                # Exact inline of randint(0, 0xFFFF) -- see next_raw.
-                result = wl_grb(17)
-                while result >= 65536:
-                    result = wl_grb(17)
-                wl_seq += 1
-            instructions += 1
-            if privilege is USER_LEVEL:
-                user_instructions += 1
-                cycles += issue_cost
-                cycles += icache_user
-            else:
-                os_instructions += 1
-                cycles += issue_cost
-                cycles += icache_os
-            if dmr:
-                cycles += dmr_check_cost
-
-            if iclass is ALU_CLASS:
-                pass
-            elif iclass is LOAD_CLASS or iclass is STORE_CLASS:
-                if address is not None:
-                    is_store_op = iclass is STORE_CLASS
-                    t_entry = (
-                        tlb_entries.get(address >> tlb_page_shift)
-                        if tlb_page_shift is not None
-                        else None
-                    )
-                    if t_entry is not None:
-                        # Inline of translate_raw's hit path.
-                        tlb._touch = tlb_touch = tlb._touch + 1
-                        t_entry.last_touch = tlb_touch
-                        t_latency = 0
-                        permitted = True
-                        if privilege is USER_LEVEL:
-                            flag_bits = t_entry.flags._value_
-                            if is_store_op and not (flag_bits & _USER_WRITE):
-                                permitted = False
-                            if flag_bits & _PRIVILEGED_ONLY:
-                                permitted = False
-                        physical = (t_entry.physical_page << tlb_page_shift) + (
-                            address & tlb_page_mask
-                        )
-                    else:
-                        physical, _flags, _domain, _hit, t_latency, permitted = translate_raw(
-                            address, is_store_op, privilege is not USER_LEVEL
-                        )
-                    if t_latency:
-                        cycles += t_latency * 0.7
-                    if not permitted:
-                        # The TLB's own check caught the access (fault-free path).
-                        self._record_violation(
-                            ViolationKind.TLB_DENIED,
-                            start_cycle + int(cycles),
-                            core_id,
-                            vcpu_id,
-                            physical,
-                            "TLB permission check denied a store",
-                        )
-                        continue
-
-                    if is_store_op and fault_hook is not None:
-                        physical = fault_hook.perturb_store_address(
-                            core_id, mode, physical
-                        )
-
-                    if pab_check is not None and is_store_op:
-                        check = pab_check(physical)
-                        check_latency = check.latency
-                        if check_latency:
-                            # A serialised lookup delays the write-through
-                            # itself, so its latency is exposed in full;
-                            # PAT-fill latency behaves like any other
-                            # store-completion latency.
-                            cycles += check_latency * (
-                                1.0 if check.serialized else store_exposure
-                            )
-                        if not check.allowed:
-                            self._record_violation(
-                                ViolationKind.PAB_BLOCKED,
-                                start_cycle + int(cycles),
-                                core_id,
-                                vcpu_id,
-                                physical,
-                                "PAB blocked a store to a reliable-only page",
-                            )
-                            continue
-
-                    if is_store_op:
-                        latency, level = coherent_store(core_id, physical)
-                    else:
-                        # Inline of _coherent_load's L1-hit path.
-                        line_addr = physical & line_neg_mask
-                        line = l1_lines.get(line_addr)
-                        if line is not None:
-                            l1._touch_counter = l1_touch = l1._touch_counter + 1
-                            line.last_touch = l1_touch
-                            h_counts["l1d.hits"] += 1
-                            latency = l1_hit_latency
-                            level = "l1"
-                        else:
-                            latency, level = l1_miss_load(core_id, line_addr)
-                    if dmr_mute:
-                        m_latency, m_level = mute_access(mute_id, physical, is_store_op)
-                        if m_latency > latency:
-                            latency = m_latency
-                            level = m_level
-
-                    if level in OFFCORE_LEVELS:
-                        # Shared-resource queueing: more active cores stretch
-                        # the effective latency of off-core accesses.
-                        latency = latency * contention
-                    if is_store_op:
-                        cycles += latency * store_exposure
-                    else:
-                        cycles += latency * load_exposures[level] * load_pressure
-            elif iclass is BRANCH_CLASS:
-                # Deterministic pseudo-random misprediction decision derived
-                # from the instruction's synthetic result, reproducible runs.
-                if (result & 0xFF) < branch_threshold and branch_penalty:
-                    cycles += branch_penalty
-            elif iclass is not NOP_CLASS:
-                # Serialising classes (SERIALIZING, PRIVILEGED, SYSCALL_*).
-                cycles += si_total
-                if dmr_pair is not None:
-                    # The pair must agree on architected state before the SI.
-                    cycles = self._charge_check(
-                        pair_sync(), cycles, start_cycle, core_id, vcpu_id, address
-                    )
-
-            if dmr_pair is not None:
+            def feed_pair(iclass, result, address, cycles):
+                """``cycles`` after one committed instruction's pair tokens."""
                 icv = iclass._value_
                 saddr = address if (iclass is STORE_CLASS and address) else 0
                 token = (icv * 0x9E3779B1 ^ result * 0x85EBCA77 ^ saddr) & MASK64
@@ -680,20 +517,225 @@ class CoreTimingModel:
                         vcpu_id,
                         address,
                     )
+                return cycles
 
-            if check_stops:
-                if stop_on_os_entry and iclass is ENTRY_CLASS:
+        cycles = 0.0
+        user_instructions = 0
+        os_instructions = 0
+        stop_reason = StopReason.BUDGET_EXHAUSTED
+
+        try:
+          while cycles < cycle_budget:
+            if wl_remaining <= 0:
+                # Phase boundary: the generator samples the next phase's
+                # length and emits the SYSCALL trap, which runs at the OS
+                # privilege and serialises.
+                wl._remaining_in_phase = wl_remaining
+                trap = next_trap()
+                wl_remaining = wl._remaining_in_phase
+                os_instructions += 1
+                cycles += issue_cost
+                cycles += icache_os
+                if dmr:
+                    cycles += dmr_check_cost
+                cycles += si_total
+                if dmr_pair is not None:
+                    # The pair must agree on architected state before the SI.
+                    cycles = self._charge_check(
+                        pair_sync(), cycles, start_cycle, core_id, vcpu_id, None
+                    )
+                    cycles = feed_pair(trap.iclass, trap.result, None, cycles)
+                if stop_on_os_entry and trap.iclass is ENTRY_CLASS:
                     stop_reason = StopReason.OS_ENTRY
                     break
-                if stop_on_os_exit and iclass is EXIT_CLASS:
+                if stop_on_os_exit and trap.iclass is EXIT_CLASS:
                     stop_reason = StopReason.OS_EXIT
                     break
+                continue
+
+            # The rest of one phase.  Its instructions are never traps, so
+            # no stop condition can fire before the next boundary.
+            (
+                in_os, t_si, t_load, t_store, t_branch, icache,
+                p_shared, shared_draw, hot_draw, cold_draw,
+            ) = os_phase if wl._in_os_phase else user_phase
+            shared_drawn = 0.0 < p_shared < 1.0
+            shared_always = p_shared >= 1.0
+            phase_start = wl_remaining
+            while wl_remaining and cycles < cycle_budget:
+                wl_remaining -= 1
+                cycles += issue_cost
+                cycles += icache
+                if dmr:
+                    cycles += dmr_check_cost
+                roll = wl_r01()
+                if roll < t_si:
+                    # A serialising instruction; in OS code half of them
+                    # are privileged-register writes.
+                    iclass = (
+                        (PRIVILEGED_CLASS if wl_r01() < 0.5 else SERIALIZING_CLASS)
+                        if in_os
+                        else SERIALIZING_CLASS
+                    )
+                    result = wl_grb(17)
+                    while result >= 65536:
+                        result = wl_grb(17)
+                    cycles += si_total
+                    if dmr_pair is not None:
+                        # The pair must agree on architected state before the SI.
+                        cycles = self._charge_check(
+                            pair_sync(), cycles, start_cycle, core_id, vcpu_id, None
+                        )
+                        cycles = feed_pair(iclass, result, None, cycles)
+                    continue
+                # Exact inline of randint(0, 0xFFFF) -- see
+                # SyntheticWorkload.next_instruction.  A memory instruction's
+                # result is drawn before its address here and after it there;
+                # the address comes from the address model's own random
+                # stream, so neither stream's order changes.
+                result = wl_grb(17)
+                while result >= 65536:
+                    result = wl_grb(17)
+                if roll >= t_store:
+                    if roll < t_branch:
+                        iclass = BRANCH_CLASS
+                        # Deterministic pseudo-random misprediction decision
+                        # derived from the instruction's synthetic result,
+                        # reproducible runs.
+                        if (result & 0xFF) < branch_threshold and branch_penalty:
+                            cycles += branch_penalty
+                    else:
+                        iclass = ALU_CLASS
+                    if dmr_pair is not None:
+                        cycles = feed_pair(iclass, result, None, cycles)
+                    continue
+
+                # A load or a store.  Inline of next_address's draw: the
+                # shared-access chance, then the hot-set chance (drawn before
+                # the cold window is looked at), then the span's getrandbits
+                # rejection loop.
+                is_store_op = roll >= t_load
+                if (a_r01() < p_shared) if shared_drawn else shared_always:
+                    base, span, bits = shared_draw
+                elif (
+                    (a_r01() < hot_fraction) if hot_drawn else hot_always
+                ) or cold_draw is None:
+                    base, span, bits = hot_draw
+                else:
+                    base, span, bits = cold_draw
+                offset = a_grb(bits)
+                while offset >= span:
+                    offset = a_grb(bits)
+                address = base + (offset & line_mask)
+
+                t_entry = (
+                    tlb_entries.get(address >> tlb_page_shift)
+                    if tlb_page_shift is not None
+                    else None
+                )
+                if t_entry is not None:
+                    # Inline of translate_raw's hit path.
+                    tlb._touch = tlb_touch = tlb._touch + 1
+                    t_entry.last_touch = tlb_touch
+                    t_latency = 0
+                    permitted = True
+                    if not in_os:
+                        flag_bits = t_entry.flags._value_
+                        if is_store_op and not (flag_bits & _USER_WRITE):
+                            permitted = False
+                        if flag_bits & _PRIVILEGED_ONLY:
+                            permitted = False
+                    physical = (t_entry.physical_page << tlb_page_shift) + (
+                        address & tlb_page_mask
+                    )
+                else:
+                    physical, _flags, _domain, _hit, t_latency, permitted = translate_raw(
+                        address, is_store_op, in_os
+                    )
+                if t_latency:
+                    cycles += t_latency * tlb_miss_exposure
+                if not permitted:
+                    # The TLB's own check caught the access (fault-free path).
+                    self._record_violation(
+                        ViolationKind.TLB_DENIED,
+                        start_cycle + int(cycles),
+                        core_id,
+                        vcpu_id,
+                        physical,
+                        "TLB permission check denied a store",
+                    )
+                    continue
+
+                if is_store_op and fault_hook is not None:
+                    physical = fault_hook.perturb_store_address(
+                        core_id, mode, physical
+                    )
+
+                if pab_check is not None and is_store_op:
+                    check = pab_check(physical)
+                    check_latency = check.latency
+                    if check_latency:
+                        # A serialised lookup delays the write-through
+                        # itself, so its latency is exposed in full;
+                        # PAT-fill latency behaves like any other
+                        # store-completion latency.
+                        cycles += check_latency * (
+                            1.0 if check.serialized else store_exposure
+                        )
+                    if not check.allowed:
+                        self._record_violation(
+                            ViolationKind.PAB_BLOCKED,
+                            start_cycle + int(cycles),
+                            core_id,
+                            vcpu_id,
+                            physical,
+                            "PAB blocked a store to a reliable-only page",
+                        )
+                        continue
+
+                if is_store_op:
+                    latency, level = coherent_store(core_id, physical)
+                else:
+                    # Inline of _coherent_load's L1-hit path.
+                    line_addr = physical & line_neg_mask
+                    line = l1_lines.get(line_addr)
+                    if line is not None:
+                        l1._touch_counter = l1_touch = l1._touch_counter + 1
+                        line.last_touch = l1_touch
+                        h_counts["l1d.hits"] += 1
+                        latency = l1_hit_latency
+                        level = "l1"
+                    else:
+                        latency, level = l1_miss_load(core_id, line_addr)
+                if dmr_mute:
+                    m_latency, m_level = mute_access(mute_id, physical, is_store_op)
+                    if m_latency > latency:
+                        latency = m_latency
+                        level = m_level
+
+                if level in OFFCORE_LEVELS:
+                    # Shared-resource queueing: more active cores stretch
+                    # the effective latency of off-core accesses.
+                    latency = latency * contention
+                if is_store_op:
+                    cycles += latency * store_exposure
+                else:
+                    cycles += latency * load_exposures[level] * load_pressure
+                if dmr_pair is not None:
+                    cycles = feed_pair(
+                        STORE_CLASS if is_store_op else LOAD_CLASS,
+                        result,
+                        address,
+                        cycles,
+                    )
+            if in_os:
+                os_instructions += phase_start - wl_remaining
+            else:
+                user_instructions += phase_start - wl_remaining
         finally:
-            # Write the mirrored generator state back so the workload resumes
+            # Write the mirrored phase position back so the workload resumes
             # exactly where the quantum stopped.
-            wl._seq = wl_seq
             wl._remaining_in_phase = wl_remaining
-            wl._in_os_phase = wl_in_os
         if dmr_pair is not None:
             # The pair compares its partial interval before it is released.
             cycles = self._charge_check(
@@ -702,7 +744,7 @@ class CoreTimingModel:
 
         return QuantumResult(
             cycles=max(1, int(round(cycles))),
-            instructions=instructions,
+            instructions=user_instructions + os_instructions,
             user_instructions=user_instructions,
             os_instructions=os_instructions,
             stop_reason=stop_reason,
@@ -796,7 +838,7 @@ class CoreTimingModel:
                     privileged=instruction.is_privileged_code,
                 )
                 if translation.latency:
-                    cycles += translation.latency * 0.7
+                    cycles += translation.latency * costs.tlb_miss_exposure
                 if not translation.permitted:
                     # The TLB's own check caught the access (fault-free path).
                     self._record_violation(

@@ -75,7 +75,6 @@ class ReunionPair:
         if vocal_corrupted or mute_corrupted:
             # Perturb the affected side's result so the fingerprints diverge.
             mute_view = Instruction(
-                seq=instruction.seq,
                 iclass=instruction.iclass,
                 privilege=instruction.privilege,
                 address=instruction.address,
@@ -83,7 +82,6 @@ class ReunionPair:
                 is_shared=instruction.is_shared,
             )
             vocal_view = Instruction(
-                seq=instruction.seq,
                 iclass=instruction.iclass,
                 privilege=instruction.privilege,
                 address=instruction.address,

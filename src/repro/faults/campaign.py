@@ -158,14 +158,13 @@ class FaultInjectionCampaign:
             mute_core_id=1,
             config=ReunionConfig(fingerprint_interval=4),
         )
-        for seq in range(8):
+        for index in range(8):
             instruction = Instruction(
-                seq=seq,
                 iclass=InstructionClass.ALU,
                 privilege=PrivilegeLevel.USER,
                 result=rng.randint(0, 0xFFFF),
             )
-            check = pair.observe_commit(instruction, mute_corrupted=(seq == 2))
+            check = pair.observe_commit(instruction, mute_corrupted=(index == 2))
             if check is not None and not check.matched:
                 return FaultOutcome.DETECTED_DMR
         return FaultOutcome.MASKED

@@ -66,8 +66,6 @@ class Instruction:
 
     Attributes
     ----------
-    seq:
-        Per-VCPU dynamic sequence number (monotonically increasing).
     iclass:
         The :class:`InstructionClass`.
     privilege:
@@ -83,7 +81,6 @@ class Instruction:
         (used for cache-to-cache transfer statistics).
     """
 
-    seq: int
     iclass: InstructionClass
     privilege: PrivilegeLevel = PrivilegeLevel.USER
     address: Optional[int] = None

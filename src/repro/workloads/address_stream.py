@@ -116,11 +116,13 @@ class AddressStreamModel:
 
         self._shared = _Window(shared_region.base, max(line_size, shared_region.size))
 
-        # Hot-path bindings: next_address runs once per memory instruction.
-        # Per privilege it reads one tuple (shared-access probability, then
-        # the shared, hot and cold draws); a draw is ``(base, span, bits)``
-        # with ``bits = span.bit_length()`` computed once here.  Every span
-        # is at least one line.
+        # The draw's tables, read by next_address and by the copy of its
+        # draw that CoreTimingModel.run_quantum inlines (once per simulated
+        # memory instruction), which binds one privilege's tuple per phase.
+        # Per privilege it is one tuple (shared-access probability, then the
+        # shared, hot and cold draws); a draw is ``(base, span, bits)`` with
+        # ``bits = span.bit_length()`` computed once here.  Every span is at
+        # least one line.
         self._r01 = rng.raw.random
         self._getrandbits = rng.raw.getrandbits
         self._hot_fraction = profile.hot_access_fraction

@@ -19,7 +19,7 @@ it stopped.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.common.addresses import AddressSpaceLayout
 from repro.common.rng import DeterministicRng
@@ -78,7 +78,6 @@ class SyntheticWorkload:
             num_vcpus=num_vcpus,
             rng=self._rng.fork("addr"),
         )
-        self._seq = 0
         self._in_os_phase = False
         self._remaining_in_phase = self._sample_phase_length(user=True)
 
@@ -134,17 +133,13 @@ class SyntheticWorkload:
     # Instruction synthesis
     # ------------------------------------------------------------------ #
 
-    def next_raw(
-        self,
-    ) -> Tuple[int, InstructionClass, PrivilegeLevel, Optional[int], int, bool]:
-        """Return the next instruction as a raw field tuple.
+    def next_instruction(self) -> Instruction:
+        """Return the next dynamic instruction of this VCPU's stream.
 
-        This is the allocation-free form of :meth:`next_instruction` (which
-        wraps it): the core timing model's hot loop consumes these tuples
-        directly instead of building an :class:`Instruction` per dynamic
-        instruction.  The tuple is ``(seq, iclass, privilege, address,
-        result, is_shared)`` and the RNG consumption (draw order and count)
-        is identical to the historical per-instruction code.
+        The core timing model's hot loop (``run_quantum``) synthesises a
+        phase's body itself, drawing from this stream and from the address
+        model's in the same order as here; it takes only the phase-boundary
+        traps from this method.
         """
         if self._remaining_in_phase <= 0:
             if self._in_os_phase:
@@ -155,8 +150,6 @@ class SyntheticWorkload:
                 self._in_os_phase = True
                 self._remaining_in_phase = self._sample_phase_length(user=False)
                 iclass = InstructionClass.SYSCALL_ENTRY
-            seq = self._seq
-            self._seq = seq + 1
             # Exact inline of ``randint(0, 0xFFFF)``: randrange reduces it to
             # ``_randbelow(65536)``, which draws 17-bit chunks (65536 needs 17
             # bits) until one lands below 65536 -- same bit stream, no
@@ -167,7 +160,7 @@ class SyntheticWorkload:
                 result = getrandbits(17)
             # The trap itself executes at the privileged level it transfers
             # to / from, which is what forces the mode transition in an MMM.
-            return (seq, iclass, self._os_privilege, None, result, False)
+            return Instruction(iclass=iclass, privilege=self._os_privilege, result=result)
 
         self._remaining_in_phase -= 1
         if self._in_os_phase:
@@ -206,15 +199,7 @@ class SyntheticWorkload:
         result = getrandbits(17)
         while result >= 65536:
             result = getrandbits(17)
-        seq = self._seq
-        self._seq = seq + 1
-        return (seq, iclass, privilege, address, result, is_shared)
-
-    def next_instruction(self) -> Instruction:
-        """Return the next dynamic instruction of this VCPU's stream."""
-        seq, iclass, privilege, address, result, is_shared = self.next_raw()
         return Instruction(
-            seq=seq,
             iclass=iclass,
             privilege=privilege,
             address=address,

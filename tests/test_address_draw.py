@@ -4,8 +4,10 @@
 chain -- ``chance``, then ``sample_address`` for a shared access or
 ``hot_cold_address`` for a private one -- with the span draw written as the
 ``getrandbits`` rejection loop.  The chain is the executable specification.
-Nothing else pins the draw: ``run_quantum_reference`` pulls its addresses
-through the same ``next_address``.  These tests drive a model and a twin
+``run_quantum_reference`` pulls its addresses through ``next_address``, and
+``run_quantum`` inlines a copy of the draw, which the hot-path parity tests
+(``tests/test_hotpath_parity.py``) pin to the reference loop; so these tests
+hold both to the chain.  They drive a model and a twin
 ``DeterministicRng`` from one seed, the model through ``next_address`` and
 the twin through the chain over the model's windows, and require every
 ``(address, is_shared)`` to match, for all six profiles, user and OS

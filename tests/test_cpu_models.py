@@ -78,6 +78,8 @@ def test_costs_match_the_recorded_values_exactly(name, dmr):
     assert costs.load_pressure == load_pressure
     assert costs.serializing_cycles == serializing
     assert tuple(costs.load_exposures[level] for level in LEVELS) == exposures
+    # The exposed share of a TLB miss is one constant for every configuration.
+    assert costs.tlb_miss_exposure == 0.7
 
 
 class TestWindowModel:

@@ -18,8 +18,8 @@ def make_pair(interval=4, recovery=100):
     )
 
 
-def make_instruction(seq, result=0):
-    return Instruction(seq=seq, iclass=InstructionClass.ALU, result=result)
+def make_instruction(result=0):
+    return Instruction(iclass=InstructionClass.ALU, result=result)
 
 
 class TestReunionPair:
@@ -29,7 +29,7 @@ class TestReunionPair:
 
     def test_fault_free_intervals_match(self):
         pair = make_pair(interval=4)
-        outcomes = [pair.observe_commit(make_instruction(seq, seq)) for seq in range(8)]
+        outcomes = [pair.observe_commit(make_instruction(seq)) for seq in range(8)]
         checks = [o for o in outcomes if o is not None]
         assert len(checks) == 2
         assert all(check.matched for check in checks)
@@ -40,7 +40,7 @@ class TestReunionPair:
         outcomes = []
         for seq in range(4):
             outcomes.append(
-                pair.observe_commit(make_instruction(seq, seq), mute_corrupted=(seq == 1))
+                pair.observe_commit(make_instruction(seq), mute_corrupted=(seq == 1))
             )
         final = outcomes[-1]
         assert [o for o in outcomes if o is not None] == [final]
@@ -49,14 +49,14 @@ class TestReunionPair:
 
     def test_vocal_corruption_also_detected(self):
         pair = make_pair(interval=2)
-        pair.observe_commit(make_instruction(0))
-        outcome = pair.observe_commit(make_instruction(1), vocal_corrupted=True)
+        pair.observe_commit(make_instruction())
+        outcome = pair.observe_commit(make_instruction(), vocal_corrupted=True)
         assert outcome is not None and not outcome.matched
 
     def test_synchronize_flushes_partial_interval(self):
         pair = make_pair(interval=16)
-        pair.observe_commit(make_instruction(0, 5))
-        pair.observe_commit(make_instruction(1, 6))
+        pair.observe_commit(make_instruction(5))
+        pair.observe_commit(make_instruction(6))
         outcome = pair.synchronize()
         assert outcome is not None
         assert outcome.matched
@@ -64,7 +64,7 @@ class TestReunionPair:
 
     def test_synchronize_detects_pending_corruption(self):
         pair = make_pair(interval=16)
-        pair.observe_commit(make_instruction(0), mute_corrupted=True)
+        pair.observe_commit(make_instruction(), mute_corrupted=True)
         outcome = pair.synchronize()
         assert outcome is not None and not outcome.matched
 

@@ -6,8 +6,8 @@ from repro.isa.fingerprints import FingerprintUnit, fingerprint_of
 from repro.isa.instructions import Instruction, InstructionClass
 
 
-def make_instruction(seq, result=0, address=None, iclass=InstructionClass.ALU):
-    return Instruction(seq=seq, iclass=iclass, result=result, address=address)
+def make_instruction(result=0, address=None, iclass=InstructionClass.ALU):
+    return Instruction(iclass=iclass, result=result, address=address)
 
 
 def test_fingerprint_of_is_deterministic_and_value_sensitive():
@@ -20,7 +20,7 @@ def test_unit_emits_every_interval():
     unit = FingerprintUnit(interval=4)
     emitted = []
     for seq in range(8):
-        fingerprint = unit.observe(make_instruction(seq, result=seq))
+        fingerprint = unit.observe(make_instruction(result=seq))
         if fingerprint is not None:
             emitted.append(seq)
     assert emitted == [3, 7]
@@ -32,7 +32,7 @@ def test_identical_streams_produce_identical_fingerprints():
     values_a = []
     values_b = []
     for seq in range(4):
-        instruction = make_instruction(seq, result=seq * 3)
+        instruction = make_instruction(result=seq * 3)
         fa = a.observe(instruction)
         fb = b.observe(instruction)
         if fa:
@@ -46,18 +46,18 @@ def test_identical_streams_produce_identical_fingerprints():
 def test_diverging_result_changes_fingerprint():
     a = FingerprintUnit(interval=2)
     b = FingerprintUnit(interval=2)
-    a.observe(make_instruction(0, result=1))
-    b.observe(make_instruction(0, result=1))
-    fa = a.observe(make_instruction(1, result=2))
-    fb = b.observe(make_instruction(1, result=2 ^ 1))
+    a.observe(make_instruction(result=1))
+    b.observe(make_instruction(result=1))
+    fa = a.observe(make_instruction(result=2))
+    fb = b.observe(make_instruction(result=2 ^ 1))
     assert fa.value != fb.value
 
 
 def test_store_address_contributes_to_fingerprint():
     a = FingerprintUnit(interval=1)
     b = FingerprintUnit(interval=1)
-    fa = a.observe(make_instruction(0, result=5, address=0x100, iclass=InstructionClass.STORE))
-    fb = b.observe(make_instruction(0, result=5, address=0x200, iclass=InstructionClass.STORE))
+    fa = a.observe(make_instruction(result=5, address=0x100, iclass=InstructionClass.STORE))
+    fb = b.observe(make_instruction(result=5, address=0x200, iclass=InstructionClass.STORE))
     assert fa.value != fb.value
 
 
@@ -65,15 +65,15 @@ def test_load_address_does_not_contribute():
     # Only store addresses are architecturally visible outputs.
     a = FingerprintUnit(interval=1)
     b = FingerprintUnit(interval=1)
-    fa = a.observe(make_instruction(0, result=5, address=0x100, iclass=InstructionClass.LOAD))
-    fb = b.observe(make_instruction(0, result=5, address=0x200, iclass=InstructionClass.LOAD))
+    fa = a.observe(make_instruction(result=5, address=0x100, iclass=InstructionClass.LOAD))
+    fb = b.observe(make_instruction(result=5, address=0x200, iclass=InstructionClass.LOAD))
     assert fa.value == fb.value
 
 
 def test_flush_emits_partial_interval_and_clears():
     unit = FingerprintUnit(interval=8)
-    unit.observe(make_instruction(0))
-    unit.observe(make_instruction(1))
+    unit.observe(make_instruction())
+    unit.observe(make_instruction())
     assert unit.pending_count == 2
     fingerprint = unit.flush()
     assert fingerprint is not None

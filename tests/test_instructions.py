@@ -11,7 +11,7 @@ from repro.isa.instructions import (
 
 
 def make(iclass, privilege=PrivilegeLevel.USER, address=None):
-    return Instruction(seq=0, iclass=iclass, privilege=privilege, address=address)
+    return Instruction(iclass=iclass, privilege=privilege, address=address)
 
 
 def test_memory_classification():

@@ -119,8 +119,8 @@ class TestFingerprintProperties:
     def test_identical_streams_always_agree(self, results, interval):
         a = FingerprintUnit(interval=interval)
         b = FingerprintUnit(interval=interval)
-        for seq, result in enumerate(results):
-            instruction = Instruction(seq=seq, iclass=InstructionClass.ALU, result=result)
+        for result in results:
+            instruction = Instruction(iclass=InstructionClass.ALU, result=result)
             fa = a.observe(instruction)
             fb = b.observe(instruction)
             assert (fa is None) == (fb is None)

@@ -29,13 +29,6 @@ def make_workload(layout, name="apache", phase_scale=0.002, seed=11, **kwargs):
     )
 
 
-def test_sequence_numbers_are_monotonic(layout):
-    workload = make_workload(layout)
-    instructions = [workload.next_instruction() for _ in range(500)]
-    assert [i.seq for i in instructions] == list(range(500))
-    assert workload.next_instruction().seq == 500
-
-
 def test_same_seed_gives_identical_streams(layout):
     a = make_workload(layout, seed=5)
     b = make_workload(layout, seed=5)
